@@ -168,6 +168,18 @@ pub const SEEDS: &[Seed] = &[
         deny: class::ALLOC | class::PANIC,
         why: "subtask publication into preallocated slot arenas",
     },
+    Seed {
+        type_qual: None,
+        name: "run_stage",
+        deny: class::ALLOC | class::PANIC,
+        why: "one migratable stage of process_subframe (gate, publication, fan-out choice); carved from it, same contract",
+    },
+    Seed {
+        type_qual: None,
+        name: "execute_stolen",
+        deny: class::ALLOC | class::PANIC,
+        why: "helper-side execution into the victim's slot, run by try_steal's thieves and by mailbox envelopes; takes the slot mutex under the stage guard by design",
+    },
     // — Network fronthaul rx hot path: one frame from the io thread into
     //   the preallocated assembly slots / swap ring. Allocation and
     //   panicking are denied (tests/alloc_regression.rs proves the

@@ -262,17 +262,6 @@ pub fn shipped_configs() -> Vec<MirrorConfig> {
             modes: &[Mode::RtOpexSteal],
         },
         MirrorConfig {
-            name: "node-demo",
-            file: "crates/runtime/src/node.rs",
-            bw: Bw::Mhz1_4,
-            cells: 2,
-            period_us: 1_000.0,
-            rtt_half_us: 1_000.0,
-            mcs_pool: &[5, 10, 16, 22, 27],
-            delta_us: 60.0,
-            modes: &[Mode::RtOpexMutex],
-        },
-        MirrorConfig {
             name: "example-cran-node",
             file: "examples/cran_node.rs",
             bw: Bw::Mhz1_4,
@@ -479,20 +468,8 @@ pub struct NodeBench {
     pub modes: Vec<(String, Vec<f64>, usize)>,
     /// Recorded headline claim.
     pub headline_steal_ge_mutex: bool,
-    /// Batched-vs-unbatched steal sweep, when recorded.
-    pub batching: Option<BatchingBench>,
     /// Real-network fronthaul section, when recorded.
     pub multihost: Option<MultihostBench>,
-}
-
-/// The `batching` block of `BENCH_node.json`: the steal sweep with and
-/// without cross-cell batched decode dispatch.
-#[derive(Debug, Clone)]
-pub struct BatchingBench {
-    pub batched_miss: Vec<f64>,
-    pub batched_sustained: usize,
-    pub unbatched_miss: Vec<f64>,
-    pub unbatched_sustained: usize,
 }
 
 /// The `multihost` block of `BENCH_node.json`: per-transport fronthaul
@@ -551,28 +528,6 @@ pub fn parse_node(src: &str) -> Result<NodeBench, String> {
             as usize;
         modes.push((key.clone(), miss, recorded));
     }
-    let batching = j.get("batching").map(|b| {
-        let arm = |which: &str| -> (Vec<f64>, usize) {
-            let miss = b
-                .path(&[which, "miss"])
-                .and_then(Json::as_arr)
-                .map(|a| a.iter().filter_map(Json::as_f64).collect())
-                .unwrap_or_default();
-            let sustained = b
-                .path(&[which, "cells_sustained"])
-                .and_then(Json::as_f64)
-                .unwrap_or(-1.0) as usize;
-            (miss, sustained)
-        };
-        let (batched_miss, batched_sustained) = arm("batched");
-        let (unbatched_miss, unbatched_sustained) = arm("unbatched");
-        BatchingBench {
-            batched_miss,
-            batched_sustained,
-            unbatched_miss,
-            unbatched_sustained,
-        }
-    });
     let multihost = j.get("multihost").map(|m| {
         let mut transports = Vec::new();
         if let Some(t) = m.get("transports") {
@@ -614,7 +569,6 @@ pub fn parse_node(src: &str) -> Result<NodeBench, String> {
             .path(&["headline", "steal_ge_mutex"])
             .and_then(Json::as_bool)
             .unwrap_or(false),
-        batching,
         multihost,
     })
 }
@@ -1390,27 +1344,6 @@ pub fn audit(kernels_src: &str, node_src: &str, configs: &[MirrorConfig]) -> Aud
         }
         computed.push((key.clone(), c, *recorded));
     }
-    // The batched-vs-unbatched steal sweep reproduces under the same
-    // leading-run rule as the per-mode arrays.
-    if let Some(b) = &node.batching {
-        for (which, miss, recorded) in [
-            ("batched", &b.batched_miss, b.batched_sustained),
-            ("unbatched", &b.unbatched_miss, b.unbatched_sustained),
-        ] {
-            let c = cells_sustained(miss, node.miss_threshold);
-            if c != recorded {
-                v.push(Violation {
-                    file: "BENCH_node.json".into(),
-                    line: 0,
-                    pass: "sched",
-                    class: "capacity-drift",
-                    msg: format!(
-                        "batching.{which}: cells_sustained recomputed from the miss array is {c}, but the tracked file records {recorded} — re-run `rtopex-bench --node` or fix the file"
-                    ),
-                });
-            }
-        }
-    }
     let lookup = |k: &str| {
         computed
             .iter()
@@ -1602,9 +1535,9 @@ mod tests {
         );
     }
 
-    /// A minimal node doc whose batching block records
-    /// `batched_sustained`; the miss arrays support exactly 2.
-    fn node_doc(batched_sustained: usize) -> String {
+    /// A minimal node doc whose `rtopex_steal` row records
+    /// `steal_sustained`; its miss array supports exactly 2.
+    fn node_doc(steal_sustained: usize) -> String {
         format!(
             r#"{{
   "steal_path": {{
@@ -1617,12 +1550,8 @@ mod tests {
       "partitioned": {{ "miss": [0.0, 0.1], "cells_sustained": 1 }},
       "global": {{ "miss": [0.0, 0.1], "cells_sustained": 1 }},
       "rtopex_mutex": {{ "miss": [0.0, 0.1], "cells_sustained": 1 }},
-      "rtopex_steal": {{ "miss": [0.0, 0.0], "cells_sustained": 2 }}
+      "rtopex_steal": {{ "miss": [0.0, 0.0], "cells_sustained": {steal_sustained} }}
     }}
-  }},
-  "batching": {{
-    "batched": {{ "miss": [0.0, 0.0], "cells_sustained": {batched_sustained} }},
-    "unbatched": {{ "miss": [0.0, 0.1], "cells_sustained": 1 }}
   }},
   "headline": {{ "steal_ge_mutex": true }}
 }}"#
@@ -1630,12 +1559,12 @@ mod tests {
     }
 
     #[test]
-    fn batching_capacity_drift_is_caught() {
+    fn capacity_drift_is_caught() {
         let a = audit(KERNELS, &node_doc(3), &[]);
         assert!(
             a.violations
                 .iter()
-                .any(|v| v.class == "capacity-drift" && v.msg.contains("batching.batched")),
+                .any(|v| v.class == "capacity-drift" && v.msg.contains("`rtopex_steal`")),
             "{:#?}",
             a.violations
         );

@@ -15,7 +15,7 @@ use rtopex_experiments::Opts;
 use rtopex_phy::mcs::Mcs;
 use rtopex_phy::params::Bandwidth;
 use rtopex_phy::segmentation::Segmentation;
-use rtopex_runtime::{ClusterConfig, NodeConfig, SchedulerMode};
+use rtopex_runtime::{ClusterConfig, SchedulerMode};
 
 const PAIRS: [(Bw, Bandwidth); 6] = [
     (Bw::Mhz1_4, Bandwidth::Mhz1_4),
@@ -115,18 +115,6 @@ fn cluster_demo_mirror_matches_shipped_constructor() {
     let m = mirror("cluster-demo");
     assert_cluster_mirror(&m, &ClusterConfig::demo());
     assert_eq!(m.modes, &[Mode::RtOpexSteal]);
-}
-
-#[test]
-fn node_demo_mirror_matches_shipped_constructor() {
-    let m = mirror("node-demo");
-    let real = NodeConfig::demo();
-    assert_eq!(m.bw.fft_size(), real.bandwidth.fft_size());
-    assert_eq!(m.cells, real.num_bs);
-    assert_eq!(Duration::from_secs_f64(m.period_us / 1e6), real.period);
-    assert_eq!(Duration::from_secs_f64(m.rtt_half_us / 1e6), real.rtt_half);
-    assert_eq!(m.mcs_pool, real.mcs_pool.as_slice());
-    assert_eq!(m.delta_us, real.delta_us);
 }
 
 #[test]

@@ -23,7 +23,6 @@ use rtopex_phy::simd::{self, SimdTier};
 use rtopex_phy::turbo::{decode_batch, TurboBatchJob, TurboDecoder, TurboEncoder, TurboWorkspace};
 use rtopex_phy::uplink::{UplinkConfig, UplinkRx, UplinkTx};
 use rtopex_phy::Cf32;
-use rtopex_runtime::affinity::NumaTopology;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -351,9 +350,7 @@ fn cache_topology_kb() -> (u64, u64, u64) {
 }
 
 /// The machine fingerprint every `BENCH_*.json` carries: CPU model, core
-/// count, cache topology, NUMA domain count (honouring the `RTOPEX_NUMA`
-/// emulation override so a run's sharding assumptions are visible in the
-/// file it produced) and the widest SIMD tier. The analyzer refuses to
+/// count, cache topology and the widest SIMD tier. The analyzer refuses to
 /// compare baselines whose fingerprints disagree, so all three emitters
 /// share this one constructor.
 fn machine_json() -> String {
@@ -363,9 +360,8 @@ fn machine_json() -> String {
     let (l1d, l2, l3) = cache_topology_kb();
     format!(
         "{{ \"cpu\": \"{}\", \"cores\": {cores}, \"l1d_kb\": {l1d}, \"l2_kb\": {l2}, \
-         \"l3_kb\": {l3}, \"numa_domains\": {}, \"simd_tier\": \"{}\" }}",
+         \"l3_kb\": {l3}, \"simd_tier\": \"{}\" }}",
         json_escape(&cpu_model()),
-        NumaTopology::detect().num_domains(),
         simd::hardware_tier().name()
     )
 }

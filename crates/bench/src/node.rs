@@ -18,10 +18,6 @@
 //!   the interactive experiment can never drift apart. The `headline`
 //!   block distills it to the one number this PR is about: RT-OPEX(steal)
 //!   must sustain at least as many cells as RT-OPEX(mutex).
-//! * `batching` — the steal sweep repeated with `batch_decode = false`,
-//!   so the capacity contribution of cross-cell batched decode dispatch
-//!   (paired trellises through `turbo::decode_batch`) is visible in the
-//!   committed file rather than folded invisibly into the headline.
 //! * `multihost` — real-network fronthaul overheads (per-transport
 //!   loopback handoff latency + steady-state rx cost per subframe) and
 //!   the spawned `rtopex-fronthaul --spawn 2` demo verdict — see
@@ -36,9 +32,7 @@
 //! `--quick` shrinks the sweep (2 cells, 1 trial) for CI smoke runs where
 //! only the schema and the steal-path numbers are being sanity-checked.
 
-use rtopex_experiments::cluster_scale::{
-    best_of, cells_sustained, cluster_cfg, ScalePoint, MISS_THRESHOLD,
-};
+use rtopex_experiments::cluster_scale::{best_of, cells_sustained, cluster_cfg, MISS_THRESHOLD};
 use rtopex_experiments::common::Opts;
 use rtopex_phy::params::Bandwidth;
 use rtopex_phy::tasks::TaskKind;
@@ -98,7 +92,6 @@ fn single_cell(quick: bool) -> SingleCell {
         mcs_pool: vec![27],
         delta_us: 60.0,
         seed: 0xC0DE,
-        batch_decode: true,
     };
     let best = (0..if quick { 1 } else { 3 })
         .map(|_| CranCluster::new(cfg.clone()).run())
@@ -163,38 +156,6 @@ fn sweep(opts: &Opts, max_cells: usize, trials: usize) -> Vec<SweepRow> {
         .collect()
 }
 
-/// The steal sweep re-run with cross-cell batched decode dispatch
-/// disabled (`batch_decode = false`), isolating what draining ready
-/// decode subtasks through the paired-trellis `decode_batch` entry point
-/// buys at the capacity cliff. Same geometry, trials and best-of rule as
-/// the main sweep.
-fn unbatched_steal_sweep(opts: &Opts, max_cells: usize, trials: usize) -> Vec<ScalePoint> {
-    (1..=max_cells)
-        .map(|n| {
-            (0..trials.max(1))
-                .map(|_| {
-                    let mut cfg = cluster_cfg(opts, SchedulerMode::RtOpexSteal, n);
-                    cfg.batch_decode = false;
-                    let r = CranCluster::new(cfg).run();
-                    ScalePoint {
-                        cells: n,
-                        miss: r.miss_rate(),
-                        sf_per_sec: r.subframes_per_sec(),
-                        steals: r.steals,
-                        migrated: r.migration.fft_migrated + r.migration.decode_migrated,
-                    }
-                })
-                .min_by(|a, b| {
-                    a.miss
-                        .partial_cmp(&b.miss)
-                        .unwrap()
-                        .then(b.sf_per_sec.partial_cmp(&a.sf_per_sec).unwrap())
-                })
-                .expect("at least one trial")
-        })
-        .collect()
-}
-
 fn task_key(task: TaskKind) -> &'static str {
     match task {
         TaskKind::Fft => "fft",
@@ -228,9 +189,6 @@ pub fn run(quick: bool, path: &str) {
     let cell = single_cell(quick);
     eprintln!("capacity sweep ({max_cells} cells, best of {trials})…");
     let rows = sweep(&opts, max_cells, trials);
-    eprintln!("unbatched steal sweep ({max_cells} cells, best of {trials})…");
-    let unbatched = unbatched_steal_sweep(&opts, max_cells, trials);
-    let unbatched_sustained = cells_sustained(&unbatched);
 
     let sustained = |m: SchedulerMode| {
         rows.iter()
@@ -339,34 +297,6 @@ pub fn run(quick: bool, path: &str) {
         .unwrap();
     }
     writeln!(body, "    }}").unwrap();
-    writeln!(body, "  }},").unwrap();
-
-    let steal_row_miss: Vec<String> = rows
-        .iter()
-        .find(|r| r.mode == SchedulerMode::RtOpexSteal)
-        .map(|r| r.miss.iter().map(|m| fmt_f(*m)).collect())
-        .unwrap_or_default();
-    let unbatched_miss: Vec<String> = unbatched.iter().map(|p| fmt_f(p.miss)).collect();
-    writeln!(body, "  \"batching\": {{").unwrap();
-    writeln!(body, "    \"mode\": \"rtopex_steal\",").unwrap();
-    writeln!(
-        body,
-        "    \"batched\": {{ \"miss\": [{}], \"cells_sustained\": {steal_n} }},",
-        steal_row_miss.join(", ")
-    )
-    .unwrap();
-    writeln!(
-        body,
-        "    \"unbatched\": {{ \"miss\": [{}], \"cells_sustained\": {unbatched_sustained} }},",
-        unbatched_miss.join(", ")
-    )
-    .unwrap();
-    writeln!(
-        body,
-        "    \"batched_ge_unbatched\": {}",
-        steal_n >= unbatched_sustained
-    )
-    .unwrap();
     writeln!(body, "  }},").unwrap();
 
     eprintln!("multihost fronthaul overheads + demo…");

@@ -204,7 +204,6 @@ impl Geometry {
             mcs_pool: self.mcs_pool.clone(),
             delta_us: 60.0,
             seed: 0xC0DE,
-            batch_decode: true,
         }
     }
 

@@ -69,7 +69,6 @@ pub fn cluster_cfg(opts: &Opts, mode: SchedulerMode, cells: usize) -> ClusterCon
         mcs_pool: vec![5, 10, 16, 22, 27],
         delta_us: 60.0,
         seed: opts.seed,
-        batch_decode: true,
     }
 }
 

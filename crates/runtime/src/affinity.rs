@@ -44,98 +44,6 @@ pub fn pin_current_thread(core: usize) -> PinOutcome {
     }
 }
 
-/// NUMA topology of the host: which CPU belongs to which memory domain
-/// (socket). The cluster prefers stealing within a domain — a cross-socket
-/// steal drags the victim's LLR snapshot and slot arena across the
-/// interconnect, so it only happens as a last resort under a stiffer δ.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct NumaTopology {
-    /// `cpu_domain[cpu]` — domain index of each CPU, dense from 0.
-    cpu_domain: Vec<usize>,
-    /// Number of distinct domains.
-    domains: usize,
-}
-
-impl NumaTopology {
-    /// Probes the host topology.
-    ///
-    /// Resolution order:
-    /// 1. `RTOPEX_NUMA=<n>` — emulate `n` domains by splitting the CPU
-    ///    list into `n` contiguous, equal-as-possible groups. This is how
-    ///    CI exercises the cross-domain paths on single-socket machines;
-    ///    `RTOPEX_NUMA=1` forces the flat topology.
-    /// 2. sysfs (`/sys/devices/system/node/node*/cpulist`) on Linux.
-    /// 3. A single flat domain.
-    ///
-    /// # Panics
-    /// Panics if `RTOPEX_NUMA` is set but not a positive integer — a typo
-    /// silently measuring the wrong topology is worse than a crash.
-    pub fn detect() -> Self {
-        let ncpu = num_cpus();
-        if let Ok(v) = std::env::var("RTOPEX_NUMA") {
-            let n: usize = v
-                .parse()
-                .ok()
-                .filter(|&n| n > 0)
-                // analyze: allow(panic): explicit user override with an unusable value; measuring under a silently wrong topology is worse than a crash
-                .unwrap_or_else(|| panic!("RTOPEX_NUMA must be a positive integer, got {v:?}"));
-            return Self::emulated(ncpu, n);
-        }
-        Self::from_sysfs(ncpu).unwrap_or_else(|| Self::emulated(ncpu, 1))
-    }
-
-    /// An emulated topology: `ncpu` CPUs split into `n` contiguous groups.
-    pub fn emulated(ncpu: usize, n: usize) -> Self {
-        let ncpu = ncpu.max(1);
-        let n = n.clamp(1, ncpu);
-        let cpu_domain = (0..ncpu).map(|c| c * n / ncpu).collect();
-        NumaTopology {
-            cpu_domain,
-            domains: n,
-        }
-    }
-
-    fn from_sysfs(ncpu: usize) -> Option<Self> {
-        let mut cpu_domain = vec![0usize; ncpu];
-        let mut domains = 0usize;
-        loop {
-            let path = format!("/sys/devices/system/node/node{domains}/cpulist");
-            let Ok(list) = std::fs::read_to_string(&path) else {
-                break;
-            };
-            for range in list.trim().split(',').filter(|s| !s.is_empty()) {
-                let (lo, hi) = match range.split_once('-') {
-                    Some((a, b)) => (a.parse().ok()?, b.parse().ok()?),
-                    None => {
-                        let c: usize = range.parse().ok()?;
-                        (c, c)
-                    }
-                };
-                let hi = hi.min(ncpu.saturating_sub(1));
-                for d in cpu_domain.iter_mut().take(hi + 1).skip(lo) {
-                    *d = domains;
-                }
-            }
-            domains += 1;
-        }
-        (domains > 0).then_some(NumaTopology {
-            cpu_domain,
-            domains,
-        })
-    }
-
-    /// Number of memory domains.
-    pub fn num_domains(&self) -> usize {
-        self.domains
-    }
-
-    /// Domain of `cpu` (modulo the CPU count, matching
-    /// [`pin_current_thread`]'s wrapping).
-    pub fn domain_of(&self, cpu: usize) -> usize {
-        self.cpu_domain[cpu % self.cpu_domain.len()]
-    }
-}
-
 /// Attempts to raise the calling thread to SCHED_FIFO (the paper's
 /// real-time thread class). Almost always requires privileges; returns
 /// `false` on refusal, which callers treat as the soft-real-time mode.
@@ -195,53 +103,5 @@ mod tests {
         // In an unprivileged container this returns false; either way the
         // process must keep running.
         let _ = try_set_fifo_priority(10);
-    }
-
-    #[test]
-    fn emulated_topology_splits_contiguously() {
-        let t = NumaTopology::emulated(8, 2);
-        assert_eq!(t.num_domains(), 2);
-        for c in 0..4 {
-            assert_eq!(t.domain_of(c), 0);
-        }
-        for c in 4..8 {
-            assert_eq!(t.domain_of(c), 1);
-        }
-        // Wrapping matches pin_current_thread.
-        assert_eq!(t.domain_of(9), t.domain_of(1));
-    }
-
-    #[test]
-    fn emulated_topology_clamps_degenerate_requests() {
-        // More domains than CPUs collapses to one domain per CPU; zero
-        // domains means flat.
-        let t = NumaTopology::emulated(2, 8);
-        assert_eq!(t.num_domains(), 2);
-        assert_eq!(NumaTopology::emulated(4, 0).num_domains(), 1);
-        let flat = NumaTopology::emulated(6, 1);
-        assert!((0..6).all(|c| flat.domain_of(c) == 0));
-    }
-
-    #[test]
-    fn emulated_split_is_balanced_when_uneven() {
-        let t = NumaTopology::emulated(6, 4);
-        let mut sizes = vec![0usize; t.num_domains()];
-        for c in 0..6 {
-            sizes[t.domain_of(c)] += 1;
-        }
-        assert!(sizes.iter().all(|&s| (1..=2).contains(&s)), "{sizes:?}");
-        // Domains are dense: every index below num_domains appears.
-        assert!(sizes.iter().all(|&s| s > 0));
-    }
-
-    #[test]
-    fn detect_yields_usable_topology() {
-        // Whatever world we run in (sysfs present or not), the result must
-        // cover every CPU with a dense domain index.
-        let t = NumaTopology::detect();
-        assert!(t.num_domains() >= 1);
-        for c in 0..num_cpus() {
-            assert!(t.domain_of(c) < t.num_domains());
-        }
     }
 }

@@ -6,22 +6,33 @@
 //!
 //! * processing threads with a 1:1 kernel mapping, each **pinned to a
 //!   dedicated core** (`sched_setaffinity`), with a graceful no-op
-//!   fallback when pinning is not permitted;
+//!   fallback when pinning is not permitted ([`affinity`]);
 //! * transport → processing signalling through a one-way condvar
 //!   ("processing threads wait for the transport threads, not the other
-//!   way around");
-//! * **real subtask migration**: a parallelizable stage of the actual
-//!   uplink job (`rtopex_phy::uplink::SubframeJob`) is split per
-//!   Algorithm 1 and shipped to idle workers as closures; completion is
-//!   signalled with per-subtask *result-ready* flags, and stragglers are
-//!   recomputed locally (the Fig. 12 recovery path);
-//! * a shared CPU-state table the workers update and poll.
+//!   way around"): the delivery thread stages releases on per-core
+//!   inboxes and never waits for a worker;
+//! * **real subtask migration**: a parallelizable stage (FFT, turbo
+//!   decode) of the actual uplink job (`rtopex_phy::uplink::SlabJob`) is
+//!   published into the owner's preallocated slot arena and fanned out
+//!   one of two ways — as tickets in a lock-free deque that idle cores
+//!   steal from, admitted by Algorithm 1's δ check at steal time, or as
+//!   Algorithm 1's plan shipped in boxed closures through mutex mailboxes
+//!   ([`migrate`]). Either way completion is signalled with per-subtask
+//!   *result-ready* flags, and stragglers are recomputed locally (the
+//!   Fig. 12 recovery path);
+//! * a shared CPU-state table (per-core idle flags) the workers update
+//!   and poll.
+//!
+//! [`cluster`] is the runtime: one driver runs N cells on 2N pinned
+//! workers under any [`SchedulerMode`], with deadline checks and ACK/NACK
+//! accounting, and takes its subframes from one of two sources —
+//! [`CranCluster::run`] replays a deterministic tower-trace cadence from a
+//! pre-encoded pool at a configurable subframe period;
+//! [`CranCluster::run_fed`] decodes what a fronthaul receiver delivers.
 //!
 //! [`measure`] provides the micro-measurement harnesses behind Fig. 4
 //! (task times on 1 vs 2 cores) and Fig. 18 (local vs migrated execution,
-//! i.e. the real migration overhead δ on this machine); [`node`] runs a
-//! complete closed-loop node — transport cadence, deadline checks,
-//! ACK/NACK accounting — at a configurable subframe period.
+//! i.e. the real migration overhead δ on this machine).
 
 #![warn(missing_docs)]
 // Every unsafe operation (the libc affinity calls) must sit in an explicit
@@ -33,11 +44,9 @@ pub mod affinity;
 pub mod cluster;
 pub mod measure;
 pub mod migrate;
-pub mod node;
 
 pub use cluster::{ClusterConfig, ClusterReport, CranCluster, FedReport, SchedulerMode};
 pub use measure::{
     measure_migration_overhead, measure_stage_parallelism, measure_steal_overhead,
     StageMeasurement, StealMeasurement,
 };
-pub use node::{CranNode, NodeConfig, NodeReport};

@@ -51,7 +51,6 @@ fn main() {
             mcs_pool: vec![10, 16, 27],
             delta_us: 60.0,
             seed: 0xC0DE,
-            batch_decode: true,
         };
         println!(
             "\n=== {}: {} cell(s) × {} subframes @ 1.4 MHz, period {:?}, budget {:?} ===",
