@@ -192,10 +192,11 @@ pub const SEEDS: &[Seed] = &[
         deny: class::ALLOC | class::PANIC,
         why: "per-frame rx ingest on the io thread; transport-net/tests/alloc_regression.rs proves 0 steady-state allocs",
     },
-    // — Simulator per-event hot loop: the engines promise an
-    //   allocation-free, lock-free, clock-free steady state (the wheel
-    //   speedup and the fleet determinism both depend on it); panics are
-    //   allowed — the engines assert invariants with expect/unreachable. —
+    // — Simulator per-event hot loop (`Engine::on_event`, the only one):
+    //   it promises an allocation-free, lock-free, clock-free steady
+    //   state (fleet throughput and determinism both depend on it);
+    //   panics are allowed — the engine asserts invariants with
+    //   expect/unreachable. —
     Seed {
         type_qual: None,
         name: "on_event",

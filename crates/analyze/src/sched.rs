@@ -25,9 +25,7 @@
 //! * **fleet-level pooling gate** (`BENCH_sim.json`) — re-fits the
 //!   pooling curve `cells/core = a + b/H` from the recorded per-mode
 //!   sweep arrays and flags any shipped fleet deployment whose
-//!   `cells_per_host` exceeds the fitted capacity at its fleet size,
-//!   plus the engine-throughput floor (wheel ≥ [`MIN_ENGINE_SPEEDUP`]×
-//!   the seed heap engine) and the wheel/heap bit-identity witness.
+//!   `cells_per_host` exceeds the fitted capacity at its fleet size.
 //!
 //! The PHY structure (FFT sizes, PRB/TBS tables, turbo segmentation)
 //! and the shipped configs are *mirrored* here rather than imported, so
@@ -674,15 +672,6 @@ pub fn cells_sustained(miss: &[f64], threshold: f64) -> usize {
 // (cross-checked by tests/mirror_check.rs).
 // ---------------------------------------------------------------------
 
-/// Minimum wheel-vs-heap speedup the tracked full-scale engine run must
-/// keep — the PR's headline throughput claim, enforced as a gate so a
-/// regression in the wheel/streaming hot loop cannot land silently. The
-/// gated number is `engine.engine_speedup`: the partitioned-scheduler
-/// measurement, which isolates the event-queue + workload-generation
-/// change (the rtopex/global rows are diluted by scheduler logic both
-/// engines share and are recorded, not gated).
-pub const MIN_ENGINE_SPEEDUP: f64 = 10.0;
-
 /// Mirrored `rtopex_experiments::pooling::CORE_BUDGET`.
 pub const FLEET_CORE_BUDGET: usize = 8;
 
@@ -751,15 +740,6 @@ pub fn fleet_capacity(fit: (f64, f64), hosts: usize) -> usize {
     ((fit.0 + fit.1 / hosts as f64) * FLEET_CORE_BUDGET as f64).floor() as usize
 }
 
-/// One scheduler's wheel-vs-heap row from `engine.wheel_vs_heap`.
-#[derive(Debug, Clone)]
-pub struct EngineRow {
-    pub name: String,
-    pub speedup: f64,
-    /// Whether the two engines produced bit-identical reports.
-    pub reports_match: bool,
-}
-
 /// One mode's recorded pooling curve from `pooling.modes`.
 #[derive(Debug, Clone)]
 pub struct FleetCurve {
@@ -771,14 +751,12 @@ pub struct FleetCurve {
     pub fit_b: f64,
 }
 
-/// Simulator-throughput and pooling inputs parsed from `BENCH_sim.json`.
+/// Pooling inputs parsed from `BENCH_sim.json`.
 #[derive(Debug, Clone)]
 pub struct SimBench {
     /// Whether the file was generated with `--quick` (CI schema runs —
     /// never a legitimate tracked baseline).
     pub quick: bool,
-    pub engine_speedup: f64,
-    pub engines: Vec<EngineRow>,
     pub core_budget: usize,
     pub miss_budget: f64,
     pub modes: Vec<FleetCurve>,
@@ -791,32 +769,6 @@ pub fn parse_sim(src: &str) -> Result<SimBench, String> {
         .get("quick")
         .and_then(Json::as_bool)
         .ok_or("missing `quick`")?;
-    let engine = j.get("engine").ok_or("missing `engine`")?;
-    let engine_speedup = engine
-        .get("engine_speedup")
-        .and_then(Json::as_f64)
-        .ok_or("missing engine.engine_speedup")?;
-    let mut engines = Vec::new();
-    for (key, val) in engine
-        .get("wheel_vs_heap")
-        .ok_or("missing engine.wheel_vs_heap")?
-        .fields()
-    {
-        engines.push(EngineRow {
-            name: key.clone(),
-            speedup: val
-                .get("speedup")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("missing speedup for engine `{key}`"))?,
-            reports_match: val
-                .get("reports_match")
-                .and_then(Json::as_bool)
-                .ok_or_else(|| format!("missing reports_match for engine `{key}`"))?,
-        });
-    }
-    if engines.is_empty() {
-        return Err("engine.wheel_vs_heap has no entries".into());
-    }
     let pooling = j.get("pooling").ok_or("missing `pooling`")?;
     let num = |key: &str| -> Result<f64, String> {
         pooling
@@ -862,8 +814,6 @@ pub fn parse_sim(src: &str) -> Result<SimBench, String> {
     }
     Ok(SimBench {
         quick,
-        engine_speedup,
-        engines,
         core_budget: num("core_budget")? as usize,
         miss_budget: num("miss_budget")?,
         modes,
@@ -871,8 +821,7 @@ pub fn parse_sim(src: &str) -> Result<SimBench, String> {
 }
 
 /// Audits the tracked simulator baseline against the mirrored fleet
-/// deployments: engine-throughput floor, wheel/heap bit-identity, fit
-/// drift, and the fleet-level capacity gate.
+/// deployments: fit drift and the fleet-level capacity gate.
 pub fn audit_sim(sim_src: &str, fleet: &[FleetMirror]) -> Audit {
     let mut v = Vec::new();
     let sim = match parse_sim(sim_src) {
@@ -910,42 +859,6 @@ pub fn audit_sim(sim_src: &str, fleet: &[FleetMirror]) -> Audit {
     }
 
     let mut report = String::from("{\n");
-    let _ = writeln!(report, "  \"engine_speedup\": {:.3},", sim.engine_speedup);
-    let _ = writeln!(report, "  \"engines\": {{");
-    for (i, e) in sim.engines.iter().enumerate() {
-        let comma = if i + 1 < sim.engines.len() { "," } else { "" };
-        let _ = writeln!(
-            report,
-            "    \"{}\": {{\"speedup\": {:.3}, \"reports_match\": {}}}{comma}",
-            e.name, e.speedup, e.reports_match
-        );
-        if !e.reports_match {
-            v.push(Violation {
-                file: file(),
-                line: 0,
-                pass: "sched",
-                class: "wheel-heap-divergence",
-                msg: format!(
-                    "engine `{}`: the wheel/streaming engine and the seed heap baseline produced different reports — the recorded speedup was bought with a behavior change",
-                    e.name
-                ),
-            });
-        }
-    }
-    let _ = writeln!(report, "  }},");
-    if sim.engine_speedup < MIN_ENGINE_SPEEDUP {
-        v.push(Violation {
-            file: file(),
-            line: 0,
-            pass: "sched",
-            class: "sim-throughput-regression",
-            msg: format!(
-                "minimum wheel-vs-heap speedup {:.1}x is below the {MIN_ENGINE_SPEEDUP:.0}x floor — the discrete-event hot loop regressed (or the baseline got faster); profile before re-recording",
-                sim.engine_speedup
-            ),
-        });
-    }
-
     // Re-fit every recorded curve; the recorded parameters must agree
     // (the recorded arrays are the ground truth — a doctored fit cannot
     // widen capacity without also doctoring the sweep points).
@@ -1685,8 +1598,8 @@ mod tests {
 
     /// A synthetic `BENCH_sim.json` with flat pooling curves: the
     /// partitioned asymptote is held at 0.5 cells/core while the
-    /// rtopex-steal one and the engine speedup are the knobs.
-    fn sim_doc(engine_speedup: f64, reports_match: bool, steal_a: f64) -> String {
+    /// rtopex-steal one is the knob.
+    fn sim_doc(steal_a: f64) -> String {
         let hosts = "[1, 2, 4, 8, 16, 32, 64]";
         let flat = |a: f64| {
             let v: Vec<String> = (0..7).map(|_| format!("{a:.3}")).collect();
@@ -1695,12 +1608,6 @@ mod tests {
         format!(
             r#"{{
   "schema": 1, "quick": false,
-  "engine": {{
-    "wheel_vs_heap": {{
-      "partitioned": {{ "speedup": {engine_speedup:.3}, "reports_match": {reports_match} }}
-    }},
-    "engine_speedup": {engine_speedup:.3}
-  }},
   "pooling": {{
     "core_budget": 8, "miss_budget": 0.005,
     "modes": {{
@@ -1746,7 +1653,7 @@ mod tests {
     fn overcommitted_fleet_deployment_is_caught() {
         // A steal asymptote of 0.25 cells/core caps an 8-core host at 2
         // cells; edge-4 and metro-16 ship 4.
-        let a = audit_sim(&sim_doc(20.0, true, 0.25), &shipped_fleet_configs());
+        let a = audit_sim(&sim_doc(0.25), &shipped_fleet_configs());
         let fleet: Vec<_> = a
             .violations
             .iter()
@@ -1758,35 +1665,10 @@ mod tests {
     }
 
     #[test]
-    fn engine_throughput_regression_is_caught() {
-        let a = audit_sim(&sim_doc(3.0, true, 1.0), &shipped_fleet_configs());
-        assert!(
-            a.violations
-                .iter()
-                .any(|v| v.class == "sim-throughput-regression"),
-            "{:#?}",
-            a.violations
-        );
-    }
-
-    #[test]
-    fn wheel_heap_divergence_is_caught() {
-        let a = audit_sim(&sim_doc(20.0, false, 1.0), &shipped_fleet_configs());
-        assert!(
-            a.violations
-                .iter()
-                .any(|v| v.class == "wheel-heap-divergence"),
-            "{:#?}",
-            a.violations
-        );
-    }
-
-    #[test]
     fn doctored_fit_is_caught_by_the_refit() {
         // Widen the recorded asymptote without touching the sweep
         // arrays: the re-fit disagrees and the audit flags the drift.
-        let doc = sim_doc(20.0, true, 0.25)
-            .replace(&format!("\"fit_a\": {:.3}", 0.25), "\"fit_a\": 1.000");
+        let doc = sim_doc(0.25).replace(&format!("\"fit_a\": {:.3}", 0.25), "\"fit_a\": 1.000");
         let a = audit_sim(&doc, &shipped_fleet_configs());
         assert!(
             a.violations.iter().any(|v| v.class == "fleet-drift"),
@@ -1797,7 +1679,7 @@ mod tests {
 
     #[test]
     fn quick_baseline_is_rejected() {
-        let doc = sim_doc(20.0, true, 1.0).replace("\"quick\": false", "\"quick\": true");
+        let doc = sim_doc(1.0).replace("\"quick\": false", "\"quick\": true");
         let a = audit_sim(&doc, &shipped_fleet_configs());
         assert!(
             a.violations.iter().any(|v| v.class == "quick-baseline"),
@@ -1809,7 +1691,7 @@ mod tests {
     #[test]
     fn missing_mode_curve_is_caught() {
         let a = audit_sim(
-            &sim_doc(20.0, true, 1.0),
+            &sim_doc(1.0),
             &[FleetMirror {
                 name: "phantom",
                 hosts: 4,

@@ -1,11 +1,10 @@
 //! Scheduler benchmarks: the simulator's throughput per scheduler and the
 //! cost of the decisions the paper's runtime takes on its critical path —
-//! Algorithm 1 planning, queue operations, CPU-state polling.
+//! Algorithm 1 planning and queue operations.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use rtopex_core::cpu_state::CpuStateTable;
 use rtopex_core::global::{GlobalQueue, QueuePolicy};
-use rtopex_core::migration::plan_migration;
+use rtopex_core::migration::plan_migration_into;
 use rtopex_core::task::{StageProfile, SubframeTask, TaskProfile};
 use rtopex_core::time::Nanos;
 use rtopex_sim::{run, SchedulerKind, SimConfig};
@@ -49,8 +48,11 @@ fn bench_migration_planning(c: &mut Criterion) {
         let free: Vec<(usize, Nanos)> = (0..hosts)
             .map(|h| (h, Nanos::from_us(200 + 100 * h as u64)))
             .collect();
+        let mut plan = Vec::with_capacity(hosts);
         g.bench_with_input(BenchmarkId::new("plan", hosts), &hosts, |b, _| {
-            b.iter(|| plan_migration(6, Nanos::from_us(117), Nanos::from_us(20), &free))
+            b.iter(|| {
+                plan_migration_into(6, Nanos::from_us(117), Nanos::from_us(20), &free, &mut plan)
+            })
         });
     }
     g.finish();
@@ -77,7 +79,7 @@ fn task(deadline_us: u64) -> SubframeTask {
     }
 }
 
-fn bench_queue_and_state(c: &mut Criterion) {
+fn bench_queue(c: &mut Criterion) {
     let mut g = c.benchmark_group("runtime_primitives");
     g.measurement_time(Duration::from_secs(2)).sample_size(50);
     g.bench_function("global_queue_push_pop_edf", |b| {
@@ -93,17 +95,6 @@ fn bench_queue_and_state(c: &mut Criterion) {
             out
         })
     });
-    g.bench_function("cpu_state_poll_16cores", |b| {
-        let mut table = CpuStateTable::new(16);
-        for c in 0..16 {
-            if c % 2 == 0 {
-                table.set_idle(c, Nanos::from_us(2_000));
-            } else {
-                table.set_active(c, Nanos::from_us(900));
-            }
-        }
-        b.iter(|| table.idle_cores(Nanos::from_us(100), 0))
-    });
     g.finish();
 }
 
@@ -111,6 +102,6 @@ criterion_group!(
     benches,
     bench_sim_engines,
     bench_migration_planning,
-    bench_queue_and_state
+    bench_queue
 );
 criterion_main!(benches);

@@ -1,27 +1,12 @@
-//! `rtopex-bench --sim` — emits `BENCH_sim.json`, the tracked simulator
-//! throughput + pooling baseline.
+//! `rtopex-bench --sim` — emits `BENCH_sim.json`, the tracked pooling
+//! baseline: the cells/core vs fleet-size curves from
+//! `rtopex_experiments::pooling`, with the fitted `a + b/H` parameters
+//! the fleet-level schedulability gate extrapolates from, and the
+//! shipped deployments it checks.
 //!
-//! Three measurement groups, one JSON object:
-//!
-//! * `engine` — subframes/second of the production engine (timing wheel +
-//!   streaming workload) against the seed baseline (binary heap holding
-//!   every release up front + fully materialized schedule), per
-//!   scheduler. The `engine_speedup` headline is the **partitioned**
-//!   row: with no migration or global-queue simulation in the loop, that
-//!   configuration isolates the event-queue + workload-generation change
-//!   the PR makes, and its committed full-scale number backs the ≥ 10×
-//!   claim the analyzer's `sim-throughput-regression` gate enforces.
-//!   The rtopex/global rows carry the same bit-identity witness but
-//!   their speedups are diluted by scheduler logic both engines share
-//!   (migration scans, queue policy), so they are recorded, not gated.
-//!   Each pair of runs is checked for bit-identical miss counts, so the
-//!   speedup is never bought with a behavior change.
-//! * `shards` — fleet-run scaling across worker threads (same merged
-//!   report at every thread count; only wall clock moves).
-//! * `pooling` — the cells/core vs fleet-size curves from
-//!   `rtopex_experiments::pooling`, with the fitted `a + b/H` parameters
-//!   the fleet-level schedulability gate extrapolates from, and the
-//!   shipped deployments it checks.
+//! Simulator throughput is not recorded here: `benchmark/`'s `sim_rtopex`
+//! workload measures the engine per scheduler from validated runs, and
+//! the one-time wheel-vs-heap comparison is a sentence in EXPERIMENTS.md.
 //!
 //! ```text
 //! cargo run --release -p rtopex-bench -- --sim [--quick] [OUTPUT.json]
@@ -30,105 +15,11 @@
 //! `--quick` shrinks every run to CI scale, where only the schema is
 //! being checked; the tracked `BENCH_sim.json` is regenerated full-scale.
 
-use rtopex_core::global::QueuePolicy;
 use rtopex_experiments::common::Opts;
 use rtopex_experiments::pooling::{
     sweep_all, CORE_BUDGET, MISS_BUDGET, RTT_HALF_US, SHIPPED_FLEET_CONFIGS,
 };
-use rtopex_sim::{run, run_baseline, run_fleet, FleetConfig, SchedulerKind, SimConfig};
-use rtopex_workload::Scenario;
 use std::fmt::Write as _;
-use std::time::Instant;
-
-/// One scheduler's wheel-vs-heap measurement.
-struct EnginePoint {
-    name: &'static str,
-    wheel_sf_per_sec: f64,
-    heap_sf_per_sec: f64,
-    speedup: f64,
-    reports_match: bool,
-}
-
-/// The engine-benchmark workload: enough cells × subframes that the seed
-/// baseline's up-front release heap (cells × subframes entries, every
-/// pop a cache-hostile O(log n) sift) and materialized schedule dominate
-/// its runtime — the pathology the wheel + streaming design removes.
-/// Full scale is 128 cells × 300 000 subframes = 38.4M heap entries
-/// (~3.4 GB standing state for the baseline vs constant memory for the
-/// streaming engine); smaller workloads understate the gap because the
-/// seed heap still fits in cache.
-fn engine_cfg(quick: bool, sched: SchedulerKind) -> SimConfig {
-    let mut s = Scenario::paper_default();
-    s.num_bs = if quick { 4 } else { 128 };
-    s.subframes = if quick { 3_000 } else { 300_000 };
-    let mut cfg = SimConfig::from_scenario(&s, RTT_HALF_US);
-    cfg.scheduler = sched;
-    cfg.record_samples = false;
-    cfg
-}
-
-fn engine_point(quick: bool, name: &'static str, sched: SchedulerKind) -> EnginePoint {
-    let cfg = engine_cfg(quick, sched);
-    let total_sf = (cfg.num_bs * cfg.subframes) as f64;
-    // Best-of-N wall time per side: standard practice for wall-clock
-    // benchmarks on a shared machine — the minimum is the least-noisy
-    // estimate of the true cost, and both sides get the same treatment.
-    let reps = if quick { 1 } else { 2 };
-    eprintln!(
-        "  {name}: {} cells × {} subframes, best of {reps}…",
-        cfg.num_bs, cfg.subframes
-    );
-    let mut wheel_s = f64::INFINITY;
-    let mut heap_s = f64::INFINITY;
-    let mut reports_match = true;
-    for _ in 0..reps {
-        let t = Instant::now();
-        let wheel = run(&cfg);
-        wheel_s = wheel_s.min(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        let heap = run_baseline(&cfg);
-        heap_s = heap_s.min(t.elapsed().as_secs_f64());
-        reports_match &= wheel.deadline.per_bs() == heap.deadline.per_bs()
-            && wheel.proc_hist == heap.proc_hist
-            && wheel.dropped == heap.dropped;
-    }
-    EnginePoint {
-        name,
-        wheel_sf_per_sec: total_sf / wheel_s,
-        heap_sf_per_sec: total_sf / heap_s,
-        speedup: heap_s / wheel_s,
-        reports_match,
-    }
-}
-
-/// Times the fleet run at each thread count (identical merged report;
-/// only wall clock changes).
-fn shard_scaling(quick: bool) -> (FleetConfig, Vec<(usize, f64)>) {
-    let mut s = Scenario::paper_default();
-    s.subframes = if quick { 1_000 } else { 10_000 };
-    let mut base = SimConfig::from_scenario(&s, RTT_HALF_US);
-    base.scheduler = SchedulerKind::RtOpex { delta_us: 20 };
-    base.record_samples = false;
-    let fc = FleetConfig {
-        base,
-        hosts: 8,
-        threads: 1,
-    };
-    let total_sf = (fc.hosts * fc.base.num_bs * fc.base.subframes) as f64;
-    let points = [1usize, 2, 4, 8]
-        .into_iter()
-        .map(|threads| {
-            let t = Instant::now();
-            run_fleet(&FleetConfig {
-                threads,
-                base: fc.base.clone(),
-                hosts: fc.hosts,
-            });
-            (threads, total_sf / t.elapsed().as_secs_f64())
-        })
-        .collect();
-    (fc, points)
-}
 
 fn fmt_f(v: f64) -> String {
     if v.is_finite() {
@@ -145,34 +36,8 @@ pub fn run_bench(quick: bool, path: &str) {
         ..Opts::default()
     };
 
-    eprintln!("engine wheel-vs-heap throughput…");
-    let engines = [
-        ("partitioned", SchedulerKind::Partitioned),
-        ("rtopex", SchedulerKind::RtOpex { delta_us: 20 }),
-        (
-            "global",
-            SchedulerKind::Global {
-                cores: CORE_BUDGET,
-                policy: QueuePolicy::Edf,
-            },
-        ),
-    ]
-    .map(|(name, sched)| engine_point(quick, name, sched));
-    // The gated headline: the partitioned row isolates the event-queue
-    // change (see the module docs).
-    let engine_speedup = engines
-        .iter()
-        .find(|e| e.name == "partitioned")
-        .map(|e| e.speedup)
-        .expect("partitioned engine row");
-
-    eprintln!("fleet shard scaling…");
-    let (shard_cfg, shard_points) = shard_scaling(quick);
-
     eprintln!("pooling sweep ({})…", if quick { "quick" } else { "full" });
     let curves = sweep_all(&opts);
-
-    let ecfg = engine_cfg(quick, SchedulerKind::Partitioned);
 
     let mut body = String::new();
     writeln!(body, "{{").unwrap();
@@ -185,61 +50,6 @@ pub fn run_bench(quick: bool, path: &str) {
     )
     .unwrap();
     writeln!(body, "  \"machine\": {},", crate::machine_json()).unwrap();
-
-    writeln!(body, "  \"engine\": {{").unwrap();
-    writeln!(
-        body,
-        "    \"config\": {{ \"cells\": {}, \"subframes\": {}, \"rtt_half_us\": {} }},",
-        ecfg.num_bs, ecfg.subframes, RTT_HALF_US
-    )
-    .unwrap();
-    writeln!(body, "    \"wheel_vs_heap\": {{").unwrap();
-    for (i, e) in engines.iter().enumerate() {
-        let comma = if i + 1 < engines.len() { "," } else { "" };
-        writeln!(
-            body,
-            "      \"{}\": {{ \"wheel_sf_per_sec\": {}, \"heap_sf_per_sec\": {}, \
-             \"speedup\": {}, \"reports_match\": {} }}{}",
-            e.name,
-            fmt_f(e.wheel_sf_per_sec),
-            fmt_f(e.heap_sf_per_sec),
-            fmt_f(e.speedup),
-            e.reports_match,
-            comma
-        )
-        .unwrap();
-        eprintln!(
-            "  {:>12}: wheel {:>12.0} sf/s, heap {:>12.0} sf/s, speedup {:.1}x (match: {})",
-            e.name, e.wheel_sf_per_sec, e.heap_sf_per_sec, e.speedup, e.reports_match
-        );
-    }
-    writeln!(body, "    }},").unwrap();
-    writeln!(
-        body,
-        "    \"engine_speedup\": {}, \"engine_speedup_config\": \"partitioned\"",
-        fmt_f(engine_speedup)
-    )
-    .unwrap();
-    writeln!(body, "  }},").unwrap();
-
-    writeln!(body, "  \"shards\": {{").unwrap();
-    writeln!(
-        body,
-        "    \"hosts\": {}, \"cells\": {}, \"subframes\": {},",
-        shard_cfg.hosts, shard_cfg.base.num_bs, shard_cfg.base.subframes
-    )
-    .unwrap();
-    let threads: Vec<String> = shard_points.iter().map(|(t, _)| t.to_string()).collect();
-    let rates: Vec<String> = shard_points.iter().map(|(_, r)| fmt_f(*r)).collect();
-    let base_rate = shard_points[0].1;
-    let speedups: Vec<String> = shard_points
-        .iter()
-        .map(|(_, r)| fmt_f(r / base_rate))
-        .collect();
-    writeln!(body, "    \"threads\": [{}],", threads.join(", ")).unwrap();
-    writeln!(body, "    \"sf_per_sec\": [{}],", rates.join(", ")).unwrap();
-    writeln!(body, "    \"speedup_vs_1\": [{}]", speedups.join(", ")).unwrap();
-    writeln!(body, "  }},").unwrap();
 
     writeln!(body, "  \"pooling\": {{").unwrap();
     writeln!(
@@ -305,8 +115,7 @@ pub fn run_bench(quick: bool, path: &str) {
             .unwrap_or(false)
     });
     eprintln!(
-        "wrote {path}: engine (partitioned) wheel-vs-heap speedup {:.1}x, shipped deployments {}",
-        engine_speedup,
+        "wrote {path}: shipped deployments {}",
         if gate_ok {
             "within capacity"
         } else {

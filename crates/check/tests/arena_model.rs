@@ -4,9 +4,7 @@
 //! the way `rtopex-runtime`'s `try_steal`/`fanout_steal` compose them.
 
 use rtopex_check::slots::{SlotBoard, SlotState};
-use rtopex_check::steal::{
-    decode_ticket, encode_ticket, steal_pair, AdmissionPolicy, DeltaGuard, Steal,
-};
+use rtopex_check::steal::{decode_ticket, encode_ticket, steal_pair, DeltaGuard, Steal};
 use rtopex_check::sync::Data;
 use rtopex_check::time::Nanos;
 use rtopex_check::{thread, Builder};

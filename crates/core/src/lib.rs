@@ -1,9 +1,21 @@
 //! # rtopex-core — the RT-OPEX scheduling framework
 //!
 //! The paper's contribution (§3), reproduced as a substrate-agnostic
-//! library: the same types and algorithms drive both the discrete-event
-//! simulator (`rtopex-sim`) and the real pinned-thread runtime
-//! (`rtopex-runtime`).
+//! library. RT-OPEX is one policy — a static partitioned base schedule,
+//! a per-core free window `fck` that is predictable because that schedule
+//! is static, and the R1 test `tp + δ ≤ fck` — and each of its three
+//! decisions is said once here and called by both substrates, which keep
+//! only their own clock conversion:
+//!
+//! | decision | function | simulator call site | runtime call site |
+//! |---|---|---|---|
+//! | a core's next own subframe | [`PartitionedSchedule::next_own_index`] | `sim::engine::Partitioned::next_release` | `runtime::cluster::Shared::next_release` |
+//! | idle windows, in Alg. 1's order | [`migration::survey_idle_windows`] | `Partitioned::fill_idle_cores` | `fanout_mutex` |
+//! | R1 | [`DeltaGuard::capacity`] / [`DeltaGuard::admit`] | via [`migration::plan_migration_into`] in `Partitioned::plan_parallel_stage` | `plan_migration_into` in `fanout_mutex`; `admit` in `steal_from` and `Shared::worth_publishing` |
+//!
+//! The processing-thread state machine of Fig. 12 is not a module here:
+//! it is `runtime::cluster::worker_loop`, and the simulator's stage
+//! events.
 //!
 //! * [`time`] — integer-nanosecond time base with µs/ms conversions;
 //! * [`budget`] — the end-to-end deadline arithmetic of Eq. (2)/(3):
@@ -13,14 +25,11 @@
 //! * [`partitioned`] — §3.1.1: offline core assignment
 //!   `core(i, j) = i·⌈T_max⌉ + (j mod ⌈T_max⌉)`;
 //! * [`global`] — §3.1.2: shared-queue dispatch with FIFO/EDF priority;
-//! * [`migration`] — §3.2, Algorithm 1: how many subtasks to migrate to
-//!   each idle core, under requirements R1–R3;
-//! * [`cpu_state`] — the shared per-core activity table RT-OPEX polls to
-//!   find idle cycles and their remaining duration;
-//! * [`state`] — the processing-thread state machine of Fig. 12;
+//! * [`migration`] — §3.2, Algorithm 1: the idle-window survey and how
+//!   many subtasks to migrate to each idle core, under requirements R1–R3;
 //! * [`steal`] — lock-free work-stealing migration: a bounded Chase–Lev
-//!   deque of subtask tickets plus the steal-time δ admission guard (the
-//!   contention-free form of Algorithm 1's "migrate to idle cores");
+//!   deque of subtask tickets plus the δ guard (R1) asked at plan, publish
+//!   and steal time;
 //! * [`slots`] — epoch-validated slot-arena publication: the board a
 //!   core publishes a stage on and helpers complete/decline slots
 //!   through (model-checked by `rtopex-check`);
@@ -33,20 +42,18 @@
 #![forbid(unsafe_code)]
 
 pub mod budget;
-pub mod cpu_state;
 pub mod global;
 pub mod metrics;
 pub mod migration;
 pub mod partitioned;
 pub mod slots;
-pub mod state;
 pub mod steal;
 pub mod sync;
 pub mod task;
 pub mod time;
 
 pub use budget::Budget;
-pub use migration::{plan_migration, MigrationPlan};
-pub use steal::{steal_pair, AdmissionPolicy, DeltaGuard, Steal, Stealer, Worker};
+pub use partitioned::PartitionedSchedule;
+pub use steal::{steal_pair, DeltaGuard, Steal, Stealer, Worker};
 pub use task::{StageProfile, SubframeTask, TaskProfile};
 pub use time::Nanos;

@@ -17,74 +17,28 @@
 //! are (expected to be) done. Mispredictions are handled by the recovery
 //! state (§3.2.1-B), not here.
 
+use crate::steal::DeltaGuard;
 use crate::time::Nanos;
 
-/// The outcome of one Algorithm 1 run.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MigrationPlan {
-    /// `(core, subtask count)` for every core that receives work.
-    /// Cores assigned zero subtasks are omitted.
-    pub assignments: Vec<(usize, usize)>,
-    /// Subtasks kept on the owning core.
-    pub local: usize,
-    /// Largest batch assigned to any single core (`maxoff`).
-    pub max_off: usize,
-}
-
-impl MigrationPlan {
-    /// Total migrated subtasks.
-    pub fn migrated(&self) -> usize {
-        self.assignments.iter().map(|(_, n)| n).sum()
-    }
-
-    /// A plan that migrates nothing.
-    pub fn none(p_subtasks: usize) -> Self {
-        MigrationPlan {
-            assignments: Vec::new(),
-            local: p_subtasks,
-            max_off: 0,
-        }
-    }
-
-    /// Ideal-case stage completion time under this plan: the owner runs
-    /// `local` subtasks; each helper runs its batch, paying `δ` per
-    /// migrated subtask; the stage ends when the slowest party finishes.
-    pub fn critical_path(&self, tp: Nanos, delta: Nanos) -> Nanos {
-        let local = Nanos(tp.0 * self.local as u64);
-        let helper = self
-            .assignments
-            .iter()
-            .map(|&(_, n)| Nanos((tp.0 + delta.0) * n as u64))
-            .max()
-            .unwrap_or(Nanos::ZERO);
-        local.max(helper)
-    }
-}
-
-/// Runs Algorithm 1.
-///
-/// * `p_subtasks` — `P`, the stage's subtask count;
-/// * `tp` — per-subtask execution time;
-/// * `delta` — per-subtask migration cost `δ` (the paper measures
-///   ≈ 20 µs for both FFT and decode subtasks, Fig. 18);
-/// * `free` — `(core, fck)` pairs for each currently idle core, in the
-///   order the scheduler discovered them.
-///
-/// Returns the assignment; migrating can only help, never hurt, because
-/// the plan never makes the local share smaller than any migrated batch.
-pub fn plan_migration(
-    p_subtasks: usize,
-    tp: Nanos,
-    delta: Nanos,
-    free: &[(usize, Nanos)],
-) -> MigrationPlan {
-    let mut assignments = Vec::new();
-    let stats = plan_migration_into(p_subtasks, tp, delta, free, &mut assignments);
-    MigrationPlan {
-        assignments,
-        local: stats.local,
-        max_off: stats.max_off,
-    }
+/// The idle-window survey Algorithm 1 plans over: from `(core, fck)`
+/// pairs for the cores that are idle right now, keep every core other
+/// than the requester `me` whose free window is non-empty, widest window
+/// first (core index breaks ties, so the order is a pure function of the
+/// input). Each substrate supplies its own notion of "idle" and its own
+/// clock; what a usable window is and the order Algorithm 1 sees them in
+/// is said here. `out` is cleared first and its capacity reused — no
+/// allocation once warm.
+pub fn survey_idle_windows(
+    me: usize,
+    idle: impl IntoIterator<Item = (usize, Nanos)>,
+    out: &mut Vec<(usize, Nanos)>,
+) {
+    out.clear();
+    out.extend(
+        idle.into_iter()
+            .filter(|&(core, fck)| core != me && fck > Nanos::ZERO),
+    );
+    out.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
 }
 
 /// The scalar outcome of [`plan_migration_into`]; the batch assignments
@@ -97,10 +51,21 @@ pub struct PlanStats {
     pub max_off: usize,
 }
 
-/// Allocation-free Algorithm 1: identical decisions to
-/// [`plan_migration`], but `(core, count)` assignments are written into
-/// `assignments` (cleared first, capacity reused) so the simulator's
-/// per-event hot loop never touches the heap once the buffer is warm.
+/// Runs Algorithm 1.
+///
+/// * `p_subtasks` — `P`, the stage's subtask count;
+/// * `tp` — per-subtask execution time;
+/// * `delta` — per-subtask migration cost `δ` (the paper measures
+///   ≈ 20 µs for both FFT and decode subtasks, Fig. 18);
+/// * `free` — `(core, fck)` pairs for each currently idle core, in the
+///   order [`survey_idle_windows`] left them.
+///
+/// The `(core, count)` assignments are written into `assignments`
+/// (cleared first, capacity reused; cores assigned nothing are omitted),
+/// so neither the simulator's per-event loop nor a runtime worker touches
+/// the heap once the buffer is warm. Migrating can only help, never
+/// hurt, because the plan never makes the local share smaller than any
+/// migrated batch.
 pub fn plan_migration_into(
     p_subtasks: usize,
     tp: Nanos,
@@ -118,10 +83,11 @@ pub fn plan_migration_into(
             max_off: 0,
         };
     }
+    let guard = DeltaGuard { delta };
     // The §3.2.1 caveat ("performance must be equal to or strictly better
     // than the case without migration"): a helper's batch, migration cost
     // included, must never outlast the serial baseline `P·tp`.
-    let lim_serial = (p_subtasks as u64 * tp.0 / (tp.0 + delta.0)) as usize;
+    let lim_serial = guard.capacity(tp, Nanos(p_subtasks as u64 * tp.0));
     for &(core, fck) in free {
         if s <= 1 {
             break;
@@ -130,7 +96,7 @@ pub fn plan_migration_into(
             continue;
         }
         // R1: what the core's free time can absorb, including δ.
-        let lim_off = (fck.0 / (tp.0 + delta.0)) as usize;
+        let lim_off = guard.capacity(tp, fck);
         // R2 ∧ R3 with R1 and the serial-baseline cap.
         let n_off = (s.saturating_sub(max_off))
             .min(lim_off)
@@ -155,10 +121,41 @@ mod tests {
         Nanos::from_us(v)
     }
 
+    /// One Algorithm 1 run with its assignments collected.
+    struct Plan {
+        assignments: Vec<(usize, usize)>,
+        local: usize,
+        max_off: usize,
+    }
+
+    impl Plan {
+        fn migrated(&self) -> usize {
+            self.assignments.iter().map(|(_, n)| n).sum()
+        }
+
+        /// Ideal-case stage completion time: the owner runs `local`
+        /// subtasks; each helper runs its batch, paying `δ` per migrated
+        /// subtask; the stage ends when the slowest party finishes.
+        fn critical_path(&self, tp: Nanos, delta: Nanos) -> Nanos {
+            let helper = self.assignments.iter().map(|&(_, n)| n).max().unwrap_or(0);
+            Nanos(tp.0 * self.local as u64).max(Nanos((tp.0 + delta.0) * helper as u64))
+        }
+    }
+
+    fn plan_migration(p: usize, tp: Nanos, delta: Nanos, free: &[(usize, Nanos)]) -> Plan {
+        let mut assignments = Vec::new();
+        let stats = plan_migration_into(p, tp, delta, free, &mut assignments);
+        Plan {
+            assignments,
+            local: stats.local,
+            max_off: stats.max_off,
+        }
+    }
+
     #[test]
     fn no_idle_cores_no_migration() {
         let plan = plan_migration(6, us(117), us(20), &[]);
-        assert_eq!(plan, MigrationPlan::none(6));
+        assert_eq!((plan.migrated(), plan.local, plan.max_off), (0, 6, 0));
     }
 
     #[test]
@@ -241,8 +238,45 @@ mod tests {
         assert_eq!(plan.migrated(), 0);
     }
 
+    #[test]
+    fn survey_orders_widest_first_and_skips_me_and_empty_windows() {
+        let mut out = vec![(9, us(9))]; // stale content must not survive
+        let idle = [
+            (0, us(300)),
+            (1, us(0)),
+            (2, us(500)),
+            (3, us(300)),
+            (4, us(900)),
+        ];
+        survey_idle_windows(4, idle, &mut out);
+        assert_eq!(out, vec![(2, us(500)), (0, us(300)), (3, us(300))]);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
+        /// The survey's order is a pure function of its input set: any
+        /// presentation order gives the same list, ties fall to the lower
+        /// core index, and `me` and zero windows never appear.
+        #[test]
+        fn prop_survey_is_a_pure_function_of_its_input(
+            windows in proptest::collection::vec(0u64..4, 0..10),
+            me in 0usize..10,
+            rot in 0usize..10,
+        ) {
+            let idle: Vec<(usize, Nanos)> =
+                windows.iter().enumerate().map(|(c, &w)| (c, us(w * 100))).collect();
+            let mut rotated = idle.clone();
+            rotated.rotate_left(rot % idle.len().max(1));
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            survey_idle_windows(me, idle.iter().copied(), &mut a);
+            survey_idle_windows(me, rotated, &mut b);
+            prop_assert_eq!(&a, &b);
+            prop_assert!(a.iter().all(|&(c, w)| c != me && w > Nanos::ZERO));
+            prop_assert!(a.windows(2).all(|p| p[0].1 > p[1].1 || (p[0].1 == p[1].1 && p[0].0 < p[1].0)));
+            let kept = idle.iter().filter(|&&(c, w)| c != me && w > Nanos::ZERO).count();
+            prop_assert_eq!(a.len(), kept);
+        }
+
         #[test]
         fn prop_invariants(
             p in 0usize..40,
@@ -252,8 +286,7 @@ mod tests {
         ) {
             let tp = us(tp_us);
             let delta = us(delta_us);
-            // Core ids are unique by construction (index-based), matching
-            // the CpuStateTable contract.
+            // Core ids are unique by construction (index-based).
             let free: Vec<(usize, Nanos)> =
                 frees.iter().enumerate().map(|(c, &f)| (c, us(f))).collect();
             let plan = plan_migration(p, tp, delta, &free);

@@ -71,6 +71,18 @@ impl PartitionedSchedule {
     pub fn core_period(&self) -> u64 {
         self.cores_per_bs as u64
     }
+
+    /// The smallest subframe index `j ≥ from` of `core`'s basestation that
+    /// `core` itself processes (`core_for(bs_for_core(core), j) == core`).
+    /// This is what makes an idle core's free window `fck` predictable
+    /// (§3.2): its next own release is one clock conversion away from
+    /// this index. Closed form — both substrates call it per idle-core
+    /// probe, so it must not scan.
+    pub fn next_own_index(&self, core: usize, from: u64) -> u64 {
+        let period = self.core_period();
+        let phase = core as u64 % period;
+        from + (phase + period - from % period) % period
+    }
 }
 
 #[cfg(test)]
@@ -143,6 +155,22 @@ mod tests {
     }
 
     proptest! {
+        /// The closed form equals the linear scan both substrates used
+        /// to run (kept here as the oracle), and lands on `core`.
+        #[test]
+        fn prop_next_own_index_matches_linear_scan(num_bs in 1usize..16, cpb in 1usize..4,
+                                                   core_sel in 0usize..64, from in 0u64..(1 << 62)) {
+            let s = PartitionedSchedule::with_cores_per_bs(num_bs, cpb);
+            let core = core_sel % s.total_cores();
+            let mut scan = from;
+            while scan % cpb as u64 != (core % cpb) as u64 {
+                scan += 1;
+            }
+            let j = s.next_own_index(core, from);
+            prop_assert_eq!(j, scan);
+            prop_assert_eq!(s.core_for(s.bs_for_core(core), j), core);
+        }
+
         #[test]
         fn prop_mapping_in_range(num_bs in 1usize..16, cpb in 1usize..4,
                                  bs_sel in 0usize..16, j in 0u64..1000) {

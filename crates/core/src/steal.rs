@@ -242,39 +242,35 @@ pub fn decode_ticket(ticket: u64) -> (u64, usize) {
     (ticket >> 8, (ticket & 0xFF) as usize)
 }
 
-/// Steal-time admission: may this thief take one subtask of execution
-/// time `tp`, given the task's remaining deadline `slack` and the thief's
-/// own `idle_window` (time until its next own release)?
-pub trait AdmissionPolicy {
-    /// Returns true when the migrated execution is admissible.
-    fn admit(&self, tp: Nanos, slack: Nanos, idle_window: Nanos) -> bool;
-}
-
-/// RT-OPEX's guard, moved from plan time (Algorithm 1's `fck ≥ tp + δ`)
-/// to steal time: the migrated cost `tp + δ` must fit both the thief's
-/// idle window (R1 — don't make the thief late for its own subframe) and
-/// the owner's remaining slack (migrating must still be able to help).
+/// RT-OPEX's requirement R1 — the one place `tp + δ` meets a free
+/// window. Algorithm 1 asks it at plan time how many subtasks an idle
+/// core's window `fck` absorbs ([`Self::capacity`]); the steal path asks
+/// at steal time, and the owner before publishing, whether one fits
+/// ([`Self::admit`]).
 #[derive(Clone, Copy, Debug)]
 pub struct DeltaGuard {
     /// Per-subtask migration cost δ (the paper measures ≈ 20 µs).
     pub delta: Nanos,
 }
 
-impl AdmissionPolicy for DeltaGuard {
-    fn admit(&self, tp: Nanos, slack: Nanos, idle_window: Nanos) -> bool {
-        let cost = Nanos(tp.0.saturating_add(self.delta.0));
-        cost <= slack && cost <= idle_window
+impl DeltaGuard {
+    /// R1: `⌊window / (tp + δ)⌋`, the subtasks of execution time `tp`
+    /// that fit in `window` once each pays the migration cost.
+    pub fn capacity(&self, tp: Nanos, window: Nanos) -> usize {
+        let cost = tp.0.saturating_add(self.delta.0);
+        window
+            .0
+            .checked_div(cost)
+            .map_or(usize::MAX, |n| n as usize)
     }
-}
 
-/// Unconditional admission — the "global queue" style baseline that
-/// ignores δ and deadlines; used for ablations.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct AdmitAll;
-
-impl AdmissionPolicy for AdmitAll {
-    fn admit(&self, _tp: Nanos, _slack: Nanos, _idle_window: Nanos) -> bool {
-        true
+    /// May a helper take one subtask of execution time `tp`? The migrated
+    /// cost `tp + δ` must fit both the helper's `idle_window` (time until
+    /// its next own release — don't make it late for its own subframe)
+    /// and the task's remaining deadline `slack` (migrating must still be
+    /// able to help).
+    pub fn admit(&self, tp: Nanos, slack: Nanos, idle_window: Nanos) -> bool {
+        self.capacity(tp, slack.min(idle_window)) >= 1
     }
 }
 
@@ -375,8 +371,11 @@ mod tests {
         assert!(!g.admit(tp, Nanos::from_us(119), Nanos::from_us(500)));
         // Exactly fitting is admissible.
         assert!(g.admit(tp, Nanos::from_us(120), Nanos::from_us(120)));
-        // AdmitAll ignores everything.
-        assert!(AdmitAll.admit(tp, Nanos::ZERO, Nanos::ZERO));
+        // The counting form Algorithm 1 uses: 2·120 ≤ 250 < 3·120.
+        assert_eq!(g.capacity(tp, Nanos::from_us(250)), 2);
+        // A free subtask fits any window, even an empty one.
+        let free = DeltaGuard { delta: Nanos::ZERO };
+        assert!(free.admit(Nanos::ZERO, Nanos::ZERO, Nanos::ZERO));
     }
 
     #[test]

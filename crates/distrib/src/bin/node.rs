@@ -83,8 +83,8 @@ fn main() {
     let params = rx.params().clone();
     let Some(geo) = Geometry::from_params(&params) else {
         fail(&format!(
-            "peer geometry unsupported: {} samples/subframe, budget {} µs at period {} µs",
-            params.samples_per_subframe, params.budget_us, params.period_us
+            "peer geometry unsupported: {} samples/subframe, budget {} µs at period {} µs, MCS pool {:?}",
+            params.samples_per_subframe, params.budget_us, params.period_us, params.mcs_pool
         ));
     };
     eprintln!(

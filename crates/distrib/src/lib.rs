@@ -26,6 +26,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+use rtopex_phy::mcs::Mcs;
 use rtopex_phy::params::Bandwidth;
 use rtopex_runtime::cluster::{ClusterConfig, FedReport, SchedulerMode};
 use rtopex_transport::StreamParams;
@@ -208,10 +209,18 @@ impl Geometry {
     }
 
     /// Reconstructs the geometry a hello's [`StreamParams`] describe.
-    /// Returns `None` for a samples-per-subframe count matching no
-    /// bandwidth or a budget exceeding `2·period` (negative `rtt_half`).
+    /// Returns `None` for anything a cluster cannot be built from: a
+    /// samples-per-subframe count matching no bandwidth, a budget
+    /// exceeding `2·period` (negative `rtt_half`), a zero period (the
+    /// release cadence divides by it), an empty MCS pool, or an MCS index
+    /// the PHY has no configuration for. The peer chose every one of
+    /// these, so each must be a refusal here, not a panic downstream.
     pub fn from_params(p: &StreamParams) -> Option<Self> {
         let bandwidth = bandwidth_for_samples(p.samples_per_subframe)?;
+        let pool_ok = !p.mcs_pool.is_empty() && p.mcs_pool.iter().all(|&m| Mcs::new(m).is_some());
+        if p.period_us == 0 || !pool_ok {
+            return None;
+        }
         let period = Duration::from_micros(p.period_us as u64);
         let rtt_half = (2 * period).checked_sub(Duration::from_micros(p.budget_us as u64))?;
         Some(Geometry {
@@ -325,6 +334,29 @@ mod tests {
         assert_eq!(back.budget(), g.budget());
         assert_eq!(back.mcs_pool, g.mcs_pool);
         assert_eq!(back.subframes, 120);
+    }
+
+    /// Three hellos that each panicked `rtopex-node` after negotiation:
+    /// division by a zero period in `Shared::next_release`, the empty-pool
+    /// assert in `CranCluster::new`, `UplinkConfig::new(..).expect(..)` in
+    /// `prepare_pool`. All pass `wire::validate_geometry`.
+    #[test]
+    fn hostile_hellos_are_refused_not_built() {
+        let good = Geometry::demo(10).stream_params(vec![0]);
+        assert!(Geometry::from_params(&good).is_some());
+        let doctor: [fn(&mut StreamParams); 3] = [
+            |p| (p.period_us, p.budget_us) = (0, 0),
+            |p| p.mcs_pool.clear(),
+            |p| p.mcs_pool.push(29),
+        ];
+        for (what, doctor) in ["zero period", "empty MCS pool", "MCS index 29"]
+            .into_iter()
+            .zip(doctor)
+        {
+            let mut p = good.clone();
+            doctor(&mut p);
+            assert!(Geometry::from_params(&p).is_none(), "{what} accepted");
+        }
     }
 
     #[test]

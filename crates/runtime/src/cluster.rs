@@ -72,10 +72,10 @@ use parking_lot::{Condvar, Mutex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtopex_core::metrics::{DeadlineMetrics, MigrationStats};
-use rtopex_core::migration::plan_migration;
+use rtopex_core::migration::{plan_migration_into, survey_idle_windows};
 use rtopex_core::partitioned::PartitionedSchedule;
 use rtopex_core::slots::{SlotBoard, SlotState};
-use rtopex_core::steal::{self, decode_ticket, encode_ticket, AdmissionPolicy, DeltaGuard, Steal};
+use rtopex_core::steal::{self, decode_ticket, encode_ticket, DeltaGuard, Steal};
 use rtopex_core::time::Nanos;
 use rtopex_model::stats::Samples;
 use rtopex_phy::channel::{AwgnChannel, ChannelModel};
@@ -535,16 +535,16 @@ impl<'a> Shared<'a> {
         self.epoch() + self.cfg.period * j as u32 + self.cfg.rtt_half + self.stagger[cell]
     }
 
-    /// The next release that will claim `core`, strictly after `now`.
+    /// The next release that will claim `core`, strictly after `now`:
+    /// the first subframe index whose arrival is after `now` on this
+    /// cell's cadence, then the schedule's first own index from there.
     fn next_release(&self, core: usize, now: Instant) -> Instant {
-        let cell = core / 2;
-        let phase = (core % 2) as u64;
-        let base = self.epoch() + self.cfg.rtt_half + self.stagger[cell];
-        let elapsed = now.saturating_duration_since(base);
-        let mut j = (elapsed.as_nanos() / self.cfg.period.as_nanos()) as u64;
-        while j % 2 != phase || self.release_instant(cell, j) <= now {
-            j += 1;
-        }
+        let cell = self.schedule.bs_for_core(core);
+        let first = self.release_instant(cell, 0);
+        let from = now.checked_duration_since(first).map_or(0, |e| {
+            (e.as_nanos() / self.cfg.period.as_nanos()) as u64 + 1
+        });
+        let j = self.schedule.next_own_index(core, from);
         // Only the emulated cadence has a known last release; a fed stream
         // is open-ended and `cfg.subframes` there is the peer's claim.
         if self.fed.is_none() && j >= self.cfg.subframes as u64 {
@@ -553,20 +553,27 @@ impl<'a> Shared<'a> {
         self.release_instant(cell, j)
     }
 
-    /// Idle-core candidates for Algorithm 1 at `now` (free time in ns).
-    fn idle_cores_into(&self, now: Instant, me: usize, out: &mut Vec<(usize, Nanos)>) {
-        out.clear();
-        for c in 0..self.inboxes.len() {
-            if c == me || !self.idle[c].load(Ordering::Acquire) {
-                continue;
-            }
-            let window = self.next_release(c, now).saturating_duration_since(now);
-            let w = Nanos(window.as_nanos() as u64);
-            if w > Nanos::ZERO {
-                out.push((c, w));
-            }
+    /// `core`'s free window at `now`: the time until its next own release.
+    fn idle_window(&self, core: usize, now: Instant) -> Nanos {
+        Nanos(
+            self.next_release(core, now)
+                .saturating_duration_since(now)
+                .as_nanos() as u64,
+        )
+    }
+
+    /// The parked cores and their free windows at `now`.
+    fn parked_windows(&self, now: Instant) -> impl Iterator<Item = (usize, Nanos)> + use<'_, 'a> {
+        (0..self.idle.len())
+            .filter(|&c| self.idle[c].load(Ordering::Acquire))
+            .map(move |c| (c, self.idle_window(c, now)))
+    }
+
+    /// The δ guard (R1) at the configured migration cost.
+    fn guard(&self) -> DeltaGuard {
+        DeltaGuard {
+            delta: Nanos::from_us_f64(self.cfg.delta_us),
         }
-        out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     }
 
     /// Whether any other core is currently parked (cheap lazy-publish
@@ -579,20 +586,19 @@ impl<'a> Shared<'a> {
     }
 
     /// Owner-side benefit gate for steal-mode publication: some parked
-    /// core must have an idle window long enough to fit one subtask plus
-    /// the migration cost δ. Without this, a saturated cluster pays the
-    /// publication overhead (epoch bump, LLR snapshot, thief wake) on
-    /// every stage while no thief ever has the cycles to help — the
-    /// steal-time guard at the thief would decline anyway. This mirrors
-    /// the information the mutex baseline feeds `plan_migration`; the
-    /// binding δ admission decision still happens at steal time.
-    fn worth_publishing(&self, me: usize, tp_us: f64, now: Instant) -> bool {
-        let need = Duration::from_secs_f64((tp_us + self.cfg.delta_us) / 1e6);
-        self.idle.iter().enumerate().any(|(c, f)| {
-            c != me
-                && f.load(Ordering::Acquire)
-                && self.next_release(c, now).saturating_duration_since(now) >= need
-        })
+    /// core must pass the δ guard for one subtask — the same question its
+    /// thief will ask at steal time, asked early. Without this, a
+    /// saturated cluster pays the publication overhead (epoch bump, LLR
+    /// snapshot, thief wake) on every stage while no thief ever has the
+    /// cycles to help. The binding admission decision still happens at
+    /// steal time.
+    fn worth_publishing(&self, me: usize, tp_us: f64, deadline: Instant) -> bool {
+        let now = Instant::now();
+        let tp = Nanos::from_us_f64(tp_us);
+        let slack = Nanos(deadline.saturating_duration_since(now).as_nanos() as u64);
+        let guard = self.guard();
+        self.parked_windows(now)
+            .any(|(c, window)| c != me && guard.admit(tp, slack, window))
     }
 
     /// Every inbox a worker may be parked on: the per-core ones and the
@@ -1121,6 +1127,7 @@ struct WorkerState {
     dec_scratch: DecodeBatchScratch,
     deque: steal::Worker,
     idle_scratch: Vec<(usize, Nanos)>,
+    plan_scratch: Vec<(usize, usize)>,
     flag_scratch: Vec<(usize, ResultFlag)>,
     totals: WorkerTotals,
 }
@@ -1145,6 +1152,7 @@ fn worker_loop<'a>(
         dec_scratch: DecodeBatchScratch::new(),
         deque,
         idle_scratch: Vec::with_capacity(shared.inboxes.len()),
+        plan_scratch: Vec::with_capacity(shared.inboxes.len()),
         flag_scratch: Vec::with_capacity(64),
         totals: WorkerTotals::new(shared.cfg.num_cells),
     };
@@ -1283,14 +1291,10 @@ fn steal_from(
     let admit = |stage: &StageDesc| {
         let now = Instant::now();
         let slack = stage.deadline.saturating_duration_since(now);
-        let idle_window = shared.next_release(me, now).saturating_duration_since(now);
-        let guard = DeltaGuard {
-            delta: Nanos::from_us_f64(shared.cfg.delta_us),
-        };
-        guard.admit(
+        shared.guard().admit(
             Nanos::from_us_f64(stage.tp_us),
             Nanos(slack.as_nanos() as u64),
-            Nanos(idle_window.as_nanos() as u64),
+            shared.idle_window(me, now),
         )
     };
     match execute_stolen(&shared.arenas[victim], pool, epoch, idx, admit) {
@@ -1443,18 +1447,19 @@ fn fanout_mutex<'a>(
     deadline: Instant,
     exec: &mut dyn FnMut(StageOp),
     idle_scratch: &mut Vec<(usize, Nanos)>,
+    plan_scratch: &mut Vec<(usize, usize)>,
     flag_scratch: &mut Vec<(usize, ResultFlag)>,
     wm: &mut WorkerTotals,
 ) {
-    let now = Instant::now();
-    shared.idle_cores_into(now, me, idle_scratch);
-    let plan = plan_migration(
+    survey_idle_windows(me, shared.parked_windows(Instant::now()), idle_scratch);
+    let plan = plan_migration_into(
         count,
         Nanos::from_us_f64(tp_us),
-        Nanos::from_us_f64(shared.cfg.delta_us),
+        shared.guard().delta,
         idle_scratch,
+        plan_scratch,
     );
-    if plan.migrated() == 0 {
+    if plan.local == count {
         run_local(kind, count, exec);
         wm.migration.record_stage(kind, count, 0);
         return;
@@ -1465,7 +1470,7 @@ fn fanout_mutex<'a>(
     let arena = &arenas[me];
     let mut next = plan.local;
     flag_scratch.clear();
-    for &(host, n) in &plan.assignments {
+    for &(host, n) in plan_scratch.iter() {
         for _ in 0..n {
             let idx = next;
             // Algorithm 1 admitted the subtask at plan time, so the helper
@@ -1530,7 +1535,7 @@ fn run_stage<'a>(
     let helpable = count > 1 && !(kind == TaskKind::Fft && shared.fed.is_some());
     let publish = helpable
         && match cfg.mode {
-            SchedulerMode::RtOpexSteal => shared.worth_publishing(me, tp_us, Instant::now()),
+            SchedulerMode::RtOpexSteal => shared.worth_publishing(me, tp_us, job.deadline),
             SchedulerMode::RtOpexMutex => shared.any_idle_helper(me),
             SchedulerMode::Partitioned | SchedulerMode::Global => false,
         };
@@ -1542,6 +1547,7 @@ fn run_stage<'a>(
         dec_scratch,
         deque,
         idle_scratch,
+        plan_scratch,
         flag_scratch,
         totals,
     } = w;
@@ -1603,6 +1609,7 @@ fn run_stage<'a>(
             job.deadline,
             &mut exec,
             idle_scratch,
+            plan_scratch,
             flag_scratch,
             totals,
         ),

@@ -1,12 +1,20 @@
-//! The partitioned / RT-OPEX engine.
+//! The simulation engine: one event loop on one timeline, with the
+//! scheduler under test as its policy.
 //!
-//! Both schedulers share the same offline core mapping (§3.1.1); RT-OPEX
-//! is the partitioned engine with runtime migration enabled (§3.2). The
-//! engine is event-driven: subframe releases and per-task stage boundaries
-//! are the events, so every migration decision observes the core states
-//! exactly as of its stage-start instant.
+//! [`Engine`] owns what every scheduler shares — the [`TimingWheel`], the
+//! per-cell [`TaskStream`]s, release chaining, the run loops and the
+//! report — and hands each event to one of two policies, picked once
+//! from [`SchedulerKind`] and matched statically per event:
 //!
-//! Faithful details:
+//! * `Partitioned` — the offline core mapping of §3.1.1, which also
+//!   carries the semi-partitioned baseline (whole-task moves) and
+//!   RT-OPEX (§3.2: the same mapping with runtime subtask migration).
+//!   Subframe releases and per-task stage boundaries are the events, so
+//!   every migration decision observes the core states exactly as of its
+//!   stage-start instant;
+//! * `Global` — the shared-queue dispatcher of §3.1.2 (Figs. 15, 19).
+//!
+//! Faithful details of the partitioned family:
 //!
 //! * slack check before each task stage ("we check on the slack time
 //!   before we execute each task; … else we drop the task and the
@@ -15,51 +23,200 @@
 //!   gaps are, however, not used for migration");
 //! * hosts are preempted by their own next subframe release — which is
 //!   deterministic under the partitioned base schedule, so Algorithm 1
-//!   knows every idle core's free-time budget `fck`;
+//!   knows every idle core's free-time budget `fck`. The three decisions
+//!   involved (next own subframe, idle-window survey, R1) are
+//!   `rtopex-core` functions the threaded runtime calls too;
 //! * migrated batches may overrun their estimate (background/kernel
 //!   noise); subtasks whose results are not ready when the owner finishes
 //!   its local share are recomputed locally — the recovery state (Fig. 12),
 //!   guaranteeing RT-OPEX is never worse than no migration.
 //!
-//! ## Engine mechanics (this crate's fleet-scale rework)
+//! What keeps the global scheduler from matching partitioned performance
+//! — the paper's "surprising behavior" — is modeled explicitly:
 //!
-//! The engine is generic over its [`Timeline`]: the production
-//! configuration is the hierarchical [`TimingWheel`]; the seed-equivalent
-//! `BinaryHeap` [`EventQueue`] stays available through
-//! [`PartitionedEngine::new_seed_baseline`] so the wheel-vs-heap
-//! benchmark and the equivalence tests compare the same engine over two
-//! event structures. Two modes exist:
+//! * a fixed dispatch overhead per assignment (locking, wake-up);
+//! * a **cache-affinity penalty**: a worker that last served a different
+//!   basestation pays to refill its cache, and a basestation whose context
+//!   last lived on a different core pays coherence traffic to move it.
+//!   More workers ⇒ a basestation's subframes scatter more ⇒ both
+//!   penalties fire more often — why 16 cores is no better than 8
+//!   (Fig. 19);
+//! * a task still running at its deadline is terminated on the spot
+//!   ("the processing thread terminates the ongoing task and goes to an
+//!   idle state").
 //!
-//! * **streaming** (default): one release event per basestation is in
-//!   flight at a time; handling `Release{bs, j}` draws subframe `j` from
-//!   the basestation's [`TaskStream`] and schedules `Release{bs, j+1}`.
-//!   Memory is O(cells + cores), independent of run length. Release
-//!   times are deterministic (`j·1 ms + RTT/2`) and same-time releases
-//!   chain in basestation order, so the event sequence is bit-identical
-//!   to materializing everything up front;
-//! * **seed baseline**: materializes the full schedule and pushes every
-//!   release at t = 0 — exactly the seed engine's O(total-subframes)
-//!   behavior, kept for honest benchmarking.
+//! ## Mechanics
+//!
+//! One release event per basestation is in flight at a time: handling
+//! `Release{bs, j}` draws subframe `j` from the basestation's stream and
+//! schedules `Release{bs, j+1}`. Memory is O(cells + cores), independent
+//! of run length. Release times are deterministic (`j·1 ms + RTT/2`) and
+//! same-time releases chain in basestation order, so the event sequence
+//! is the one pushing every release up front would give.
 //!
 //! The steady-state loop is allocation-free: the idle-core survey, the
 //! Algorithm 1 assignment list, and host reservations live in reusable
-//! scratch buffers, and per-sample recording (`Samples` growth) can be
-//! switched off via [`SimConfig::record_samples`] while the fixed-size
-//! processing-time histogram keeps recording.
+//! scratch buffers; the global dispatcher counts free workers and walks
+//! to the `k`-th instead of collecting them; and per-sample recording
+//! (`Samples` growth) can be switched off via
+//! [`SimConfig::record_samples`] while the fixed-size processing-time
+//! histogram keeps recording.
 
-use crate::config::SimConfig;
-use crate::event::{EventKind, EventQueue, Timeline};
-use crate::gen::{generate_tasks, TaskStream};
+use crate::config::{SchedulerKind, SimConfig};
+use crate::event::EventKind;
+use crate::gen::TaskStream;
 use crate::report::SimReport;
 use crate::wheel::TimingWheel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rtopex_core::migration::plan_migration_into;
+use rtopex_core::global::{GlobalQueue, QueuePolicy};
+use rtopex_core::migration::{plan_migration_into, survey_idle_windows};
 use rtopex_core::partitioned::PartitionedSchedule;
 use rtopex_core::task::{StageProfile, SubframeTask};
 use rtopex_core::time::Nanos;
 use rtopex_phy::tasks::TaskKind;
 use std::collections::VecDeque;
+
+/// What every scheduler shares: the timeline, the workload and the
+/// report. Policies receive it by `&mut` next to their own state.
+struct Sim<'a> {
+    cfg: &'a SimConfig,
+    rtt: Nanos,
+    streams: Vec<TaskStream<'a>>,
+    events: TimingWheel,
+    report: SimReport,
+}
+
+impl Sim<'_> {
+    /// True once `core` has failed at time `t`.
+    fn core_failed(&self, core: usize, t: Nanos) -> bool {
+        matches!(self.cfg.failed_core, Some((c, at)) if c == core && t >= Nanos::from_us(at))
+    }
+
+    fn record_proc_time(&mut self, us: f64) {
+        self.report.proc_hist.record(us);
+        if self.cfg.record_samples {
+            self.report.proc_times_us.push(us);
+        }
+    }
+}
+
+/// The scheduler under test.
+enum Policy {
+    Partitioned(Partitioned),
+    Global(Global),
+}
+
+/// The simulation engine (see the module docs).
+pub struct Engine<'a> {
+    sim: Sim<'a>,
+    policy: Policy,
+}
+
+impl<'a> Engine<'a> {
+    /// Builds the engine for `cfg.scheduler` with the first release of
+    /// every basestation scheduled, ready for [`Self::run`] or
+    /// incremental [`Self::run_until`] calls.
+    pub fn new(cfg: &'a SimConfig) -> Self {
+        let policy = match cfg.scheduler {
+            SchedulerKind::Global { cores, policy } => {
+                Policy::Global(Global::new(cfg, cores, policy))
+            }
+            _ => Policy::Partitioned(Partitioned::new(cfg)),
+        };
+        let mut engine = Engine {
+            sim: Sim {
+                cfg,
+                rtt: Nanos::from_us(cfg.rtt_half_us),
+                streams: (0..cfg.num_bs).map(|bs| TaskStream::new(cfg, bs)).collect(),
+                events: TimingWheel::new(),
+                report: SimReport::new(cfg.num_bs),
+            },
+            policy,
+        };
+        engine.prime();
+        engine
+    }
+
+    /// Schedules every basestation's first release; each release chains
+    /// the next (see [`Self::on_event`]).
+    fn prime(&mut self) {
+        if self.sim.cfg.subframes == 0 {
+            return;
+        }
+        for bs in 0..self.sim.cfg.num_bs {
+            self.sim
+                .events
+                .push(self.sim.rtt, EventKind::Release { bs, index: 0 });
+        }
+    }
+
+    /// Runs to completion and returns the report.
+    pub fn run(self) -> SimReport {
+        self.into_report()
+    }
+
+    /// Processes every event with timestamp ≤ `until`, then stops. The
+    /// allocation-regression harness uses this to split a run into a
+    /// warm-up phase and a counted steady-state phase.
+    pub fn run_until(&mut self, until: Nanos) {
+        while let Some(tn) = self.sim.events.peek_time() {
+            if tn > until {
+                return;
+            }
+            let (t, kind) = self.sim.events.pop().expect("event peeked above");
+            self.on_event(t, kind);
+        }
+    }
+
+    /// Finishes an incrementally-driven run (see [`Self::run_until`]).
+    pub fn into_report(mut self) -> SimReport {
+        while let Some((t, kind)) = self.sim.events.pop() {
+            self.on_event(t, kind);
+        }
+        self.sim.report
+    }
+
+    /// Dispatches one event — the simulator's hot loop. Allocation-,
+    /// lock-, and clock-free (enforced by the static purity pass and the
+    /// counting-allocator regression test).
+    fn on_event(&mut self, t: Nanos, kind: EventKind) {
+        let sim = &mut self.sim;
+        match (kind, &mut self.policy) {
+            (EventKind::Release { bs, index }, policy) => {
+                let task = sim.streams[bs]
+                    .next_task()
+                    .expect("release events never outrun the task stream");
+                debug_assert_eq!(task.subframe_index, index);
+                // Chain the basestation's next release. Same-time releases
+                // are handled in basestation order, so the chained pushes
+                // for release j+1 happen in basestation order too — the
+                // FIFO tie-break is identical to pushing everything up
+                // front.
+                if index + 1 < sim.cfg.subframes as u64 {
+                    sim.events.push(
+                        Nanos::from_ms(index + 1) + sim.rtt,
+                        EventKind::Release {
+                            bs,
+                            index: index + 1,
+                        },
+                    );
+                }
+                match policy {
+                    Policy::Partitioned(p) => p.on_release(sim, t, task),
+                    Policy::Global(g) => g.on_release(sim, t, task),
+                }
+            }
+            (EventKind::StageBoundary { core }, Policy::Partitioned(p)) => p.on_stage(sim, t, core),
+            (EventKind::TaskDone { core }, Policy::Global(g)) => g.on_done(sim, t, core),
+            (kind, _) => unreachable!("{kind:?} is not an event of this scheduler"),
+        }
+    }
+}
+
+/// "No further own release": far enough out that every window fits, far
+/// enough from `u64::MAX` that adding to it cannot wrap.
+const NEVER: Nanos = Nanos(u64::MAX / 2);
 
 /// Which stage an in-flight task executes next.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -78,7 +235,7 @@ struct InFlight {
 }
 
 /// A planned (not yet committed) parallelizable stage execution. The
-/// host-core reservations it implies live in the engine's reusable
+/// host-core reservations it implies live in the policy's reusable
 /// `host_updates` buffer, so the plan itself is a plain value.
 #[derive(Clone, Copy, Debug)]
 struct StagePlan {
@@ -116,22 +273,16 @@ impl CoreSim {
     }
 }
 
-/// The partitioned/RT-OPEX simulation engine, generic over its event
-/// timeline (`TimingWheel` in production, `EventQueue` for the seed
-/// baseline).
-pub struct PartitionedEngine<'a, Q: Timeline = TimingWheel> {
-    cfg: &'a SimConfig,
+/// The partitioned family: plain partitioned, semi-partitioned, RT-OPEX.
+struct Partitioned {
+    /// RT-OPEX: migrate subtasks at runtime.
     migrate: bool,
+    /// Semi-partitioned: move whole tasks off a busy home core.
+    semi: bool,
     delta: Nanos,
-    rtt: Nanos,
     schedule: PartitionedSchedule,
-    /// Streaming per-cell generators (empty in seed-baseline mode).
-    streams: Vec<TaskStream<'a>>,
-    /// Materialized schedule (seed-baseline mode only).
-    tasks: Option<Vec<Vec<SubframeTask>>>,
     cores: Vec<CoreSim>,
-    events: Q,
-    report: SimReport,
+    /// Host-side noise (batch overruns), a stream of its own.
     rng: StdRng,
     /// Scratch: idle cores and their free windows, for Algorithm 1.
     idle_scratch: Vec<(usize, Nanos)>,
@@ -141,228 +292,83 @@ pub struct PartitionedEngine<'a, Q: Timeline = TimingWheel> {
     host_updates: Vec<(usize, Nanos)>,
 }
 
-impl<'a> PartitionedEngine<'a, TimingWheel> {
-    /// Builds the production engine (timing wheel + streaming workload);
-    /// `migrate` selects RT-OPEX vs plain partitioned.
-    pub fn new(cfg: &'a SimConfig, migrate: bool) -> Self {
-        Self::with_timeline(cfg, migrate, TimingWheel::new(), false)
-    }
-}
-
-impl<'a> PartitionedEngine<'a, EventQueue> {
-    /// Builds the seed-equivalent baseline: `BinaryHeap` event queue and
-    /// the full task schedule materialized with every release pushed up
-    /// front. Exists so the wheel-vs-heap benchmark and the equivalence
-    /// tests compare identical engine logic over both event structures.
-    pub fn new_seed_baseline(cfg: &'a SimConfig, migrate: bool) -> Self {
-        Self::with_timeline(cfg, migrate, EventQueue::new(), true)
-    }
-}
-
-impl<'a, Q: Timeline> PartitionedEngine<'a, Q> {
-    /// Builds an engine over an explicit timeline. `materialize` selects
-    /// the seed-baseline workload path (full schedule up front) over the
-    /// constant-memory streaming path. Releases are primed here, so the
-    /// engine is ready for [`Self::run`] or incremental
-    /// [`Self::run_until`] calls.
-    pub fn with_timeline(cfg: &'a SimConfig, migrate: bool, events: Q, materialize: bool) -> Self {
+impl Partitioned {
+    fn new(cfg: &SimConfig) -> Self {
         let schedule = match cfg.cores_per_bs {
             Some(n) => PartitionedSchedule::with_cores_per_bs(cfg.num_bs, n),
             None => PartitionedSchedule::new(cfg.num_bs, &cfg.budget()),
         };
+        // Scheduled cores plus any spare cores (§5-B): spares never
+        // receive releases, so they are permanently idle hosts that only
+        // RT-OPEX's migration can exploit.
         let num_cores = schedule.total_cores() + cfg.spare_cores;
-        let delta = match cfg.scheduler {
-            crate::config::SchedulerKind::RtOpex { delta_us } => Nanos::from_us(delta_us),
-            _ => Nanos::from_us(20),
+        let (migrate, delta) = match cfg.scheduler {
+            SchedulerKind::RtOpex { delta_us } => (true, Nanos::from_us(delta_us)),
+            _ => (false, Nanos::from_us(20)),
         };
-        let (streams, tasks) = if materialize {
-            (Vec::new(), Some(generate_tasks(cfg)))
-        } else {
-            (
-                (0..cfg.num_bs).map(|bs| TaskStream::new(cfg, bs)).collect(),
-                None,
-            )
-        };
-        let mut engine = PartitionedEngine {
+        Partitioned {
             migrate,
+            semi: cfg.scheduler == SchedulerKind::SemiPartitioned,
             delta,
-            rtt: Nanos::from_us(cfg.rtt_half_us),
-            streams,
-            tasks,
-            // Scheduled cores plus any spare cores (§5-B): spares never
-            // receive releases, so they are permanently idle hosts that
-            // only RT-OPEX's migration can exploit.
             cores: (0..num_cores).map(|_| CoreSim::new()).collect(),
             schedule,
-            events,
-            report: SimReport::new(cfg.num_bs),
             rng: StdRng::seed_from_u64(cfg.seed ^ HOST_NOISE_SEED_MIX),
             idle_scratch: Vec::with_capacity(num_cores),
             mig_scratch: Vec::with_capacity(num_cores),
             host_updates: Vec::with_capacity(num_cores),
-            cfg,
-        };
-        engine.prime();
-        engine
-    }
-
-    /// Schedules the initial release events. Streaming mode keeps one
-    /// release per basestation in flight; the chained pushes preserve
-    /// basestation order at every release instant, so pop order matches
-    /// the baseline's push-everything-up-front ordering exactly.
-    fn prime(&mut self) {
-        if self.cfg.subframes == 0 {
-            return;
         }
-        match &self.tasks {
-            Some(tasks) => {
-                for (bs, row) in tasks.iter().enumerate() {
-                    for (j, task) in row.iter().enumerate() {
-                        self.events.push(
-                            task.release,
-                            EventKind::Release {
-                                bs,
-                                index: j as u64,
-                            },
-                        );
-                    }
-                }
-            }
-            None => {
-                for bs in 0..self.cfg.num_bs {
-                    self.events
-                        .push(self.rtt, EventKind::Release { bs, index: 0 });
-                }
-            }
-        }
-    }
-
-    /// Runs to completion and returns the report.
-    pub fn run(mut self) -> SimReport {
-        while let Some((t, kind)) = self.events.pop() {
-            self.on_event(t, kind);
-        }
-        self.report
-    }
-
-    /// Processes every event with timestamp ≤ `until`, then stops. The
-    /// allocation-regression harness uses this to split a run into a
-    /// warm-up phase and a counted steady-state phase.
-    pub fn run_until(&mut self, until: Nanos) {
-        while let Some(tn) = self.events.peek_time() {
-            if tn > until {
-                return;
-            }
-            let (t, kind) = self.events.pop().expect("event peeked above");
-            self.on_event(t, kind);
-        }
-    }
-
-    /// Finishes an incrementally-driven run (see [`Self::run_until`]).
-    pub fn into_report(self) -> SimReport {
-        let mut engine = self;
-        while let Some((t, kind)) = engine.events.pop() {
-            engine.on_event(t, kind);
-        }
-        engine.report
-    }
-
-    /// Dispatches one event — the simulator's hot loop. Allocation-,
-    /// lock-, and clock-free (enforced by the static purity pass and the
-    /// counting-allocator regression test).
-    fn on_event(&mut self, t: Nanos, kind: EventKind) {
-        match kind {
-            EventKind::Release { bs, index } => self.on_release(t, bs, index),
-            EventKind::StageBoundary { core } => self.on_stage(t, core),
-            EventKind::TaskDone { .. } => unreachable!("engine uses StageBoundary"),
-        }
-    }
-
-    /// The subframe for `Release{bs, index}` — streamed on demand, or
-    /// looked up in the materialized schedule (seed baseline).
-    fn take_task(&mut self, bs: usize, index: u64) -> SubframeTask {
-        match self.tasks.as_ref() {
-            Some(tasks) => tasks[bs][index as usize],
-            None => {
-                let task = self.streams[bs]
-                    .next_task()
-                    .expect("release events never outrun the task stream");
-                debug_assert_eq!(task.subframe_index, index);
-                task
-            }
-        }
-    }
-
-    /// True once `core` has failed at time `t`.
-    fn core_failed(&self, core: usize, t: Nanos) -> bool {
-        matches!(self.cfg.failed_core, Some((c, at)) if c == core && t >= Nanos::from_us(at))
     }
 
     /// Semi-partitioned whole-task placement: when the home core is busy,
     /// move the *entire* task into another core's idle window (task
     /// granularity — the paper's [14] baseline). Returns true if placed.
-    fn try_whole_task_migration(&mut self, t: Nanos, task: SubframeTask) -> bool {
+    fn try_whole_task_migration(&mut self, sim: &mut Sim, t: Nanos, task: SubframeTask) -> bool {
         let total = task.profile.total();
         let target = (0..self.cores.len()).find(|&c| {
             let core = &self.cores[c];
             core.current.is_none()
                 && core.host_busy_until <= t
-                && !self.core_failed(c, t)
-                && self.next_release(c, t).saturating_sub(t) >= total
+                && !sim.core_failed(c, t)
+                && self.next_release(sim, c, t).saturating_sub(t) >= total
         });
         let Some(c) = target else {
             return false;
         };
         let end = t + total;
         self.cores[c].host_busy_until = end;
-        self.report.deadline.record(task.bs_id, end > task.deadline);
+        sim.report.deadline.record(task.bs_id, end > task.deadline);
         if !task.crc_ok {
-            self.report.crc_failures += 1;
+            sim.report.crc_failures += 1;
         }
-        self.record_proc_time(total.as_us_f64());
-        self.report.migration.record_whole_task();
+        sim.record_proc_time(total.as_us_f64());
+        sim.report.migration.record_whole_task();
         true
     }
 
-    fn on_release(&mut self, t: Nanos, bs: usize, index: u64) {
-        let task = self.take_task(bs, index);
-        // Streaming mode: chain the basestation's next release. Same-time
-        // releases are handled in basestation order, so the chained
-        // pushes for release j+1 happen in basestation order too — the
-        // FIFO tie-break is identical to pushing everything up front.
-        if self.tasks.is_none() && index + 1 < self.cfg.subframes as u64 {
-            self.events.push(
-                Nanos::from_ms(index + 1) + self.rtt,
-                EventKind::Release {
-                    bs,
-                    index: index + 1,
-                },
-            );
-        }
-        let core = self.schedule.core_for(bs, index);
-        if self.core_failed(core, t) {
+    fn on_release(&mut self, sim: &mut Sim, t: Nanos, task: SubframeTask) {
+        let core = self.schedule.core_for(task.bs_id, task.subframe_index);
+        if sim.core_failed(core, t) {
             // The partitioned mapping is static: a dead core's subframes
             // are simply lost (§5-B's "significant performance
             // degradation" under resource changes).
-            self.report.deadline.record(task.bs_id, true);
-            self.report.dropped += 1;
+            sim.report.deadline.record(task.bs_id, true);
+            sim.report.dropped += 1;
             return;
         }
-        let semi = matches!(
-            self.cfg.scheduler,
-            crate::config::SchedulerKind::SemiPartitioned
-        );
-        if semi && self.cores[core].current.is_some() && self.try_whole_task_migration(t, task) {
+        if self.semi
+            && self.cores[core].current.is_some()
+            && self.try_whole_task_migration(sim, t, task)
+        {
             return;
         }
         self.cores[core].queue.push_back(task);
         // A release preempts any hosted batch on this core (the batch's
         // useful-results accounting already capped at this instant).
         self.cores[core].host_busy_until = self.cores[core].host_busy_until.min(t);
-        self.try_start(t, core);
+        self.try_start(sim, t, core);
     }
 
-    fn try_start(&mut self, t: Nanos, core: usize) {
+    fn try_start(&mut self, sim: &mut Sim, t: Nanos, core: usize) {
         if self.cores[core].current.is_some() {
             return;
         }
@@ -370,8 +376,8 @@ impl<'a, Q: Timeline> PartitionedEngine<'a, Q> {
             return;
         };
         if let Some(prev_end) = self.cores[core].last_end {
-            if self.cfg.record_samples {
-                self.report.gaps.record(t.saturating_sub(prev_end));
+            if sim.cfg.record_samples {
+                sim.report.gaps.record(t.saturating_sub(prev_end));
             }
         }
         self.cores[core].current = Some(InFlight {
@@ -379,75 +385,52 @@ impl<'a, Q: Timeline> PartitionedEngine<'a, Q> {
             next: Stage::Fft,
             start: t,
         });
-        self.events.push(t, EventKind::StageBoundary { core });
+        sim.events.push(t, EventKind::StageBoundary { core });
     }
 
     /// The core's next own subframe release strictly after `t` —
     /// deterministic under the partitioned schedule. Spare cores have no
     /// releases at all.
-    fn next_release(&self, core: usize, t: Nanos) -> Nanos {
+    fn next_release(&self, sim: &Sim, core: usize, t: Nanos) -> Nanos {
         if core >= self.schedule.total_cores() {
-            return Nanos(u64::MAX / 2);
+            return NEVER;
         }
-        let bs = self.schedule.bs_for_core(core);
-        let phase = core % self.schedule.cores_per_bs;
-        let period = self.schedule.cores_per_bs as u64;
-        let rtt = self.rtt;
-        // Smallest j ≡ phase (mod period) with j·1ms + rtt > t.
-        let mut j = if t < rtt {
-            0
-        } else {
-            (t - rtt).0 / Nanos::MS.0
-        };
-        // Align to the core's phase, then advance past t.
-        while j % period != phase as u64 || Nanos::from_ms(j) + rtt <= t {
-            j += 1;
-        }
-        if j >= self.cfg.subframes as u64 {
+        // The first subframe released strictly after `t` (`j·1 ms + RTT/2
+        // > t`), then the schedule's first own index from there.
+        let from =
+            t.0.checked_sub(sim.rtt.0)
+                .map_or(0, |e| e / Nanos::MS.0 + 1);
+        let j = self.schedule.next_own_index(core, from);
+        if j >= sim.cfg.subframes as u64 {
             // No more releases for this core: effectively unbounded window.
-            return Nanos(u64::MAX / 2);
+            return NEVER;
         }
-        debug_assert_eq!(self.schedule.core_for(bs, j), core);
-        Nanos::from_ms(j) + rtt
+        Nanos::from_ms(j) + sim.rtt
     }
 
     /// Surveys idle cores and their free-time budgets at `t` into
-    /// `idle_scratch`, sorted widest-window-first (core index breaks
-    /// ties, so the unstable sort is deterministic).
-    fn fill_idle_cores(&mut self, t: Nanos, requester: usize) {
-        self.idle_scratch.clear();
-        for c in 0..self.cores.len() {
-            if c == requester || self.core_failed(c, t) {
-                continue;
-            }
-            let core = &self.cores[c];
-            if core.current.is_some() || core.host_busy_until > t || core.no_host_until > t {
-                continue;
-            }
-            let window = self.next_release(c, t).saturating_sub(t);
-            if window > Nanos::ZERO {
-                self.idle_scratch.push((c, window));
-            }
-        }
-        self.idle_scratch
-            .sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    /// `idle_scratch`, in Algorithm 1's order.
+    fn fill_idle_cores(&mut self, sim: &Sim, t: Nanos, requester: usize) {
+        let mut idle = std::mem::take(&mut self.idle_scratch);
+        let windows = self.cores.iter().enumerate().filter_map(|(c, core)| {
+            let hosting = core.current.is_none()
+                && core.host_busy_until <= t
+                && core.no_host_until <= t
+                && !sim.core_failed(c, t);
+            hosting.then(|| (c, self.next_release(sim, c, t).saturating_sub(t)))
+        });
+        survey_idle_windows(requester, windows, &mut idle);
+        self.idle_scratch = idle;
     }
 
-    fn drop_task(&mut self, t: Nanos, core: usize) {
+    fn drop_task(&mut self, sim: &mut Sim, t: Nanos, core: usize) {
         let inf = self.cores[core].current.take().expect("task in flight");
-        self.report.deadline.record(inf.task.bs_id, true);
-        self.report.dropped += 1;
+        sim.report.deadline.record(inf.task.bs_id, true);
+        sim.report.dropped += 1;
         // The gap a drop leaves is not offered to migration (§4.1).
-        self.cores[core].no_host_until = self.next_release(core, t);
+        self.cores[core].no_host_until = self.next_release(sim, core, t);
         self.cores[core].last_end = Some(t);
-        self.try_start(t, core);
-    }
-
-    fn record_proc_time(&mut self, us: f64) {
-        self.report.proc_hist.record(us);
-        if self.cfg.record_samples {
-            self.report.proc_times_us.push(us);
-        }
+        self.try_start(sim, t, core);
     }
 
     /// Plans a parallelizable stage starting at `t` **without** mutating
@@ -456,6 +439,7 @@ impl<'a, Q: Timeline> PartitionedEngine<'a, Q> {
     /// `host_updates`.
     fn plan_parallel_stage(
         &mut self,
+        sim: &Sim,
         t: Nanos,
         core: usize,
         kind: TaskKind,
@@ -475,7 +459,7 @@ impl<'a, Q: Timeline> PartitionedEngine<'a, Q> {
         if !self.migrate || p <= 1 {
             return plan_out;
         }
-        self.fill_idle_cores(t, core);
+        self.fill_idle_cores(sim, t, core);
         let stats =
             plan_migration_into(p, tp, self.delta, &self.idle_scratch, &mut self.mig_scratch);
         if stats.local == p {
@@ -489,15 +473,15 @@ impl<'a, Q: Timeline> PartitionedEngine<'a, Q> {
             let (host, n) = self.mig_scratch[i];
             migrated += n;
             // Host-side noise: a batch occasionally overruns its estimate.
-            let tp_actual = if self.rng.gen_bool(self.cfg.overrun_prob) {
-                Nanos((tp.0 as f64 * self.cfg.overrun_factor) as u64)
+            let tp_actual = if self.rng.gen_bool(sim.cfg.overrun_prob) {
+                Nanos((tp.0 as f64 * sim.cfg.overrun_factor) as u64)
             } else {
                 tp
             };
             let per = tp_actual + self.delta;
             // The host runs the batch until done or until its own next
             // subframe preempts it (result-not-ready flag, Fig. 12).
-            let preempt = self.next_release(host, t);
+            let preempt = self.next_release(sim, host, t);
             let mut completed = 0usize;
             for i in 1..=n {
                 if t + Nanos(per.0 * i as u64) <= preempt {
@@ -529,22 +513,22 @@ impl<'a, Q: Timeline> PartitionedEngine<'a, Q> {
 
     /// Applies a stage plan's side effects (host reservations from
     /// `host_updates`, migration accounting).
-    fn commit_stage(&mut self, plan: &StagePlan) {
+    fn commit_stage(&mut self, sim: &mut Sim, plan: &StagePlan) {
         for i in 0..self.host_updates.len() {
             let (host, until) = self.host_updates[i];
             self.cores[host].host_busy_until = until;
         }
         if self.migrate {
-            self.report
+            sim.report
                 .migration
                 .record_stage(plan.kind, plan.subtasks, plan.migrated);
             if plan.recover > 0 {
-                self.report.migration.record_recovery(plan.recover);
+                sim.report.migration.record_recovery(plan.recover);
             }
         }
     }
 
-    fn on_stage(&mut self, t: Nanos, core: usize) {
+    fn on_stage(&mut self, sim: &mut Sim, t: Nanos, core: usize) {
         let Some(inf) = self.cores[core].current else {
             return;
         };
@@ -555,50 +539,51 @@ impl<'a, Q: Timeline> PartitionedEngine<'a, Q> {
                 // Slack check against the stage's *achievable* end: under
                 // RT-OPEX the migration plan is drawn up first, so a task
                 // that only fits thanks to migration is not dropped.
-                let plan = self.plan_parallel_stage(t, core, TaskKind::Fft, task.profile.fft);
+                let plan = self.plan_parallel_stage(sim, t, core, TaskKind::Fft, task.profile.fft);
                 if plan.end > deadline {
-                    self.drop_task(t, core);
+                    self.drop_task(sim, t, core);
                     return;
                 }
-                self.commit_stage(&plan);
-                self.advance(core, Stage::Demod, plan.end);
+                self.commit_stage(sim, &plan);
+                self.advance(sim, core, Stage::Demod, plan.end);
             }
             Stage::Demod => {
                 if t + task.profile.demod > deadline {
-                    self.drop_task(t, core);
+                    self.drop_task(sim, t, core);
                     return;
                 }
-                self.advance(core, Stage::Decode, t + task.profile.demod);
+                self.advance(sim, core, Stage::Decode, t + task.profile.demod);
             }
             Stage::Decode => {
-                let plan = self.plan_parallel_stage(t, core, TaskKind::Decode, task.profile.decode);
+                let plan =
+                    self.plan_parallel_stage(sim, t, core, TaskKind::Decode, task.profile.decode);
                 let end = plan.end + task.profile.platform_extra;
                 if end > deadline {
-                    self.drop_task(t, core);
+                    self.drop_task(sim, t, core);
                     return;
                 }
-                self.commit_stage(&plan);
-                self.advance(core, Stage::Finish, end);
+                self.commit_stage(sim, &plan);
+                self.advance(sim, core, Stage::Finish, end);
             }
             Stage::Finish => {
                 let missed = t > deadline;
-                self.report.deadline.record(task.bs_id, missed);
+                sim.report.deadline.record(task.bs_id, missed);
                 if !task.crc_ok {
-                    self.report.crc_failures += 1;
+                    sim.report.crc_failures += 1;
                 }
-                self.record_proc_time((t - inf.start).as_us_f64());
+                sim.record_proc_time((t - inf.start).as_us_f64());
                 self.cores[core].current = None;
                 self.cores[core].last_end = Some(t);
-                self.try_start(t, core);
+                self.try_start(sim, t, core);
             }
         }
     }
 
-    fn advance(&mut self, core: usize, next: Stage, at: Nanos) {
+    fn advance(&mut self, sim: &mut Sim, core: usize, next: Stage, at: Nanos) {
         if let Some(inf) = self.cores[core].current.as_mut() {
             inf.next = next;
         }
-        self.events.push(at, EventKind::StageBoundary { core });
+        sim.events.push(at, EventKind::StageBoundary { core });
     }
 }
 
@@ -606,10 +591,126 @@ impl<'a, Q: Timeline> PartitionedEngine<'a, Q> {
 /// task-generation streams.
 const HOST_NOISE_SEED_MIX: u64 = 0x0517_09E8_7709_0EC5;
 
+#[derive(Clone, Copy, Debug, Default)]
+struct Worker {
+    busy: bool,
+    /// Whether the in-flight task will complete (vs. be cut at deadline).
+    completes: bool,
+    current_bs: usize,
+    crc_ok: bool,
+    /// Full execution time (penalties included, not deadline-truncated).
+    exec_us: f64,
+}
+
+/// The global scheduler: a dispatcher holds the shared ring-buffer
+/// queue; any free worker core takes the next subframe (EDF or FIFO) and
+/// processes it serially.
+struct Global {
+    workers: Vec<Worker>,
+    /// When each (core, basestation) pairing last executed — the cache
+    /// recency the penalty model decays over.
+    last_served: Vec<Vec<Option<Nanos>>>,
+    /// Dispatch nondeterminism: a real "next available core" choice
+    /// depends on wake-up races, so the engine picks uniformly among the
+    /// free workers. (A deterministic round-robin resonates with the
+    /// 4-basestation release cycle whenever the pool size is a multiple
+    /// of 4, accidentally giving every core a fixed basestation.)
+    pick: StdRng,
+    queue: GlobalQueue,
+}
+
+impl Global {
+    fn new(cfg: &SimConfig, cores: usize, policy: QueuePolicy) -> Self {
+        assert!(cores > 0, "at least one worker core");
+        Global {
+            workers: vec![Worker::default(); cores],
+            last_served: vec![vec![None; cfg.num_bs]; cores],
+            pick: StdRng::seed_from_u64(cfg.seed ^ 0x61_0BA1),
+            queue: GlobalQueue::new(policy, cfg.queue_capacity),
+        }
+    }
+
+    fn on_release(&mut self, sim: &mut Sim, t: Nanos, task: SubframeTask) {
+        if let Some(evicted) = self.queue.push(task) {
+            sim.report.deadline.record(evicted.bs_id, true);
+            sim.report.dropped += 1;
+        }
+        self.dispatch(sim, t);
+    }
+
+    fn on_done(&mut self, sim: &mut Sim, t: Nanos, core: usize) {
+        let w = self.workers[core];
+        self.workers[core].busy = false;
+        sim.report.deadline.record(w.current_bs, !w.completes);
+        if w.completes && !w.crc_ok {
+            sim.report.crc_failures += 1;
+        }
+        // Fig. 19 (right) plots the *execution-time* distribution, so
+        // deadline-cut tasks report their full would-be time rather than
+        // vanishing.
+        sim.record_proc_time(w.exec_us);
+        self.dispatch(sim, t);
+    }
+
+    fn dispatch(&mut self, sim: &mut Sim, t: Nanos) {
+        // No pre-dispatch feasibility filtering: per §3.1.2 a hopeless
+        // task still occupies its core until the deadline terminates it —
+        // one of the reasons global lags partitioned in Fig. 15.
+        loop {
+            // Uniform choice among free workers without collecting them:
+            // same count ⇒ same gen_range draw ⇒ same worker as a
+            // Vec-based selection, with zero allocation.
+            let free_count = self.workers.iter().filter(|w| !w.busy).count();
+            if free_count == 0 {
+                return;
+            }
+            let k = self.pick.gen_range(0..free_count);
+            let core = (0..self.workers.len())
+                .filter(|&c| !self.workers[c].busy)
+                .nth(k)
+                .expect("k drawn below the free-worker count");
+            let Some(task) = self.queue.pop() else {
+                return;
+            };
+            self.exec(sim, t, core, task);
+        }
+    }
+
+    fn exec(&mut self, sim: &mut Sim, t: Nanos, core: usize, task: SubframeTask) {
+        let cache = &sim.cfg.cache;
+        // Cache-recency penalty: decays toward the cold maximum with the
+        // time since this core last processed this basestation.
+        let warmth = match self.last_served[core][task.bs_id] {
+            Some(last) => {
+                let dt_ms = (t - last).as_ms_f64();
+                (-dt_ms / cache.reuse_tau_ms).exp()
+            }
+            None => 0.0,
+        };
+        let penalty_us = cache.dispatch_overhead_us + cache.cold_penalty_us * (1.0 - warmth);
+        self.last_served[core][task.bs_id] = Some(t);
+
+        let exec = task.profile.total() + Nanos::from_us_f64(penalty_us);
+        let exec_end = t + exec;
+        // A task hitting its deadline is terminated there (§3.1.2); a
+        // task dispatched after its deadline is terminated immediately.
+        let occupied_until = exec_end.min(task.deadline).max(t);
+        self.workers[core] = Worker {
+            busy: true,
+            completes: exec_end <= task.deadline,
+            current_bs: task.bs_id,
+            crc_ok: task.crc_ok,
+            exec_us: exec.as_us_f64(),
+        };
+        sim.events
+            .push(occupied_until, EventKind::TaskDone { core });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SchedulerKind;
+    use rtopex_core::global::QueuePolicy;
     use rtopex_workload::Scenario;
 
     fn cfg(rtt: u64, sched: SchedulerKind) -> SimConfig {
@@ -621,7 +722,7 @@ mod tests {
     #[test]
     fn partitioned_counts_every_subframe() {
         let c = cfg(500, SchedulerKind::Partitioned);
-        let r = PartitionedEngine::new(&c, false).run();
+        let r = Engine::new(&c).run();
         assert_eq!(r.deadline.total_subframes(), 2 * 2000);
         // Completed + dropped = total.
         assert_eq!(
@@ -639,7 +740,7 @@ mod tests {
     fn no_completion_after_deadline() {
         // The stage-granular slack check makes every miss a drop.
         let c = cfg(700, SchedulerKind::Partitioned);
-        let r = PartitionedEngine::new(&c, false).run();
+        let r = Engine::new(&c).run();
         assert_eq!(r.deadline.overall().missed, r.dropped);
     }
 
@@ -647,8 +748,8 @@ mod tests {
     fn rtopex_reduces_misses_at_moderate_latency() {
         let cp = cfg(550, SchedulerKind::Partitioned);
         let cr = cfg(550, SchedulerKind::RtOpex { delta_us: 20 });
-        let part = PartitionedEngine::new(&cp, false).run();
-        let rto = PartitionedEngine::new(&cr, true).run();
+        let part = Engine::new(&cp).run();
+        let rto = Engine::new(&cr).run();
         assert!(
             rto.deadline.overall().missed <= part.deadline.overall().missed,
             "rtopex {} vs partitioned {}",
@@ -660,7 +761,7 @@ mod tests {
     #[test]
     fn gaps_are_recorded() {
         let c = cfg(500, SchedulerKind::Partitioned);
-        let r = PartitionedEngine::new(&c, false).run();
+        let r = Engine::new(&c).run();
         assert!(r.gaps.count() > 1000, "gaps {}", r.gaps.count());
     }
 
@@ -668,7 +769,7 @@ mod tests {
     fn record_samples_off_keeps_counters_only() {
         let mut c = cfg(500, SchedulerKind::Partitioned);
         c.record_samples = false;
-        let r = PartitionedEngine::new(&c, false).run();
+        let r = Engine::new(&c).run();
         assert_eq!(r.gaps.count(), 0);
         assert!(r.proc_times_us.is_empty());
         // Counters and the histogram still cover every subframe.
@@ -677,40 +778,10 @@ mod tests {
     }
 
     #[test]
-    fn seed_baseline_is_bit_identical_to_streaming_wheel() {
-        // The tentpole's equivalence claim, at engine level: same seed ⇒
-        // identical per-BS miss counters, histogram, and migration stats
-        // across (heap + materialized) vs (wheel + streaming).
-        for (rtt, sched) in [
-            (500, SchedulerKind::Partitioned),
-            (550, SchedulerKind::RtOpex { delta_us: 20 }),
-            (650, SchedulerKind::SemiPartitioned),
-        ] {
-            let c = cfg(rtt, sched);
-            let base = PartitionedEngine::new_seed_baseline(
-                &c,
-                matches!(sched, SchedulerKind::RtOpex { .. }),
-            )
-            .run();
-            let wheel =
-                PartitionedEngine::new(&c, matches!(sched, SchedulerKind::RtOpex { .. })).run();
-            assert_eq!(base.deadline.per_bs(), wheel.deadline.per_bs(), "{sched:?}");
-            assert_eq!(base.proc_hist, wheel.proc_hist, "{sched:?}");
-            assert_eq!(base.dropped, wheel.dropped, "{sched:?}");
-            assert_eq!(base.crc_failures, wheel.crc_failures, "{sched:?}");
-            assert_eq!(
-                base.migration.decode_migrated, wheel.migration.decode_migrated,
-                "{sched:?}"
-            );
-            assert_eq!(base.gaps.count(), wheel.gaps.count(), "{sched:?}");
-        }
-    }
-
-    #[test]
     fn run_until_splits_a_run_without_changing_it() {
         let c = cfg(500, SchedulerKind::RtOpex { delta_us: 20 });
-        let whole = PartitionedEngine::new(&c, true).run();
-        let mut engine = PartitionedEngine::new(&c, true);
+        let whole = Engine::new(&c).run();
+        let mut engine = Engine::new(&c);
         engine.run_until(Nanos::from_ms(700));
         let split = engine.into_report();
         assert_eq!(whole.deadline.per_bs(), split.deadline.per_bs());
@@ -722,7 +793,7 @@ mod tests {
         // Fig. 16: at low transport latency, ≥ 60 % of gaps exceed 500 µs
         // (the partitioned schedule leaves large idle windows).
         let c = cfg(400, SchedulerKind::Partitioned);
-        let mut r = PartitionedEngine::new(&c, false).run();
+        let mut r = Engine::new(&c).run();
         let frac = r.gaps.fraction_at_least(Nanos::from_us(500));
         assert!(frac > 0.5, "fraction of gaps ≥ 500µs: {frac}");
     }
@@ -732,7 +803,7 @@ mod tests {
         let mut c = cfg(500, SchedulerKind::RtOpex { delta_us: 20 });
         c.overrun_prob = 0.5;
         c.overrun_factor = 4.0;
-        let r = PartitionedEngine::new(&c, true).run();
+        let r = Engine::new(&c).run();
         assert!(r.migration.recoveries > 0, "no recoveries observed");
     }
 
@@ -740,7 +811,7 @@ mod tests {
     fn zero_overrun_zero_recovery_mostly() {
         let mut c = cfg(500, SchedulerKind::RtOpex { delta_us: 20 });
         c.overrun_prob = 0.0;
-        let r = PartitionedEngine::new(&c, true).run();
+        let r = Engine::new(&c).run();
         // Without host noise, recoveries only from genuine window misfits,
         // which Algorithm 1's R1 rules out.
         assert_eq!(r.migration.recoveries, 0);
@@ -749,7 +820,7 @@ mod tests {
     #[test]
     fn huge_delta_suppresses_migration() {
         let c = cfg(500, SchedulerKind::RtOpex { delta_us: 5000 });
-        let r = PartitionedEngine::new(&c, true).run();
+        let r = Engine::new(&c).run();
         assert_eq!(r.migration.decode_migrated + r.migration.fft_migrated, 0);
     }
 
@@ -757,9 +828,9 @@ mod tests {
     fn cores_per_bs_override_shrinks_the_schedule() {
         let mut c = cfg(500, SchedulerKind::Partitioned);
         c.cores_per_bs = Some(1);
-        let r = PartitionedEngine::new(&c, false).run();
+        let r = Engine::new(&c).run();
         let full = cfg(500, SchedulerKind::Partitioned);
-        let rf = PartitionedEngine::new(&full, false).run();
+        let rf = Engine::new(&full).run();
         // One core per BS (vs. the Eq. 3 allocation) leaves no pipeline
         // slack, so misses rise; every subframe stays accounted for.
         assert_eq!(r.deadline.total_subframes(), 2 * 2000);
@@ -770,5 +841,68 @@ mod tests {
             rf.miss_rate()
         );
         assert!(r.miss_rate() > 0.01, "rate {}", r.miss_rate());
+    }
+
+    fn global_cfg(rtt: u64, cores: usize) -> SimConfig {
+        let mut c = SimConfig::from_scenario(&Scenario::smoke_test(), rtt);
+        c.scheduler = SchedulerKind::Global {
+            cores,
+            policy: QueuePolicy::Edf,
+        };
+        c
+    }
+
+    #[test]
+    fn global_processes_every_subframe() {
+        let c = global_cfg(500, 8);
+        let r = Engine::new(&c).run();
+        assert_eq!(r.deadline.total_subframes(), 2 * 2000);
+    }
+
+    #[test]
+    fn single_core_overloads_and_misses() {
+        // Two basestations at ~1 ms average processing per 1 ms arrival
+        // cannot fit on one core: massive misses expected.
+        let c = global_cfg(500, 1);
+        let r = Engine::new(&c).run();
+        assert!(
+            r.deadline.overall().rate() > 0.3,
+            "rate {}",
+            r.deadline.overall().rate()
+        );
+    }
+
+    #[test]
+    fn global_has_nonzero_floor_even_at_low_latency() {
+        // Fig. 15: global "does not exhibit a zero deadline-miss rate even
+        // at the lowest RTT value".
+        let c = global_cfg(400, 8);
+        let r = Engine::new(&c).run();
+        assert!(r.deadline.overall().missed > 0);
+    }
+
+    #[test]
+    fn more_cores_do_not_fix_global() {
+        // Fig. 19: beyond 8 cores the miss rate saturates/worsens.
+        let c8 = global_cfg(500, 8);
+        let c16 = global_cfg(500, 16);
+        let r8 = Engine::new(&c8).run();
+        let r16 = Engine::new(&c16).run();
+        let m8 = r8.deadline.overall().rate();
+        let m16 = r16.deadline.overall().rate();
+        assert!(
+            m16 >= m8 * 0.7,
+            "16 cores should not beat 8 by much: {m8} vs {m16}"
+        );
+    }
+
+    #[test]
+    fn cache_penalties_inflate_processing_times() {
+        let mut quiet = global_cfg(500, 8);
+        quiet.cache = crate::config::CacheModel::free();
+        let noisy = global_cfg(500, 8);
+        let rq = Engine::new(&quiet).run();
+        let rn = Engine::new(&noisy).run();
+        assert!(rn.proc_times_us.mean() > rq.proc_times_us.mean());
     }
 }

@@ -1,9 +1,10 @@
-//! The simulator's event queue: a time-ordered heap with deterministic
-//! tie-breaking (kind priority, then insertion sequence).
+//! The simulator's events and their total order: time, then kind
+//! priority, then insertion sequence. The [`TimingWheel`] keeps them.
+//!
+//! [`TimingWheel`]: crate::wheel::TimingWheel
 
 use rtopex_core::time::Nanos;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// Events the engines schedule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -41,8 +42,8 @@ impl EventKind {
 }
 
 /// A scheduled event plus its total-order key `(at, prio, seq)`. The
-/// timing wheel re-files entries between levels, so it needs the full
-/// key — the heap only ever builds them on `push`.
+/// timing wheel re-files entries between levels, so it carries the full
+/// key.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Entry {
     pub(crate) at: Nanos,
@@ -65,145 +66,5 @@ impl Ord for Entry {
 impl PartialOrd for Entry {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
-    }
-}
-
-/// The engines' scheduling surface: both the seed [`EventQueue`] heap
-/// and the [`crate::wheel::TimingWheel`] implement it, so an engine is
-/// generic over its timeline and the wheel-vs-heap benchmark compares
-/// the *same* engine over two event structures.
-///
-/// Contract shared by all implementations: events pop in ascending
-/// `(time, kind-priority, insertion-order)`, i.e. exactly the seed
-/// heap's deterministic tie-breaking.
-pub trait Timeline {
-    /// Schedules `kind` at time `at`.
-    fn push(&mut self, at: Nanos, kind: EventKind);
-    /// Pops the earliest event.
-    fn pop(&mut self) -> Option<(Nanos, EventKind)>;
-    /// Timestamp of the earliest pending event without popping it.
-    /// Takes `&mut self` so lazily-advancing implementations (the
-    /// timing wheel) may cascade internally.
-    fn peek_time(&mut self) -> Option<Nanos>;
-    /// Number of pending events.
-    fn len(&self) -> usize;
-    /// True when no events remain.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Time-ordered event queue.
-#[derive(Debug, Default)]
-pub struct EventQueue {
-    heap: BinaryHeap<Entry>,
-    seq: u64,
-}
-
-impl EventQueue {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedules `kind` at time `at`.
-    pub fn push(&mut self, at: Nanos, kind: EventKind) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Entry {
-            at,
-            prio: kind.priority(),
-            seq,
-            kind,
-        });
-    }
-
-    /// Pops the earliest event.
-    pub fn pop(&mut self) -> Option<(Nanos, EventKind)> {
-        self.heap.pop().map(|e| (e.at, e.kind))
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no events remain.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-impl Timeline for EventQueue {
-    fn push(&mut self, at: Nanos, kind: EventKind) {
-        EventQueue::push(self, at, kind);
-    }
-
-    fn pop(&mut self) -> Option<(Nanos, EventKind)> {
-        EventQueue::pop(self)
-    }
-
-    fn peek_time(&mut self) -> Option<Nanos> {
-        self.heap.peek().map(|e| e.at)
-    }
-
-    fn len(&self) -> usize {
-        EventQueue::len(self)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.push(Nanos::from_us(30), EventKind::TaskDone { core: 0 });
-        q.push(Nanos::from_us(10), EventKind::TaskDone { core: 1 });
-        q.push(Nanos::from_us(20), EventKind::TaskDone { core: 2 });
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(t, _)| t.0)).collect();
-        assert_eq!(order, vec![10_000, 20_000, 30_000]);
-    }
-
-    #[test]
-    fn same_time_done_before_release_before_stage() {
-        let mut q = EventQueue::new();
-        let t = Nanos::from_us(5);
-        q.push(t, EventKind::StageBoundary { core: 0 });
-        q.push(t, EventKind::Release { bs: 0, index: 0 });
-        q.push(t, EventKind::TaskDone { core: 0 });
-        assert!(matches!(q.pop().unwrap().1, EventKind::TaskDone { .. }));
-        assert!(matches!(q.pop().unwrap().1, EventKind::Release { .. }));
-        assert!(matches!(
-            q.pop().unwrap().1,
-            EventKind::StageBoundary { .. }
-        ));
-    }
-
-    #[test]
-    fn fifo_within_same_time_and_kind() {
-        let mut q = EventQueue::new();
-        let t = Nanos::from_us(5);
-        for bs in 0..4 {
-            q.push(t, EventKind::Release { bs, index: 0 });
-        }
-        for want in 0..4 {
-            match q.pop().unwrap().1 {
-                EventKind::Release { bs, .. } => assert_eq!(bs, want),
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn len_and_empty() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        q.push(Nanos::ZERO, EventKind::TaskDone { core: 0 });
-        assert_eq!(q.len(), 1);
-        q.pop();
-        assert!(q.is_empty());
-        assert!(q.pop().is_none());
     }
 }

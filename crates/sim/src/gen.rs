@@ -9,11 +9,9 @@
 //! The generator is a *stream*: [`TaskStream`] derives subframe `j`'s
 //! parameters from `(cell, j, seed)` on demand, holding only two RNG
 //! states, the load-trace state, and a 29-entry code-block table. A
-//! 10⁷-subframe run therefore needs constant memory — the seed version
-//! materialized the entire `Vec<Vec<SubframeTask>>` up front, which at
-//! fleet scale (64 hosts × dozens of cells × 10⁵ subframes) is gigabytes.
-//! [`generate_tasks`] survives as a thin collecting wrapper; the
-//! determinism tests pin the stream to it draw for draw.
+//! 10⁷-subframe run therefore needs constant memory — materializing the
+//! entire `Vec<Vec<SubframeTask>>` up front is gigabytes at fleet scale
+//! (64 hosts × dozens of cells × 10⁵ subframes).
 
 use crate::config::SimConfig;
 use rand::rngs::StdRng;
@@ -162,21 +160,17 @@ impl Iterator for TaskStream<'_> {
     }
 }
 
-/// Generates every basestation's task stream: `result[bs][j]`.
-///
-/// Materializing wrapper around [`TaskStream`] — use only where the full
-/// schedule genuinely must be held (the seed-baseline benchmark engine
-/// and small tests); the engines proper consume the streams lazily.
-pub fn generate_tasks(cfg: &SimConfig) -> Vec<Vec<SubframeTask>> {
-    (0..cfg.num_bs)
-        .map(|bs| TaskStream::new(cfg, bs).collect())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rtopex_workload::Scenario;
+
+    /// Every basestation's stream collected: `result[bs][j]`.
+    fn generate_tasks(cfg: &SimConfig) -> Vec<Vec<SubframeTask>> {
+        (0..cfg.num_bs)
+            .map(|bs| TaskStream::new(cfg, bs).collect())
+            .collect()
+    }
 
     fn cfg() -> SimConfig {
         SimConfig::from_scenario(&Scenario::smoke_test(), 500)

@@ -13,13 +13,16 @@
 //!   iteration statistics of the turbo decoder;
 //! * the three schedulers of §3 run on simulated cores: **partitioned**
 //!   (Fig. 9), **global** FIFO/EDF with cache-affinity penalties
-//!   (Fig. 10/19), and **RT-OPEX** — the partitioned engine with runtime
+//!   (Fig. 10/19), and **RT-OPEX** — the partitioned mapping with runtime
 //!   subtask migration per Algorithm 1, including host preemption and the
 //!   recovery path (Fig. 11/12).
 //!
-//! The entry point is [`run`], which consumes a [`SimConfig`] and produces
-//! a [`SimReport`] with deadline, gap, migration, and processing-time
-//! accounting.
+//! There is one [`engine::Engine`] on one timeline (the hierarchical
+//! [`wheel::TimingWheel`]) drawing from one streaming workload generator
+//! ([`gen::TaskStream`], constant memory in the subframe count); the
+//! scheduler is its policy. The entry point is [`run`], which consumes a
+//! [`SimConfig`] and produces a [`SimReport`] with deadline, gap,
+//! migration, and processing-time accounting.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -29,7 +32,6 @@ pub mod engine;
 pub mod event;
 pub mod fleet;
 pub mod gen;
-pub mod global_engine;
 pub mod report;
 pub mod wheel;
 
@@ -37,36 +39,9 @@ pub use config::{CacheModel, SchedulerKind, SimConfig};
 pub use fleet::{host_config, run_fleet, FleetConfig, FleetReport};
 pub use report::SimReport;
 
-/// Runs one simulation to completion on the production engine: a
-/// hierarchical timing wheel for the event timeline and a streaming
-/// workload generator (constant memory in the subframe count).
+/// Runs one simulation to completion.
 pub fn run(config: &SimConfig) -> SimReport {
-    match config.scheduler {
-        SchedulerKind::Partitioned | SchedulerKind::SemiPartitioned => {
-            engine::PartitionedEngine::new(config, false).run()
-        }
-        SchedulerKind::RtOpex { .. } => engine::PartitionedEngine::new(config, true).run(),
-        SchedulerKind::Global { .. } => global_engine::GlobalEngine::new(config).run(),
-    }
-}
-
-/// Runs one simulation on the *seed-baseline* configuration: a binary
-/// heap holding every release event up front and a fully materialized
-/// task schedule — O(subframes) memory and a much bigger working set.
-/// Kept for the wheel-vs-heap benchmark and the equivalence tests; the
-/// report is bit-identical to [`run`]'s.
-pub fn run_baseline(config: &SimConfig) -> SimReport {
-    match config.scheduler {
-        SchedulerKind::Partitioned | SchedulerKind::SemiPartitioned => {
-            engine::PartitionedEngine::new_seed_baseline(config, false).run()
-        }
-        SchedulerKind::RtOpex { .. } => {
-            engine::PartitionedEngine::new_seed_baseline(config, true).run()
-        }
-        SchedulerKind::Global { .. } => {
-            global_engine::GlobalEngine::new_seed_baseline(config).run()
-        }
-    }
+    engine::Engine::new(config).run()
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! A hierarchical timing wheel tuned to the 1 ms subframe cadence.
 //!
-//! The seed engine's `BinaryHeap` pays `O(log n)` per operation with a
-//! comparison-heavy inner loop; at fleet scale (64 hosts × dozens of
-//! cells) the queue holds thousands of events and the heap becomes the
+//! A `BinaryHeap` of every pending event pays `O(log n)` per operation
+//! with a comparison-heavy inner loop; at fleet scale (64 hosts × dozens
+//! of cells) the queue holds thousands of events and the heap becomes the
 //! simulator's bottleneck. Nearly all events, however, land within a few
 //! milliseconds of *now* — releases repeat every 1 ms and stage
 //! boundaries sit a few hundred µs out — so a classic
@@ -18,12 +18,10 @@
 //! * **overflow** — an unsorted `Vec` beyond ≈ 1.07 s, scanned only in
 //!   the (practically never hit) case that everything nearer is empty.
 //!
-//! Events within the *current* slot sit in a tiny [`BinaryHeap`] carrying
-//! the exact `(time, kind-priority, sequence)` order of the seed
-//! [`EventQueue`](crate::event::EventQueue), so pop order — including
-//! FIFO tie-breaking — is bit-identical to the heap engine's. The
-//! determinism tests rely on that: wheel vs. heap is a pure performance
-//! choice, never a behavioural one.
+//! Events within the *current* slot sit in a tiny [`BinaryHeap`] ordered
+//! by the full `(time, kind-priority, sequence)` key, so pop order —
+//! including FIFO tie-breaking — is exactly a single heap's; this
+//! module's tests keep that heap as the ordering oracle.
 //!
 //! Two invariants make the equivalence argument go through:
 //!
@@ -38,7 +36,7 @@
 //! active heap, and the cascade scratch buffer are reused; `mem::swap`
 //! (never `mem::take` on the buckets) preserves their capacity.
 
-use crate::event::{Entry, EventKind, Timeline};
+use crate::event::{Entry, EventKind};
 use rtopex_core::time::Nanos;
 use std::collections::BinaryHeap;
 
@@ -87,7 +85,7 @@ fn next_set_circular(map: &Occupancy, start: usize) -> Option<usize> {
     next_set_from(map, start).or_else(|| next_set_from(map, 0))
 }
 
-/// Hierarchical timing wheel with the seed heap's exact pop order.
+/// Hierarchical timing wheel with a single heap's exact pop order.
 #[derive(Debug)]
 pub struct TimingWheel {
     /// The slot currently being drained (absolute slot index).
@@ -96,7 +94,7 @@ pub struct TimingWheel {
     seq: u64,
     /// Pending events across all levels.
     count: usize,
-    /// Events in slots ≤ `cur_slot`, ordered exactly like the seed heap.
+    /// Events in slots ≤ `cur_slot`, ordered by the full key.
     cur: BinaryHeap<Entry>,
     /// Level 0: one vector per slot of the current granule.
     l0: Vec<Vec<Entry>>,
@@ -282,30 +280,35 @@ impl TimingWheel {
     }
 }
 
-impl Timeline for TimingWheel {
-    fn push(&mut self, at: Nanos, kind: EventKind) {
-        TimingWheel::push(self, at, kind);
-    }
-
-    fn pop(&mut self) -> Option<(Nanos, EventKind)> {
-        TimingWheel::pop(self)
-    }
-
-    fn peek_time(&mut self) -> Option<Nanos> {
-        TimingWheel::peek_time(self)
-    }
-
-    fn len(&self) -> usize {
-        TimingWheel::len(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventQueue;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// The ordering oracle: one heap of every pending event, keyed like
+    /// the wheel's entries.
+    #[derive(Default)]
+    struct EventQueue {
+        heap: BinaryHeap<Entry>,
+        seq: u64,
+    }
+
+    impl EventQueue {
+        fn push(&mut self, at: Nanos, kind: EventKind) {
+            self.heap.push(Entry {
+                at,
+                prio: kind.priority(),
+                seq: self.seq,
+                kind,
+            });
+            self.seq += 1;
+        }
+
+        fn pop(&mut self) -> Option<(Nanos, EventKind)> {
+            self.heap.pop().map(|e| (e.at, e.kind))
+        }
+    }
 
     fn granule_time(g: u64, extra_ns: u64) -> Nanos {
         Nanos((g << (SLOT_SHIFT + GRANULE_SHIFT)) + extra_ns)
@@ -418,14 +421,14 @@ mod tests {
 
     /// The load-bearing property: for any interleaving of pushes and
     /// pops with non-time-travelling pushes, the wheel's pop sequence —
-    /// times, kinds, and tie-break order — is bit-identical to the seed
+    /// times, kinds, and tie-break order — is bit-identical to one
     /// heap's.
     #[test]
     fn randomized_equivalence_with_event_queue() {
         for seed in 0..20u64 {
             let mut rng = StdRng::seed_from_u64(0xC0FFEE ^ seed);
             let mut wheel = TimingWheel::new();
-            let mut heap = EventQueue::new();
+            let mut heap = EventQueue::default();
             let mut now = Nanos::ZERO;
             for step in 0..2_000 {
                 if rng.gen_bool(0.6) || wheel.is_empty() {
@@ -460,7 +463,7 @@ mod tests {
                         now = t;
                     }
                 }
-                assert_eq!(wheel.len(), heap.len());
+                assert_eq!(wheel.len(), heap.heap.len());
             }
             loop {
                 let a = wheel.pop();

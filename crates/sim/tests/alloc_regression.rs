@@ -1,7 +1,7 @@
 //! Counting-allocator regression: the steady-state event loop allocates
 //! nothing.
 //!
-//! The tentpole claims an allocation-free per-event hot path: after the
+//! The engine claims an allocation-free per-event hot path: after the
 //! wheel slots, core queues, and metrics have grown to their working
 //! size, simulating further subframes must not touch the heap at all.
 //! This is the dynamic witness behind the `on_event` purity seed in
@@ -9,17 +9,16 @@
 //! reachable from the hot loop, this test proves the runtime actually
 //! performs zero.
 //!
-//! A single `#[test]` drives every engine through `run_until` so the
-//! global allocation counter is never polluted by a concurrent test
-//! thread.
+//! A single `#[test]` drives the engine under every scheduler through
+//! `run_until` so the global allocation counter is never polluted by a
+//! concurrent test thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rtopex_core::global::QueuePolicy;
 use rtopex_core::time::Nanos;
-use rtopex_sim::engine::PartitionedEngine;
-use rtopex_sim::global_engine::GlobalEngine;
+use rtopex_sim::engine::Engine;
 use rtopex_sim::{SchedulerKind, SimConfig};
 use rtopex_workload::Scenario;
 
@@ -76,14 +75,23 @@ fn measure(name: &str, mut step: impl FnMut()) -> u64 {
 
 #[test]
 fn steady_state_event_loop_never_allocates() {
-    // Partitioned and RT-OPEX share the partitioned engine; exercise
-    // both because migration is the busiest event path.
-    for (name, migrate, sched) in [
-        ("partitioned", false, SchedulerKind::Partitioned),
-        ("rtopex", true, SchedulerKind::RtOpex { delta_us: 20 }),
+    // The partitioned family shares one policy; exercise all three of its
+    // modes because whole-task placement and migration are the busiest
+    // event paths. The global dispatcher is the other policy.
+    for (name, sched) in [
+        ("partitioned", SchedulerKind::Partitioned),
+        ("semi-partitioned", SchedulerKind::SemiPartitioned),
+        ("rtopex", SchedulerKind::RtOpex { delta_us: 20 }),
+        (
+            "global-edf",
+            SchedulerKind::Global {
+                cores: 8,
+                policy: QueuePolicy::Edf,
+            },
+        ),
     ] {
         let c = cfg(sched);
-        let mut engine = PartitionedEngine::new(&c, migrate);
+        let mut engine = Engine::new(&c);
         engine.run_until(WARM_UP);
         let n = measure(name, || engine.run_until(MEASURE_END));
         assert_eq!(n, 0, "{name}: steady-state event loop allocated");
@@ -95,18 +103,4 @@ fn steady_state_event_loop_never_allocates() {
             "{name}"
         );
     }
-
-    let c = cfg(SchedulerKind::Global {
-        cores: 8,
-        policy: QueuePolicy::Edf,
-    });
-    let mut engine = GlobalEngine::new(&c);
-    engine.run_until(WARM_UP);
-    let n = measure("global-edf", || engine.run_until(MEASURE_END));
-    assert_eq!(n, 0, "global: steady-state event loop allocated");
-    let report = engine.into_report();
-    assert_eq!(
-        report.deadline.total_subframes(),
-        (c.num_bs * c.subframes) as u64
-    );
 }

@@ -3,14 +3,14 @@
 //! The pooling experiment and the `BENCH_sim.json` baseline are only
 //! trustworthy if the merged fleet report is a pure function of
 //! (config, seed): independent of how many worker threads sharded the
-//! hosts, and identical between the production timing-wheel engine and
-//! the seed binary-heap baseline. These tests pin all three properties,
+//! hosts, and the same on every rerun. These tests pin both properties,
 //! plus a proptest sweeping seeds so the guarantee is not an artifact of
-//! one lucky seed.
+//! one lucky seed. (What the numbers *are* is pinned by
+//! `golden_report.rs`.)
 
 use proptest::prelude::*;
 use rtopex_core::global::QueuePolicy;
-use rtopex_sim::{run, run_baseline, run_fleet, FleetConfig, SchedulerKind, SimConfig, SimReport};
+use rtopex_sim::{run, run_fleet, FleetConfig, SchedulerKind, SimConfig, SimReport};
 use rtopex_workload::Scenario;
 
 fn base(seed: u64) -> SimConfig {
@@ -82,24 +82,7 @@ fn merged_report_is_identical_across_shard_counts() {
     }
 }
 
-/// The timing-wheel engine and the seed heap baseline are two event
-/// queues over one simulation: every scheduler mode must produce the
-/// same report from both, so the benchmarked speedup is never bought
-/// with a behavior change.
-#[test]
-fn wheel_and_heap_baseline_agree_for_every_scheduler() {
-    for sched in all_modes() {
-        let mut cfg = base(11);
-        cfg.scheduler = sched;
-        assert_reports_identical(
-            &run(&cfg),
-            &run_baseline(&cfg),
-            &format!("wheel vs heap, {sched:?}"),
-        );
-    }
-}
-
-/// Same seed, same report — twice through the production engine.
+/// Same seed, same report — twice through the engine.
 #[test]
 fn rerun_with_same_seed_is_bit_identical() {
     for sched in all_modes() {
@@ -115,20 +98,19 @@ proptest! {
     // rule out seed-dependent divergence.
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Seed-parametric version of the two core guarantees, under the
+    /// Seed-parametric version of the two guarantees, under the
     /// migrating scheduler (the mode with the most event interleaving):
-    /// wheel == heap, and the 1-thread fleet == the 4-thread fleet.
+    /// rerun == run, and the 1-thread fleet == the 4-thread fleet.
     #[test]
     fn determinism_holds_for_arbitrary_seeds(seed in any::<u64>()) {
         let mut cfg = base(seed);
         cfg.scheduler = SchedulerKind::RtOpex { delta_us: 20 };
         cfg.subframes = 150;
 
-        let wheel = run(&cfg);
-        let heap = run_baseline(&cfg);
-        prop_assert_eq!(wheel.deadline.per_bs(), heap.deadline.per_bs());
-        prop_assert_eq!(&wheel.proc_hist, &heap.proc_hist);
-        prop_assert_eq!(wheel.dropped, heap.dropped);
+        let (first, again) = (run(&cfg), run(&cfg));
+        prop_assert_eq!(first.deadline.per_bs(), again.deadline.per_bs());
+        prop_assert_eq!(&first.proc_hist, &again.proc_hist);
+        prop_assert_eq!(first.dropped, again.dropped);
 
         let fleet = |threads| run_fleet(&FleetConfig { base: cfg.clone(), hosts: 4, threads });
         let r1 = fleet(1);
