@@ -1,6 +1,6 @@
 //! A minimal recursive-descent JSON parser — just enough to read the
-//! tracked `BENCH_kernels.json` / `BENCH_node.json` baselines without
-//! pulling a dependency into the analyzer.
+//! tracked `BENCH_kernels.json` baseline without pulling a dependency
+//! into the analyzer.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,7 +37,7 @@ impl Json {
         }
     }
 
-    /// Chained path lookup: `j.path(&["sweep", "config", "period_us"])`.
+    /// Chained path lookup: `j.path(&["handoff", "decode", "steal_delta_us"])`.
     pub fn path(&self, keys: &[&str]) -> Option<&Json> {
         let mut cur = self;
         for k in keys {
@@ -53,23 +53,9 @@ impl Json {
         }
     }
 
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -280,8 +266,8 @@ mod tests {
             j.path(&["a", "b"]).unwrap().as_arr().unwrap()[2].as_f64(),
             Some(-300.0)
         );
-        assert_eq!(j.get("s").unwrap().as_str(), Some("x\ny"));
-        assert_eq!(j.get("t").unwrap().as_bool(), Some(true));
+        assert_eq!(j.get("s"), Some(&Json::Str("x\ny".into())));
+        assert_eq!(j.get("t"), Some(&Json::Bool(true)));
         assert_eq!(j.get("n"), Some(&Json::Null));
     }
 

@@ -16,9 +16,10 @@
 //!    acquisition graph, cycles (potential deadlock), and any lock
 //!    taken while a `SlotBoard` stage guard or `DeltaGuard` is held.
 //! 3. **Static Eq. 3 schedulability** ([`sched`]) — the paper's
-//!    deadline arithmetic evaluated from the tracked bench baselines
-//!    against every shipped scheduler config, plus δ admission sanity
-//!    and reproduction of the measured capacity ordering.
+//!    deadline arithmetic evaluated from the one tracked baseline,
+//!    `BENCH_kernels.json`, against every shipped scheduler config, plus
+//!    δ admission sanity against its measured hand-off; a baseline
+//!    recorded on fewer than two cores is refused.
 //! 4. **Adversarial-input taint audit** ([`taint`]) — from the declared
 //!    untrusted-byte sources (the wire codecs, `RxSession::ingest_frame`,
 //!    the TCP/UDP recv paths), everything reachable is proven panic-free

@@ -2,9 +2,10 @@
 //! its fixture seeds, and the real workspace must stay clean.
 //!
 //! The fixture sources under `tests/fixtures/` are never compiled — the
-//! analyzer is lexical, so the `.rs` files are plain inputs. The bench
-//! JSONs under `fixtures/unsched/` are the tracked baselines doctored
-//! just enough to trip one gate each.
+//! analyzer is lexical, so the `.rs` files are plain inputs. The
+//! baselines under `fixtures/unsched/` trip one pass-3 gate each: kernel
+//! costs ×100 (`unschedulable`) and the parent's one-core recording
+//! (`invalid-baseline`).
 
 use std::path::{Path, PathBuf};
 
@@ -115,16 +116,16 @@ fn taint_fixture_seeds_every_class() {
 }
 
 const FIXTURE_KERNELS: &str = include_str!("fixtures/unsched/BENCH_kernels.json");
-const FIXTURE_NODE: &str = include_str!("fixtures/unsched/BENCH_node.json");
-const FIXTURE_SIM: &str = include_str!("fixtures/unsched/BENCH_sim.json");
+/// The parent's tracked baseline as recorded at `e82fe3a`: one core, no
+/// hand-off block.
+const ONE_CORE_KERNELS: &str = include_str!("fixtures/unsched/BENCH_kernels_e82fe3a.json");
 const REAL_KERNELS: &str = include_str!("../../../BENCH_kernels.json");
-const REAL_NODE: &str = include_str!("../../../BENCH_node.json");
 
 #[test]
 fn unschedulable_fixture_is_caught() {
     // Kernel costs x100: every shipped config's T-hat blows through its
     // Eq. 3 budget, and the audit must say so for each shipped mode.
-    let a = sched::audit(FIXTURE_KERNELS, REAL_NODE, &sched::shipped_configs());
+    let a = sched::audit(FIXTURE_KERNELS, &sched::shipped_configs());
     assert!(
         a.violations.iter().any(|v| v.class == "unschedulable"),
         "{:#?}",
@@ -133,41 +134,44 @@ fn unschedulable_fixture_is_caught() {
 }
 
 #[test]
-fn capacity_order_fixture_is_caught() {
-    // Doctored miss arrays: steal sustains 1 cell, mutex 3 — the
-    // paper's steal >= mutex >= global ordering is violated and the
-    // gate must fire on that exact class (the fixture keeps the
-    // recorded counts consistent so no capacity-drift noise appears).
-    let a = sched::audit(REAL_KERNELS, FIXTURE_NODE, &sched::shipped_configs());
+fn one_core_baseline_is_refused() {
+    // The hand-off is a two-thread measurement: a file recorded with
+    // `"cores": 1` certifies nothing, and says so once.
+    let a = sched::audit(ONE_CORE_KERNELS, &sched::shipped_configs());
+    assert_eq!(a.violations.len(), 1, "{:#?}", a.violations);
+    assert_eq!(a.violations[0].class, "invalid-baseline");
     assert!(
-        a.violations.iter().any(|v| v.class == "capacity-order"),
-        "{:#?}",
-        a.violations
-    );
-    assert!(
-        !a.violations.iter().any(|v| v.class == "capacity-drift"),
-        "{:#?}",
-        a.violations
+        a.violations[0].msg.contains("1 core"),
+        "{}",
+        a.violations[0]
     );
 }
 
+/// The tracked baseline with the decode stage's mailbox hand-off set to
+/// `us`, every other byte kept.
+fn with_mailbox_decode_delta(us: f64) -> String {
+    const KEY: &str = "\"mailbox_delta_us\": ";
+    let handoff = REAL_KERNELS.find("\"handoff\"").unwrap();
+    let decode = handoff + REAL_KERNELS[handoff..].find("\"decode\"").unwrap();
+    let start = decode + REAL_KERNELS[decode..].find(KEY).unwrap() + KEY.len();
+    let end = start + REAL_KERNELS[start..].find(' ').unwrap();
+    format!("{}{us:.3}{}", &REAL_KERNELS[..start], &REAL_KERNELS[end..])
+}
+
 #[test]
-fn fleet_gate_fixture_is_caught() {
-    // Doctored sim baseline: the rtopex-steal pooling curve collapsed
-    // to 0.25 cells/core (2 cells per 8-core host). The gate must flag
-    // both shipped steal deployments — and nothing else (the fixture
-    // keeps every fit consistent with its sweep arrays, so no drift
-    // noise appears).
-    let a = sched::audit_sim(FIXTURE_SIM, &sched::shipped_fleet_configs());
-    let fleet: Vec<_> = a
+fn slow_handoff_fixture_is_caught() {
+    // A mailbox hand-off above the shipped δ of 60 µs: the mutex mode of
+    // the cluster sweep would admit migrations that cost more than they
+    // save. The steal path is untouched and must stay clean.
+    let a = sched::audit(&with_mailbox_decode_delta(75.0), &sched::shipped_configs());
+    let slow: Vec<_> = a
         .violations
         .iter()
-        .filter(|v| v.class == "fleet-unschedulable")
+        .filter(|v| v.class == "delta-too-small")
         .collect();
-    assert_eq!(fleet.len(), 2, "{:#?}", a.violations);
-    assert!(fleet.iter().any(|v| v.msg.contains("edge-4")));
-    assert!(fleet.iter().any(|v| v.msg.contains("metro-16")));
-    assert_eq!(a.violations.len(), fleet.len(), "{:#?}", a.violations);
+    assert_eq!(slow.len(), 1, "{:#?}", a.violations);
+    assert!(slow[0].msg.contains("rtopex_mutex"), "{}", slow[0]);
+    assert!(slow[0].msg.contains("75.0"), "{}", slow[0]);
 }
 
 /// The regression that keeps every suppression honest: the shipped
@@ -191,9 +195,10 @@ fn workspace_analyzes_clean() {
             .collect::<Vec<_>>()
             .join("\n")
     );
-    assert!(analysis.sched_report.contains("capacity_ordering"));
-    // The composed report carries both halves: the node-level Eq. 3
-    // audit and the fleet-level pooling gate.
-    assert!(analysis.sched_report.contains("\"eq3\""));
-    assert!(analysis.sched_report.contains("deployments"));
+    // The Eq. 3 report certifies every shipped config from the tracked
+    // baseline's kernel table and hand-off.
+    let report = rtopex_analyze::json::Json::parse(&analysis.sched_report).unwrap();
+    let configs = report.get("configs").and_then(|c| c.as_arr()).unwrap();
+    assert_eq!(configs.len(), sched::shipped_configs().len());
+    assert!(report.path(&["handoff", "mailbox_delta_us"]).is_some());
 }

@@ -42,6 +42,10 @@ fn bandwidth_mirror_matches_phy_numerology() {
         sched::SYMBOLS_PER_SUBFRAME,
         rtopex_phy::params::SYMBOLS_PER_SUBFRAME
     );
+    assert_eq!(
+        sched::MAX_TURBO_ITERS,
+        rtopex_phy::mcs::DEFAULT_MAX_TURBO_ITERS
+    );
 }
 
 #[test]
@@ -115,54 +119,6 @@ fn cluster_demo_mirror_matches_shipped_constructor() {
     let m = mirror("cluster-demo");
     assert_cluster_mirror(&m, &ClusterConfig::demo());
     assert_eq!(m.modes, &[Mode::RtOpexSteal]);
-}
-
-#[test]
-fn fleet_mirror_matches_shipped_pooling_configs() {
-    use rtopex_experiments::pooling;
-
-    let mirrors = sched::shipped_fleet_configs();
-    assert_eq!(mirrors.len(), pooling::SHIPPED_FLEET_CONFIGS.len());
-    for (m, real) in mirrors.iter().zip(pooling::SHIPPED_FLEET_CONFIGS.iter()) {
-        assert_eq!(m.name, real.name);
-        assert_eq!(m.hosts, real.hosts, "{}", m.name);
-        assert_eq!(m.mode, real.mode, "{}", m.name);
-        assert_eq!(m.cells_per_host, real.cells_per_host, "{}", m.name);
-        // Every shipped mode must be one the pooling sweep measures,
-        // or the analyzer's fleet gate could never clear it.
-        assert!(
-            pooling::modes().iter().any(|(name, _)| *name == m.mode),
-            "{}: mode `{}` not swept",
-            m.name,
-            m.mode
-        );
-    }
-    assert_eq!(sched::FLEET_CORE_BUDGET, pooling::CORE_BUDGET);
-    assert_eq!(sched::FLEET_MISS_BUDGET, pooling::MISS_BUDGET);
-}
-
-#[test]
-fn fleet_fit_mirror_matches_shipped_regression() {
-    use rtopex_experiments::pooling;
-
-    // A deliberately non-flat curve: the mirrored least-squares in
-    // x = 1/H must reproduce the shipped fit to the last bit-of-float.
-    let hosts = [1usize, 2, 4, 8, 16, 32, 64];
-    let y = [0.750, 0.875, 0.875, 1.000, 0.875, 1.000, 1.000];
-    let real = pooling::fit_inverse(&hosts, &y);
-    let hosts_f: Vec<f64> = hosts.iter().map(|&h| h as f64).collect();
-    let (a, b) = sched::fit_inverse(&hosts_f, &y);
-    assert_eq!(a, real.a);
-    assert_eq!(b, real.b);
-    // And the capacity arithmetic (floor of cells/core × core budget)
-    // must agree at every swept fleet size.
-    for &h in &hosts {
-        assert_eq!(
-            sched::fleet_capacity((a, b), h),
-            real.cells_per_host(h),
-            "capacity at {h} hosts"
-        );
-    }
 }
 
 #[test]

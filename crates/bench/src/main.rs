@@ -1,12 +1,15 @@
-//! `rtopex-bench` — emits `BENCH_kernels.json`, the tracked kernel-latency
-//! baseline.
+//! `rtopex-bench` — emits `BENCH_kernels.json`, the one tracked baseline
+//! `cargo xtask analyze` certifies from.
 //!
 //! Times the four vectorized PHY kernels (turbo max-log-MAP, soft demapper,
 //! MRC equalizer, FFT) plus the end-to-end MCS 27 subframe decode with a
-//! plain `Instant` loop (no criterion), and writes one JSON object with the
-//! per-kernel mean in nanoseconds, a machine fingerprint, the git revision
-//! and the active SIMD tier. Commit the output at the repository root to
-//! refresh the baseline:
+//! plain `Instant` loop, re-times them at every supported SIMD tier, times
+//! the batched turbo drain against per-call dispatch, and measures the
+//! two-thread migration hand-off (steal ticket vs. mailbox) per migratable
+//! stage. Writes one JSON object with those rows, a machine fingerprint
+//! and the git revision. Commit the output at the repository root to
+//! refresh the baseline — on a machine with at least two cores, since the
+//! analyzer refuses a `"cores": 1` file (the hand-off needs a second core):
 //!
 //! ```text
 //! cargo run --release -p rtopex-bench [OUTPUT.json]
@@ -20,15 +23,13 @@ use rtopex_phy::fft::FftPlan;
 use rtopex_phy::modulation::Modulation;
 use rtopex_phy::params::Bandwidth;
 use rtopex_phy::simd::{self, SimdTier};
+use rtopex_phy::tasks::TaskKind;
 use rtopex_phy::turbo::{decode_batch, TurboBatchJob, TurboDecoder, TurboEncoder, TurboWorkspace};
 use rtopex_phy::uplink::{UplinkConfig, UplinkRx, UplinkTx};
 use rtopex_phy::Cf32;
+use rtopex_runtime::measure::{measure_migration_overhead, measure_steal_overhead};
 use std::fmt::Write as _;
 use std::time::Instant;
-
-mod multihost;
-mod node;
-mod sim;
 
 /// Measured mean for one kernel.
 struct Entry {
@@ -148,8 +149,7 @@ fn fft_entries(out: &mut Vec<Entry>) {
 }
 
 fn subframe_entry(out: &mut Vec<Entry>) {
-    // Same configuration as the tracked `subframe_decode/mhz1_4_mcs/27`
-    // criterion entry (1.4 MHz, 2 antennas, MCS 27).
+    // The γ-calibration anchor pass 3 reads (1.4 MHz, 2 antennas, MCS 27).
     let cfg = UplinkConfig::new(Bandwidth::Mhz1_4, 2, 27).expect("config");
     let tx = UplinkTx::new(cfg.clone());
     let mut rng = StdRng::seed_from_u64(4);
@@ -257,58 +257,40 @@ fn batched_entries() -> Vec<BatchedEntry> {
     out
 }
 
-/// Ad-hoc probe behind `--demap-batch`: per-call [`Modulation::demap_maxlog`]
-/// vs. a [`demap_batch`] drain over the same four jobs. Stdout only — the
-/// result is NOT written to `BENCH_kernels.json`, because each 600-symbol
-/// job already fills whole SIMD blocks internally, so cross-job batching
-/// can only amortize the per-call tier resolution (nanoseconds against a
-/// multi-microsecond kernel). The measured ~1.0x is recorded as a negative
-/// result in EXPERIMENTS.md; adding it to the tracked baseline would trip
-/// the analyzer's batching-regression floor for no information gain.
-fn demap_batch_probe() {
-    use rtopex_phy::modulation::{demap_batch, DemapJob};
-    const BATCH: usize = 4;
-    const SYMS: usize = 600;
-    println!("demap batch-drain probe (batch {BATCH}, {SYMS} symbols/job)");
-    for m in [Modulation::Qpsk, Modulation::Qam16, Modulation::Qam64] {
-        let qm = m.bits_per_symbol();
-        let streams: Vec<(Vec<Cf32>, Vec<f32>)> = (0..BATCH)
-            .map(|i| {
-                let syms = m.map(&bits(SYMS * qm, 20 + i as u64));
-                let nv = vec![0.05f32; syms.len()];
-                (syms, nv)
-            })
-            .collect();
-        let mut outs: Vec<Vec<f32>> = (0..BATCH).map(|_| Vec::with_capacity(SYMS * qm)).collect();
+/// Steal-ticket vs. mailbox hand-off for one migratable stage (µs): the
+/// per-subtask cost of moving work to a second core on each migration
+/// path, which pass 3 holds every migrating config's δ above.
+struct Handoff {
+    task: TaskKind,
+    local_p50_us: f64,
+    stolen_p50_us: f64,
+    steal_delta_us: f64,
+    mailbox_p50_us: f64,
+    mailbox_delta_us: f64,
+}
 
-        let (per_call_ns, _) = time_kernel(200, || {
-            for ((syms, nv), out) in streams.iter().zip(outs.iter_mut()) {
-                out.clear();
-                m.demap_maxlog(syms, nv, out);
-            }
-        });
-        let (batched_ns, _) = time_kernel(200, || {
-            for out in outs.iter_mut() {
-                out.clear();
-            }
-            let mut jobs: Vec<DemapJob<'_>> = streams
-                .iter()
-                .zip(outs.iter_mut())
-                .map(|((syms, nv), out)| DemapJob {
-                    modulation: m,
-                    symbols: syms,
-                    noise_var: nv,
-                    out,
-                })
-                .collect();
-            demap_batch(&mut jobs);
-        });
-        println!(
-            "  qm={qm}: per-call {per_call_ns} ns, batch-drain {batched_ns} ns \
-             ({:.3}x)",
-            per_call_ns as f64 / batched_ns as f64
-        );
-    }
+/// Runs on a thread of its own: the measuring functions pin their caller,
+/// and a pinned main thread would report one core in the fingerprint.
+fn handoff_entries() -> Vec<Handoff> {
+    const TRIALS: usize = 40;
+    let measure = || {
+        [TaskKind::Fft, TaskKind::Decode]
+            .into_iter()
+            .map(|task| {
+                let mut steal = measure_steal_overhead(Bandwidth::Mhz5, 2, 16, task, TRIALS);
+                let mut mbox = measure_migration_overhead(Bandwidth::Mhz5, 2, 16, task, TRIALS);
+                Handoff {
+                    task,
+                    local_p50_us: steal.local_us.median(),
+                    stolen_p50_us: steal.stolen_us.median(),
+                    steal_delta_us: steal.delta_us,
+                    mailbox_p50_us: mbox.migrated_us.median(),
+                    mailbox_delta_us: mbox.delta_us,
+                }
+            })
+            .collect()
+    };
+    std::thread::spawn(measure).join().expect("hand-off probe")
 }
 
 fn cpu_model() -> String {
@@ -349,10 +331,9 @@ fn cache_topology_kb() -> (u64, u64, u64) {
     caches
 }
 
-/// The machine fingerprint every `BENCH_*.json` carries: CPU model, core
-/// count, cache topology and the widest SIMD tier. The analyzer refuses to
-/// compare baselines whose fingerprints disagree, so all three emitters
-/// share this one constructor.
+/// The machine fingerprint: CPU model, core count, cache topology and the
+/// widest SIMD tier. The analyzer refuses a baseline recorded on fewer
+/// than two cores.
 fn machine_json() -> String {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -388,42 +369,14 @@ fn json_escape(s: &str) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--node") {
-        let quick = args.iter().any(|a| a == "--quick");
-        let path = args
-            .iter()
-            .find(|a| !a.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| "BENCH_node.json".to_string());
-        if args.iter().any(|a| a == "--refresh-multihost") {
-            // Re-measure only the fronthaul section; the capacity sweep
-            // arrays in the existing file stay byte-identical.
-            multihost::refresh(&path);
-            return;
+    let path = match std::env::args().nth(1) {
+        Some(a) if a.starts_with('-') => {
+            eprintln!("usage: rtopex-bench [OUTPUT.json]");
+            std::process::exit(2);
         }
-        node::run(quick, &path);
-        return;
-    }
-    if args.iter().any(|a| a == "--demap-batch") {
-        demap_batch_probe();
-        return;
-    }
-    if args.iter().any(|a| a == "--sim") {
-        let quick = args.iter().any(|a| a == "--quick");
-        let path = args
-            .iter()
-            .find(|a| !a.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| "BENCH_sim.json".to_string());
-        sim::run_bench(quick, &path);
-        return;
-    }
-    let path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_kernels.json".to_string());
+        Some(a) => a,
+        None => "BENCH_kernels.json".to_string(),
+    };
     let tier = simd::detected_tier().name();
     let mut entries = Vec::new();
     eprintln!("timing kernels (tier: {tier})…");
@@ -435,6 +388,8 @@ fn main() {
     let tiers = tier_entries();
     eprintln!("timing batched turbo dispatch…");
     let batched = batched_entries();
+    eprintln!("timing the steal and mailbox hand-off…");
+    let handoff = handoff_entries();
 
     let mut body = String::new();
     writeln!(body, "{{").unwrap();
@@ -486,6 +441,30 @@ fn main() {
         eprintln!(
             "  turbo k={} batch {}: per-call {} ns, batched {} ns ({:.2}x)",
             b.k, b.batch, b.per_call_ns, b.batched_ns, b.speedup
+        );
+    }
+    writeln!(body, "  }},").unwrap();
+    writeln!(body, "  \"handoff\": {{").unwrap();
+    for (i, h) in handoff.iter().enumerate() {
+        let comma = if i + 1 < handoff.len() { "," } else { "" };
+        writeln!(
+            body,
+            "    \"{}\": {{ \"local_p50_us\": {:.3}, \"stolen_p50_us\": {:.3}, \
+             \"steal_delta_us\": {:.3}, \"mailbox_p50_us\": {:.3}, \"mailbox_delta_us\": {:.3} }}{}",
+            h.task.label(),
+            h.local_p50_us,
+            h.stolen_p50_us,
+            h.steal_delta_us,
+            h.mailbox_p50_us,
+            h.mailbox_delta_us,
+            comma
+        )
+        .unwrap();
+        eprintln!(
+            "  {} hand-off: steal δ {:.1} µs, mailbox δ {:.1} µs",
+            h.task.label(),
+            h.steal_delta_us,
+            h.mailbox_delta_us
         );
     }
     writeln!(body, "  }}").unwrap();

@@ -129,13 +129,25 @@ fn main() {
 
     // Workers: either spawned siblings on loopback or remote addresses.
     let mut spawned: Vec<Worker> = Vec::new();
+    // A worker without cells would never get a hello, so at most one
+    // worker per cell is used.
     let hosts: Vec<String> = if let Some(list) = args.value("--hosts") {
-        list.split(',').map(|s| s.trim().to_string()).collect()
+        let mut hosts: Vec<String> = list.split(',').map(|s| s.trim().to_string()).collect();
+        if hosts.len() > cells {
+            eprintln!(
+                "rtopex-fronthaul: warning: {} hosts for {cells} cell(s); {} get no cells and are not contacted",
+                hosts.len(),
+                hosts.len() - cells
+            );
+            hosts.truncate(cells);
+        }
+        hosts
     } else {
         let n: usize = args.parsed_or("--spawn", 2);
         if n == 0 {
             fail("--spawn needs at least one worker");
         }
+        let n = n.min(cells);
         eprintln!("rtopex-fronthaul: spawning {n} local rtopex-node worker(s)…");
         (0..n)
             .map(|_| {
@@ -176,7 +188,6 @@ fn main() {
     let mut txs: Vec<(Box<dyn FronthaulTx>, Vec<u16>)> = hosts
         .iter()
         .zip(&partitions)
-        .filter(|(_, cells)| !cells.is_empty())
         .map(|(addr, cells)| {
             (
                 connect(transport, addr, geo.stream_params(cells.clone())),

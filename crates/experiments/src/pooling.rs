@@ -12,15 +12,21 @@
 //! trace mix is rotated by `i` (see [`rtopex_sim::host_config`]), so a
 //! larger fleet samples more heterogeneous cell mixes and its capacity is
 //! set by the unluckier hosts — the fleet curve `cells/core vs H` decays
-//! toward an asymptote. The decay fits `y(H) = a + b/H` well (each added
-//! host dilutes any single host's influence by `1/H`); the fitted curve
-//! is what the analyzer's fleet gate extrapolates from, and
-//! [`SHIPPED_FLEET_CONFIGS`] are the deployments it checks.
+//! toward an asymptote, which the experiment fits as `y(H) = a + b/H`
+//! (each added host dilutes any single host's influence by `1/H`).
 //!
 //! The four modes mirror the real runtime's contenders: partitioned,
 //! global-EDF over the shared budget, and RT-OPEX with the two measured
 //! migration costs — δ = 60 µs for the mutex-mailbox path and δ = 20 µs
 //! for the lock-free steal path.
+//!
+//! **The search is censored for the partitioned family.** Partitioned
+//! and both RT-OPEX modes need at least one core per cell, so their
+//! search stops at [`CORE_BUDGET`] cells per host (see
+//! [`pooling_config`]): a mode that sustains all of them reads exactly
+//! 1.000 cells/core, which is the ceiling of the search, not a measured
+//! capacity. Only global-EDF can report more. This is an interactive
+//! experiment; nothing gates on its numbers.
 
 use crate::common::{fmt_rate, header, Opts};
 use rtopex_core::global::QueuePolicy;
@@ -53,47 +59,6 @@ pub const HOSTS_QUICK: [usize; 3] = [1, 2, 4];
 /// hosts and cells so every point costs about the same wall-clock).
 const SUBFRAME_BUDGET: usize = 400_000;
 const SUBFRAME_BUDGET_QUICK: usize = 48_000;
-
-/// A deployment the fleet-level schedulability gate checks: `hosts`
-/// hosts of [`CORE_BUDGET`] cores, each aggregating `cells_per_host`
-/// cells under `mode`. `cargo xtask analyze` re-fits the pooling curve
-/// from `BENCH_sim.json` and flags any deployment whose cell count
-/// exceeds the fitted capacity at its fleet size.
-#[derive(Clone, Copy, Debug)]
-pub struct FleetDeployment {
-    /// Deployment label (stable — the analyzer reports it).
-    pub name: &'static str,
-    /// Fleet size in hosts.
-    pub hosts: usize,
-    /// Scheduler mode name (must match a [`modes`] entry).
-    pub mode: &'static str,
-    /// Aggregated cells per host.
-    pub cells_per_host: usize,
-}
-
-/// The deployments shipped with the repo, gated by `cargo xtask analyze`.
-/// Cell counts come from the committed full-scale pooling run in
-/// `BENCH_sim.json`.
-pub const SHIPPED_FLEET_CONFIGS: [FleetDeployment; 3] = [
-    FleetDeployment {
-        name: "edge-4",
-        hosts: 4,
-        mode: "rtopex-steal",
-        cells_per_host: 4,
-    },
-    FleetDeployment {
-        name: "metro-16",
-        hosts: 16,
-        mode: "rtopex-steal",
-        cells_per_host: 4,
-    },
-    FleetDeployment {
-        name: "region-64",
-        hosts: 64,
-        mode: "partitioned",
-        cells_per_host: 4,
-    },
-];
 
 /// The four scheduler modes the pooling sweep compares.
 pub fn modes() -> Vec<(&'static str, SchedulerKind)> {
@@ -200,19 +165,6 @@ pub struct InverseFit {
     pub b: f64,
 }
 
-impl InverseFit {
-    /// Predicted cells per core at a fleet of `hosts` hosts.
-    pub fn cells_per_core(&self, hosts: usize) -> f64 {
-        self.a + self.b / hosts as f64
-    }
-
-    /// Predicted whole-cell capacity of one [`CORE_BUDGET`]-core host in
-    /// a fleet of `hosts` hosts.
-    pub fn cells_per_host(&self, hosts: usize) -> usize {
-        (self.cells_per_core(hosts) * CORE_BUDGET as f64).floor() as usize
-    }
-}
-
 /// Fits `y = a + b/H` by least squares in `x = 1/H`. With a single
 /// point the fit is flat (`b = 0`).
 pub fn fit_inverse(hosts: &[usize], y: &[f64]) -> InverseFit {
@@ -284,8 +236,8 @@ pub fn sweep_mode(opts: &Opts, name: &'static str, kind: SchedulerKind) -> ModeC
     }
 }
 
-/// Runs the full experiment: every mode's curve plus the fitted
-/// parameters and the shipped-deployment check.
+/// Runs the full experiment: every mode's curve with its fitted
+/// parameters.
 pub fn sweep_all(opts: &Opts) -> Vec<ModeCurve> {
     modes()
         .into_iter()
@@ -302,6 +254,7 @@ pub fn run(opts: &Opts) {
     println!(
         "{CORE_BUDGET}-core hosts, RTT/2 = {RTT_HALF_US} µs, fleet miss budget {MISS_BUDGET:.0e}"
     );
+    println!("(partitioned and RT-OPEX stop at {CORE_BUDGET} cells/host: 1.000 cells/core is the search ceiling)");
     let curves = sweep_all(opts);
     let hosts = hosts_grid(opts.quick);
     println!(
@@ -328,24 +281,6 @@ pub fn run(opts: &Opts) {
         println!(
             "{:>14}: asymptote {:.3} cells/core ({} over-budget points measured)",
             c.name, c.fit.a, worst
-        );
-    }
-    println!("\nshipped deployments vs fitted capacity:");
-    for d in SHIPPED_FLEET_CONFIGS {
-        let fit = curves
-            .iter()
-            .find(|c| c.name == d.mode)
-            .map(|c| c.fit)
-            .expect("shipped mode swept");
-        let cap = fit.cells_per_host(d.hosts);
-        let verdict = if d.cells_per_host <= cap {
-            "ok"
-        } else {
-            "OVER"
-        };
-        println!(
-            "{:>14}: {} hosts × {} cells ({}) — fitted capacity {} cells/host [{verdict}]",
-            d.name, d.hosts, d.cells_per_host, d.mode, cap
         );
     }
     let part = curves.iter().find(|c| c.name == "partitioned").unwrap();
@@ -381,7 +316,6 @@ mod tests {
         let fit = fit_inverse(&hosts, &y);
         assert!((fit.a - 0.5).abs() < 1e-12, "a = {}", fit.a);
         assert!((fit.b - 0.25).abs() < 1e-12, "b = {}", fit.b);
-        assert_eq!(fit.cells_per_host(2), (0.625 * 8.0) as usize);
     }
 
     #[test]
@@ -437,14 +371,5 @@ mod tests {
         let (p, _) = a_max_for(&o, 2, SchedulerKind::Partitioned);
         let (s, _) = a_max_for(&o, 2, SchedulerKind::RtOpex { delta_us: 20 });
         assert!(s >= p, "steal {s} vs partitioned {p}");
-    }
-
-    #[test]
-    fn shipped_deployments_reference_swept_modes() {
-        let names: Vec<&str> = modes().iter().map(|(n, _)| *n).collect();
-        for d in SHIPPED_FLEET_CONFIGS {
-            assert!(names.contains(&d.mode), "{} mode {}", d.name, d.mode);
-            assert!(d.cells_per_host <= MAX_CELLS_PER_HOST);
-        }
     }
 }

@@ -131,23 +131,4 @@ mod tests {
         assert!((fit.model.w3 - 93.0).abs() < 3.0, "w3 {}", fit.model.w3);
         assert!(fit.r2 > 0.97, "r² {}", fit.r2);
     }
-
-    #[test]
-    fn real_phy_fit_is_linear() {
-        // Wall-clock measurements on a shared single-CPU container are
-        // noisy; retry once before judging, and keep the bar at "the
-        // linear structure explains most of the variance".
-        let mut best = None;
-        for seed in [Opts::default().seed, 0xFEED] {
-            let fit = real_phy_fit(&Opts { quick: true, seed });
-            assert!(fit.model.w3 > 0.0, "w3 {}", fit.model.w3);
-            if fit.r2 > 0.5 {
-                best = Some(fit);
-                break;
-            }
-            best = Some(fit);
-        }
-        let fit = best.expect("at least one fit");
-        assert!(fit.r2 > 0.5, "r² {} on both attempts", fit.r2);
-    }
 }

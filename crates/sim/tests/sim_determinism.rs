@@ -1,6 +1,6 @@
 //! Shard-count- and seed-reproducibility guarantees of the fleet engine.
 //!
-//! The pooling experiment and the `BENCH_sim.json` baseline are only
+//! The pooling experiment and the benchmark's fleet metric are only
 //! trustworthy if the merged fleet report is a pure function of
 //! (config, seed): independent of how many worker threads sharded the
 //! hosts, and the same on every rerun. These tests pin both properties,
