@@ -269,28 +269,23 @@ struct Handoff {
     mailbox_delta_us: f64,
 }
 
-/// Runs on a thread of its own: the measuring functions pin their caller,
-/// and a pinned main thread would report one core in the fingerprint.
 fn handoff_entries() -> Vec<Handoff> {
     const TRIALS: usize = 40;
-    let measure = || {
-        [TaskKind::Fft, TaskKind::Decode]
-            .into_iter()
-            .map(|task| {
-                let mut steal = measure_steal_overhead(Bandwidth::Mhz5, 2, 16, task, TRIALS);
-                let mut mbox = measure_migration_overhead(Bandwidth::Mhz5, 2, 16, task, TRIALS);
-                Handoff {
-                    task,
-                    local_p50_us: steal.local_us.median(),
-                    stolen_p50_us: steal.stolen_us.median(),
-                    steal_delta_us: steal.delta_us,
-                    mailbox_p50_us: mbox.migrated_us.median(),
-                    mailbox_delta_us: mbox.delta_us,
-                }
-            })
-            .collect()
-    };
-    std::thread::spawn(measure).join().expect("hand-off probe")
+    [TaskKind::Fft, TaskKind::Decode]
+        .into_iter()
+        .map(|task| {
+            let mut steal = measure_steal_overhead(Bandwidth::Mhz5, 2, 16, task, TRIALS);
+            let mut mbox = measure_migration_overhead(Bandwidth::Mhz5, 2, 16, task, TRIALS);
+            Handoff {
+                task,
+                local_p50_us: steal.local_us.median(),
+                stolen_p50_us: steal.stolen_us.median(),
+                steal_delta_us: steal.delta_us,
+                mailbox_p50_us: mbox.migrated_us.median(),
+                mailbox_delta_us: mbox.delta_us,
+            }
+        })
+        .collect()
 }
 
 fn cpu_model() -> String {

@@ -4,7 +4,9 @@
 //! cuts the MCS-27 decode from 980 µs to 670 µs by splitting code blocks.
 //! We measure the same splits with the real Rust PHY on pinned threads,
 //! and print the model's view next to it (the model is what the simulator
-//! uses at scale).
+//! uses at scale). The FFT subtask is the runtime's migration unit, one
+//! antenna's 14 symbols, so at N = 2 the two-core split runs one antenna
+//! per core — the same halving.
 
 use crate::common::{header, Opts};
 use rtopex_model::tasks::TaskTimeModel;

@@ -1,8 +1,8 @@
-//! Wireless channel models: AWGN and flat Rayleigh block fading.
+//! The wireless channel: additive white Gaussian noise.
 //!
 //! The paper drives its evaluation with an AWGN channel at a configured SNR
 //! (§4.2: fixed 30 dB, MCS varied by the load trace) and sweeps SNR 0–30 dB
-//! for the processing-time model (Fig. 3(b)). Both models here produce one
+//! for the processing-time model (Fig. 3(b)). The model produces one
 //! received stream per antenna; receive diversity across `N` antennas is
 //! what makes the FFT/equalization cost scale with `N` (Eq. 1's `w1·N`).
 
@@ -75,129 +75,6 @@ impl ChannelModel for AwgnChannel {
     }
 }
 
-/// Flat Rayleigh block fading: one complex gain per antenna per call
-/// (constant over the subframe), plus AWGN.
-///
-/// Per-antenna gains are independent `CN(0, 1)`, so the *average* SNR is as
-/// configured while instantaneous SNR varies between subframes — which
-/// makes the turbo iteration count (and hence decode time) fluctuate even
-/// at a fixed MCS, feeding the variability the scheduler must absorb.
-#[derive(Clone, Debug)]
-pub struct RayleighBlockChannel {
-    snr_db: f64,
-}
-
-impl RayleighBlockChannel {
-    /// Creates a flat Rayleigh block-fading channel with the given average
-    /// per-antenna SNR in dB.
-    pub fn new(snr_db: f64) -> Self {
-        RayleighBlockChannel { snr_db }
-    }
-}
-
-impl ChannelModel for RayleighBlockChannel {
-    fn apply<R: Rng + ?Sized>(
-        &mut self,
-        tx: &[Cf32],
-        n_antennas: usize,
-        rng: &mut R,
-    ) -> Vec<Vec<Cf32>> {
-        let sigma = (10f64.powf(-self.snr_db / 10.0) as f32).sqrt();
-        (0..n_antennas)
-            .map(|_| {
-                let h = complex_gaussian(rng);
-                tx.iter()
-                    .map(|&s| h * s + complex_gaussian(rng).scale(sigma))
-                    .collect()
-            })
-            .collect()
-    }
-
-    fn snr_db(&self) -> f64 {
-        self.snr_db
-    }
-}
-
-/// Frequency-selective multipath fading: a tapped-delay-line channel with
-/// independent Rayleigh taps per antenna (block fading — the taps hold for
-/// the subframe), plus AWGN.
-///
-/// Unlike the flat models above, the resulting channel varies across
-/// *subcarriers*, exercising the per-subcarrier LS estimation and MRC
-/// combining in [`crate::equalizer`]. Tap delays must stay well inside the
-/// cyclic prefix (72+ samples at 10 MHz) for OFDM to hold.
-#[derive(Clone, Debug)]
-pub struct MultipathChannel {
-    snr_db: f64,
-    /// `(delay_samples, average linear power)` per tap; powers should sum
-    /// to ≈ 1 to preserve the configured average SNR.
-    taps: Vec<(usize, f64)>,
-}
-
-impl MultipathChannel {
-    /// Creates a multipath channel with explicit taps.
-    ///
-    /// # Panics
-    /// Panics if `taps` is empty or a tap power is non-positive.
-    pub fn new(snr_db: f64, taps: Vec<(usize, f64)>) -> Self {
-        assert!(!taps.is_empty(), "at least one tap");
-        assert!(taps.iter().all(|&(_, p)| p > 0.0), "tap powers positive");
-        MultipathChannel { snr_db, taps }
-    }
-
-    /// A two-tap profile: a main path and a −6 dB echo 16 samples later
-    /// (≈ 1 µs at 10 MHz — well inside the 72-sample normal CP).
-    pub fn two_path(snr_db: f64) -> Self {
-        Self::new(snr_db, vec![(0, 0.8), (16, 0.2)])
-    }
-
-    /// A pedestrian-like 4-tap profile with short delays.
-    pub fn pedestrian(snr_db: f64) -> Self {
-        Self::new(snr_db, vec![(0, 0.60), (4, 0.25), (9, 0.10), (17, 0.05)])
-    }
-
-    /// The tap profile in force.
-    pub fn taps(&self) -> &[(usize, f64)] {
-        &self.taps
-    }
-}
-
-impl ChannelModel for MultipathChannel {
-    fn apply<R: Rng + ?Sized>(
-        &mut self,
-        tx: &[Cf32],
-        n_antennas: usize,
-        rng: &mut R,
-    ) -> Vec<Vec<Cf32>> {
-        let sigma = (10f64.powf(-self.snr_db / 10.0) as f32).sqrt();
-        (0..n_antennas)
-            .map(|_| {
-                // Independent Rayleigh gain per tap per antenna.
-                let gains: Vec<(usize, Cf32)> = self
-                    .taps
-                    .iter()
-                    .map(|&(d, p)| (d, complex_gaussian(rng).scale((p as f32).sqrt())))
-                    .collect();
-                (0..tx.len())
-                    .map(|n| {
-                        let mut acc = Cf32::ZERO;
-                        for &(d, h) in &gains {
-                            if n >= d {
-                                acc += h * tx[n - d];
-                            }
-                        }
-                        acc + complex_gaussian(rng).scale(sigma)
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
-    fn snr_db(&self) -> f64 {
-        self.snr_db
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,86 +134,7 @@ mod tests {
     }
 
     #[test]
-    fn rayleigh_average_power_is_preserved() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let tx = tone(300);
-        let mut ch = RayleighBlockChannel::new(40.0);
-        // Average the received power over many fading realizations.
-        let mut acc = 0.0f64;
-        let trials = 400;
-        for _ in 0..trials {
-            let rx = ch.apply(&tx, 1, &mut rng);
-            acc += mean_power(&rx[0]) as f64;
-        }
-        let avg = acc / trials as f64;
-        assert!((avg - 1.0).abs() < 0.15, "average rx power {avg}");
-    }
-
-    #[test]
-    fn rayleigh_gain_constant_within_block() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let tx = tone(64);
-        let mut ch = RayleighBlockChannel::new(80.0); // noiseless, isolate h
-        let rx = ch.apply(&tx, 1, &mut rng);
-        let h0 = rx[0][0] / tx[0];
-        for (r, t) in rx[0].iter().zip(&tx) {
-            let h = *r / *t;
-            assert!((h - h0).abs() < 1e-2);
-        }
-    }
-
-    #[test]
-    fn multipath_average_power_is_preserved() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let tx = tone(400);
-        let mut ch = MultipathChannel::two_path(60.0);
-        let mut acc = 0.0f64;
-        let trials = 300;
-        for _ in 0..trials {
-            let rx = ch.apply(&tx, 1, &mut rng);
-            acc += mean_power(&rx[0]) as f64;
-        }
-        let avg = acc / trials as f64;
-        assert!((avg - 1.0).abs() < 0.15, "average rx power {avg}");
-    }
-
-    #[test]
-    fn multipath_is_frequency_selective() {
-        // The echo creates subcarrier-dependent gain: the DFT of the
-        // channel impulse response must vary across bins.
-        let mut rng = StdRng::seed_from_u64(8);
-        // Impulse probing: send a delta, read the impulse response.
-        let mut tx = vec![Cf32::ZERO; 256];
-        tx[0] = Cf32::ONE;
-        let mut ch = MultipathChannel::two_path(80.0); // negligible noise
-        let rx = ch.apply(&tx, 1, &mut rng);
-        let mut h = rx[0].clone();
-        crate::fft::plan(256).forward(&mut h);
-        let mags: Vec<f32> = h.iter().map(|v| v.abs()).collect();
-        let max = mags.iter().cloned().fold(0.0f32, f32::max);
-        let min = mags.iter().cloned().fold(f32::MAX, f32::min);
-        assert!(
-            max / min.max(1e-6) > 1.3,
-            "flat response: {min}..{max} — echo not visible"
-        );
-    }
-
-    #[test]
-    fn multipath_taps_accessor_and_validation() {
-        let ch = MultipathChannel::pedestrian(20.0);
-        assert_eq!(ch.taps().len(), 4);
-        assert_eq!(ch.snr_db(), 20.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one tap")]
-    fn empty_taps_panics() {
-        MultipathChannel::new(10.0, vec![]);
-    }
-
-    #[test]
     fn snr_accessor_roundtrips() {
         assert_eq!(AwgnChannel::new(12.5).snr_db(), 12.5);
-        assert_eq!(RayleighBlockChannel::new(-3.0).snr_db(), -3.0);
     }
 }

@@ -58,12 +58,6 @@ impl Cf32 {
         self.norm_sq().sqrt()
     }
 
-    /// Argument (phase) in radians, in `(-π, π]`.
-    #[inline]
-    pub fn arg(self) -> f32 {
-        self.im.atan2(self.re)
-    }
-
     /// Multiplies by the scalar `s`.
     #[inline]
     pub fn scale(self, s: f32) -> Self {
@@ -161,7 +155,8 @@ impl Neg for Cf32 {
 }
 
 /// Mean power `Σ|zᵢ|²/n` of a sample slice (0.0 for an empty slice).
-pub fn mean_power(samples: &[Cf32]) -> f32 {
+#[cfg(test)]
+pub(crate) fn mean_power(samples: &[Cf32]) -> f32 {
     if samples.is_empty() {
         return 0.0;
     }
@@ -219,12 +214,6 @@ mod tests {
             let z = Cf32::from_phase(k as f32 * std::f32::consts::FRAC_PI_8);
             assert!(close(z.abs(), 1.0));
         }
-    }
-
-    #[test]
-    fn arg_of_i_is_half_pi() {
-        let z = Cf32::new(0.0, 1.0);
-        assert!(close(z.arg(), std::f32::consts::FRAC_PI_2));
     }
 
     #[test]

@@ -34,49 +34,14 @@ impl ChannelEstimate {
     }
 }
 
-/// Least-squares channel estimation from the two DMRS symbols, over the
-/// full grid width.
+/// Least-squares channel estimation from the two DMRS symbols, into a
+/// caller-owned estimate whose per-antenna gain vectors are reused (no
+/// allocation once they have capacity).
 ///
-/// `grids` holds one demodulated grid per antenna; `dmrs_ref` is the known
-/// unit-magnitude reference sequence (one entry per subcarrier).
-///
-/// # Panics
-/// Panics if `grids` is empty or `dmrs_ref` length mismatches the grid width.
-pub fn estimate_channel(grids: &[Grid], dmrs_ref: &[Cf32]) -> ChannelEstimate {
-    let m = grids
-        .first()
-        // analyze: allow(panic): documented precondition, validated at setup
-        .expect("at least one antenna required")
-        .bandwidth()
-        .num_subcarriers();
-    estimate_channel_band(grids, dmrs_ref, 0..m)
-}
-
-/// Band-limited channel estimation: only the subcarriers in `band` carry a
-/// reference signal (a partial PRB allocation); `dmrs_ref.len()` must equal
-/// the band width. Returned gains are indexed relative to the band start.
-///
-/// # Panics
-/// Panics if `grids` is empty, the band exceeds the grid, or `dmrs_ref`
-/// length mismatches the band width.
-pub fn estimate_channel_band(
-    grids: &[Grid],
-    dmrs_ref: &[Cf32],
-    band: std::ops::Range<usize>,
-) -> ChannelEstimate {
-    let mut est = ChannelEstimate {
-        // analyze: allow(alloc): allocating convenience over the _into form
-        // analyze: allow(alloc): Vec::new does not allocate; rows grow once during the warm-up decode and retain capacity thereafter
-        h: Vec::new(),
-        noise_var: 0.0,
-    };
-    estimate_channel_band_into(grids, dmrs_ref, band, &mut est);
-    est
-}
-
-/// [`estimate_channel_band`] into a caller-owned estimate, reusing its
-/// per-antenna gain vectors (no allocation once they have capacity).
-/// Produces values identical to [`estimate_channel_band`].
+/// `grids` holds one demodulated grid per antenna. Only the subcarriers in
+/// `band` carry a reference signal (the PRB allocation); `dmrs_ref` is the
+/// known unit-magnitude reference sequence, one entry per band subcarrier.
+/// Gains are indexed relative to the band start.
 ///
 /// # Panics
 /// Panics if `grids` is empty, the band exceeds the grid, or `dmrs_ref`
@@ -328,6 +293,14 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Full-width estimate into a fresh [`ChannelEstimate`].
+    fn estimate(grids: &[Grid], dmrs_ref: &[Cf32]) -> ChannelEstimate {
+        let mut est = ChannelEstimate::default();
+        let m = grids[0].bandwidth().num_subcarriers();
+        estimate_channel_band_into(grids, dmrs_ref, 0..m, &mut est);
+        est
+    }
+
     /// Builds per-antenna grids: each RE is `h[a] · x(l, k) + noise`, with
     /// DMRS on symbols 3/10.
     fn make_grids(
@@ -371,7 +344,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let hs = [Cf32::new(0.8, -0.6), Cf32::new(-0.3, 1.1)];
         let (grids, dmrs, _) = make_grids(Bandwidth::Mhz1_4, &hs, 0.0, &mut rng);
-        let est = estimate_channel(&grids, &dmrs);
+        let est = estimate(&grids, &dmrs);
         assert_eq!(est.num_antennas(), 2);
         for (a, &h_true) in hs.iter().enumerate() {
             for k in 0..est.num_subcarriers() {
@@ -386,7 +359,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let sigma = 0.3f32; // per-axis? no: total complex std
         let (grids, dmrs, _) = make_grids(Bandwidth::Mhz5, &[Cf32::ONE], sigma, &mut rng);
-        let est = estimate_channel(&grids, &dmrs);
+        let est = estimate(&grids, &dmrs);
         let expected = sigma * sigma; // complex_gaussian(·).scale(σ) has var σ²
         assert!(
             (est.noise_var - expected).abs() < 0.2 * expected,
@@ -401,7 +374,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let hs = [Cf32::new(1.2, 0.4), Cf32::new(-0.5, 0.9)];
         let (grids, dmrs, data) = make_grids(Bandwidth::Mhz1_4, &hs, 0.0, &mut rng);
-        let est = estimate_channel(&grids, &dmrs);
+        let est = estimate(&grids, &dmrs);
         let l = 5; // a data symbol
         let rows: Vec<&[Cf32]> = grids.iter().map(|g| g.symbol(l)).collect();
         let (xhat, _) = mrc_combine(&rows, &est);
@@ -417,8 +390,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let (g1, dmrs, _) = make_grids(Bandwidth::Mhz1_4, &[Cf32::ONE], 0.1, &mut rng);
         let (g2, _, _) = make_grids(Bandwidth::Mhz1_4, &[Cf32::ONE, Cf32::ONE], 0.1, &mut rng);
-        let e1 = estimate_channel(&g1, &dmrs);
-        let e2 = estimate_channel(&g2, &dmrs);
+        let e1 = estimate(&g1, &dmrs);
+        let e2 = estimate(&g2, &dmrs);
         let r1: Vec<&[Cf32]> = g1.iter().map(|g| g.symbol(0)).collect();
         let r2: Vec<&[Cf32]> = g2.iter().map(|g| g.symbol(0)).collect();
         let (_, v1) = mrc_combine(&r1, &e1);
@@ -433,7 +406,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let hs = [Cf32::new(1e-4, 0.0), Cf32::new(1.0, 0.0)]; // antenna 0 dead
         let (grids, dmrs, data) = make_grids(Bandwidth::Mhz1_4, &hs, 0.01, &mut rng);
-        let est = estimate_channel(&grids, &dmrs);
+        let est = estimate(&grids, &dmrs);
         let rows: Vec<&[Cf32]> = grids.iter().map(|g| g.symbol(1)).collect();
         let (xhat, _) = mrc_combine(&rows, &est);
         let err: f32 = xhat
@@ -491,7 +464,7 @@ mod tests {
     fn antenna_mismatch_panics() {
         let mut rng = StdRng::seed_from_u64(6);
         let (grids, dmrs, _) = make_grids(Bandwidth::Mhz1_4, &[Cf32::ONE], 0.0, &mut rng);
-        let est = estimate_channel(&grids, &dmrs);
+        let est = estimate(&grids, &dmrs);
         let rows: Vec<&[Cf32]> = vec![grids[0].symbol(0), grids[0].symbol(1)];
         mrc_combine(&rows, &est);
     }

@@ -172,28 +172,6 @@ impl FftPlan {
         }
     }
 
-    /// Plan-shared batched forward transform: `data` holds `rows`
-    /// back-to-back transforms of [`FftPlan::len`] points each, all run
-    /// through this plan with one tier resolution and a hot twiddle table.
-    /// This is the FFT half of the cross-cell batched dispatch path: when
-    /// several cells' subframes land in the same tick, one worker fans the
-    /// whole flattened grid through here instead of re-entering the plan
-    /// per symbol.
-    ///
-    /// # Panics
-    /// Panics if `data.len()` is not a multiple of `self.len()` or
-    /// `scratch.len() != self.len()`.
-    pub fn forward_rows(&self, data: &mut [Cf32], scratch: &mut [Cf32]) {
-        // analyze: allow(panic): buffer-shape contract, same as forward_scratch
-        assert!(
-            data.len().is_multiple_of(self.n),
-            "batch length must be a whole number of rows"
-        );
-        for row in data.chunks_exact_mut(self.n) {
-            self.forward_scratch(row, scratch);
-        }
-    }
-
     /// Iterative Stockham autosort mixed-radix kernel. One pass per prime
     /// factor, ping-ponging between `data` and `scratch`; the result always
     /// ends up back in `data`.
@@ -702,16 +680,6 @@ mod avx512 {
     }
 }
 
-/// Convenience: one-shot forward DFT (resolves through the plan cache).
-pub fn dft(data: &mut [Cf32]) {
-    plan(data.len()).forward(data);
-}
-
-/// Convenience: one-shot inverse DFT (resolves through the plan cache).
-pub fn idft(data: &mut [Cf32]) {
-    plan(data.len()).inverse(data);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -850,25 +818,6 @@ mod tests {
             }
         }
         simd::force_tier(None);
-    }
-
-    #[test]
-    fn forward_rows_matches_per_row_calls() {
-        let n = 600;
-        let rows = 3;
-        let plan = FftPlan::new(n);
-        let mut batch: Vec<Cf32> = (0..rows).flat_map(|_| ramp(n)).collect();
-        for (r, v) in batch.iter_mut().enumerate() {
-            // Make rows distinct so a row-mixup would be caught.
-            *v += Cf32::new(r as f32, -(r as f32));
-        }
-        let mut scratch = Vec::new();
-        let mut expect = batch.clone();
-        for row in expect.chunks_exact_mut(n) {
-            plan.forward_with(row, &mut scratch);
-        }
-        plan.forward_rows(&mut batch, &mut scratch);
-        assert_eq!(batch, expect);
     }
 
     #[test]

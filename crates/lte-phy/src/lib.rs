@@ -15,8 +15,8 @@
 //! and on the receive side (the part whose execution time the schedulers
 //! care about), split into the three sequential tasks of the paper's Fig. 5:
 //!
-//! * **FFT** — CP removal + FFT per OFDM symbol per antenna
-//!   (subtask = one antenna-symbol),
+//! * **FFT** — CP removal + FFT per OFDM symbol per antenna (the staged
+//!   decode schedules and migrates one antenna's 14 symbols as a subtask),
 //! * **Demod** — channel estimation, equalization, DFT de-precoding,
 //!   soft demapping (subtask = one OFDM symbol group),
 //! * **Decode** — descrambling, de-rate-matching, iterative turbo decoding,
@@ -68,11 +68,9 @@
 pub mod channel;
 pub mod complex;
 pub mod crc;
-pub mod downlink;
 pub mod equalizer;
 pub mod error;
 pub mod fft;
-pub mod harq;
 pub mod mcs;
 pub mod modulation;
 pub mod params;

@@ -367,29 +367,6 @@ mod avx512 {
     }
 }
 
-/// One soft-demap request inside a [`demap_batch`] call.
-pub struct DemapJob<'a> {
-    /// Constellation of this job's symbols.
-    pub modulation: Modulation,
-    /// Equalized symbols to demap.
-    pub symbols: &'a [Cf32],
-    /// Per-symbol post-equalization noise variance.
-    pub noise_var: &'a [f32],
-    /// LLR destination (appended, like [`Modulation::demap_maxlog`]).
-    pub out: &'a mut Vec<f32>,
-}
-
-/// Batched soft demapping: runs every job under one tier resolution so a
-/// worker draining same-stage tasks from several cells amortizes dispatch.
-/// Output is bit-for-bit identical to per-job [`Modulation::demap_maxlog`]
-/// calls (each symbol's lane math is independent of its blockmates).
-pub fn demap_batch(jobs: &mut [DemapJob<'_>]) {
-    for job in jobs {
-        job.modulation
-            .demap_maxlog(job.symbols, job.noise_var, job.out);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -570,46 +547,6 @@ mod tests {
                 force_tier(None);
             }
         }
-    }
-
-    #[test]
-    fn demap_batch_matches_sequential_calls() {
-        let mods = [Modulation::Qam64, Modulation::Qpsk, Modulation::Qam16];
-        let cases: Vec<(Modulation, Vec<Cf32>, Vec<f32>)> = mods
-            .iter()
-            .enumerate()
-            .map(|(i, &m)| {
-                let nsym = 11 + 3 * i;
-                let bits = pattern(m.bits_per_symbol() * nsym);
-                let syms: Vec<Cf32> = m
-                    .map(&bits)
-                    .iter()
-                    .enumerate()
-                    .map(|(j, s)| *s + Cf32::new((j as f32 * 0.7).sin() * 0.3, 0.1))
-                    .collect();
-                let nv: Vec<f32> = (0..nsym).map(|j| 0.05 + 0.02 * (j % 3) as f32).collect();
-                (m, syms, nv)
-            })
-            .collect();
-        let mut expect: Vec<Vec<f32>> = Vec::new();
-        for (m, syms, nv) in &cases {
-            let mut out = Vec::new();
-            m.demap_maxlog(syms, nv, &mut out);
-            expect.push(out);
-        }
-        let mut outs: Vec<Vec<f32>> = cases.iter().map(|_| Vec::new()).collect();
-        let mut jobs: Vec<DemapJob> = cases
-            .iter()
-            .zip(outs.iter_mut())
-            .map(|((m, syms, nv), out)| DemapJob {
-                modulation: *m,
-                symbols: syms,
-                noise_var: nv,
-                out,
-            })
-            .collect();
-        demap_batch(&mut jobs);
-        assert_eq!(outs, expect);
     }
 
     proptest! {

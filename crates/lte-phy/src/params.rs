@@ -16,9 +16,6 @@ pub const SUBCARRIERS_PER_PRB: usize = 12;
 /// Index (within each slot) of the OFDM symbol carrying the uplink DMRS.
 pub const DMRS_SYMBOL_IN_SLOT: usize = 3;
 
-/// Subframe duration in microseconds.
-pub const SUBFRAME_US: u64 = 1_000;
-
 /// Supported LTE channel bandwidths.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Bandwidth {

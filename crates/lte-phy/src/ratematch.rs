@@ -76,31 +76,15 @@ impl RateMatcher {
         }
     }
 
-    /// Stream length `D = K + 4`.
-    pub fn stream_len(&self) -> usize {
-        self.d
-    }
-
     /// Circular-buffer length `Kw = 3·R·32`.
     pub fn buffer_len(&self) -> usize {
         self.w_map.len()
     }
 
-    /// Redundancy-version start offset `k0(rv)` (36.212 §5.1.4.1.2):
-    /// `k0 = R·(2·⌈Ncb/(8R)⌉·rv + 2)`, which with the full circular buffer
-    /// (`Ncb = 96R`) reduces to `R·(24·rv + 2)`.
-    ///
-    /// # Panics
-    /// Panics if `rv > 3`.
-    pub fn k0_rv(&self, rv: u8) -> usize {
-        // analyze: allow(panic): buffer-shape contract; a mismatch means the job was built against a different config — decode garbage or fail loudly, and loud wins
-        assert!(rv <= 3, "redundancy version 0..=3");
-        self.rows * (24 * rv as usize + 2)
-    }
-
-    /// Redundancy-version start offset `k0` for rv 0 (`2R`).
+    /// Redundancy-version-0 start offset `k0 = 2R` (36.212 §5.1.4.1.2:
+    /// `R·(2·⌈Ncb/(8R)⌉·rv + 2)` at `rv = 0`). Only rv 0 is transmitted.
     pub fn k0(&self) -> usize {
-        self.k0_rv(0)
+        2 * self.rows
     }
 
     /// Selects `e` bits from the codeword's circular buffer.
@@ -109,21 +93,11 @@ impl RateMatcher {
     /// Panics if the codeword block size differs from this matcher's, or if
     /// `e == 0`.
     pub fn rate_match(&self, cw: &TurboCodeword, e: usize) -> Vec<u8> {
-        self.rate_match_rv(cw, e, 0)
-    }
-
-    /// Selects `e` bits starting at redundancy version `rv`'s offset —
-    /// retransmissions with `rv > 0` begin deeper in the circular buffer,
-    /// sending mostly *new* parity (incremental redundancy).
-    ///
-    /// # Panics
-    /// Panics like [`RateMatcher::rate_match`], or if `rv > 3`.
-    pub fn rate_match_rv(&self, cw: &TurboCodeword, e: usize, rv: u8) -> Vec<u8> {
         assert_eq!(cw.d0.len(), self.d, "codeword size mismatch");
         assert!(e > 0, "cannot select zero bits");
         let ncb = self.buffer_len();
         let mut out = Vec::with_capacity(e);
-        let mut k = self.k0_rv(rv);
+        let mut k = self.k0();
         while out.len() < e {
             if let Slot::Bit { stream, idx } = self.w_map[k] {
                 let bit = match stream {
@@ -138,41 +112,14 @@ impl RateMatcher {
         out
     }
 
-    /// Reverses the selection walk over `llrs` (length `E`), accumulating
-    /// repeated transmissions and returning per-stream LLRs `(d0, d1, d2)`
-    /// of length `D` each. Punctured (never-sent) positions stay at 0.
-    pub fn de_rate_match(&self, llrs: &[f32]) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
-        self.de_rate_match_rv(llrs, 0)
-    }
-
-    /// Reverses a redundancy-version-`rv` selection (see
-    /// [`RateMatcher::rate_match_rv`]).
-    pub fn de_rate_match_rv(&self, llrs: &[f32], rv: u8) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
-        let mut d0 = Vec::new();
-        let mut d1 = Vec::new();
-        let mut d2 = Vec::new();
-        self.de_rate_match_rv_into(llrs, rv, &mut d0, &mut d1, &mut d2);
-        (d0, d1, d2)
-    }
-
-    /// [`RateMatcher::de_rate_match`] into caller-owned stream vectors
-    /// (cleared, resized to `D`, refilled; no allocation once they have
-    /// capacity).
+    /// Reverses the selection walk over `llrs` (length `E`) into
+    /// caller-owned per-stream vectors `(d0, d1, d2)` (cleared, resized to
+    /// `D = K + 4`, refilled; no allocation once they have capacity),
+    /// accumulating repeated transmissions. Punctured (never-sent)
+    /// positions stay at 0.
     pub fn de_rate_match_into(
         &self,
         llrs: &[f32],
-        d0: &mut Vec<f32>,
-        d1: &mut Vec<f32>,
-        d2: &mut Vec<f32>,
-    ) {
-        self.de_rate_match_rv_into(llrs, 0, d0, d1, d2);
-    }
-
-    /// [`RateMatcher::de_rate_match_rv`] into caller-owned stream vectors.
-    pub fn de_rate_match_rv_into(
-        &self,
-        llrs: &[f32],
-        rv: u8,
         d0: &mut Vec<f32>,
         d1: &mut Vec<f32>,
         d2: &mut Vec<f32>,
@@ -182,7 +129,7 @@ impl RateMatcher {
             v.clear();
             v.resize(self.d, 0.0);
         }
-        let mut k = self.k0_rv(rv);
+        let mut k = self.k0();
         let mut taken = 0usize;
         while taken < llrs.len() {
             if let Slot::Bit { stream, idx } = self.w_map[k] {
@@ -204,6 +151,12 @@ mod tests {
     use super::*;
     use crate::turbo::TurboEncoder;
     use proptest::prelude::*;
+
+    fn de_rate_match(rm: &RateMatcher, llrs: &[f32]) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+        let (mut d0, mut d1, mut d2) = (Vec::new(), Vec::new(), Vec::new());
+        rm.de_rate_match_into(llrs, &mut d0, &mut d1, &mut d2);
+        (d0, d1, d2)
+    }
 
     fn bits(n: usize, seed: u64) -> Vec<u8> {
         (0..n)
@@ -280,7 +233,7 @@ mod tests {
             .iter()
             .map(|&b| if b == 0 { 5.0 } else { -5.0 })
             .collect();
-        let (d0, d1, d2) = rm.de_rate_match(&llrs);
+        let (d0, d1, d2) = de_rate_match(&rm, &llrs);
         let check = |llr: &[f32], bits: &[u8], name: &str| {
             for (i, (&l, &b)) in llr.iter().zip(bits).enumerate() {
                 if l != 0.0 {
@@ -307,7 +260,7 @@ mod tests {
             .iter()
             .map(|&b| if b == 0 { 1.0 } else { -1.0 })
             .collect();
-        let (d0, _, _) = rm.de_rate_match(&llrs);
+        let (d0, _, _) = de_rate_match(&rm, &llrs);
         for (&l, &b) in d0.iter().zip(&cw.d0) {
             assert_eq!(l, if b == 0 { 2.0 } else { -2.0 });
         }
@@ -341,82 +294,6 @@ mod tests {
         assert!(sys_count > k * 8 / 10, "only {sys_count} systematic bits");
     }
 
-    #[test]
-    fn rv_offsets_are_distinct_and_in_buffer() {
-        let rm = RateMatcher::new(1024);
-        let offs: Vec<usize> = (0..4).map(|rv| rm.k0_rv(rv)).collect();
-        for w in offs.windows(2) {
-            assert!(w[1] > w[0]);
-        }
-        assert!(offs[3] < rm.buffer_len());
-        assert_eq!(rm.k0(), rm.k0_rv(0));
-    }
-
-    #[test]
-    fn rv_roundtrip_each_version() {
-        let k = 512;
-        let enc = TurboEncoder::new(k);
-        let cw = enc.encode(&bits(k, 5));
-        let rm = RateMatcher::new(k);
-        let e = 2 * (k + 4);
-        for rv in 0..4u8 {
-            let tx = rm.rate_match_rv(&cw, e, rv);
-            let llrs: Vec<f32> = tx
-                .iter()
-                .map(|&b| if b == 0 { 3.0 } else { -3.0 })
-                .collect();
-            let (d0, d1, d2) = rm.de_rate_match_rv(&llrs, rv);
-            for (llr, bits, name) in [
-                (&d0, &cw.d0, "d0"),
-                (&d1, &cw.d1, "d1"),
-                (&d2, &cw.d2, "d2"),
-            ] {
-                for (i, (&l, &b)) in llr.iter().zip(bits.iter()).enumerate() {
-                    if l != 0.0 {
-                        assert_eq!((l < 0.0) as u8, b, "rv{rv} {name}[{i}]");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn incremental_redundancy_covers_more_of_the_buffer() {
-        // rv0 + rv2 together should fill far more codeword positions than
-        // rv0 twice (chase) — the point of incremental redundancy.
-        let k = 2048;
-        let enc = TurboEncoder::new(k);
-        let cw = enc.encode(&bits(k, 6));
-        let rm = RateMatcher::new(k);
-        let e = k; // heavy puncturing, rate ~1
-        let filled = |rvs: &[u8]| -> usize {
-            let mut acc0 = vec![0.0f32; k + 4];
-            let mut acc1 = vec![0.0f32; k + 4];
-            let mut acc2 = vec![0.0f32; k + 4];
-            for &rv in rvs {
-                let tx = rm.rate_match_rv(&cw, e, rv);
-                let llrs: Vec<f32> = tx
-                    .iter()
-                    .map(|&b| if b == 0 { 1.0 } else { -1.0 })
-                    .collect();
-                let (d0, d1, d2) = rm.de_rate_match_rv(&llrs, rv);
-                for i in 0..k + 4 {
-                    acc0[i] += d0[i];
-                    acc1[i] += d1[i];
-                    acc2[i] += d2[i];
-                }
-            }
-            acc0.iter()
-                .chain(&acc1)
-                .chain(&acc2)
-                .filter(|&&x| x != 0.0)
-                .count()
-        };
-        let chase = filled(&[0, 0]);
-        let ir = filled(&[0, 2]);
-        assert!(ir > chase + k / 2, "chase {chase}, ir {ir}");
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
         #[test]
@@ -430,7 +307,7 @@ mod tests {
             let tx = rm.rate_match(&cw, e);
             prop_assert_eq!(tx.len(), e);
             let llrs: Vec<f32> = tx.iter().map(|&b| if b == 0 { 1.0 } else { -1.0 }).collect();
-            let (d0, d1, d2) = rm.de_rate_match(&llrs);
+            let (d0, d1, d2) = de_rate_match(&rm, &llrs);
             let total: f32 = d0.iter().chain(&d1).chain(&d2).map(|l| l.abs()).sum();
             // Chase combining preserves total LLR magnitude.
             prop_assert!((total - e as f32).abs() < 1e-3 * e as f32);

@@ -108,25 +108,11 @@ impl OfdmProcessor {
         out
     }
 
-    /// Demodulates **one** OFDM symbol from a subframe's time samples: CP
-    /// removal + forward FFT + subcarrier extraction.
-    ///
-    /// This is the unit of work of one FFT subtask.
-    ///
-    /// # Panics
-    /// Panics if `samples` is shorter than a subframe or `l >= 14`.
-    pub fn demod_symbol(&self, samples: &[Cf32], l: usize) -> Vec<Cf32> {
-        let m = self.bw.num_subcarriers();
-        let mut out = vec![Cf32::ZERO; m];
-        let mut time_buf = Vec::new();
-        let mut fft_scratch = Vec::new();
-        self.demod_symbol_into(samples, l, &mut out, &mut time_buf, &mut fft_scratch);
-        out
-    }
-
-    /// Demodulates one OFDM symbol into `out` (length `num_subcarriers`),
-    /// using caller-owned scratch buffers so steady-state calls perform no
-    /// heap allocation. Produces values identical to [`Self::demod_symbol`].
+    /// Demodulates **one** OFDM symbol from a subframe's time samples — CP
+    /// removal + forward FFT + subcarrier extraction, the work of one FFT
+    /// subtask row — into `out` (length `num_subcarriers`), using
+    /// caller-owned scratch buffers so steady-state calls perform no heap
+    /// allocation.
     ///
     /// # Panics
     /// Panics if `samples` is shorter than a subframe, `l >= 14`, or
@@ -158,12 +144,13 @@ impl OfdmProcessor {
         }
     }
 
-    /// Demodulates all 14 symbols into a [`Grid`] (serial helper).
-    pub fn demodulate(&self, samples: &[Cf32]) -> Grid {
+    /// Demodulates all 14 symbols into a [`Grid`] (test oracle).
+    #[cfg(test)]
+    pub(crate) fn demodulate(&self, samples: &[Cf32]) -> Grid {
         let mut grid = Grid::new(self.bw);
+        let (mut time, mut scratch) = (Vec::new(), Vec::new());
         for l in 0..SYMBOLS_PER_SUBFRAME {
-            let row = self.demod_symbol(samples, l);
-            grid.symbol_mut(l).copy_from_slice(&row);
+            self.demod_symbol_into(samples, l, grid.symbol_mut(l), &mut time, &mut scratch);
         }
         grid
     }
@@ -227,18 +214,6 @@ mod tests {
         let p = mean_power(&samples);
         // CP repeats signal energy, so power stays ≈ 1 (within a few %).
         assert!((p - 1.0).abs() < 0.1, "mean power {p}");
-    }
-
-    #[test]
-    fn single_symbol_demod_matches_full() {
-        let bw = Bandwidth::Mhz5;
-        let proc_ = OfdmProcessor::new(bw);
-        let samples = proc_.modulate(&filled_grid(bw));
-        let full = proc_.demodulate(&samples);
-        for l in [0usize, 3, 7, 13] {
-            let one = proc_.demod_symbol(&samples, l);
-            assert_eq!(&one[..], full.symbol(l));
-        }
     }
 
     #[test]

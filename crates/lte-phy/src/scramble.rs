@@ -66,22 +66,10 @@ impl Scrambler {
         }
     }
 
-    /// Descrambles soft LLRs in place: positions where the sequence bit is 1
-    /// get their sign flipped (`L(b⊕1) = −L(b)`).
-    ///
-    /// # Panics
-    /// Panics if `llrs` is longer than the generated sequence.
-    pub fn descramble_llrs(&self, llrs: &mut [f32]) {
-        assert!(llrs.len() <= self.seq.len(), "sequence too short");
-        for (l, &c) in llrs.iter_mut().zip(&self.seq) {
-            if c == 1 {
-                *l = -*l;
-            }
-        }
-    }
-
-    /// Descrambles a sub-range of LLRs using the matching sub-range of the
-    /// sequence, so per-code-block workers can descramble only their slice.
+    /// Descrambles soft LLRs in place against the sequence starting at
+    /// `offset` — positions where the sequence bit is 1 get their sign
+    /// flipped (`L(b⊕1) = −L(b)`) — so per-code-block workers can
+    /// descramble only their slice.
     ///
     /// # Panics
     /// Panics if `offset + llrs.len()` exceeds the sequence length.
@@ -147,7 +135,7 @@ mod tests {
             .iter()
             .map(|&b| if b == 0 { 4.0 } else { -4.0 })
             .collect();
-        s.descramble_llrs(&mut llrs);
+        s.descramble_llrs_at(0, &mut llrs);
         for (l, &b) in llrs.iter().zip(&bits) {
             assert_eq!((*l < 0.0) as u8, b);
         }
@@ -158,7 +146,7 @@ mod tests {
         let s = Scrambler::new(99, 300);
         let mut full: Vec<f32> = (0..300).map(|i| i as f32 - 150.0).collect();
         let mut sliced = full.clone();
-        s.descramble_llrs(&mut full);
+        s.descramble_llrs_at(0, &mut full);
         s.descramble_llrs_at(0, &mut sliced[..100]);
         s.descramble_llrs_at(100, &mut sliced[100..250]);
         s.descramble_llrs_at(250, &mut sliced[250..]);

@@ -60,7 +60,8 @@ pub fn prev_valid_k(k: usize) -> Option<usize> {
 }
 
 /// Returns `true` if `k` is a valid turbo-interleaver size.
-pub fn is_valid_k(k: usize) -> bool {
+#[cfg(test)]
+pub(crate) fn is_valid_k(k: usize) -> bool {
     next_valid_k(k) == Some(k)
 }
 
@@ -175,22 +176,11 @@ impl Segmentation {
         Ok(blocks)
     }
 
-    /// Reassembles decoded code blocks into the transport block bits
-    /// (still including the transport-block CRC24A).
-    ///
-    /// Returns the reassembled bits and a per-block CRC24B pass/fail vector
-    /// (all `true` when `C == 1`, where no per-block CRC exists).
-    pub fn desegment(&self, blocks: &[Vec<u8>]) -> Result<(Vec<u8>, Vec<bool>), PhyError> {
-        // analyze: allow(alloc): owned-return transport-block assembly used by the mailbox job; the result must outlive the job slab
-        let mut tb = Vec::new();
-        // analyze: allow(alloc): owned-return transport-block assembly used by the mailbox job; the result must outlive the job slab
-        let mut oks = Vec::new();
-        self.desegment_into(blocks, &mut tb, &mut oks)?;
-        Ok((tb, oks))
-    }
-
-    /// [`Segmentation::desegment`] into caller-owned vectors (cleared and
-    /// refilled; no allocation once they have capacity).
+    /// Reassembles decoded code blocks into caller-owned vectors (cleared
+    /// and refilled; no allocation once they have capacity): `tb` gets the
+    /// transport block bits (still including the transport-block CRC24A),
+    /// `oks` a per-block CRC24B pass/fail vector (all `true` when `C == 1`,
+    /// where no per-block CRC exists).
     pub fn desegment_into(
         &self,
         blocks: &[Vec<u8>],
@@ -232,6 +222,12 @@ impl Segmentation {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    fn desegment(seg: &Segmentation, blocks: &[Vec<u8>]) -> (Vec<u8>, Vec<bool>) {
+        let (mut tb, mut oks) = (Vec::new(), Vec::new());
+        seg.desegment_into(blocks, &mut tb, &mut oks).unwrap();
+        (tb, oks)
+    }
 
     fn bits(n: usize, seed: u64) -> Vec<u8> {
         (0..n)
@@ -287,7 +283,7 @@ mod tests {
         let tb = bits(800, 3);
         let seg = Segmentation::compute(800).unwrap();
         let blocks = seg.segment(&tb).unwrap();
-        let (out, oks) = seg.desegment(&blocks).unwrap();
+        let (out, oks) = desegment(&seg, &blocks);
         assert_eq!(out, tb);
         assert!(oks.iter().all(|&x| x));
     }
@@ -298,7 +294,7 @@ mod tests {
         let seg = Segmentation::compute(tb.len()).unwrap();
         let blocks = seg.segment(&tb).unwrap();
         assert_eq!(blocks.len(), 6);
-        let (out, oks) = seg.desegment(&blocks).unwrap();
+        let (out, oks) = desegment(&seg, &blocks);
         assert_eq!(out, tb);
         assert!(oks.iter().all(|&x| x));
     }
@@ -309,7 +305,7 @@ mod tests {
         let seg = Segmentation::compute(tb.len()).unwrap();
         let mut blocks = seg.segment(&tb).unwrap();
         blocks[1][17] ^= 1;
-        let (_, oks) = seg.desegment(&blocks).unwrap();
+        let (_, oks) = desegment(&seg, &blocks);
         assert!(!oks[1]);
         assert!(oks.iter().enumerate().all(|(i, &ok)| ok || i == 1));
     }
@@ -336,7 +332,7 @@ mod tests {
             let tb = bits(b, seed);
             let seg = Segmentation::compute(b).unwrap();
             let blocks = seg.segment(&tb).unwrap();
-            let (out, oks) = seg.desegment(&blocks).unwrap();
+            let (out, oks) = desegment(&seg, &blocks);
             prop_assert_eq!(out, tb);
             prop_assert!(oks.iter().all(|&x| x));
         }

@@ -18,18 +18,6 @@ pub enum TaskKind {
 }
 
 impl TaskKind {
-    /// The tasks in their mandatory execution order.
-    pub const ORDER: [TaskKind; 3] = [TaskKind::Fft, TaskKind::Demod, TaskKind::Decode];
-
-    /// The task that must follow this one, if any.
-    pub const fn next(self) -> Option<TaskKind> {
-        match self {
-            TaskKind::Fft => Some(TaskKind::Demod),
-            TaskKind::Demod => Some(TaskKind::Decode),
-            TaskKind::Decode => None,
-        }
-    }
-
     /// Short label used in experiment output ("fft" / "demod" / "decode").
     pub const fn label(self) -> &'static str {
         match self {
@@ -51,45 +39,9 @@ pub struct TaskBreakdown {
     pub decode: usize,
 }
 
-impl TaskBreakdown {
-    /// Subtask count for a task.
-    pub const fn count(&self, kind: TaskKind) -> usize {
-        match kind {
-            TaskKind::Fft => self.fft,
-            TaskKind::Demod => self.demod,
-            TaskKind::Decode => self.decode,
-        }
-    }
-
-    /// Total subtasks across the three tasks.
-    pub const fn total(&self) -> usize {
-        self.fft + self.demod + self.decode
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn order_is_fft_demod_decode() {
-        assert_eq!(TaskKind::ORDER[0].next(), Some(TaskKind::ORDER[1]));
-        assert_eq!(TaskKind::ORDER[1].next(), Some(TaskKind::ORDER[2]));
-        assert_eq!(TaskKind::Decode.next(), None);
-    }
-
-    #[test]
-    fn breakdown_counts() {
-        let b = TaskBreakdown {
-            fft: 28,
-            demod: 12,
-            decode: 6,
-        };
-        assert_eq!(b.count(TaskKind::Fft), 28);
-        assert_eq!(b.count(TaskKind::Demod), 12);
-        assert_eq!(b.count(TaskKind::Decode), 6);
-        assert_eq!(b.total(), 46);
-    }
 
     #[test]
     fn labels_are_stable() {

@@ -19,10 +19,7 @@ const STANDARD_PAIRS: [(usize, u64, u64); 4] =
 #[derive(Clone, Debug)]
 pub struct Qpp {
     k: usize,
-    f1: u64,
-    f2: u64,
     perm: Vec<u32>,
-    inv: Vec<u32>,
 }
 
 fn gcd(a: u64, b: u64) -> u64 {
@@ -83,17 +80,7 @@ impl Qpp {
         let perm: Vec<u32> = (0..k as u64)
             .map(|i| eval(f1, f2, i, k as u64) as u32)
             .collect();
-        let mut inv = vec![0u32; k];
-        for (i, &p) in perm.iter().enumerate() {
-            inv[p as usize] = i as u32;
-        }
-        Qpp {
-            k,
-            f1,
-            f2,
-            perm,
-            inv,
-        }
+        Qpp { k, perm }
     }
 
     /// Finds valid `(f1, f2)` for block size `k`.
@@ -135,21 +122,10 @@ impl Qpp {
         false
     }
 
-    /// The coefficients `(f1, f2)` in use.
-    pub fn coeffs(&self) -> (u64, u64) {
-        (self.f1, self.f2)
-    }
-
     /// `π(i)` — the interleaved position of input index `i`.
     #[inline]
     pub fn map(&self, i: usize) -> usize {
         self.perm[i] as usize
-    }
-
-    /// `π⁻¹(j)` — the input index mapped to interleaved position `j`.
-    #[inline]
-    pub fn unmap(&self, j: usize) -> usize {
-        self.inv[j] as usize
     }
 
     /// Produces `out[i] = input[π(i)]` — the interleaved sequence as the
@@ -175,18 +151,9 @@ impl Qpp {
         out.extend(self.perm.iter().map(|&p| input[p as usize]));
     }
 
-    /// Inverse of [`Qpp::interleave`]: `out[π(i)] = input[i]`.
-    ///
-    /// # Panics
-    /// Panics if `input.len() != K`.
-    pub fn deinterleave<T: Copy + Default>(&self, input: &[T]) -> Vec<T> {
-        let mut out = Vec::new();
-        self.deinterleave_into(input, &mut out);
-        out
-    }
-
-    /// [`Qpp::deinterleave`] into a caller-owned vector (cleared and
-    /// refilled; no allocation once `out` has capacity `K`).
+    /// Inverse of [`Qpp::interleave`], `out[π(i)] = input[i]`, into a
+    /// caller-owned vector (cleared and refilled; no allocation once `out`
+    /// has capacity `K`).
     ///
     /// # Panics
     /// Panics if `input.len() != K`.
@@ -234,16 +201,9 @@ mod tests {
         let q = Qpp::new(512);
         let data: Vec<u16> = (0..512).map(|i| i as u16).collect();
         let il = q.interleave(&data);
-        let back = q.deinterleave(&il);
+        let mut back = Vec::new();
+        q.deinterleave_into(&il, &mut back);
         assert_eq!(back, data);
-    }
-
-    #[test]
-    fn map_unmap_inverse() {
-        let q = Qpp::new(6144);
-        for i in (0..6144).step_by(17) {
-            assert_eq!(q.unmap(q.map(i)), i);
-        }
     }
 
     #[test]
@@ -257,8 +217,7 @@ mod tests {
     #[test]
     fn f2_divisible_by_radical() {
         for k in [40, 104, 512, 1056, 2048, 6144] {
-            let q = Qpp::new(k);
-            let (f1, f2) = q.coeffs();
+            let (f1, f2) = Qpp::coefficients(k);
             assert_eq!(gcd(f1, k as u64), 1);
             assert_eq!(f2 % radical(k as u64), 0);
         }

@@ -3,19 +3,20 @@
 //!
 //! The receiver is exposed two ways:
 //!
-//! * [`UplinkRx::decode_subframe`] — the serial chain, one call per subframe;
-//! * [`SubframeJob`] — the staged form matching the paper's Fig. 5: the
-//!   owner runs/absorbs individual **subtasks** (`run_fft_subtask`,
-//!   `run_demod_subtask`, `run_decode_subtask`), which is exactly the unit
-//!   RT-OPEX migrates to idle cores. `run_*` methods take `&self`, so a
-//!   migrated subtask can execute on another thread while the owner works
-//!   on its own share; results are combined with the `absorb_*` methods.
+//! * [`UplinkRx::decode_subframe_with`] — the serial reference chain, one
+//!   call per subframe ([`UplinkRx::decode_subframe`] wraps it with the
+//!   thread's workspace);
+//! * [`SlabJob`] — the staged form matching the paper's Fig. 5, the one
+//!   the runtime runs: the owner executes individual **subtasks** into a
+//!   caller-owned [`JobSlab`], and the two migratable units — one
+//!   antenna's 14-symbol FFT batch and one code block's decode — also run
+//!   on another thread through `&self` kernels
+//!   ([`UplinkRx::run_fft_batch_into`], [`UplinkRx::run_decode_subtask_into`])
+//!   whose results the owner absorbs with the `absorb_*` methods.
 
 use crate::complex::Cf32;
 use crate::crc::{CRC24A, CRC24B};
-use crate::equalizer::{
-    estimate_channel_band, estimate_channel_band_into, mrc_combine_into, ChannelEstimate,
-};
+use crate::equalizer::{estimate_channel_band_into, mrc_combine_into, ChannelEstimate};
 use crate::error::PhyError;
 use crate::fft::{self, FftPlan};
 use crate::mcs::Mcs;
@@ -26,7 +27,7 @@ use crate::resource_grid::{Grid, OfdmProcessor};
 use crate::scramble::{pusch_c_init, Scrambler};
 use crate::segmentation::Segmentation;
 use crate::tasks::TaskBreakdown;
-use crate::turbo::{TurboDecoder, TurboEncoder, TurboWorkspace};
+use crate::turbo::{decode_batch, TurboBatchJob, TurboDecoder, TurboEncoder, TurboWorkspace};
 use crate::workspace::{self, PhyWorkspace};
 use crate::zadoff_chu::dmrs_sequence;
 use std::sync::Arc;
@@ -42,19 +43,8 @@ pub fn bytes_to_bits(bytes: &[u8]) -> Vec<u8> {
         .collect()
 }
 
-/// Converts bits (MSB first) to bytes; the bit count must be a multiple of 8.
-///
-/// # Panics
-/// Panics if `bits.len() % 8 != 0`.
-pub fn bits_to_bytes(bits: &[u8]) -> Vec<u8> {
-    // analyze: allow(alloc): owned-return transport-block assembly used by the mailbox job; the result must outlive the job slab
-    let mut out = Vec::new();
-    bits_to_bytes_into(bits, &mut out);
-    out
-}
-
-/// [`bits_to_bytes`] into a caller-owned vector (cleared and refilled; no
-/// allocation once `out` has capacity).
+/// Converts bits (MSB first) to bytes in a caller-owned vector (cleared
+/// and refilled; no allocation once `out` has capacity).
 ///
 /// # Panics
 /// Panics if `bits.len() % 8 != 0`.
@@ -345,12 +335,6 @@ impl UplinkTx {
     ///
     /// `payload` must be exactly [`UplinkConfig::transport_block_bytes`] long.
     pub fn encode_subframe(&self, payload: &[u8]) -> Result<TxSubframe, PhyError> {
-        self.encode_subframe_rv(payload, 0)
-    }
-
-    /// Encodes a (re)transmission at redundancy version `rv` (0..=3) — the
-    /// HARQ incremental-redundancy path (see [`crate::harq`]).
-    pub fn encode_subframe_rv(&self, payload: &[u8], rv: u8) -> Result<TxSubframe, PhyError> {
         let cfg = &self.cfg;
         if payload.len() != cfg.transport_block_bytes() {
             return Err(PhyError::LengthMismatch {
@@ -369,7 +353,7 @@ impl UplinkTx {
         for (r, (block, &e)) in blocks.iter().zip(cfg.e_splits()).enumerate() {
             let codec = &self.codecs[self.codec_index[r]];
             let cw = codec.encoder.encode(block);
-            coded.extend(codec.matcher.rate_match_rv(&cw, e, rv));
+            coded.extend(codec.matcher.rate_match(&cw, e));
         }
         debug_assert_eq!(coded.len(), cfg.coded_bits());
 
@@ -412,11 +396,6 @@ pub struct RxOutput {
 }
 
 impl RxOutput {
-    /// Total turbo iterations across code blocks.
-    pub fn total_iterations(&self) -> usize {
-        self.block_iterations.iter().sum()
-    }
-
     /// Largest per-block iteration count (the critical-path `L`).
     pub fn max_iterations(&self) -> usize {
         self.block_iterations.iter().copied().max().unwrap_or(0)
@@ -449,49 +428,6 @@ impl RxView<'_> {
             block_iterations: self.block_iterations.to_vec(),
         }
     }
-
-    /// Total turbo iterations across code blocks.
-    pub fn total_iterations(&self) -> usize {
-        self.block_iterations.iter().sum()
-    }
-
-    /// Largest per-block iteration count (the critical-path `L`).
-    pub fn max_iterations(&self) -> usize {
-        self.block_iterations.iter().copied().max().unwrap_or(0)
-    }
-}
-
-/// Result of one FFT subtask: a demodulated antenna-symbol row.
-#[derive(Clone, Debug)]
-pub struct FftOut {
-    /// Receive antenna index.
-    pub antenna: usize,
-    /// OFDM symbol index within the subframe.
-    pub symbol: usize,
-    /// The symbol's subcarrier values.
-    pub row: Vec<Cf32>,
-}
-
-/// Result of one demod subtask: soft bits for one data symbol.
-#[derive(Clone, Debug)]
-pub struct DemodOut {
-    /// Data-symbol index (0..12, skipping DMRS symbols).
-    pub data_symbol: usize,
-    /// `M × Qm` LLRs in transmission order.
-    pub llrs: Vec<f32>,
-}
-
-/// Result of one decode subtask: one turbo-decoded code block.
-#[derive(Clone, Debug)]
-pub struct BlockOut {
-    /// Code-block index.
-    pub index: usize,
-    /// Hard-decision bits of the block (length `K_r`).
-    pub bits: Vec<u8>,
-    /// Turbo iterations used.
-    pub iterations: usize,
-    /// Per-block CRC outcome.
-    pub crc_ok: bool,
 }
 
 /// PUSCH receiver.
@@ -525,87 +461,6 @@ impl UplinkRx {
     /// The configuration in force.
     pub fn config(&self) -> &UplinkConfig {
         &self.cfg
-    }
-
-    /// Starts a staged decode of one subframe. `rx_samples` holds one
-    /// stream per receive antenna.
-    pub fn start_job<'a>(
-        &'a self,
-        rx_samples: &'a [Vec<Cf32>],
-    ) -> Result<SubframeJob<'a>, PhyError> {
-        let cfg = &self.cfg;
-        if rx_samples.len() != cfg.num_antennas {
-            return Err(PhyError::LengthMismatch {
-                what: "antenna streams",
-                expected: cfg.num_antennas,
-                actual: rx_samples.len(),
-            });
-        }
-        let need = cfg.bandwidth.samples_per_subframe();
-        for s in rx_samples {
-            if s.len() != need {
-                return Err(PhyError::LengthMismatch {
-                    what: "subframe samples",
-                    expected: need,
-                    actual: s.len(),
-                });
-            }
-        }
-        Ok(SubframeJob {
-            rx: self,
-            samples: rx_samples,
-            grids: vec![Grid::new(cfg.bandwidth); cfg.num_antennas],
-            est: None,
-            llrs: vec![0.0; cfg.coded_bits()],
-            fft_done: 0,
-            demod_done: 0,
-            blocks: vec![None; cfg.seg.num_blocks],
-        })
-    }
-
-    /// Runs one FFT subtask against raw antenna streams — the stateless
-    /// form used when the subtask executes on a *different* thread than
-    /// the job owner (RT-OPEX migration): the callee only needs shared
-    /// references, and the owner absorbs the returned value.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of range for the configured antenna count.
-    pub fn run_fft_subtask_on(&self, rx_samples: &[Vec<Cf32>], i: usize) -> FftOut {
-        // The output row is owned (it crosses threads on migration), but
-        // the FFT scratch comes from this thread's workspace.
-        let mut row = Vec::new();
-        self.run_fft_subtask_into(rx_samples, i, &mut row);
-        FftOut {
-            antenna: i / SYMBOLS_PER_SUBFRAME,
-            symbol: i % SYMBOLS_PER_SUBFRAME,
-            row,
-        }
-    }
-
-    /// [`UplinkRx::run_fft_subtask_on`] into a caller-owned row buffer —
-    /// no allocation once `row` has capacity. This is the form the
-    /// work-stealing runtime uses: a thief demodulates straight into a
-    /// preallocated slot in the owner's arena.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of range for the configured antenna count.
-    pub fn run_fft_subtask_into(&self, rx_samples: &[Vec<Cf32>], i: usize, row: &mut Vec<Cf32>) {
-        let count = self.cfg.breakdown().fft;
-        // analyze: allow(panic): buffer-shape contract; a mismatch means the job was built against a different config — decode garbage or fail loudly, and loud wins
-        assert!(i < count, "fft subtask {i} out of range");
-        let antenna = i / SYMBOLS_PER_SUBFRAME;
-        let symbol = i % SYMBOLS_PER_SUBFRAME;
-        row.clear();
-        row.resize(self.cfg.bandwidth.num_subcarriers(), Cf32::ZERO);
-        workspace::with_thread_workspace(|ws| {
-            self.ofdm.demod_symbol_into(
-                &rx_samples[antenna],
-                symbol,
-                row,
-                &mut ws.time,
-                &mut ws.fft_scratch,
-            );
-        });
     }
 
     /// Runs one antenna's full 14-symbol FFT batch — the node's FFT
@@ -642,27 +497,14 @@ impl UplinkRx {
         });
     }
 
-    /// Runs one decode subtask against a complete coded-LLR stream — the
-    /// stateless (migratable) form of [`SubframeJob::run_decode_subtask`].
-    ///
-    /// # Panics
-    /// Panics if `r` is out of range or `llrs` has the wrong length.
-    pub fn run_decode_subtask_on(&self, llrs: &[f32], r: usize) -> BlockOut {
-        let mut bits = Vec::new();
-        let (iterations, crc_ok) = self.run_decode_subtask_into(llrs, r, &mut bits);
-        BlockOut {
-            index: r,
-            crc_ok,
-            // Owned copy: the result crosses threads on migration.
-            bits,
-            iterations,
-        }
-    }
-
-    /// [`UplinkRx::run_decode_subtask_on`] into a caller-owned bit buffer,
-    /// returning `(iterations, crc_ok)` — no allocation once `bits` has
-    /// capacity. Thieves in the work-stealing runtime decode into a
-    /// preallocated [`BlockBuf`] slot in the owner's arena.
+    /// Runs decode subtask `r` — descramble the block's slice of the
+    /// complete coded-LLR stream, de-rate-match, clamp filler bits, turbo
+    /// decode with CRC early termination — into a caller-owned bit buffer,
+    /// returning `(iterations, crc_ok)`; no allocation once `bits` has
+    /// capacity. This is the migratable decode unit: thieves in the
+    /// work-stealing runtime decode into a preallocated [`BlockBuf`] slot
+    /// in the owner's arena, and [`SlabJob::run_decode_subtask_local`]
+    /// runs the same kernel into the slab.
     ///
     /// # Panics
     /// Panics if `r` is out of range or `llrs` has the wrong length.
@@ -762,89 +604,15 @@ impl UplinkRx {
         i
     }
 
-    /// Decodes a (re)transmission at redundancy version `rv`, combining its
-    /// soft information with everything already accumulated in `harq`
-    /// before turbo decoding — chase combining for repeated rvs,
-    /// incremental redundancy across different rvs.
-    ///
-    /// The caller owns the ACK/NACK policy: on `crc_ok` reset the process,
-    /// otherwise request the next rv from
-    /// [`crate::harq::rv_for_transmission`] and call again.
-    ///
-    /// # Errors
-    /// Propagates configuration/shape errors; a failed CRC is reported in
-    /// the output, not as an error.
-    pub fn decode_subframe_harq(
-        &self,
-        rx_samples: &[Vec<Cf32>],
-        rv: u8,
-        harq: &mut crate::harq::HarqProcess,
-    ) -> Result<RxOutput, PhyError> {
-        if harq.num_blocks() != self.cfg.seg.num_blocks {
-            return Err(PhyError::LengthMismatch {
-                what: "harq process blocks",
-                expected: self.cfg.seg.num_blocks,
-                actual: harq.num_blocks(),
-            });
-        }
-        let mut job = self.start_job(rx_samples)?;
-        for i in 0..job.fft_subtask_count() {
-            let out = job.run_fft_subtask(i);
-            job.absorb_fft(out);
-        }
-        job.finish_fft();
-        for i in 0..job.demod_subtask_count() {
-            let out = job.run_demod_subtask(i);
-            job.absorb_demod(out);
-        }
-        let llrs = job.coded_llrs().to_vec();
-        let cfg = &self.cfg;
-        for r in 0..cfg.seg.num_blocks {
-            let e = cfg.e_splits()[r];
-            let off = cfg.e_offset(r);
-            let mut slice = llrs[off..off + e].to_vec();
-            self.scrambler.descramble_llrs_at(off, &mut slice);
-            let codec = &self.codecs[self.codec_index[r]];
-            let (d0, d1, d2) = codec.matcher.de_rate_match_rv(&slice, rv);
-            let (c0, c1, c2) = harq.accumulate(r, &d0, &d1, &d2)?;
-            let mut cd0 = c0.to_vec();
-            let (c1, c2) = (c1.to_vec(), c2.to_vec());
-            if r == 0 {
-                for v in cd0.iter_mut().take(cfg.seg.filler) {
-                    *v = FILLER_LLR;
-                }
-            }
-            let multi = cfg.seg.num_blocks > 1;
-            let filler = if r == 0 { cfg.seg.filler } else { 0 };
-            let res = codec
-                .decoder
-                .decode(&cd0, &c1, &c2, cfg.max_turbo_iters, |bits| {
-                    if multi {
-                        CRC24B.check(bits)
-                    } else {
-                        CRC24A.check(&bits[filler..])
-                    }
-                });
-            job.absorb_decode(BlockOut {
-                index: r,
-                crc_ok: res.converged,
-                bits: res.bits,
-                iterations: res.iterations,
-            });
-        }
-        harq.mark_transmission();
-        job.finish()
-    }
-
     /// Decodes one subframe serially, using `ws` for every intermediate
     /// buffer and returning views into the workspace instead of fresh
     /// allocations. After one warm-up call (or an explicit
     /// [`PhyWorkspace::warm`]) further calls with the same — or any
     /// smaller — configuration perform **zero heap allocations**.
     ///
-    /// Produces bit-identical results to the staged
-    /// [`UplinkRx::start_job`] path: both run the same `_into` kernels in
-    /// the same order.
+    /// This is the serial reference the staged [`SlabJob`] is held to:
+    /// both run the same kernels in the same order and produce
+    /// bit-identical payloads, CRC verdicts and iteration counts.
     ///
     /// # Errors
     /// Returns [`PhyError::LengthMismatch`] if the antenna-stream count or
@@ -854,24 +622,8 @@ impl UplinkRx {
         rx_samples: &[Vec<Cf32>],
         ws: &'w mut PhyWorkspace,
     ) -> Result<RxView<'w>, PhyError> {
+        self.check_samples(rx_samples)?;
         let cfg = &self.cfg;
-        if rx_samples.len() != cfg.num_antennas {
-            return Err(PhyError::LengthMismatch {
-                what: "antenna streams",
-                expected: cfg.num_antennas,
-                actual: rx_samples.len(),
-            });
-        }
-        let need = cfg.bandwidth.samples_per_subframe();
-        for s in rx_samples {
-            if s.len() != need {
-                return Err(PhyError::LengthMismatch {
-                    what: "subframe samples",
-                    expected: need,
-                    actual: s.len(),
-                });
-            }
-        }
         ws.prepare(cfg);
         let PhyWorkspace {
             grids,
@@ -991,197 +743,35 @@ impl UplinkRx {
             Ok(view.to_output())
         })
     }
-}
 
-/// A staged subframe decode (see module docs). Subtask `run_*` methods are
-/// `&self` and side-effect-free, so they can run on any thread; `absorb_*`
-/// and the stage transitions belong to the owning thread.
-pub struct SubframeJob<'a> {
-    rx: &'a UplinkRx,
-    samples: &'a [Vec<Cf32>],
-    grids: Vec<Grid>,
-    est: Option<ChannelEstimate>,
-    llrs: Vec<f32>,
-    fft_done: usize,
-    demod_done: usize,
-    blocks: Vec<Option<BlockOut>>,
-}
-
-impl<'a> SubframeJob<'a> {
-    /// Number of FFT subtasks (`N × 14`).
-    pub fn fft_subtask_count(&self) -> usize {
-        self.rx.cfg.breakdown().fft
-    }
-
-    /// Runs FFT subtask `i` (antenna `i / 14`, symbol `i % 14`).
-    ///
-    /// # Panics
-    /// Panics if `i` is out of range.
-    pub fn run_fft_subtask(&self, i: usize) -> FftOut {
-        self.rx.run_fft_subtask_on(self.samples, i)
-    }
-
-    /// The complete coded-LLR stream (valid once the demod task finished);
-    /// owners clone this into shared storage when migrating decode
-    /// subtasks to other threads.
-    ///
-    /// # Panics
-    /// Panics if demod subtasks are still outstanding.
-    pub fn coded_llrs(&self) -> &[f32] {
-        // analyze: allow(panic): buffer-shape contract; a mismatch means the job was built against a different config — decode garbage or fail loudly, and loud wins
-        assert_eq!(
-            self.demod_done,
-            self.demod_subtask_count(),
-            "demod task incomplete"
-        );
-        &self.llrs
-    }
-
-    /// Stores an FFT subtask result.
-    pub fn absorb_fft(&mut self, out: FftOut) {
-        self.grids[out.antenna]
-            .symbol_mut(out.symbol)
-            .copy_from_slice(&out.row);
-        self.fft_done += 1;
-    }
-
-    /// Ends the FFT task: estimates the channel from the DMRS symbols.
-    /// Must be called once after all FFT results are absorbed.
-    ///
-    /// # Panics
-    /// Panics if FFT subtasks are still outstanding.
-    pub fn finish_fft(&mut self) {
-        // analyze: allow(panic): buffer-shape contract; a mismatch means the job was built against a different config — decode garbage or fail loudly, and loud wins
-        assert_eq!(
-            self.fft_done,
-            self.fft_subtask_count(),
-            "FFT task incomplete"
-        );
-        let band = 0..self.rx.cfg.alloc_subcarriers();
-        self.est = Some(estimate_channel_band(&self.grids, &self.rx.dmrs, band));
-    }
-
-    /// Number of demod subtasks (12 data symbols).
-    pub fn demod_subtask_count(&self) -> usize {
-        self.rx.cfg.breakdown().demod
-    }
-
-    /// Runs demod subtask `i`: MRC-combines data symbol `i` across
-    /// antennas, removes the DFT precoding and soft-demaps to LLRs.
-    ///
-    /// # Panics
-    /// Panics if called before [`SubframeJob::finish_fft`] or `i` is out of
-    /// range.
-    pub fn run_demod_subtask(&self, i: usize) -> DemodOut {
-        // analyze: allow(panic): stage-ordering protocol; the SlotBoard confirms every subtask before this stage runs, so a missing result is a scheduler bug
-        let est = self.est.as_ref().expect("finish_fft must run first");
-        let data_syms = self.rx.cfg.data_symbols();
-        // analyze: allow(panic): buffer-shape contract; a mismatch means the job was built against a different config — decode garbage or fail loudly, and loud wins
-        assert!(i < data_syms.len(), "demod subtask {i} out of range");
-        let l = data_syms[i];
-        let m = self.rx.cfg.alloc_subcarriers();
-        let mut llrs = Vec::with_capacity(m * self.rx.cfg.mcs.modulation_order());
-        workspace::with_thread_workspace(|ws| {
-            let mut rows: [&[Cf32]; 8] = [&[]; 8];
-            for (a, g) in self.grids.iter().enumerate() {
-                rows[a] = &g.symbol(l)[..m];
-            }
-            mrc_combine_into(
-                &rows[..self.grids.len()],
-                est,
-                &mut ws.combined,
-                &mut ws.post_var,
-            );
-
-            // Undo the unitary DFT precoding (SC-FDMA → constellation
-            // domain).
-            self.rx
-                .dft
-                .inverse_with(&mut ws.combined, &mut ws.fft_scratch);
-            let scale = (m as f32).sqrt();
-            for v in ws.combined.iter_mut() {
-                *v = v.scale(scale);
-            }
-            // The IDFT spreads each subcarrier's noise over all
-            // constellation symbols: use the mean post-combining variance
-            // for every symbol.
-            let mean_var = ws.post_var.iter().sum::<f32>() / m as f32;
-            ws.nv.clear();
-            ws.nv.resize(m, mean_var);
-            self.rx
-                .cfg
-                .modulation()
-                .demap_maxlog(&ws.combined, &ws.nv, &mut llrs);
-        });
-        DemodOut {
-            data_symbol: i,
-            llrs,
+    /// Checks that `rx_samples` holds one full subframe per receive
+    /// antenna of the configuration.
+    fn check_samples(&self, rx_samples: &[Vec<Cf32>]) -> Result<(), PhyError> {
+        let cfg = &self.cfg;
+        if rx_samples.len() != cfg.num_antennas {
+            return Err(PhyError::LengthMismatch {
+                what: "antenna streams",
+                expected: cfg.num_antennas,
+                actual: rx_samples.len(),
+            });
         }
-    }
-
-    /// Stores a demod subtask result.
-    pub fn absorb_demod(&mut self, out: DemodOut) {
-        let per_symbol = self.rx.cfg.alloc_subcarriers() * self.rx.cfg.mcs.modulation_order();
-        let off = out.data_symbol * per_symbol;
-        self.llrs[off..off + per_symbol].copy_from_slice(&out.llrs);
-        self.demod_done += 1;
-    }
-
-    /// Number of decode subtasks (`C` code blocks).
-    pub fn decode_subtask_count(&self) -> usize {
-        self.rx.cfg.seg.num_blocks
-    }
-
-    /// Runs decode subtask `r`: descrambles the block's slice of the coded
-    /// stream, de-rate-matches, clamps filler bits, and turbo-decodes with
-    /// CRC early termination.
-    ///
-    /// # Panics
-    /// Panics if demod subtasks are still outstanding or `r` out of range.
-    pub fn run_decode_subtask(&self, r: usize) -> BlockOut {
-        self.rx.run_decode_subtask_on(self.coded_llrs(), r)
-    }
-
-    /// Stores a decode subtask result.
-    pub fn absorb_decode(&mut self, out: BlockOut) {
-        let idx = out.index;
-        self.blocks[idx] = Some(out);
-    }
-
-    /// Finishes the job: reassembles the transport block and checks its CRC.
-    ///
-    /// # Panics
-    /// Panics if any decode subtask result is missing.
-    pub fn finish(self) -> Result<RxOutput, PhyError> {
-        let cfg = &self.rx.cfg;
-        // analyze: allow(alloc): owned-return transport-block assembly used by the mailbox job; the result must outlive the job slab
-        let mut block_bits = Vec::with_capacity(cfg.seg.num_blocks);
-        // analyze: allow(alloc): owned-return transport-block assembly used by the mailbox job; the result must outlive the job slab
-        let mut block_crc_ok = Vec::with_capacity(cfg.seg.num_blocks);
-        // analyze: allow(alloc): owned-return transport-block assembly used by the mailbox job; the result must outlive the job slab
-        let mut block_iterations = Vec::with_capacity(cfg.seg.num_blocks);
-        for (r, slot) in self.blocks.into_iter().enumerate() {
-            // analyze: allow(panic): stage-ordering protocol; the SlotBoard confirms every subtask before this stage runs, so a missing result is a scheduler bug
-            let out = slot.unwrap_or_else(|| panic!("decode subtask {r} missing"));
-            block_crc_ok.push(out.crc_ok);
-            block_iterations.push(out.iterations);
-            block_bits.push(out.bits);
+        let need = cfg.bandwidth.samples_per_subframe();
+        for s in rx_samples {
+            if s.len() != need {
+                return Err(PhyError::LengthMismatch {
+                    what: "subframe samples",
+                    expected: need,
+                    actual: s.len(),
+                });
+            }
         }
-        let (tb, _) = cfg.seg.desegment(&block_bits)?;
-        let crc_ok = CRC24A.check(&tb) && block_crc_ok.iter().all(|&b| b);
-        let payload = bits_to_bytes(&tb[..cfg.tbs_bits()]);
-        Ok(RxOutput {
-            payload,
-            crc_ok,
-            block_crc_ok,
-            block_iterations,
-        })
+        Ok(())
     }
 }
 
-/// Reusable result buffer for one migrated decode subtask: the
-/// allocation-free counterpart of [`BlockOut`], owned by a slot arena and
-/// refilled in place by [`UplinkRx::run_decode_subtask_into`].
+/// Reusable result buffer for one migrated decode subtask, owned by a slot
+/// arena and refilled in place by [`UplinkRx::run_decode_subtask_into`];
+/// the owner copies it into its slab with [`SlabJob::absorb_decode_buf`].
 #[derive(Clone, Debug, Default)]
 pub struct BlockBuf {
     /// Hard-decision bits of the block (length `K_r`).
@@ -1319,13 +909,13 @@ impl DecodeBatchScratch {
     }
 }
 
-/// Decodes every staged slot of `scratch`, pairing same-`K` blocks
-/// through [`TurboDecoder::decode_pair_with`] so two trellises share one
-/// wide SIMD kernel; leftovers run the single-block path. `rxs[i]` is the
-/// receiver whose [`UplinkRx::stage_decode_subtask`] staged slot `i` —
-/// slots from *different* cells pair freely, because an LTE turbo
-/// interleaver is fully determined by `K` (same `K` ⇒ identical QPP), so
-/// either receiver's decoder serves both. Results are bit-for-bit
+/// Decodes every staged slot of `scratch` through [`decode_batch`], which
+/// pairs same-`K` blocks (first fit, in staging order) so two trellises
+/// share one wide SIMD kernel; leftovers run the single-block path.
+/// `rxs[i]` is the receiver whose [`UplinkRx::stage_decode_subtask`]
+/// staged slot `i` — slots from *different* cells pair freely, because an
+/// LTE turbo interleaver is fully determined by `K` (same `K` ⇒ identical
+/// QPP), so either receiver's decoder serves both. Results are bit-for-bit
 /// identical to per-slot [`UplinkRx::run_decode_subtask_into`] calls.
 ///
 /// # Panics
@@ -1334,77 +924,53 @@ pub fn run_staged_decode_batch(rxs: &[&UplinkRx], scratch: &mut DecodeBatchScrat
     let n = scratch.len;
     // analyze: allow(panic): buffer-shape contract; a mismatch means the drain staged against different receivers — decode garbage or fail loudly, and loud wins
     assert_eq!(rxs.len(), n, "one receiver per staged slot");
+    if n == 0 {
+        return;
+    }
     let DecodeBatchScratch {
         slots, workspaces, ..
     } = scratch;
-    let early = |multi: bool, filler: usize| {
-        move |bits: &[u8]| {
-            if multi {
+    let mut results = [(0usize, false); MAX_DECODE_BATCH];
+    {
+        // Fixed-size, so the drain stays allocation-free; entries past `n`
+        // repeat the last staged slot and are never decoded.
+        let jobs: [TurboBatchJob<'_>; MAX_DECODE_BATCH] = std::array::from_fn(|i| {
+            let i = i.min(n - 1);
+            let s = &slots[i];
+            TurboBatchJob {
+                decoder: &rxs[i].codecs[s.codec_idx].decoder,
+                d0: &s.d0,
+                d1: &s.d1,
+                d2: &s.d2,
+                max_iters: s.max_iters,
+            }
+        });
+        let early_stop = |i: usize, bits: &[u8]| {
+            let s = &slots[i];
+            if s.multi {
                 CRC24B.check(bits)
             } else {
-                CRC24A.check(&bits[filler..])
+                CRC24A.check(&bits[s.filler..])
             }
-        }
-    };
-    let mut used: u64 = 0;
-    for i in 0..n {
-        if used & (1 << i) != 0 {
-            continue;
-        }
-        used |= 1 << i;
-        let partner = (i + 1..n).find(|&j| {
-            used & (1 << j) == 0
-                && slots[j].d0.len() == slots[i].d0.len()
-                && slots[j].max_iters == slots[i].max_iters
-        });
-        let decoder = &rxs[i].codecs[slots[i].codec_idx].decoder;
-        if let Some(j) = partner {
-            used |= 1 << j;
-            let (lo, hi) = slots.split_at_mut(j);
-            let (a, b) = (&lo[i], &hi[0]);
-            let (ws_lo, ws_hi) = workspaces.split_at_mut(j);
-            let ((it_a, ok_a), (it_b, ok_b)) = decoder.decode_pair_with(
-                (&a.d0, &a.d1, &a.d2),
-                (&b.d0, &b.d1, &b.d2),
-                a.max_iters,
-                early(a.multi, a.filler),
-                early(b.multi, b.filler),
-                &mut ws_lo[i],
-                &mut ws_hi[0],
-            );
-            for (s, ws, it, ok) in [
-                (&mut lo[i], &ws_lo[i], it_a, ok_a),
-                (&mut hi[0], &ws_hi[0], it_b, ok_b),
-            ] {
-                s.bits.clear();
-                s.bits.extend_from_slice(&ws.bits);
-                s.iterations = it;
-                s.crc_ok = ok;
-            }
-        } else {
-            let s = &mut slots[i];
-            let (iterations, crc_ok) = decoder.decode_with(
-                &s.d0,
-                &s.d1,
-                &s.d2,
-                s.max_iters,
-                early(s.multi, s.filler),
-                &mut workspaces[i],
-            );
-            s.bits.clear();
-            s.bits.extend_from_slice(&workspaces[i].bits);
-            s.iterations = iterations;
-            s.crc_ok = crc_ok;
-        }
+        };
+        decode_batch(&jobs[..n], early_stop, workspaces, &mut results);
+    }
+    for ((s, ws), &(iterations, crc_ok)) in
+        slots.iter_mut().zip(workspaces.iter()).zip(&results[..n])
+    {
+        s.bits.clear();
+        s.bits.extend_from_slice(&ws.bits);
+        s.iterations = iterations;
+        s.crc_ok = crc_ok;
     }
 }
 
-/// Preallocated per-subframe state backing a [`SlabJob`] — the
-/// allocation-free counterpart of the buffers [`UplinkRx::start_job`]
-/// allocates per call. A runtime worker keeps one slab per core, warms it
-/// once for every configuration it will see, and reuses it for every
-/// subframe: the steady-state staged decode then performs **zero heap
-/// allocations**, matching `decode_subframe_with`.
+/// Preallocated per-subframe state backing a [`SlabJob`]: the grids, the
+/// channel estimate, the coded-LLR stream and the per-block results. A
+/// runtime worker keeps one slab per core, warms it once for every
+/// configuration it will see, and reuses it for every subframe: the
+/// steady-state staged decode then performs **zero heap allocations**,
+/// matching `decode_subframe_with`.
 #[derive(Debug, Default)]
 pub struct JobSlab {
     grids: Vec<Grid>,
@@ -1503,11 +1069,12 @@ pub struct SlabVerdict {
     pub total_iterations: usize,
 }
 
-/// The allocation-free staged decode: same stage/subtask structure as
-/// [`SubframeJob`] (Fig. 5), but every intermediate buffer lives in a
-/// caller-owned [`JobSlab`]. Local subtasks write straight into the slab;
-/// migrated subtasks run via the `_into` kernels on the thief's thread
-/// into arena slots the owner absorbs with `absorb_*`.
+/// The staged decode of one subframe, structured as the paper's Fig. 5
+/// stages and subtasks, with every intermediate buffer in a caller-owned
+/// [`JobSlab`]. Local subtasks write straight into the slab; migrated
+/// subtasks run via the `_into` kernels on the thief's thread into arena
+/// slots the owner absorbs with `absorb_*`. The stage transitions and
+/// [`SlabJob::finish`] belong to the owning thread.
 pub struct SlabJob<'a> {
     rx: &'a UplinkRx,
     samples: &'a [Vec<Cf32>],
@@ -1517,8 +1084,8 @@ pub struct SlabJob<'a> {
 }
 
 impl UplinkRx {
-    /// Starts a staged decode whose buffers come from `slab` — the
-    /// allocation-free form of [`UplinkRx::start_job`].
+    /// Starts a staged decode of one subframe whose buffers come from
+    /// `slab`. `rx_samples` holds one stream per receive antenna.
     ///
     /// # Errors
     /// Returns [`PhyError::LengthMismatch`] on an antenna-stream or
@@ -1528,25 +1095,8 @@ impl UplinkRx {
         rx_samples: &'a [Vec<Cf32>],
         slab: &'a mut JobSlab,
     ) -> Result<SlabJob<'a>, PhyError> {
-        let cfg = &self.cfg;
-        if rx_samples.len() != cfg.num_antennas {
-            return Err(PhyError::LengthMismatch {
-                what: "antenna streams",
-                expected: cfg.num_antennas,
-                actual: rx_samples.len(),
-            });
-        }
-        let need = cfg.bandwidth.samples_per_subframe();
-        for s in rx_samples {
-            if s.len() != need {
-                return Err(PhyError::LengthMismatch {
-                    what: "subframe samples",
-                    expected: need,
-                    actual: s.len(),
-                });
-            }
-        }
-        slab.prepare(cfg);
+        self.check_samples(rx_samples)?;
+        slab.prepare(&self.cfg);
         Ok(SlabJob {
             rx: self,
             samples: rx_samples,
@@ -1561,40 +1111,6 @@ impl SlabJob<'_> {
     /// Number of FFT subtasks (`N × 14`).
     pub fn fft_subtask_count(&self) -> usize {
         self.rx.cfg.breakdown().fft
-    }
-
-    /// Runs FFT subtask `i` on the owning thread, demodulating straight
-    /// into the slab's grid (no intermediate row buffer).
-    ///
-    /// # Panics
-    /// Panics if `i` is out of range.
-    pub fn run_fft_subtask_local(&mut self, i: usize) {
-        // analyze: allow(panic): buffer-shape contract; a mismatch means the job was built against a different config — decode garbage or fail loudly, and loud wins
-        assert!(i < self.fft_subtask_count(), "fft subtask {i} out of range");
-        let antenna = i / SYMBOLS_PER_SUBFRAME;
-        let symbol = i % SYMBOLS_PER_SUBFRAME;
-        workspace::with_thread_workspace(|ws| {
-            self.rx.ofdm.demod_symbol_into(
-                &self.samples[antenna],
-                symbol,
-                self.slab.grids[antenna].symbol_mut(symbol),
-                &mut ws.time,
-                &mut ws.fft_scratch,
-            );
-        });
-        self.fft_done += 1;
-    }
-
-    /// Absorbs a migrated FFT row (produced by
-    /// [`UplinkRx::run_fft_subtask_into`] on another thread).
-    ///
-    /// # Panics
-    /// Panics if the row length does not match the grid.
-    pub fn absorb_fft_row(&mut self, antenna: usize, symbol: usize, row: &[Cf32]) {
-        self.slab.grids[antenna]
-            .symbol_mut(symbol)
-            .copy_from_slice(row);
-        self.fft_done += 1;
     }
 
     /// Absorbs a migrated 14-symbol FFT batch (produced by
@@ -1614,15 +1130,31 @@ impl SlabJob<'_> {
         self.fft_done += SYMBOLS_PER_SUBFRAME;
     }
 
-    /// Runs one antenna's whole 14-symbol FFT batch locally (the node's
-    /// FFT migration granularity).
+    /// Runs one antenna's whole 14-symbol FFT batch on the owning thread,
+    /// demodulating straight into the slab's grid. The batch is the FFT
+    /// subtask the runtime schedules; a thief runs the same unit through
+    /// [`UplinkRx::run_fft_batch_into`].
     ///
     /// # Panics
     /// Panics if `antenna` is out of range.
     pub fn run_fft_batch_local(&mut self, antenna: usize) {
-        for s in 0..SYMBOLS_PER_SUBFRAME {
-            self.run_fft_subtask_local(antenna * SYMBOLS_PER_SUBFRAME + s);
-        }
+        // analyze: allow(panic): buffer-shape contract; a mismatch means the job was built against a different config — decode garbage or fail loudly, and loud wins
+        assert!(
+            antenna < self.rx.cfg.num_antennas,
+            "antenna {antenna} out of range"
+        );
+        workspace::with_thread_workspace(|ws| {
+            for symbol in 0..SYMBOLS_PER_SUBFRAME {
+                self.rx.ofdm.demod_symbol_into(
+                    &self.samples[antenna],
+                    symbol,
+                    self.slab.grids[antenna].symbol_mut(symbol),
+                    &mut ws.time,
+                    &mut ws.fft_scratch,
+                );
+            }
+        });
+        self.fft_done += SYMBOLS_PER_SUBFRAME;
     }
 
     /// Ends the FFT task: estimates the channel from the DMRS symbols.
@@ -1838,7 +1370,7 @@ impl SlabJob<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::{AwgnChannel, ChannelModel, MultipathChannel, RayleighBlockChannel};
+    use crate::channel::{complex_gaussian, AwgnChannel, ChannelModel};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1864,7 +1396,9 @@ mod tests {
     #[test]
     fn bits_bytes_roundtrip() {
         let bytes = vec![0x00, 0xFF, 0xA5, 0x3C];
-        assert_eq!(bits_to_bytes(&bytes_to_bits(&bytes)), bytes);
+        let mut back = Vec::new();
+        bits_to_bytes_into(&bytes_to_bits(&bytes), &mut back);
+        assert_eq!(back, bytes);
         assert_eq!(bytes_to_bits(&[0x80])[0], 1);
     }
 
@@ -1912,29 +1446,18 @@ mod tests {
     fn iterations_grow_as_snr_drops() {
         let hi = run_e2e(Bandwidth::Mhz1_4, 2, 16, 30.0, 6)
             .0
-            .total_iterations();
+            .block_iterations
+            .iter()
+            .sum::<usize>();
         let lo = run_e2e(Bandwidth::Mhz1_4, 2, 16, 8.5, 6)
             .0
-            .total_iterations();
+            .block_iterations
+            .iter()
+            .sum::<usize>();
         assert!(
             lo >= hi,
             "iterations should not decrease with noise: {hi} vs {lo}"
         );
-    }
-
-    #[test]
-    fn rayleigh_fading_decodes_at_high_average_snr() {
-        let cfg = UplinkConfig::new(Bandwidth::Mhz1_4, 4, 10).unwrap();
-        let tx = UplinkTx::new(cfg.clone());
-        let p = payload(&cfg, 7);
-        let sf = tx.encode_subframe(&p).unwrap();
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut ch = RayleighBlockChannel::new(30.0);
-        let rx_samples = ch.apply(&sf.samples, 4, &mut rng);
-        let rx = UplinkRx::new(cfg);
-        let out = rx.decode_subframe(&rx_samples).unwrap();
-        assert!(out.crc_ok, "4-branch diversity at 30 dB must decode");
-        assert_eq!(out.payload, p);
     }
 
     #[test]
@@ -2000,66 +1523,51 @@ mod tests {
         assert!(UplinkConfig::with_allocation(Bandwidth::Mhz5, 1, 5, 4, 26).is_err());
     }
 
-    #[test]
-    fn harq_retransmission_recovers_failed_decode() {
-        // Pick an SNR where the first transmission reliably fails but the
-        // accumulated soft energy of IR retransmissions succeeds.
-        let cfg = UplinkConfig::new(Bandwidth::Mhz1_4, 1, 16).unwrap();
-        let tx = UplinkTx::new(cfg.clone());
-        let rx = UplinkRx::new(cfg.clone());
-        let p = payload(&cfg, 77);
-        let mut rng = StdRng::seed_from_u64(77);
-        let mut harq = crate::harq::HarqProcess::new(cfg.segmentation());
-        let snr = 6.5; // well below the MCS-16 waterfall for one antenna
-        let mut history = Vec::new();
-        for txn in 0..4u32 {
-            let rv = crate::harq::rv_for_transmission(txn);
-            let sf = tx.encode_subframe_rv(&p, rv).unwrap();
-            let mut ch = AwgnChannel::new(snr);
-            let rx_samples = ch.apply(&sf.samples, 1, &mut rng);
-            let out = rx.decode_subframe_harq(&rx_samples, rv, &mut harq).unwrap();
-            history.push(out.crc_ok);
-            if out.crc_ok {
-                assert_eq!(out.payload, p, "combined decode must be correct");
-                break;
-            }
-        }
-        assert!(
-            !history[0],
-            "first transmission should fail at this SNR (else the test is vacuous)"
-        );
-        assert!(
-            history.iter().any(|&ok| ok),
-            "soft combining over {history:?} transmissions never recovered"
-        );
-        assert!(harq.transmissions() >= 2);
+    /// Block fading: per antenna, an independent Rayleigh gain for each
+    /// `(delay in samples, average power)` tap, held for the subframe,
+    /// plus AWGN at `snr_db`. One tap at delay 0 is flat fading; delays
+    /// must stay well inside the normal CP.
+    fn fading(
+        tx: &[Cf32],
+        ants: usize,
+        snr_db: f64,
+        profile: &[(usize, f32)],
+        rng: &mut StdRng,
+    ) -> Vec<Vec<Cf32>> {
+        let sigma = (10f64.powf(-snr_db / 10.0) as f32).sqrt();
+        (0..ants)
+            .map(|_| {
+                let taps: Vec<(usize, Cf32)> = profile
+                    .iter()
+                    .map(|&(d, p)| (d, complex_gaussian(rng).scale(p.sqrt())))
+                    .collect();
+                (0..tx.len())
+                    .map(|n| {
+                        let mut acc = Cf32::ZERO;
+                        for &(d, h) in &taps {
+                            if n >= d {
+                                acc += h * tx[n - d];
+                            }
+                        }
+                        acc + complex_gaussian(rng).scale(sigma)
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
     #[test]
-    fn harq_single_shot_equals_plain_decode_at_rv0() {
-        let cfg = UplinkConfig::new(Bandwidth::Mhz1_4, 2, 10).unwrap();
+    fn rayleigh_fading_decodes_at_high_average_snr() {
+        let cfg = UplinkConfig::new(Bandwidth::Mhz1_4, 4, 10).unwrap();
         let tx = UplinkTx::new(cfg.clone());
-        let rx = UplinkRx::new(cfg.clone());
-        let p = payload(&cfg, 5);
+        let p = payload(&cfg, 7);
         let sf = tx.encode_subframe(&p).unwrap();
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut ch = AwgnChannel::new(25.0);
-        let rx_samples = ch.apply(&sf.samples, 2, &mut rng);
-        let plain = rx.decode_subframe(&rx_samples).unwrap();
-        let mut harq = crate::harq::HarqProcess::new(cfg.segmentation());
-        let combined = rx.decode_subframe_harq(&rx_samples, 0, &mut harq).unwrap();
-        assert_eq!(plain.crc_ok, combined.crc_ok);
-        assert_eq!(plain.payload, combined.payload);
-    }
-
-    #[test]
-    fn harq_rejects_mismatched_process() {
-        let cfg = UplinkConfig::new(Bandwidth::Mhz5, 1, 27).unwrap(); // multi-block
-        let other = UplinkConfig::new(Bandwidth::Mhz1_4, 1, 0).unwrap(); // single block
-        let rx = UplinkRx::new(cfg.clone());
-        let mut harq = crate::harq::HarqProcess::new(other.segmentation());
-        let samples = vec![vec![Cf32::ZERO; cfg.bandwidth.samples_per_subframe()]];
-        assert!(rx.decode_subframe_harq(&samples, 0, &mut harq).is_err());
+        let mut rng = StdRng::seed_from_u64(7);
+        let rx_samples = fading(&sf.samples, 4, 30.0, &[(0, 1.0)], &mut rng);
+        let rx = UplinkRx::new(cfg);
+        let out = rx.decode_subframe(&rx_samples).unwrap();
+        assert!(out.crc_ok, "4-branch diversity at 30 dB must decode");
+        assert_eq!(out.payload, p);
     }
 
     #[test]
@@ -2075,8 +1583,8 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(900 + seed);
             let p = payload(&cfg, seed);
             let sf = tx.encode_subframe(&p).unwrap();
-            let mut ch = MultipathChannel::two_path(28.0);
-            let rx_samples = ch.apply(&sf.samples, 2, &mut rng);
+            // A main path and a −6 dB echo 16 samples later.
+            let rx_samples = fading(&sf.samples, 2, 28.0, &[(0, 0.8), (16, 0.2)], &mut rng);
             let out = rx.decode_subframe(&rx_samples).unwrap();
             if out.crc_ok && out.payload == p {
                 decoded += 1;
@@ -2084,49 +1592,6 @@ mod tests {
         }
         // Rayleigh taps occasionally fade both antennas; most must decode.
         assert!(decoded >= trials - 1, "only {decoded}/{trials} decoded");
-    }
-
-    #[test]
-    fn staged_job_equals_serial() {
-        let cfg = UplinkConfig::new(Bandwidth::Mhz1_4, 2, 12).unwrap();
-        let tx = UplinkTx::new(cfg.clone());
-        let p = payload(&cfg, 8);
-        let sf = tx.encode_subframe(&p).unwrap();
-        let mut rng = StdRng::seed_from_u64(8);
-        let mut ch = AwgnChannel::new(20.0);
-        let rx_samples = ch.apply(&sf.samples, 2, &mut rng);
-        let rx = UplinkRx::new(cfg);
-
-        let serial = rx.decode_subframe(&rx_samples).unwrap();
-
-        // Staged, with subtasks run out of order (as migration would).
-        let mut job = rx.start_job(&rx_samples).unwrap();
-        let fft_outs: Vec<_> = (0..job.fft_subtask_count())
-            .rev()
-            .map(|i| job.run_fft_subtask(i))
-            .collect();
-        for o in fft_outs {
-            job.absorb_fft(o);
-        }
-        job.finish_fft();
-        let demod_outs: Vec<_> = (0..job.demod_subtask_count())
-            .rev()
-            .map(|i| job.run_demod_subtask(i))
-            .collect();
-        for o in demod_outs {
-            job.absorb_demod(o);
-        }
-        let dec_outs: Vec<_> = (0..job.decode_subtask_count())
-            .rev()
-            .map(|r| job.run_decode_subtask(r))
-            .collect();
-        for o in dec_outs {
-            job.absorb_decode(o);
-        }
-        let staged = job.finish().unwrap();
-        assert_eq!(staged.payload, serial.payload);
-        assert_eq!(staged.crc_ok, serial.crc_ok);
-        assert_eq!(staged.block_iterations, serial.block_iterations);
     }
 
     #[test]
@@ -2147,40 +1612,33 @@ mod tests {
         slab.warm(&cfg);
         // Run the slab job three times (reuse), alternating local subtasks
         // with the migrated `_into` + `absorb_*` path, as the cluster would;
-        // the last round uses the batch-granularity FFT unit.
+        // the last round also runs every stage's subtasks in reverse order,
+        // as migration would.
         for round in 0..3 {
-            let mut job = rx.start_job_in(&rx_samples, &mut slab).unwrap();
-            let mut row = Vec::new();
-            if round == 2 {
-                for a in 0..2 {
-                    if a == 0 {
-                        job.run_fft_batch_local(a);
-                    } else {
-                        rx.run_fft_batch_into(&rx_samples, a, &mut row);
-                        job.absorb_fft_batch(a, &row);
-                    }
+            let order = |n: usize| -> Vec<usize> {
+                if round == 2 {
+                    (0..n).rev().collect()
+                } else {
+                    (0..n).collect()
                 }
-            } else {
-                for i in 0..job.fft_subtask_count() {
-                    if (i + round) % 2 == 0 {
-                        job.run_fft_subtask_local(i);
-                    } else {
-                        rx.run_fft_subtask_into(&rx_samples, i, &mut row);
-                        job.absorb_fft_row(
-                            i / SYMBOLS_PER_SUBFRAME,
-                            i % SYMBOLS_PER_SUBFRAME,
-                            &row,
-                        );
-                    }
+            };
+            let mut job = rx.start_job_in(&rx_samples, &mut slab).unwrap();
+            let mut batch = Vec::new();
+            for a in order(cfg.num_antennas) {
+                if (a + round) % 2 == 0 {
+                    job.run_fft_batch_local(a);
+                } else {
+                    rx.run_fft_batch_into(&rx_samples, a, &mut batch);
+                    job.absorb_fft_batch(a, &batch);
                 }
             }
             job.finish_fft();
-            for i in 0..job.demod_subtask_count() {
+            for i in order(job.demod_subtask_count()) {
                 job.run_demod_subtask_local(i);
             }
             let llrs = job.coded_llrs().to_vec();
             let mut buf = BlockBuf::new();
-            for r in 0..job.decode_subtask_count() {
+            for r in order(job.decode_subtask_count()) {
                 if (r + round) % 2 == 0 {
                     job.run_decode_subtask_local(r);
                 } else {
@@ -2193,7 +1651,8 @@ mod tests {
             }
             let verdict = job.finish().unwrap();
             assert_eq!(verdict.crc_ok, serial.crc_ok);
-            assert_eq!(verdict.total_iterations, serial.total_iterations());
+            let serial_total: usize = serial.block_iterations.iter().sum();
+            assert_eq!(verdict.total_iterations, serial_total);
             assert_eq!(slab.payload(), &serial.payload[..]);
             assert_eq!(slab.block_iterations(), &serial.block_iterations[..]);
             assert_eq!(slab.block_crc_ok(), &serial.block_crc_ok[..]);
@@ -2336,6 +1795,7 @@ mod tests {
         let cfg = UplinkConfig::new(Bandwidth::Mhz1_4, 2, 5).unwrap();
         let rx = UplinkRx::new(cfg.clone());
         let one = vec![vec![Cf32::ZERO; cfg.bandwidth.samples_per_subframe()]];
-        assert!(rx.start_job(&one).is_err());
+        assert!(rx.start_job_in(&one, &mut JobSlab::new()).is_err());
+        assert!(rx.decode_subframe(&one).is_err());
     }
 }

@@ -175,8 +175,9 @@ thread_local! {
 /// The workspace lives for the thread's lifetime, so buffers warmed by one
 /// subframe are reused by every later subframe decoded on the same thread —
 /// this is what makes the plain [`crate::uplink::UplinkRx::decode_subframe`]
-/// and the migratable `run_*_subtask_on` entry points allocation-light
-/// without any API change.
+/// and the staged subtask kernels of [`crate::uplink::SlabJob`] (and their
+/// migratable `run_*_into` forms) allocation-free in steady state without
+/// threading a workspace through every call.
 ///
 /// # Panics
 /// Panics if called re-entrantly from within `f` (the workspace is a

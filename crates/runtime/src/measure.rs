@@ -1,7 +1,12 @@
 //! Micro-measurement harnesses behind Fig. 4 and Fig. 18.
 //!
-//! These run the **real** PHY kernels on **real** pinned threads and time
-//! them with the monotonic clock:
+//! These run the staged decode the runtime ships, on **real** pinned
+//! threads, timed with the monotonic clock. The owner side runs
+//! [`SlabJob`]'s local subtasks straight into its slab; the migrated side
+//! runs what the cluster's `execute_stolen` runs for a stolen ticket or a
+//! mailbox envelope — [`UplinkRx::run_fft_batch_into`] or
+//! [`UplinkRx::run_decode_subtask_into`], against a copy of the coded
+//! LLRs, into result slots allocated before timing starts:
 //!
 //! * [`measure_stage_parallelism`] — a task's serial time vs. its time
 //!   when its subtasks are split across two cores (Fig. 4);
@@ -14,6 +19,16 @@
 //!   bounded Chase–Lev deque instead of a boxed closure in a channel.
 //!   The gap between the two deltas is what the cluster's steal mode
 //!   saves per migration.
+//!
+//! The subtasks are the runtime's migration units: an FFT subtask is one
+//! antenna's 14-symbol batch (the unit `DeltaGuard` admits), a decode
+//! subtask is one code block. Demod is not a migratable stage — the
+//! runtime runs it owner-local — so every probe refuses
+//! [`TaskKind::Demod`].
+//!
+//! Every probe pins threads it spawns and owns (the owner on core 0, the
+//! helper on core 1) and leaves the calling thread's affinity alone:
+//! threads inherit the affinity of the thread that creates them.
 
 use crate::affinity::pin_current_thread;
 use crate::migrate::{host_loop, mailbox, Envelope};
@@ -23,9 +38,9 @@ use rand::{Rng, SeedableRng};
 use rtopex_core::steal::{self, Steal};
 use rtopex_model::stats::Samples;
 use rtopex_phy::channel::{AwgnChannel, ChannelModel};
-use rtopex_phy::params::Bandwidth;
+use rtopex_phy::params::{Bandwidth, SYMBOLS_PER_SUBFRAME};
 use rtopex_phy::tasks::TaskKind;
-use rtopex_phy::uplink::{SubframeJob, UplinkConfig, UplinkRx, UplinkTx};
+use rtopex_phy::uplink::{BlockBuf, JobSlab, SlabJob, UplinkConfig, UplinkRx, UplinkTx};
 use rtopex_phy::Cf32;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -54,14 +69,44 @@ pub struct MigrationMeasurement {
     pub delta_us: f64,
 }
 
-/// A ready-to-decode subframe: receiver + received samples.
+/// A migratable stage: the probes measure nothing else.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Stage {
+    Fft,
+    Decode,
+}
+
+impl Stage {
+    /// # Panics
+    /// Panics on [`TaskKind::Demod`], which the runtime never migrates.
+    fn of(task: TaskKind) -> Self {
+        match task {
+            TaskKind::Fft => Stage::Fft,
+            TaskKind::Decode => Stage::Decode,
+            // analyze: allow(panic): caller contract, checked before any thread starts — demod runs owner-local in the runtime, so it has no migrated path to time; every caller passes Fft or Decode
+            TaskKind::Demod => panic!("demod is not a migratable stage; probe Fft or Decode"),
+        }
+    }
+}
+
+/// A ready-to-decode subframe: receiver, received samples, the owner's
+/// slab, and the coded LLRs and result slots of the migrated side.
 struct Workbench {
+    stage: Stage,
     rx: UplinkRx,
     samples: Vec<Vec<Cf32>>,
+    slab: JobSlab,
+    llrs: Vec<f32>,
+    fft_slots: Vec<Mutex<Vec<Cf32>>>,
+    dec_slots: Vec<Mutex<BlockBuf>>,
 }
 
 impl Workbench {
-    fn new(bw: Bandwidth, antennas: usize, mcs: u8, seed: u64) -> Self {
+    /// # Panics
+    /// Panics if `task` is [`TaskKind::Demod`] or the configuration is
+    /// invalid.
+    fn new(bw: Bandwidth, antennas: usize, mcs: u8, task: TaskKind, seed: u64) -> Self {
+        let stage = Stage::of(task);
         let cfg = UplinkConfig::new(bw, antennas, mcs).expect("valid config");
         let tx = UplinkTx::new(cfg.clone());
         let mut rng = StdRng::seed_from_u64(seed);
@@ -71,53 +116,117 @@ impl Workbench {
         let sf = tx.encode_subframe(&payload).expect("encode");
         let mut chan = AwgnChannel::new(30.0);
         let samples = chan.apply(&sf.samples, antennas, &mut rng);
+        let mut slab = JobSlab::new();
+        slab.warm(&cfg);
+        let batch_len = SYMBOLS_PER_SUBFRAME * cfg.bandwidth.num_subcarriers();
+        let fft_slots = (0..antennas)
+            .map(|_| Mutex::new(Vec::with_capacity(batch_len)))
+            .collect();
+        let dec_slots = (0..cfg.segmentation().num_blocks)
+            .map(|_| {
+                let mut buf = BlockBuf::new();
+                buf.warm(&cfg);
+                Mutex::new(buf)
+            })
+            .collect();
         Workbench {
+            stage,
             rx: UplinkRx::new(cfg),
             samples,
+            slab,
+            llrs: Vec::new(),
+            fft_slots,
+            dec_slots,
         }
     }
 
-    /// Starts a job and advances it so the requested stage is runnable.
-    fn job_at(&self, task: TaskKind) -> SubframeJob<'_> {
+    /// Starts a job on the slab and advances it until the probed stage is
+    /// runnable; returns the owner's job and the helper's view.
+    fn split(&mut self) -> (Owner<'_>, Helper<'_>) {
+        let Workbench {
+            stage,
+            rx,
+            samples,
+            slab,
+            llrs,
+            fft_slots,
+            dec_slots,
+        } = self;
+        let (stage, rx, samples): (Stage, &UplinkRx, &[Vec<Cf32>]) = (*stage, rx, samples);
         // analyze: allow(panic): bench setup of the job under test; the prepared subframe cannot fail to start once the config was validated
-        let mut job = self.rx.start_job(&self.samples).expect("job");
-        if task == TaskKind::Fft {
-            return job;
-        }
-        for i in 0..job.fft_subtask_count() {
-            let out = job.run_fft_subtask(i);
-            job.absorb_fft(out);
-        }
-        job.finish_fft();
-        if task == TaskKind::Demod {
-            return job;
-        }
-        for i in 0..job.demod_subtask_count() {
-            let out = job.run_demod_subtask(i);
-            job.absorb_demod(out);
-        }
-        job
-    }
-
-    fn subtask_count(&self, job: &SubframeJob<'_>, task: TaskKind) -> usize {
-        match task {
-            TaskKind::Fft => job.fft_subtask_count(),
-            TaskKind::Demod => job.demod_subtask_count(),
-            TaskKind::Decode => job.decode_subtask_count(),
-        }
-    }
-
-    /// Runs subtask `i` of `task`, discarding the output (timing only).
-    fn run_subtask(&self, job: &SubframeJob<'_>, task: TaskKind, i: usize) {
-        match task {
-            TaskKind::Fft => {
-                std::hint::black_box(job.run_fft_subtask(i));
+        let mut job = rx.start_job_in(samples, slab).expect("job");
+        let count = match stage {
+            Stage::Fft => samples.len(),
+            Stage::Decode => {
+                for a in 0..samples.len() {
+                    job.run_fft_batch_local(a);
+                }
+                job.finish_fft();
+                for i in 0..job.demod_subtask_count() {
+                    job.run_demod_subtask_local(i);
+                }
+                llrs.clear();
+                llrs.extend_from_slice(job.coded_llrs());
+                job.decode_subtask_count()
             }
-            TaskKind::Demod => {
-                std::hint::black_box(job.run_demod_subtask(i));
+        };
+        let helper = Helper {
+            stage,
+            count,
+            rx,
+            samples,
+            llrs,
+            fft_slots,
+            dec_slots,
+        };
+        (Owner { stage, job }, helper)
+    }
+}
+
+/// The owner side: a subtask of the probed stage on the owning thread,
+/// straight into the slab.
+struct Owner<'a> {
+    stage: Stage,
+    job: SlabJob<'a>,
+}
+
+impl Owner<'_> {
+    fn local_subtask(&mut self, i: usize) {
+        match self.stage {
+            Stage::Fft => self.job.run_fft_batch_local(i),
+            Stage::Decode => self.job.run_decode_subtask_local(i),
+        }
+    }
+}
+
+/// The migrated side: what `execute_stolen` runs — the `_into` kernel
+/// into the subtask's result slot, under the slot's lock.
+#[derive(Clone, Copy)]
+struct Helper<'a> {
+    stage: Stage,
+    /// Subtasks in the probed stage: antennas or code blocks.
+    count: usize,
+    rx: &'a UplinkRx,
+    samples: &'a [Vec<Cf32>],
+    llrs: &'a [f32],
+    fft_slots: &'a [Mutex<Vec<Cf32>>],
+    dec_slots: &'a [Mutex<BlockBuf>],
+}
+
+impl Helper<'_> {
+    fn migrated_subtask(&self, i: usize) {
+        match self.stage {
+            Stage::Fft => {
+                let mut slot = self.fft_slots[i].lock();
+                self.rx.run_fft_batch_into(self.samples, i, &mut slot);
             }
-            TaskKind::Decode => {
-                std::hint::black_box(job.run_decode_subtask(i));
+            Stage::Decode => {
+                let mut slot = self.dec_slots[i].lock();
+                let (iterations, crc_ok) =
+                    self.rx
+                        .run_decode_subtask_into(self.llrs, i, &mut slot.bits);
+                slot.iterations = iterations;
+                slot.crc_ok = crc_ok;
             }
         }
     }
@@ -131,6 +240,9 @@ fn as_us(d: Duration) -> f64 {
 ///
 /// The two-core run splits the subtask indices in half; the second half
 /// executes on a helper thread pinned to another core.
+///
+/// # Panics
+/// Panics if `task` is [`TaskKind::Demod`].
 pub fn measure_stage_parallelism(
     bw: Bandwidth,
     antennas: usize,
@@ -138,50 +250,45 @@ pub fn measure_stage_parallelism(
     task: TaskKind,
     trials: usize,
 ) -> StageMeasurement {
-    let bench = Workbench::new(bw, antennas, mcs, 0x0F16_4000);
+    let mut bench = Workbench::new(bw, antennas, mcs, task, 0x0F16_4000);
+    let (mut owner, helper) = bench.split();
+    let (n, split) = (helper.count, helper.count / 2);
     let mut serial_us = Samples::new();
     let mut two_core_us = Samples::new();
 
-    // Serial timings.
-    pin_current_thread(0);
-    for _ in 0..trials {
-        let job = bench.job_at(task);
-        let n = bench.subtask_count(&job, task);
-        let t0 = Instant::now();
-        for i in 0..n {
-            bench.run_subtask(&job, task, i);
-        }
-        serial_us.push(as_us(t0.elapsed()));
-    }
-
-    // Two-core timings: helper runs the second half of the subtasks.
-    // Jobs are prepared up front so the envelopes' borrows outlive the
-    // mailbox channel.
-    let jobs: Vec<SubframeJob<'_>> = (0..trials).map(|_| bench.job_at(task)).collect();
     std::thread::scope(|s| {
         let (tx, rx) = mailbox();
         s.spawn(move || {
             pin_current_thread(1);
             host_loop(rx);
         });
-        for job in &jobs {
-            let n = bench.subtask_count(job, task);
-            let split = n / 2;
-            let bench_ref = &bench;
-            let t0 = Instant::now();
-            let (env, flag) = Envelope::new(move || {
-                for i in split..n {
-                    bench_ref.run_subtask(job, task, i);
+        let (serial_us, two_core_us) = (&mut serial_us, &mut two_core_us);
+        s.spawn(move || {
+            pin_current_thread(0);
+            for _ in 0..trials {
+                let t0 = Instant::now();
+                for i in 0..n {
+                    owner.local_subtask(i);
                 }
-            });
-            tx.send(env).expect("host alive");
-            for i in 0..split {
-                bench.run_subtask(job, task, i);
+                serial_us.push(as_us(t0.elapsed()));
             }
-            assert!(flag.wait(Duration::from_secs(30)), "helper hung");
-            two_core_us.push(as_us(t0.elapsed()));
-        }
-        drop(tx);
+            // Two-core timings: the helper runs the second half.
+            for _ in 0..trials {
+                let t0 = Instant::now();
+                let (env, flag) = Envelope::new(move || {
+                    for i in split..n {
+                        helper.migrated_subtask(i);
+                    }
+                });
+                tx.send(env).expect("host alive");
+                for i in 0..split {
+                    owner.local_subtask(i);
+                }
+                assert!(flag.wait(Duration::from_secs(30)), "helper hung");
+                two_core_us.push(as_us(t0.elapsed()));
+            }
+            // Dropping `tx` here ends the host loop.
+        });
     });
 
     StageMeasurement {
@@ -192,6 +299,9 @@ pub fn measure_stage_parallelism(
 }
 
 /// Measures a subtask locally vs. migrated to a second core (Fig. 18).
+///
+/// # Panics
+/// Panics if `task` is [`TaskKind::Demod`].
 pub fn measure_migration_overhead(
     bw: Bandwidth,
     antennas: usize,
@@ -200,13 +310,11 @@ pub fn measure_migration_overhead(
     trials: usize,
 ) -> MigrationMeasurement {
     // analyze: allow(call:new): one-time bench construction before the timed loops; failing fast on a bad config is intended
-    let bench = Workbench::new(bw, antennas, mcs, 0x0F18_0000);
+    let mut bench = Workbench::new(bw, antennas, mcs, task, 0x0F18_0000);
+    let (mut owner, helper) = bench.split();
+    let count = helper.count;
     let mut local_us = Samples::new();
     let mut migrated_us = Samples::new();
-
-    pin_current_thread(0);
-    let job = bench.job_at(task);
-    let count = bench.subtask_count(&job, task);
 
     std::thread::scope(|s| {
         let (tx, rx) = mailbox();
@@ -214,46 +322,42 @@ pub fn measure_migration_overhead(
             pin_current_thread(1);
             host_loop(rx);
         });
-        // Warm both paths before timing: the channel/thread wake-up
-        // machinery, plus each thread's workspace and caches (one untimed
-        // pass over every subtask locally and on the host).
-        let (warm, wflag) = Envelope::new(|| {});
-        // analyze: allow(panic): the host thread holds rx open for the scope's lifetime; a dead host must abort the probe loudly
-        tx.send(warm).unwrap();
-        wflag.wait(Duration::from_secs(5));
-        for i in 0..count {
-            bench.run_subtask(&job, task, i);
-            let job_ref = &job;
-            let bench_ref = &bench;
-            let (env, flag) = Envelope::new(move || {
-                bench_ref.run_subtask(job_ref, task, i);
-            });
-            // analyze: allow(panic): a wedged or dead host invalidates the measurement; abort loudly rather than record garbage
-            tx.send(env).expect("host alive");
-            // analyze: allow(panic): a wedged or dead host invalidates the measurement; abort loudly rather than record garbage
-            assert!(flag.wait(Duration::from_secs(30)), "host hung");
-        }
-        // Interleave local and migrated trials so ambient load (other
-        // tests, frequency scaling) perturbs both series equally.
-        for t in 0..trials {
-            let i = t % count;
-            let t0 = Instant::now();
-            bench.run_subtask(&job, task, i);
-            local_us.push(as_us(t0.elapsed()));
+        let (local_us, migrated_us) = (&mut local_us, &mut migrated_us);
+        s.spawn(move || {
+            pin_current_thread(0);
+            // Ships subtask `i` to the host and waits for it.
+            let migrate = |i: usize| {
+                let (env, flag) = Envelope::new(move || helper.migrated_subtask(i));
+                // analyze: allow(panic): a wedged or dead host invalidates the measurement; abort loudly rather than record garbage
+                tx.send(env).expect("host alive");
+                // analyze: allow(panic): a wedged or dead host invalidates the measurement; abort loudly rather than record garbage
+                assert!(flag.wait(Duration::from_secs(30)), "host hung");
+            };
+            // Warm both paths before timing: the channel/thread wake-up
+            // machinery, plus each thread's workspace and caches (one
+            // untimed pass over every subtask locally and on the host).
+            let (warm, wflag) = Envelope::new(|| {});
+            // analyze: allow(panic): the host thread holds rx open for the scope's lifetime; a dead host must abort the probe loudly
+            tx.send(warm).unwrap();
+            wflag.wait(Duration::from_secs(5));
+            for i in 0..count {
+                owner.local_subtask(i);
+                migrate(i);
+            }
+            // Interleave local and migrated trials so ambient load (other
+            // tests, frequency scaling) perturbs both series equally.
+            for t in 0..trials {
+                let i = t % count;
+                let t0 = Instant::now();
+                owner.local_subtask(i);
+                local_us.push(as_us(t0.elapsed()));
 
-            let job_ref = &job;
-            let bench_ref = &bench;
-            let t1 = Instant::now();
-            let (env, flag) = Envelope::new(move || {
-                bench_ref.run_subtask(job_ref, task, i);
-            });
-            // analyze: allow(panic): a wedged or dead host invalidates the measurement; abort loudly rather than record garbage
-            tx.send(env).expect("host alive");
-            // analyze: allow(panic): a wedged or dead host invalidates the measurement; abort loudly rather than record garbage
-            assert!(flag.wait(Duration::from_secs(30)), "host hung");
-            migrated_us.push(as_us(t1.elapsed()));
-        }
-        drop(tx);
+                let t1 = Instant::now();
+                migrate(i);
+                migrated_us.push(as_us(t1.elapsed()));
+            }
+            // Dropping `tx` here ends the host loop.
+        });
     });
 
     let delta_us = {
@@ -303,6 +407,9 @@ fn wait_done(done: &AtomicU64, epoch: u64) {
 /// [`measure_migration_overhead`]. No allocation happens at handoff: the
 /// owner pushes a `(epoch, index)` ticket, the thief steals it, runs the
 /// subtask, and publishes completion through an atomic.
+///
+/// # Panics
+/// Panics if `task` is [`TaskKind::Demod`].
 pub fn measure_steal_overhead(
     bw: Bandwidth,
     antennas: usize,
@@ -311,29 +418,24 @@ pub fn measure_steal_overhead(
     trials: usize,
 ) -> StealMeasurement {
     // analyze: allow(call:new): one-time bench construction before the timed loops; failing fast on a bad config is intended
-    let bench = Workbench::new(bw, antennas, mcs, 0x057E_A100);
+    let mut bench = Workbench::new(bw, antennas, mcs, task, 0x057E_A100);
+    let (mut owner, helper) = bench.split();
+    let count = helper.count;
     let mut local_us = Samples::new();
     let mut stolen_us = Samples::new();
-
-    pin_current_thread(0);
-    let job = bench.job_at(task);
-    let count = bench.subtask_count(&job, task);
     let (mut w, s) = steal::steal_pair(64);
     let done = AtomicU64::new(0);
     let stop = AtomicBool::new(false);
 
     std::thread::scope(|sc| {
-        let job_ref = &job;
-        let bench_ref = &bench;
-        let done = &done;
-        let stop = &stop;
+        let (done, stop) = (&done, &stop);
         sc.spawn(move || {
             pin_current_thread(1);
             loop {
                 match s.steal() {
                     Steal::Taken(t) => {
                         let (epoch, i) = steal::decode_ticket(t);
-                        bench_ref.run_subtask(job_ref, task, i);
+                        helper.migrated_subtask(i);
                         done.store(epoch, Ordering::Release);
                     }
                     Steal::Retry => std::hint::spin_loop(),
@@ -346,31 +448,36 @@ pub fn measure_steal_overhead(
                 }
             }
         });
-        // Warm both paths untimed: caches and workspaces on each thread.
-        let mut epoch = 0u64;
-        for i in 0..count {
-            bench.run_subtask(&job, task, i);
-            epoch += 1;
-            // analyze: allow(panic): capacity proof — at most one outstanding ticket in a 64-slot deque
-            w.push(steal::encode_ticket(epoch, i)).expect("deque room");
-            wait_done(done, epoch);
-        }
-        // Interleave local and stolen trials so ambient load perturbs
-        // both series equally.
-        for t in 0..trials {
-            let i = t % count;
-            let t0 = Instant::now();
-            bench.run_subtask(&job, task, i);
-            local_us.push(as_us(t0.elapsed()));
+        let (local_us, stolen_us) = (&mut local_us, &mut stolen_us);
+        sc.spawn(move || {
+            pin_current_thread(0);
+            // Publishes subtask `i` and waits until the thief ran it.
+            let mut epoch = 0u64;
+            let mut steal_round_trip = |i: usize| {
+                epoch += 1;
+                // analyze: allow(panic): capacity proof — at most one outstanding ticket in a 64-slot deque
+                w.push(steal::encode_ticket(epoch, i)).expect("deque room");
+                wait_done(done, epoch);
+            };
+            // Warm both paths untimed: caches and workspaces on each thread.
+            for i in 0..count {
+                owner.local_subtask(i);
+                steal_round_trip(i);
+            }
+            // Interleave local and stolen trials so ambient load perturbs
+            // both series equally.
+            for t in 0..trials {
+                let i = t % count;
+                let t0 = Instant::now();
+                owner.local_subtask(i);
+                local_us.push(as_us(t0.elapsed()));
 
-            epoch += 1;
-            let t1 = Instant::now();
-            // analyze: allow(panic): capacity proof — at most one outstanding ticket in a 64-slot deque
-            w.push(steal::encode_ticket(epoch, i)).expect("deque room");
-            wait_done(done, epoch);
-            stolen_us.push(as_us(t1.elapsed()));
-        }
-        stop.store(true, Ordering::Release);
+                let t1 = Instant::now();
+                steal_round_trip(i);
+                stolen_us.push(as_us(t1.elapsed()));
+            }
+            stop.store(true, Ordering::Release);
+        });
     });
 
     let delta_us = {
@@ -384,22 +491,6 @@ pub fn measure_steal_overhead(
         stolen_us,
         delta_us,
     }
-}
-
-/// Measures the serial wall time of one full subframe decode (µs) —
-/// handy for calibrating node periods on the current machine.
-pub fn measure_subframe_decode(bw: Bandwidth, antennas: usize, mcs: u8, trials: usize) -> Samples {
-    let bench = Workbench::new(bw, antennas, mcs, 0xDEC0);
-    let mut out = Samples::new();
-    let guard = Mutex::new(());
-    let _g = guard.lock();
-    for _ in 0..trials {
-        let t0 = Instant::now();
-        let result = bench.rx.decode_subframe(&bench.samples).expect("decode");
-        std::hint::black_box(result);
-        out.push(as_us(t0.elapsed()));
-    }
-    out
 }
 
 #[cfg(test)]
@@ -446,11 +537,45 @@ mod tests {
     }
 
     #[test]
-    fn subframe_decode_measurement_is_sane() {
-        assert_sane(
-            "decode",
-            &measure_subframe_decode(Bandwidth::Mhz1_4, 1, 10, 3),
-            3,
-        );
+    #[should_panic(expected = "demod is not a migratable stage")]
+    fn fig4_probe_refuses_demod() {
+        measure_stage_parallelism(Bandwidth::Mhz1_4, 1, 5, TaskKind::Demod, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "demod is not a migratable stage")]
+    fn fig18_probe_refuses_demod() {
+        measure_migration_overhead(Bandwidth::Mhz1_4, 1, 5, TaskKind::Demod, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "demod is not a migratable stage")]
+    fn steal_probe_refuses_demod() {
+        measure_steal_overhead(Bandwidth::Mhz1_4, 1, 5, TaskKind::Demod, 1);
+    }
+
+    /// The calling thread's `Cpus_allowed_list`, where the kernel has one.
+    fn allowed_cpus() -> Option<String> {
+        let status = std::fs::read_to_string("/proc/thread-self/status").ok()?;
+        status
+            .lines()
+            .find_map(|l| l.strip_prefix("Cpus_allowed_list:"))
+            .map(|v| v.trim().to_string())
+    }
+
+    #[test]
+    fn probes_leave_the_callers_affinity_alone() {
+        let Some(before) = allowed_cpus() else {
+            return;
+        };
+        if crate::affinity::num_cpus() < 2 {
+            return;
+        }
+        measure_stage_parallelism(Bandwidth::Mhz1_4, 1, 5, TaskKind::Fft, 2);
+        assert_eq!(allowed_cpus(), Some(before.clone()), "Fig. 4 probe");
+        measure_migration_overhead(Bandwidth::Mhz1_4, 1, 5, TaskKind::Decode, 2);
+        assert_eq!(allowed_cpus(), Some(before.clone()), "Fig. 18 probe");
+        measure_steal_overhead(Bandwidth::Mhz1_4, 1, 5, TaskKind::Fft, 2);
+        assert_eq!(allowed_cpus(), Some(before), "steal probe");
     }
 }

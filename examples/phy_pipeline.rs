@@ -7,7 +7,7 @@
 use rand::{Rng, SeedableRng};
 use rtopex::phy::channel::{AwgnChannel, ChannelModel};
 use rtopex::phy::params::Bandwidth;
-use rtopex::phy::uplink::{UplinkConfig, UplinkRx, UplinkTx};
+use rtopex::phy::uplink::{JobSlab, UplinkConfig, UplinkRx, UplinkTx};
 
 fn main() {
     let cfg = UplinkConfig::new(Bandwidth::Mhz5, 2, 20).expect("valid config");
@@ -44,43 +44,47 @@ fn main() {
         cfg.bandwidth.sample_rate_hz()
     );
 
-    println!("\n— RX side (staged, as the schedulers see it) —");
+    println!("\n— RX side (staged, as the runtime runs it) —");
     let mut channel = AwgnChannel::new(18.0);
     let rx_samples = channel.apply(&subframe.samples, cfg.num_antennas, &mut rng);
     let rx = UplinkRx::new(cfg.clone());
-    let mut job = rx.start_job(&rx_samples).expect("job");
+    let mut slab = JobSlab::new();
+    let mut job = rx.start_job_in(&rx_samples, &mut slab).expect("job");
     println!(
-        "FFT task: {} antenna-symbol subtasks",
-        job.fft_subtask_count()
+        "FFT task: {} antenna subtasks of 14 symbols each",
+        cfg.num_antennas
     );
-    for i in 0..job.fft_subtask_count() {
-        let out = job.run_fft_subtask(i);
-        job.absorb_fft(out);
+    for a in 0..cfg.num_antennas {
+        job.run_fft_batch_local(a);
     }
     job.finish_fft();
     println!("demod task: {} symbol subtasks", job.demod_subtask_count());
     for i in 0..job.demod_subtask_count() {
-        let out = job.run_demod_subtask(i);
-        job.absorb_demod(out);
+        job.run_demod_subtask_local(i);
     }
     println!(
         "decode task: {} code-block subtasks",
         job.decode_subtask_count()
     );
     for r in 0..job.decode_subtask_count() {
-        let out = job.run_decode_subtask(r);
-        println!(
-            "  block {r}: {} turbo iteration(s), crc {}",
-            out.iterations,
-            if out.crc_ok { "ok" } else { "FAIL" }
-        );
-        job.absorb_decode(out);
+        job.run_decode_subtask_local(r);
     }
-    let out = job.finish().expect("complete");
+    let verdict = job.finish().expect("complete");
+    for (r, (iters, ok)) in slab
+        .block_iterations()
+        .iter()
+        .zip(slab.block_crc_ok())
+        .enumerate()
+    {
+        println!(
+            "  block {r}: {iters} turbo iteration(s), crc {}",
+            if *ok { "ok" } else { "FAIL" }
+        );
+    }
     println!(
         "transport block: crc_ok = {}, payload intact = {}",
-        out.crc_ok,
-        out.payload == payload
+        verdict.crc_ok,
+        slab.payload() == &payload[..]
     );
 
     println!("\n— mini BLER sweep (MCS 20 needs ≈ 14 dB) —");

@@ -4,17 +4,19 @@
 //!    explicit [`PhyWorkspace::warm`]), `UplinkRx::decode_subframe_with`
 //!    performs no heap allocation at all, measured by a counting global
 //!    allocator.
-//! 2. **Bit-exactness** — the workspace-reusing decode produces exactly the
-//!    same output as the staged `start_job` decode path, for random MCS /
-//!    SNR / antenna configurations, including *different* consecutive
-//!    configurations reusing one workspace (stale-buffer hazard).
+//! 2. **Bit-exactness** — the workspace-reusing serial decode produces
+//!    exactly the same output as the staged slab path the runtime ships
+//!    (`start_job_in`, with one FFT batch and one code block migrated), for
+//!    random MCS / SNR / antenna configurations, including *different*
+//!    consecutive configurations reusing one workspace (stale-buffer
+//!    hazard).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtopex::phy::channel::{AwgnChannel, ChannelModel};
 use rtopex::phy::params::Bandwidth;
-use rtopex::phy::uplink::{BlockBuf, JobSlab, RxOutput, UplinkConfig, UplinkRx, UplinkTx};
+use rtopex::phy::uplink::{BlockBuf, JobSlab, UplinkConfig, UplinkRx, UplinkTx};
 use rtopex::phy::workspace::PhyWorkspace;
 use rtopex::phy::Cf32;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -82,25 +84,6 @@ fn make_subframe(cfg: &UplinkConfig, snr_db: f64, seed: u64) -> (Vec<u8>, Vec<Ve
     let mut chan = AwgnChannel::new(snr_db);
     let samples = chan.apply(&sf.samples, cfg.num_antennas, &mut rng);
     (payload, samples)
-}
-
-/// Decodes via the staged job path (the reference the runtime node uses).
-fn staged_decode(rx: &UplinkRx, samples: &[Vec<Cf32>]) -> RxOutput {
-    let mut job = rx.start_job(samples).expect("job");
-    for i in 0..job.fft_subtask_count() {
-        let out = job.run_fft_subtask(i);
-        job.absorb_fft(out);
-    }
-    job.finish_fft();
-    for i in 0..job.demod_subtask_count() {
-        let out = job.run_demod_subtask(i);
-        job.absorb_demod(out);
-    }
-    for r in 0..job.decode_subtask_count() {
-        let out = job.run_decode_subtask(r);
-        job.absorb_decode(out);
-    }
-    job.finish().expect("finish")
 }
 
 #[test]
@@ -233,9 +216,10 @@ fn staged_slab_path_makes_zero_allocations() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The workspace decode equals the staged decode bit for bit — same
-    /// payload, CRCs, and per-block iteration counts — even when one
-    /// workspace is reused across two different configurations in a row.
+    /// The workspace decode equals the staged slab decode bit for bit —
+    /// same payload, CRCs, and per-block iteration counts — even when one
+    /// workspace (and one slab) is reused across two different
+    /// configurations in a row.
     #[test]
     fn workspace_decode_is_bit_exact(
         mcs_a in 0u8..29,
@@ -246,16 +230,18 @@ proptest! {
     ) {
         let snr_db = snr_tenths as f64 / 10.0;
         let mut ws = PhyWorkspace::new();
+        let mut slab = JobSlab::new();
+        let (mut fft_slot, mut dec_slot) = (Vec::new(), BlockBuf::new());
         for (round, mcs) in [mcs_a, mcs_b].into_iter().enumerate() {
             let cfg = UplinkConfig::new(Bandwidth::Mhz1_4, ants, mcs).unwrap();
             let (_, samples) = make_subframe(&cfg, snr_db, seed ^ round as u64);
             let rx = UplinkRx::new(cfg);
-            let reference = staged_decode(&rx, &samples);
+            let crc_ok = slab_round(&rx, &samples, &mut slab, &mut fft_slot, &mut dec_slot);
             let view = rx.decode_subframe_with(&samples, &mut ws).expect("decode");
-            prop_assert_eq!(view.payload, &reference.payload[..]);
-            prop_assert_eq!(view.crc_ok, reference.crc_ok);
-            prop_assert_eq!(view.block_crc_ok, &reference.block_crc_ok[..]);
-            prop_assert_eq!(view.block_iterations, &reference.block_iterations[..]);
+            prop_assert_eq!(view.payload, slab.payload());
+            prop_assert_eq!(view.crc_ok, crc_ok);
+            prop_assert_eq!(view.block_crc_ok, slab.block_crc_ok());
+            prop_assert_eq!(view.block_iterations, slab.block_iterations());
         }
     }
 }

@@ -26,7 +26,8 @@ use rtopex::phy::channel::{AwgnChannel, ChannelModel};
 use rtopex::phy::params::Bandwidth;
 use rtopex::phy::simd::{self, SimdTier};
 use rtopex::phy::uplink::{
-    run_staged_decode_batch, DecodeBatchScratch, RxOutput, UplinkConfig, UplinkRx, UplinkTx,
+    run_staged_decode_batch, DecodeBatchScratch, JobSlab, RxOutput, UplinkConfig, UplinkRx,
+    UplinkTx,
 };
 use rtopex::phy::workspace::PhyWorkspace;
 use rtopex::phy::Cf32;
@@ -58,17 +59,17 @@ fn decode_under_current_tier(
     (llrs, out)
 }
 
-/// Runs the staged FFT + demod pipeline and returns the coded LLR stream.
+/// Runs the FFT and demod stages of the staged slab job the runtime ships
+/// and returns the coded LLR stream.
 fn coded_llrs_under_current_tier(rx: &UplinkRx, samples: &[Vec<Cf32>]) -> Vec<f32> {
-    let mut job = rx.start_job(samples).expect("staged job");
-    for i in 0..job.fft_subtask_count() {
-        let out = job.run_fft_subtask(i);
-        job.absorb_fft(out);
+    let mut slab = JobSlab::new();
+    let mut job = rx.start_job_in(samples, &mut slab).expect("staged job");
+    for a in 0..samples.len() {
+        job.run_fft_batch_local(a);
     }
     job.finish_fft();
     for i in 0..job.demod_subtask_count() {
-        let out = job.run_demod_subtask(i);
-        job.absorb_demod(out);
+        job.run_demod_subtask_local(i);
     }
     job.coded_llrs().to_vec()
 }
@@ -150,8 +151,9 @@ proptest! {
         let mut reference = Vec::new();
         for (ci, (rx, _)) in cells.iter().enumerate() {
             for r in 0..rx.config().e_splits().len() {
-                let out = rx.run_decode_subtask_on(&llrs[ci], r);
-                reference.push((out.bits, out.iterations, out.crc_ok));
+                let mut bits = Vec::new();
+                let (iterations, crc_ok) = rx.run_decode_subtask_into(&llrs[ci], r, &mut bits);
+                reference.push((bits, iterations, crc_ok));
             }
         }
 
