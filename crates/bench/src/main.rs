@@ -129,7 +129,7 @@ fn mrc_entries(out: &mut Vec<Entry>) {
 }
 
 fn fft_entries(out: &mut Vec<Entry>) {
-    for n in [128usize, 600, 1024, 1536] {
+    for n in [128usize, 300, 512, 600, 1024, 1536] {
         let plan = FftPlan::new(n);
         let data: Vec<Cf32> = (0..n).map(|i| Cf32::from_phase(i as f32 * 0.1)).collect();
         let mut buf = data.clone();

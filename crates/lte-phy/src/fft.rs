@@ -2,39 +2,65 @@
 //!
 //! LTE needs transforms of two kinds of sizes: power-of-two (and `1536 =
 //! 2⁹·3`) OFDM FFTs, and `12·N_PRB`-point DFTs for SC-FDMA transform
-//! precoding (e.g. 600 points for 50 PRBs). This module implements an
-//! **iterative** mixed-radix Stockham autosort kernel over arbitrary
-//! factorizations — no recursion, no per-call heap allocation, and no
-//! digit-reversal pass. Prime factors degrade to an `O(n·r)` stage, so the
-//! transform is correct for *any* size and fast for the sizes LTE uses.
+//! precoding (e.g. 300 points for 25 PRBs). This module implements an
+//! **iterative** Stockham autosort kernel over a per-size stage plan:
+//! radix 4 while 4 divides the remaining length, then radix 2, 3 and 5,
+//! and an `O(n·r)` stage for any other prime factor, so the transform is
+//! correct for *any* size and fast for the sizes LTE uses. There is no
+//! recursion, no per-call heap allocation and no digit-reversal pass.
 //!
-//! The per-size [`FftPlan`] precomputes the factorization and a single
-//! root-of-unity table; plans are cheap to clone and safe to share. The
-//! steady-state entry points are [`FftPlan::forward_with`] /
+//! The per-size [`FftPlan`] precomputes the stage list, each stage with its
+//! own contiguous twiddle table; plans are cheap to clone and safe to
+//! share. The steady-state entry points are [`FftPlan::forward_with`] /
 //! [`FftPlan::inverse_with`], which ping-pong between the caller's buffer
 //! and a caller-owned scratch vector; [`FftPlan::forward`] /
 //! [`FftPlan::inverse`] are allocating conveniences. [`plan`] returns a
 //! process-wide cached `Arc<FftPlan>` so hot paths build each size once.
+//!
+//! The radix-2/3/4/5 butterflies are written once, generic over the
+//! complex arithmetic. The lane forms run them on one [`Cf32`] at a time;
+//! the AVX2 tier, which the AVX-512 tier also runs, on four interleaved
+//! complex values per register: four `q` per vector once the stride is a
+//! multiple of 4, and four butterfly groups per vector in the stride-1
+//! radix-4 first stage. Both run the same IEEE operation per component
+//! and no FMA, so the tiers are bit-exact with each other.
 
 use crate::complex::Cf32;
 use crate::simd::{self, SimdTier};
 use std::collections::HashMap;
+use std::ops::{Add, Mul, Sub};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// A precomputed transform plan for a fixed size `n`.
 #[derive(Clone, Debug)]
 pub struct FftPlan {
     n: usize,
-    /// `twiddles[j] = e^{-2πi·j/n}` for `j ∈ [0, n)`.
-    twiddles: Vec<Cf32>,
-    /// Prime factorization of `n`, smallest factors first.
-    factors: Vec<usize>,
+    /// The Stockham passes, first to last.
+    stages: Vec<Stage>,
 }
 
-/// Returns the prime factorization of `n` (smallest first). `n ≥ 1`.
-fn factorize(mut n: usize) -> Vec<usize> {
+/// One Stockham pass: radix `r` over `m` butterfly groups at accumulated
+/// stride `s`, where `n_cur = r·m` is the remaining sub-transform length
+/// and `n_cur·s = n`.
+#[derive(Clone, Debug)]
+struct Stage {
+    r: usize,
+    m: usize,
+    s: usize,
+    /// `tw[(j − 1)·m + p] = W_{n_cur}^{p·j}` for `j ∈ [1, r)`, `p ∈ [0, m)`;
+    /// a generic (prime `r > 5`) stage appends `W_r^k` for `k ∈ [0, r)`.
+    tw: Vec<Cf32>,
+}
+
+/// The stage radices of `n ≥ 1`: 4 while 4 divides what remains, then
+/// the remaining prime factors, smallest first.
+fn radices(mut n: usize) -> Vec<usize> {
     // analyze: allow(alloc): runs once per FFT size at plan construction
     let mut f = Vec::new();
+    while n.is_multiple_of(4) {
+        f.push(4);
+        n /= 4;
+    }
     let mut d = 2;
     while d * d <= n {
         while n.is_multiple_of(d) {
@@ -74,15 +100,28 @@ impl FftPlan {
     /// Panics if `n == 0`.
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "FFT size must be positive");
-        let twiddles = (0..n)
-            .map(|j| Cf32::from_phase(-2.0 * std::f32::consts::PI * j as f32 / n as f32))
+        // Rounded from f64, so every twiddle is exact to half an f32 ulp.
+        let w = |k: usize, len: usize| {
+            let phase = -2.0 * std::f64::consts::PI * k as f64 / len as f64;
+            Cf32::new(phase.cos() as f32, phase.sin() as f32)
+        };
+        let (mut n_cur, mut s) = (n, 1);
+        let stages = radices(n)
+            .into_iter()
+            .map(|r| {
+                let m = n_cur / r;
+                let table = (1..r).flat_map(|j| (0..m).map(move |p| w(p * j, r * m)));
+                // Only the generic stage reads the radix's own roots.
+                let roots = if r > 5 { r } else { 0 };
+                // analyze: allow(alloc): runs once per FFT size at plan construction
+                let tw = table.chain((0..roots).map(|k| w(k, r))).collect();
+                let stage = Stage { r, m, s, tw };
+                (n_cur, s) = (m, s * r);
+                stage
+            })
             // analyze: allow(alloc): runs once per FFT size at plan construction
             .collect();
-        FftPlan {
-            n,
-            twiddles,
-            factors: factorize(n),
-        }
+        FftPlan { n, stages }
     }
 
     /// The transform size this plan was built for.
@@ -172,109 +211,56 @@ impl FftPlan {
         }
     }
 
-    /// Iterative Stockham autosort mixed-radix kernel. One pass per prime
-    /// factor, ping-ponging between `data` and `scratch`; the result always
-    /// ends up back in `data`.
-    ///
-    /// Stage invariant: with `n_cur` the remaining sub-transform length and
-    /// `s` the accumulated stride (`s · n_cur · …` spans `n`), each stage of
-    /// radix `r` (`m = n_cur / r`) computes
+    /// Iterative Stockham autosort kernel. One pass per stage, ping-ponging
+    /// between `data` and `scratch`; the result always ends up back in
+    /// `data`. A stage of radix `r` (`n_cur = r·m`, stride `s`) computes
     ///
     /// ```text
     /// y[q + s·(r·p + j)] = ( Σᵢ x[q + s·(p + m·i)] · W_r^{ij} ) · W_{n_cur}^{p·j}
     /// ```
     ///
-    /// for `p ∈ [0,m)`, `q ∈ [0,s)`, `j ∈ [0,r)`; then `n_cur ← m`, `s ← s·r`.
-    ///
-    /// Radix 2, 3 and 5 stages use dedicated butterflies (constant
-    /// rotations instead of the `O(r²)` twiddle-table accumulation), each
-    /// with an intrinsic form once the accumulated stride covers a whole
-    /// vector; other prime factors fall back to the generic stage.
+    /// for `p ∈ [0,m)`, `q ∈ [0,s)`, `j ∈ [0,r)`, reading `W_{n_cur}^{p·j}`
+    /// from the stage's own table. Radix 2, 3, 4 and 5 use dedicated
+    /// butterflies (constant rotations instead of the generic stage's
+    /// `O(r²)` accumulation).
     fn stockham(&self, data: &mut [Cf32], scratch: &mut [Cf32]) {
-        let n = self.n;
-        if n == 1 {
-            return;
-        }
-        let tw = &self.twiddles;
         let tier = simd::active_tier();
-        let mut n_cur = n;
-        let mut s = 1usize;
         let mut in_data = true;
-        for &r in &self.factors {
-            let m = n_cur / r;
+        for st in &self.stages {
             let (src, dst): (&[Cf32], &mut [Cf32]) = if in_data {
                 (data, scratch)
             } else {
                 (scratch, data)
             };
-            let wn_stride = n / n_cur;
-            // Stride-aligned stages dispatch to the intrinsic tiers; the
-            // per-element op sequence is identical in every form, so the
-            // tiers stay bit-exact (see the avx2/avx512 module docs).
-            #[cfg(target_arch = "x86_64")]
-            let vectorized = {
-                #[allow(unsafe_code)]
-                match r {
-                    2 if tier >= SimdTier::Avx512 && s.is_multiple_of(8) => {
-                        // SAFETY: the Avx512 tier is only reported by `crate::simd`
-                        // after avx512f/avx512bw detection; `s % 8 == 0` guarantees
-                        // the 8-complex zmm loads stay in bounds.
-                        unsafe { avx512::radix2_stage(src, dst, tw, m, s, wn_stride) };
-                        true
-                    }
-                    2 if tier >= SimdTier::Avx2 && s.is_multiple_of(4) => {
-                        // SAFETY: the Avx2 tier is only reported after feature
-                        // detection; `s % 4 == 0` keeps the 4-complex loads in bounds.
-                        unsafe { avx2::radix2_stage(src, dst, tw, m, s, wn_stride) };
-                        true
-                    }
-                    3 if tier >= SimdTier::Avx2 && s.is_multiple_of(4) => {
-                        // SAFETY: as above — detected AVX2 plus stride-aligned loads.
-                        unsafe { avx2::radix3_stage(src, dst, tw, m, s, n_cur, wn_stride) };
-                        true
-                    }
-                    5 if tier >= SimdTier::Avx2 && s.is_multiple_of(4) => {
-                        // SAFETY: as above — detected AVX2 plus stride-aligned loads.
-                        unsafe { avx2::radix5_stage(src, dst, tw, m, s, n_cur, wn_stride) };
-                        true
-                    }
-                    _ => false,
+            #[allow(unsafe_code)]
+            match tier {
+                #[cfg(target_arch = "x86_64")]
+                SimdTier::Avx2 | SimdTier::Avx512 => {
+                    // SAFETY: both tiers are only reported by `crate::simd`
+                    // after runtime AVX2 detection; `forward_scratch` and
+                    // `inverse_scratch` checked both buffers hold `n = r·m·s`.
+                    unsafe { avx2::stage(st, src, dst) }
                 }
-            };
-            #[cfg(not(target_arch = "x86_64"))]
-            let vectorized = {
-                let _ = tier;
-                false
-            };
-            if !vectorized {
-                match r {
-                    2 => radix2_lanes(src, dst, tw, m, s, wn_stride),
-                    3 => radix3_lanes(src, dst, tw, m, s, n_cur, wn_stride),
-                    5 => radix5_lanes(src, dst, tw, m, s, n_cur, wn_stride),
-                    _ => {
-                        let wr_stride = n / r;
-                        for j in 0..r {
-                            for p in 0..m {
-                                let wp = tw[(p * j) % n_cur * wn_stride];
-                                for q in 0..s {
-                                    let mut acc = Cf32::ZERO;
-                                    for i in 0..r {
-                                        let w = tw[(i * j) % r * wr_stride];
-                                        acc += w * src[q + s * (p + m * i)];
-                                    }
-                                    dst[q + s * (r * p + j)] = acc * wp;
-                                }
-                            }
-                        }
-                    }
-                }
+                _ => st.lanes(src, dst),
             }
-            n_cur = m;
-            s *= r;
             in_data = !in_data;
         }
         if !in_data {
             data.copy_from_slice(scratch);
+        }
+    }
+}
+
+impl Stage {
+    /// The portable lane form of this stage.
+    fn lanes(&self, src: &[Cf32], dst: &mut [Cf32]) {
+        let (m, s, tw) = (self.m, self.s, &self.tw[..]);
+        match self.r {
+            2 => lane_stage(src, dst, tw, m, s, bfly2),
+            3 => lane_stage(src, dst, tw, m, s, bfly3),
+            4 => lane_stage(src, dst, tw, m, s, bfly4),
+            5 => lane_stage(src, dst, tw, m, s, bfly5),
+            r => generic_lanes(src, dst, tw, r, m, s),
         }
     }
 }
@@ -292,390 +278,302 @@ const S51: f32 = 0.951_056_5;
 /// `sin(4π/5)`.
 const S52: f32 = 0.587_785_25;
 
-/// Portable radix-2 butterfly stage (the lane-form reference the intrinsic
-/// stages mirror term for term).
-fn radix2_lanes(src: &[Cf32], dst: &mut [Cf32], tw: &[Cf32], m: usize, s: usize, wn_stride: usize) {
-    for p in 0..m {
-        let wp = tw[p * wn_stride];
-        for q in 0..s {
-            let x0 = src[q + s * p];
-            let x1 = src[q + s * (p + m)];
-            dst[q + s * 2 * p] = x0 + x1;
-            dst[q + s * (2 * p + 1)] = (x0 - x1) * wp;
-        }
+/// The complex arithmetic the butterflies are written in: one [`Cf32`] in
+/// the lane forms, four interleaved values in an AVX2 register. Each
+/// operation is the same IEEE operation per component in both (no FMA),
+/// so a butterfly written once over this trait is bit-exact across tiers.
+trait Complex: Copy + Add<Output = Self> + Sub<Output = Self> + Mul<Output = Self> {
+    /// Every component times `c`.
+    fn times(self, c: f32) -> Self;
+    /// Times `−i`: `(re, im) → (im, −re)`.
+    fn neg_i(self) -> Self;
+}
+
+impl Complex for Cf32 {
+    #[inline(always)]
+    fn times(self, c: f32) -> Self {
+        self.scale(c)
+    }
+    #[inline(always)]
+    fn neg_i(self) -> Self {
+        Cf32::new(self.im, -self.re)
     }
 }
 
-/// Portable dedicated radix-3 butterfly: `W₃ = C3 ∓ i·S3` folded into two
-/// real rotations (6 real multiplies per butterfly vs the generic stage's
-/// 9 table-lookup complex multiplies plus index modulos).
-fn radix3_lanes(
+/// Radix-2 butterfly.
+#[inline(always)]
+fn bfly2<T: Complex>([x0, x1]: [T; 2]) -> [T; 2] {
+    [x0 + x1, x0 - x1]
+}
+
+/// Radix-3 butterfly: `W₃ = C3 ∓ i·S3` folded into two real rotations
+/// (6 real multiplies vs the generic stage's 9 complex multiplies).
+#[inline(always)]
+fn bfly3<T: Complex>([x0, x1, x2]: [T; 3]) -> [T; 3] {
+    let (t, u) = (x1 + x2, x1 - x2);
+    let z = x0 + t.times(C3);
+    let w = u.times(S3).neg_i();
+    [x0 + t, z + w, z - w]
+}
+
+/// Radix-4 butterfly: adds, subtracts and one exact `−i` rotation.
+#[inline(always)]
+fn bfly4<T: Complex>([x0, x1, x2, x3]: [T; 4]) -> [T; 4] {
+    let (a, b, c, d) = (x0 + x2, x0 - x2, x1 + x3, (x1 - x3).neg_i());
+    [a + c, b + d, a - c, b - d]
+}
+
+/// Radix-5 butterfly, Winograd-style real rotations (16 real multiplies vs
+/// the generic stage's 25 complex multiplies).
+#[inline(always)]
+fn bfly5<T: Complex>([x0, x1, x2, x3, x4]: [T; 5]) -> [T; 5] {
+    let (t1, t2, t3, t4) = (x1 + x4, x2 + x3, x1 - x4, x2 - x3);
+    let m1 = x0 + t1.times(C51) + t2.times(C52);
+    let m2 = x0 + t1.times(C52) + t2.times(C51);
+    let v1 = (t3.times(S51) + t4.times(S52)).neg_i();
+    let v2 = (t3.times(S52) - t4.times(S51)).neg_i();
+    [x0 + t1 + t2, m1 + v1, m2 + v2, m2 - v2, m1 - v1]
+}
+
+/// Lane form of a radix-`R` stage with a dedicated butterfly.
+fn lane_stage<const R: usize>(
     src: &[Cf32],
     dst: &mut [Cf32],
     tw: &[Cf32],
     m: usize,
     s: usize,
-    n_cur: usize,
-    wn_stride: usize,
+    bfly: impl Fn([Cf32; R]) -> [Cf32; R],
 ) {
-    for p in 0..m {
-        let w1 = tw[p * wn_stride];
-        let w2 = tw[(2 * p) % n_cur * wn_stride];
+    for (p, y) in dst.chunks_exact_mut(R * s).enumerate() {
         for q in 0..s {
-            let x0 = src[q + s * p];
-            let x1 = src[q + s * (p + m)];
-            let x2 = src[q + s * (p + 2 * m)];
-            let t = x1 + x2;
-            let u = x1 - x2;
-            let z = Cf32::new(x0.re + C3 * t.re, x0.im + C3 * t.im);
-            let w = Cf32::new(S3 * u.im, -(S3 * u.re));
-            dst[q + s * 3 * p] = x0 + t;
-            dst[q + s * (3 * p + 1)] = (z + w) * w1;
-            dst[q + s * (3 * p + 2)] = (z - w) * w2;
+            let out = bfly(std::array::from_fn(|i| src[s * (p + m * i) + q]));
+            for (j, v) in out.into_iter().enumerate() {
+                y[s * j + q] = if j == 0 { v } else { v * tw[(j - 1) * m + p] };
+            }
         }
     }
 }
 
-/// Portable dedicated radix-5 butterfly (Winograd-style real rotations:
-/// 16 real multiplies per butterfly vs the generic stage's 25 table-lookup
-/// complex multiplies).
-fn radix5_lanes(
-    src: &[Cf32],
-    dst: &mut [Cf32],
-    tw: &[Cf32],
-    m: usize,
-    s: usize,
-    n_cur: usize,
-    wn_stride: usize,
-) {
-    for p in 0..m {
-        let w1 = tw[p * wn_stride];
-        let w2 = tw[(2 * p) % n_cur * wn_stride];
-        let w3 = tw[(3 * p) % n_cur * wn_stride];
-        let w4 = tw[(4 * p) % n_cur * wn_stride];
-        for q in 0..s {
-            let x0 = src[q + s * p];
-            let x1 = src[q + s * (p + m)];
-            let x2 = src[q + s * (p + 2 * m)];
-            let x3 = src[q + s * (p + 3 * m)];
-            let x4 = src[q + s * (p + 4 * m)];
-            let t1 = x1 + x4;
-            let t2 = x2 + x3;
-            let t3 = x1 - x4;
-            let t4 = x2 - x3;
-            let m1 = Cf32::new(
-                x0.re + C51 * t1.re + C52 * t2.re,
-                x0.im + C51 * t1.im + C52 * t2.im,
-            );
-            let m2 = Cf32::new(
-                x0.re + C52 * t1.re + C51 * t2.re,
-                x0.im + C52 * t1.im + C51 * t2.im,
-            );
-            let v1 = Cf32::new(S51 * t3.im + S52 * t4.im, -(S51 * t3.re + S52 * t4.re));
-            let v2 = Cf32::new(S52 * t3.im - S51 * t4.im, -(S52 * t3.re - S51 * t4.re));
-            dst[q + s * 5 * p] = x0 + t1 + t2;
-            dst[q + s * (5 * p + 1)] = (m1 + v1) * w1;
-            dst[q + s * (5 * p + 2)] = (m2 + v2) * w2;
-            dst[q + s * (5 * p + 3)] = (m2 - v2) * w3;
-            dst[q + s * (5 * p + 4)] = (m1 - v1) * w4;
+/// The generic prime-radix stage: an `O(r²)` DFT per butterfly over the
+/// stage's root table `W_r^k`.
+fn generic_lanes(src: &[Cf32], dst: &mut [Cf32], tw: &[Cf32], r: usize, m: usize, s: usize) {
+    let (tw, roots) = tw.split_at((r - 1) * m);
+    for (p, y) in dst.chunks_exact_mut(r * s).enumerate() {
+        for (j, yj) in y.chunks_exact_mut(s).enumerate() {
+            for (q, out) in yj.iter_mut().enumerate() {
+                let mut acc = Cf32::ZERO;
+                for i in 0..r {
+                    acc += roots[i * j % r] * src[s * (p + m * i) + q];
+                }
+                *out = if j == 0 {
+                    acc
+                } else {
+                    acc * tw[(j - 1) * m + p]
+                };
+            }
         }
     }
 }
 
-/// AVX2 radix-2 butterfly stage operating on 4 interleaved complex values
-/// per vector. The arithmetic per element — complex add, subtract, and the
-/// `(re·wr − im·wi, re·wi + im·wr)` twiddle multiply — matches the scalar
-/// `Cf32` operators term for term (the only reordering is the commuted final
-/// addition of the imaginary part), so stage output is bit-identical to the
-/// scalar loop.
+/// AVX2 stage forms: the shared butterflies over `V`, four interleaved
+/// complex values per register. Radix 2–5 stages at stride `4 | s` take
+/// four `q` per vector; the stride-1 radix-4 first stage takes four
+/// butterfly groups `p` per vector. Every other stage runs its lane form.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     #![allow(unsafe_code)]
 
+    use super::{bfly2, bfly3, bfly4, bfly5, Complex, Stage};
     use crate::complex::Cf32;
-    #[cfg(target_arch = "x86_64")]
     use core::arch::x86_64::*;
+    use std::ops::{Add, Mul, Sub};
 
+    /// Runs one stage with AVX2.
+    ///
     /// # Safety
-    /// Caller must have verified AVX2 support at runtime. Requires
-    /// `s % 4 == 0`, `src.len() >= 2 * m * s`, and `dst.len() >= 2 * m * s`.
+    /// Caller must have verified AVX2 support at runtime. Requires both
+    /// slices to hold `r·m·s` values.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn radix2_stage(
-        src: &[Cf32],
-        dst: &mut [Cf32],
-        tw: &[Cf32],
-        m: usize,
-        s: usize,
-        wn_stride: usize,
-    ) {
-        debug_assert!(s.is_multiple_of(4));
-        debug_assert!(src.len() >= 2 * m * s && dst.len() >= 2 * m * s);
-        let sp = src.as_ptr() as *const f32;
-        let dp = dst.as_mut_ptr() as *mut f32;
-        for p in 0..m {
-            let wp = tw[p * wn_stride];
-            let wr = _mm256_set1_ps(wp.re);
-            let wi = _mm256_set1_ps(wp.im);
-            let a = s * p;
-            let b = s * (p + m);
-            let lo = s * 2 * p;
-            let hi = s * (2 * p + 1);
-            let mut q = 0usize;
-            while q < s {
-                // SAFETY: q + 4 <= s, so all four-complex (8-float) loads and
-                // stores below stay inside the slices per the length bounds.
-                unsafe {
-                    let x0 = _mm256_loadu_ps(sp.add(2 * (a + q)));
-                    let x1 = _mm256_loadu_ps(sp.add(2 * (b + q)));
-                    let sum = _mm256_add_ps(x0, x1);
-                    let d = _mm256_sub_ps(x0, x1);
-                    // (re·wr − im·wi, im·wr + re·wi): multiply the lanes by
-                    // wr, the pair-swapped lanes by wi, then addsub merges
-                    // the even (subtract) and odd (add) results.
-                    let t1 = _mm256_mul_ps(d, wr);
-                    let dsw = _mm256_permute_ps(d, 0b10_11_00_01);
-                    let t2 = _mm256_mul_ps(dsw, wi);
-                    let prod = _mm256_addsub_ps(t1, t2);
-                    _mm256_storeu_ps(dp.add(2 * (lo + q)), sum);
-                    _mm256_storeu_ps(dp.add(2 * (hi + q)), prod);
-                }
-                q += 4;
-            }
-        }
-    }
-
-    /// Swaps the re/im halves of each complex pair.
-    #[inline(always)]
-    fn swap_pairs(v: __m256) -> __m256 {
-        // SAFETY: pure register permute, no memory access; only reachable
-        // from `avx2`-gated callers.
-        unsafe { _mm256_permute_ps(v, 0b10_11_00_01) }
-    }
-
-    /// Flips the sign of the imaginary (odd) lanes: `(re, im) → (re, −im)`.
-    /// An XOR of the sign bit, so exact for every input.
-    #[inline(always)]
-    fn negate_im(v: __m256) -> __m256 {
-        // SAFETY: pure register ops; only reachable from avx2-gated callers.
+    pub(super) unsafe fn stage(st: &Stage, src: &[Cf32], dst: &mut [Cf32]) {
+        let (m, s, tw) = (st.m, st.s, &st.tw[..]);
+        debug_assert!(src.len() == st.r * m * s && dst.len() == src.len());
+        // SAFETY: AVX2 is enabled here, both slices hold `r·m·s` values per
+        // the caller contract and the stage table holds `(r − 1)·m`
+        // twiddles, and each arm's guard is its form's shape requirement.
         unsafe {
-            let mask = _mm256_set_ps(-0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0);
-            _mm256_xor_ps(v, mask)
-        }
-    }
-
-    /// Complex multiply of 4 packed complex lanes by the broadcast twiddle
-    /// `(wr, wi)`: `(re·wr − im·wi, im·wr + re·wi)` — the same term order as
-    /// `Cf32`'s operator up to the exactly-commutative final addition.
-    #[inline(always)]
-    fn cmul(v: __m256, wr: __m256, wi: __m256) -> __m256 {
-        // SAFETY: pure register ops; only reachable from avx2-gated callers.
-        unsafe { _mm256_addsub_ps(_mm256_mul_ps(v, wr), _mm256_mul_ps(swap_pairs(v), wi)) }
-    }
-
-    /// AVX2 dedicated radix-3 butterfly stage: term-for-term the vector
-    /// form of `radix3_lanes` (same constants, same op order per element),
-    /// so the two are bit-exact.
-    ///
-    /// # Safety
-    /// Caller must have verified AVX2 support at runtime. Requires
-    /// `s % 4 == 0` and both slices at least `3 * m * s` long.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn radix3_stage(
-        src: &[Cf32],
-        dst: &mut [Cf32],
-        tw: &[Cf32],
-        m: usize,
-        s: usize,
-        n_cur: usize,
-        wn_stride: usize,
-    ) {
-        debug_assert!(s.is_multiple_of(4));
-        debug_assert!(src.len() >= 3 * m * s && dst.len() >= 3 * m * s);
-        let sp = src.as_ptr() as *const f32;
-        let dp = dst.as_mut_ptr() as *mut f32;
-        let c3 = _mm256_set1_ps(super::C3);
-        let s3 = _mm256_set1_ps(super::S3);
-        for p in 0..m {
-            let w1 = tw[p * wn_stride];
-            let w2 = tw[(2 * p) % n_cur * wn_stride];
-            let (w1r, w1i) = (_mm256_set1_ps(w1.re), _mm256_set1_ps(w1.im));
-            let (w2r, w2i) = (_mm256_set1_ps(w2.re), _mm256_set1_ps(w2.im));
-            let (a0, a1, a2) = (s * p, s * (p + m), s * (p + 2 * m));
-            let (o0, o1, o2) = (s * 3 * p, s * (3 * p + 1), s * (3 * p + 2));
-            let mut q = 0usize;
-            while q < s {
-                // SAFETY: q + 4 <= s keeps every 8-float load/store in range.
-                unsafe {
-                    let x0 = _mm256_loadu_ps(sp.add(2 * (a0 + q)));
-                    let x1 = _mm256_loadu_ps(sp.add(2 * (a1 + q)));
-                    let x2 = _mm256_loadu_ps(sp.add(2 * (a2 + q)));
-                    let t = _mm256_add_ps(x1, x2);
-                    let u = _mm256_sub_ps(x1, x2);
-                    // z = x0 + C3·t ; w = (S3·u.im, −S3·u.re)
-                    let z = _mm256_add_ps(x0, _mm256_mul_ps(t, c3));
-                    let w = negate_im(_mm256_mul_ps(swap_pairs(u), s3));
-                    _mm256_storeu_ps(dp.add(2 * (o0 + q)), _mm256_add_ps(x0, t));
-                    _mm256_storeu_ps(dp.add(2 * (o1 + q)), cmul(_mm256_add_ps(z, w), w1r, w1i));
-                    _mm256_storeu_ps(dp.add(2 * (o2 + q)), cmul(_mm256_sub_ps(z, w), w2r, w2i));
-                }
-                q += 4;
+            match st.r {
+                4 if s == 1 && m >= 4 => radix4_first(src, dst, tw, m),
+                _ if !s.is_multiple_of(4) => st.lanes(src, dst),
+                2 => stride_stage(src, dst, tw, m, s, bfly2),
+                3 => stride_stage(src, dst, tw, m, s, bfly3),
+                4 => stride_stage(src, dst, tw, m, s, bfly4),
+                5 => stride_stage(src, dst, tw, m, s, bfly5),
+                _ => st.lanes(src, dst),
             }
         }
     }
 
-    /// AVX2 dedicated radix-5 butterfly stage: the vector form of
-    /// `radix5_lanes`, bit-exact with it.
+    /// Four interleaved complex values `(re, im, re, im, …)`. Only built
+    /// inside the `avx2`-gated stage functions below.
+    #[derive(Clone, Copy)]
+    struct V(__m256);
+
+    impl V {
+        /// Loads four complex values from `p`.
+        ///
+        /// # Safety
+        /// AVX2 detected; `p` valid for 8 `f32` reads.
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> V {
+            // SAFETY: forwarded to the caller.
+            V(unsafe { _mm256_loadu_ps(p) })
+        }
+
+        /// The twiddle `w` in all four lanes.
+        #[inline(always)]
+        fn splat(w: Cf32) -> V {
+            // SAFETY: register-only; see the type's note.
+            V(unsafe { _mm256_setr_ps(w.re, w.im, w.re, w.im, w.re, w.im, w.re, w.im) })
+        }
+    }
+
+    impl Add for V {
+        type Output = V;
+        #[inline(always)]
+        fn add(self, o: V) -> V {
+            // SAFETY: register-only; see the type's note.
+            V(unsafe { _mm256_add_ps(self.0, o.0) })
+        }
+    }
+
+    impl Sub for V {
+        type Output = V;
+        #[inline(always)]
+        fn sub(self, o: V) -> V {
+            // SAFETY: register-only; see the type's note.
+            V(unsafe { _mm256_sub_ps(self.0, o.0) })
+        }
+    }
+
+    impl Mul for V {
+        type Output = V;
+        /// Lane-wise complex product `(re·wr − im·wi, im·wr + re·wi)`: the
+        /// products of `Cf32`'s operator, with the exactly-commutative
+        /// final addition swapped.
+        #[inline(always)]
+        fn mul(self, w: V) -> V {
+            // SAFETY: register-only; see the type's note.
+            unsafe {
+                let re = _mm256_mul_ps(self.0, _mm256_moveldup_ps(w.0));
+                let im = _mm256_mul_ps(
+                    _mm256_permute_ps(self.0, 0b10_11_00_01),
+                    _mm256_movehdup_ps(w.0),
+                );
+                V(_mm256_addsub_ps(re, im))
+            }
+        }
+    }
+
+    impl Complex for V {
+        #[inline(always)]
+        fn times(self, c: f32) -> V {
+            // SAFETY: register-only; see the type's note.
+            V(unsafe { _mm256_mul_ps(self.0, _mm256_set1_ps(c)) })
+        }
+        /// Swap each pair, then flip the new imaginary sign bit (exact).
+        #[inline(always)]
+        fn neg_i(self) -> V {
+            // SAFETY: register-only; see the type's note.
+            unsafe {
+                let sign = _mm256_setr_ps(0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0);
+                V(_mm256_xor_ps(
+                    _mm256_permute_ps(self.0, 0b10_11_00_01),
+                    sign,
+                ))
+            }
+        }
+    }
+
+    /// A radix-`R` stage at stride `4 | s`: four `q` per vector, one
+    /// broadcast twiddle per output row.
     ///
     /// # Safety
     /// Caller must have verified AVX2 support at runtime. Requires
-    /// `s % 4 == 0` and both slices at least `5 * m * s` long.
+    /// `s % 4 == 0`, both slices at least `R·m·s` long and `tw` at least
+    /// `(R − 1)·m` long.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn radix5_stage(
+    unsafe fn stride_stage<const R: usize>(
         src: &[Cf32],
         dst: &mut [Cf32],
         tw: &[Cf32],
         m: usize,
         s: usize,
-        n_cur: usize,
-        wn_stride: usize,
+        bfly: impl Fn([V; R]) -> [V; R],
     ) {
-        debug_assert!(s.is_multiple_of(4));
-        debug_assert!(src.len() >= 5 * m * s && dst.len() >= 5 * m * s);
-        let sp = src.as_ptr() as *const f32;
-        let dp = dst.as_mut_ptr() as *mut f32;
-        let c51 = _mm256_set1_ps(super::C51);
-        let c52 = _mm256_set1_ps(super::C52);
-        let s51 = _mm256_set1_ps(super::S51);
-        let s52 = _mm256_set1_ps(super::S52);
+        debug_assert!(s.is_multiple_of(4) && src.len() >= R * m * s && dst.len() >= R * m * s);
+        let (sp, dp) = (src.as_ptr() as *const f32, dst.as_mut_ptr() as *mut f32);
         for p in 0..m {
-            let wp: [Cf32; 4] = [
-                tw[p * wn_stride],
-                tw[(2 * p) % n_cur * wn_stride],
-                tw[(3 * p) % n_cur * wn_stride],
-                tw[(4 * p) % n_cur * wn_stride],
-            ];
-            let a = [
-                s * p,
-                s * (p + m),
-                s * (p + 2 * m),
-                s * (p + 3 * m),
-                s * (p + 4 * m),
-            ];
-            let o = [
-                s * 5 * p,
-                s * (5 * p + 1),
-                s * (5 * p + 2),
-                s * (5 * p + 3),
-                s * (5 * p + 4),
-            ];
-            let mut q = 0usize;
-            while q < s {
-                // SAFETY: q + 4 <= s keeps every 8-float load/store in range.
+            let w: [V; R] = std::array::from_fn(|j| {
+                V::splat(if j == 0 {
+                    Cf32::ONE
+                } else {
+                    tw[(j - 1) * m + p]
+                })
+            });
+            for q in (0..s).step_by(4) {
+                // SAFETY: q + 4 ≤ s, so every 8-float load at
+                // `s·(p + m·i) + q` and store at `s·(R·p + j) + q` stays
+                // inside the `R·m·s` values of each slice.
                 unsafe {
-                    let x0 = _mm256_loadu_ps(sp.add(2 * (a[0] + q)));
-                    let x1 = _mm256_loadu_ps(sp.add(2 * (a[1] + q)));
-                    let x2 = _mm256_loadu_ps(sp.add(2 * (a[2] + q)));
-                    let x3 = _mm256_loadu_ps(sp.add(2 * (a[3] + q)));
-                    let x4 = _mm256_loadu_ps(sp.add(2 * (a[4] + q)));
-                    let t1 = _mm256_add_ps(x1, x4);
-                    let t2 = _mm256_add_ps(x2, x3);
-                    let t3 = _mm256_sub_ps(x1, x4);
-                    let t4 = _mm256_sub_ps(x2, x3);
-                    let m1 = _mm256_add_ps(
-                        _mm256_add_ps(x0, _mm256_mul_ps(t1, c51)),
-                        _mm256_mul_ps(t2, c52),
-                    );
-                    let m2 = _mm256_add_ps(
-                        _mm256_add_ps(x0, _mm256_mul_ps(t1, c52)),
-                        _mm256_mul_ps(t2, c51),
-                    );
-                    let t3s = swap_pairs(t3);
-                    let t4s = swap_pairs(t4);
-                    let v1 = negate_im(_mm256_add_ps(
-                        _mm256_mul_ps(t3s, s51),
-                        _mm256_mul_ps(t4s, s52),
-                    ));
-                    let v2 = negate_im(_mm256_sub_ps(
-                        _mm256_mul_ps(t3s, s52),
-                        _mm256_mul_ps(t4s, s51),
-                    ));
-                    let y0 = _mm256_add_ps(_mm256_add_ps(x0, t1), t2);
-                    _mm256_storeu_ps(dp.add(2 * (o[0] + q)), y0);
-                    let pairs = [
-                        (_mm256_add_ps(m1, v1), o[1], wp[0]),
-                        (_mm256_add_ps(m2, v2), o[2], wp[1]),
-                        (_mm256_sub_ps(m2, v2), o[3], wp[2]),
-                        (_mm256_sub_ps(m1, v1), o[4], wp[3]),
-                    ];
-                    for (y, off, w) in pairs {
-                        let prod = cmul(y, _mm256_set1_ps(w.re), _mm256_set1_ps(w.im));
-                        _mm256_storeu_ps(dp.add(2 * (off + q)), prod);
+                    let out = bfly(std::array::from_fn(|i| {
+                        V::load(sp.add(2 * (s * (p + m * i) + q)))
+                    }));
+                    for (j, y) in out.into_iter().enumerate() {
+                        let y = if j == 0 { y } else { y * w[j] };
+                        _mm256_storeu_ps(dp.add(2 * (s * (R * p + j) + q)), y.0);
                     }
                 }
-                q += 4;
             }
         }
     }
-}
 
-/// AVX-512 radix-2 butterfly stage: 8 interleaved complex values per
-/// vector. Per-element arithmetic matches the AVX2/scalar forms exactly —
-/// the `addsub` is emulated as an even-lane sign flip followed by an add,
-/// which is the identical IEEE operation (`a − b ≡ a + (−b)`), so the tier
-/// stays bit-exact.
-#[cfg(target_arch = "x86_64")]
-mod avx512 {
-    #![allow(unsafe_code)]
-
-    use crate::complex::Cf32;
-    use core::arch::x86_64::*;
-
+    /// The stride-1 radix-4 first stage, vectorised over `p`: four
+    /// butterfly groups per iteration with their twiddles loaded straight
+    /// from the stage table, the 4 × 4 complex result transposed into
+    /// place. When `4 ∤ m` the last block overlaps the one before it and
+    /// rewrites equal values.
+    ///
     /// # Safety
-    /// Caller must have verified AVX-512F support at runtime. Requires
-    /// `s % 8 == 0`, `src.len() >= 2 * m * s`, and `dst.len() >= 2 * m * s`.
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn radix2_stage(
-        src: &[Cf32],
-        dst: &mut [Cf32],
-        tw: &[Cf32],
-        m: usize,
-        s: usize,
-        wn_stride: usize,
-    ) {
-        debug_assert!(s.is_multiple_of(8));
-        debug_assert!(src.len() >= 2 * m * s && dst.len() >= 2 * m * s);
-        let sp = src.as_ptr() as *const f32;
-        let dp = dst.as_mut_ptr() as *mut f32;
-        // −0.0 in even (real) lanes: XOR then add emulates addsub exactly.
-        let even_neg = _mm512_set_ps(
-            0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0,
-        );
-        for p in 0..m {
-            let wp = tw[p * wn_stride];
-            let wr = _mm512_set1_ps(wp.re);
-            let wi = _mm512_set1_ps(wp.im);
-            let a = s * p;
-            let b = s * (p + m);
-            let lo = s * 2 * p;
-            let hi = s * (2 * p + 1);
-            let mut q = 0usize;
-            while q < s {
-                // SAFETY: q + 8 <= s, so all eight-complex (16-float) loads
-                // and stores stay inside the slices per the length bounds.
-                unsafe {
-                    let x0 = _mm512_loadu_ps(sp.add(2 * (a + q)));
-                    let x1 = _mm512_loadu_ps(sp.add(2 * (b + q)));
-                    let sum = _mm512_add_ps(x0, x1);
-                    let d = _mm512_sub_ps(x0, x1);
-                    let t1 = _mm512_mul_ps(d, wr);
-                    let dsw = _mm512_permute_ps(d, 0b10_11_00_01);
-                    let t2 = _mm512_mul_ps(dsw, wi);
-                    let prod = _mm512_add_ps(t1, _mm512_xor_ps(t2, even_neg));
-                    _mm512_storeu_ps(dp.add(2 * (lo + q)), sum);
-                    _mm512_storeu_ps(dp.add(2 * (hi + q)), prod);
-                }
-                q += 8;
+    /// Caller must have verified AVX2 support at runtime. Requires `m ≥ 4`,
+    /// `src` and `dst` at least `4·m` long and `tw` at least `3·m` long.
+    #[target_feature(enable = "avx2")]
+    unsafe fn radix4_first(src: &[Cf32], dst: &mut [Cf32], tw: &[Cf32], m: usize) {
+        debug_assert!(m >= 4 && src.len() >= 4 * m && dst.len() >= 4 * m && tw.len() >= 3 * m);
+        let (sp, wp) = (src.as_ptr() as *const f32, tw.as_ptr() as *const f32);
+        let dp = dst.as_mut_ptr() as *mut f64;
+        let mut p = 0;
+        while p < m {
+            p = p.min(m - 4);
+            // SAFETY: p + 4 ≤ m, so the loads at `i·m + p` (i < 4) and
+            // `(j − 1)·m + p` (j ≤ 3) and the 16 values stored from `4·p`
+            // stay inside the slices per the length bounds.
+            unsafe {
+                let [y0, y1, y2, y3] =
+                    bfly4(std::array::from_fn(|i| V::load(sp.add(2 * (i * m + p)))));
+                let w = |j: usize| V::load(wp.add(2 * ((j - 1) * m + p)));
+                let [y0, y1, y2, y3] =
+                    [y0, y1 * w(1), y2 * w(2), y3 * w(3)].map(|v| _mm256_castps_pd(v.0));
+                // y_j holds output j of groups p..p+4; group k's four
+                // outputs are row k of the transpose.
+                let (t0, t1) = (_mm256_unpacklo_pd(y0, y1), _mm256_unpackhi_pd(y0, y1));
+                let (t2, t3) = (_mm256_unpacklo_pd(y2, y3), _mm256_unpackhi_pd(y2, y3));
+                let out = dp.add(4 * p);
+                _mm256_storeu_pd(out, _mm256_permute2f128_pd(t0, t2, 0x20));
+                _mm256_storeu_pd(out.add(4), _mm256_permute2f128_pd(t1, t3, 0x20));
+                _mm256_storeu_pd(out.add(8), _mm256_permute2f128_pd(t0, t2, 0x31));
+                _mm256_storeu_pd(out.add(12), _mm256_permute2f128_pd(t1, t3, 0x31));
             }
+            p += 4;
         }
     }
 }
@@ -765,6 +663,79 @@ mod tests {
         }
     }
 
+    /// Deterministic pseudo-random input in `[−1, 1)²`.
+    fn noise(n: usize) -> Vec<Cf32> {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ n as u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 40) as f32 / (1u32 << 23) as f32 - 1.0
+        };
+        (0..n).map(|_| Cf32::new(next(), next())).collect()
+    }
+
+    /// `X[k] = Σⱼ x[j]·e^{sign·2πi·jk/n}` in f64.
+    fn dft_f64(x: &[Cf32], sign: f64) -> Vec<(f64, f64)> {
+        let n = x.len();
+        let roots: Vec<(f64, f64)> = (0..n)
+            .map(|k| (sign * 2.0 * std::f64::consts::PI * k as f64 / n as f64).sin_cos())
+            .collect();
+        (0..n)
+            .map(|k| {
+                x.iter().enumerate().fold((0.0, 0.0), |(re, im), (j, v)| {
+                    let (s, c) = roots[j * k % n];
+                    let (a, b) = (f64::from(v.re), f64::from(v.im));
+                    (re + a * c - b * s, im + a * s + b * c)
+                })
+            })
+            .collect()
+    }
+
+    /// Forward and inverse at every LTE OFDM and DFT-precoding size against
+    /// an f64 reference, as the normwise relative error `‖ŷ − y‖/‖y‖`.
+    ///
+    /// The bound is Higham's for an FFT in floating point (*Accuracy and
+    /// Stability of Numerical Algorithms*, 2nd ed., Thm. 24.2): `log₂n · η`
+    /// to first order, `η = μ + γ₄(√2 + μ)` per radix-2 level, `γ₄ =
+    /// 4u/(1 − 4u)`, `u = 2⁻²⁴`, and `μ ≤ u` the twiddle error, since the
+    /// tables are rounded from f64. That makes `η ≈ 6.7u < 4e-7`. A radix-4
+    /// stage is two radix-2 levels with an exact `−i`; a radix-3 or -5
+    /// butterfly takes no more rounding steps per output than the
+    /// `log₂3` or `log₂5` levels it stands for, so `⌈log₂n⌉ · 4e-7` bounds
+    /// every size here. A round trip cannot see a kernel that computes the
+    /// conjugate transform throughout, nor can the tier comparison; this
+    /// test can.
+    #[test]
+    fn lte_sizes_match_f64_reference() {
+        for n in [
+            72, 128, 180, 256, 300, 512, 600, 900, 1024, 1200, 1536, 2048,
+        ] {
+            let bound = (n as f64).log2().ceil() * 4e-7;
+            let plan = FftPlan::new(n);
+            let x = noise(n);
+            for (sign, scale) in [(-1.0, 1.0), (1.0, 1.0 / n as f64)] {
+                let mut y = x.clone();
+                if sign < 0.0 {
+                    plan.forward(&mut y);
+                } else {
+                    plan.inverse(&mut y);
+                }
+                let (mut diff, mut norm) = (0.0, 0.0);
+                for (v, (re, im)) in y.iter().zip(dft_f64(&x, sign)) {
+                    let (re, im) = (re * scale, im * scale);
+                    diff += (f64::from(v.re) - re).powi(2) + (f64::from(v.im) - im).powi(2);
+                    norm += re * re + im * im;
+                }
+                let err = (diff / norm).sqrt();
+                assert!(
+                    err < bound,
+                    "size {n} sign {sign}: error {err:.2e} ≥ {bound:.2e}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn lte_sizes_roundtrip() {
         for n in [128, 256, 512, 600, 1024, 1536, 2048, 900, 1200] {
@@ -801,7 +772,9 @@ mod tests {
         // Sizes with radix-2/3/5 stages at s >= 4 (the vectorized cases)
         // plus odd/mixed sizes that exercise the fallback under all tiers.
         for tier in simd::supported_tiers().filter(|&t| t != SimdTier::Scalar) {
-            for n in [8usize, 16, 128, 256, 600, 900, 1024, 1200, 1536, 2048] {
+            for n in [
+                8usize, 16, 128, 256, 300, 512, 600, 900, 1024, 1200, 1536, 2048,
+            ] {
                 let x = ramp(n);
                 let plan = FftPlan::new(n);
                 simd::force_tier(Some(SimdTier::Scalar));

@@ -1079,8 +1079,27 @@ pub struct SlabJob<'a> {
     rx: &'a UplinkRx,
     samples: &'a [Vec<Cf32>],
     slab: &'a mut JobSlab,
-    fft_done: usize,
-    demod_done: usize,
+    /// Antennas whose 14-symbol FFT batch has run or been absorbed (bit `a`).
+    fft_done: u32,
+    /// Demod subtasks that have run (bit `i`).
+    demod_done: u32,
+}
+
+/// Records subtask `i` of a stage in its completion mask.
+///
+/// # Panics
+/// Panics if subtask `i` is already recorded.
+fn mark_done(mask: &mut u32, i: usize, what: &str) {
+    let bit = 1 << i;
+    // analyze: allow(panic): the paper's guarantee is that a subtask is never executed twice; a repeat means the scheduler ran or absorbed it twice, and the stage would go on from a grid or LLR row another antenna or symbol never wrote
+    assert!(*mask & bit == 0, "{what} {i} ran twice");
+    *mask |= bit;
+}
+
+/// The mask with the low `n` bits set: every subtask of an `n`-subtask
+/// stage done.
+fn all_done(n: usize) -> u32 {
+    (1 << n) - 1
 }
 
 impl UplinkRx {
@@ -1108,16 +1127,12 @@ impl UplinkRx {
 }
 
 impl SlabJob<'_> {
-    /// Number of FFT subtasks (`N × 14`).
-    pub fn fft_subtask_count(&self) -> usize {
-        self.rx.cfg.breakdown().fft
-    }
-
     /// Absorbs a migrated 14-symbol FFT batch (produced by
     /// [`UplinkRx::run_fft_batch_into`] on another thread).
     ///
     /// # Panics
-    /// Panics if `flat` is not `14 × num_subcarriers` long.
+    /// Panics if `flat` is not `14 × num_subcarriers` long, or if this
+    /// antenna's batch already ran or was absorbed.
     pub fn absorb_fft_batch(&mut self, antenna: usize, flat: &[Cf32]) {
         let nsc = self.rx.cfg.bandwidth.num_subcarriers();
         // analyze: allow(panic): buffer-shape contract; a mismatch means the job was built against a different config — decode garbage or fail loudly, and loud wins
@@ -1127,7 +1142,7 @@ impl SlabJob<'_> {
                 .symbol_mut(symbol)
                 .copy_from_slice(row);
         }
-        self.fft_done += SYMBOLS_PER_SUBFRAME;
+        mark_done(&mut self.fft_done, antenna, "FFT batch of antenna");
     }
 
     /// Runs one antenna's whole 14-symbol FFT batch on the owning thread,
@@ -1136,7 +1151,8 @@ impl SlabJob<'_> {
     /// [`UplinkRx::run_fft_batch_into`].
     ///
     /// # Panics
-    /// Panics if `antenna` is out of range.
+    /// Panics if `antenna` is out of range, or if its batch already ran
+    /// or was absorbed.
     pub fn run_fft_batch_local(&mut self, antenna: usize) {
         // analyze: allow(panic): buffer-shape contract; a mismatch means the job was built against a different config — decode garbage or fail loudly, and loud wins
         assert!(
@@ -1154,18 +1170,18 @@ impl SlabJob<'_> {
                 );
             }
         });
-        self.fft_done += SYMBOLS_PER_SUBFRAME;
+        mark_done(&mut self.fft_done, antenna, "FFT batch of antenna");
     }
 
     /// Ends the FFT task: estimates the channel from the DMRS symbols.
     ///
     /// # Panics
-    /// Panics if FFT subtasks are still outstanding.
+    /// Panics if an antenna's FFT batch is still outstanding.
     pub fn finish_fft(&mut self) {
         // analyze: allow(panic): buffer-shape contract; a mismatch means the job was built against a different config — decode garbage or fail loudly, and loud wins
         assert_eq!(
             self.fft_done,
-            self.fft_subtask_count(),
+            all_done(self.rx.cfg.num_antennas),
             "FFT task incomplete"
         );
         let band = 0..self.rx.cfg.alloc_subcarriers();
@@ -1181,13 +1197,13 @@ impl SlabJob<'_> {
     /// into the slab's coded stream.
     ///
     /// # Panics
-    /// Panics if called before [`SlabJob::finish_fft`] or `i` is out of
-    /// range.
+    /// Panics if called before [`SlabJob::finish_fft`], if `i` is out of
+    /// range, or if subtask `i` already ran.
     pub fn run_demod_subtask_local(&mut self, i: usize) {
         // analyze: allow(panic): buffer-shape contract; a mismatch means the job was built against a different config — decode garbage or fail loudly, and loud wins
         assert_eq!(
             self.fft_done,
-            self.fft_subtask_count(),
+            all_done(self.rx.cfg.num_antennas),
             "FFT task incomplete"
         );
         let cfg = &self.rx.cfg;
@@ -1223,7 +1239,7 @@ impl SlabJob<'_> {
                 .demap_maxlog(&ws.combined, &ws.nv, &mut ws.sym_llrs);
             self.slab.llrs[i * per_symbol..(i + 1) * per_symbol].copy_from_slice(&ws.sym_llrs);
         });
-        self.demod_done += 1;
+        mark_done(&mut self.demod_done, i, "demod subtask");
     }
 
     /// The complete coded-LLR stream (valid once the demod task finished).
@@ -1236,7 +1252,7 @@ impl SlabJob<'_> {
         // analyze: allow(panic): buffer-shape contract; a mismatch means the job was built against a different config — decode garbage or fail loudly, and loud wins
         assert_eq!(
             self.demod_done,
-            self.demod_subtask_count(),
+            all_done(self.demod_subtask_count()),
             "demod task incomplete"
         );
         &self.slab.llrs
@@ -1256,7 +1272,7 @@ impl SlabJob<'_> {
         // analyze: allow(panic): buffer-shape contract; a mismatch means the job was built against a different config — decode garbage or fail loudly, and loud wins
         assert_eq!(
             self.demod_done,
-            self.demod_subtask_count(),
+            all_done(self.demod_subtask_count()),
             "demod task incomplete"
         );
         let (iterations, crc_ok) =
@@ -1280,7 +1296,7 @@ impl SlabJob<'_> {
         // analyze: allow(panic): buffer-shape contract; a mismatch means the job was built against a different config — decode garbage or fail loudly, and loud wins
         assert_eq!(
             self.demod_done,
-            self.demod_subtask_count(),
+            all_done(self.demod_subtask_count()),
             "demod task incomplete"
         );
         let blocks = self.decode_subtask_count();
@@ -1657,6 +1673,51 @@ mod tests {
             assert_eq!(slab.block_iterations(), &serial.block_iterations[..]);
             assert_eq!(slab.block_crc_ok(), &serial.block_crc_ok[..]);
         }
+    }
+
+    /// A clean two-antenna subframe and its receiver, for the stage
+    /// bookkeeping tests.
+    fn two_antenna_subframe() -> (UplinkRx, Vec<Vec<Cf32>>) {
+        let cfg = UplinkConfig::new(Bandwidth::Mhz1_4, 2, 5).unwrap();
+        let sf = UplinkTx::new(cfg.clone())
+            .encode_subframe(&payload(&cfg, 3))
+            .unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        let rx_samples = AwgnChannel::new(30.0).apply(&sf.samples, 2, &mut rng);
+        (UplinkRx::new(cfg), rx_samples)
+    }
+
+    #[test]
+    #[should_panic(expected = "FFT batch of antenna 0 ran twice")]
+    fn repeated_fft_batch_panics() {
+        let (rx, samples) = two_antenna_subframe();
+        let mut slab = JobSlab::new();
+        let mut job = rx.start_job_in(&samples, &mut slab).unwrap();
+        let mut batch = Vec::new();
+        rx.run_fft_batch_into(&samples, 0, &mut batch);
+        job.run_fft_batch_local(0);
+        // Antenna 1 never runs; a count would see 28 symbols and estimate
+        // the channel from antenna 1's grid of the previous subframe.
+        job.absorb_fft_batch(0, &batch);
+        job.finish_fft();
+    }
+
+    #[test]
+    #[should_panic(expected = "demod subtask 0 ran twice")]
+    fn repeated_demod_subtask_panics() {
+        let (rx, samples) = two_antenna_subframe();
+        let mut slab = JobSlab::new();
+        let mut job = rx.start_job_in(&samples, &mut slab).unwrap();
+        job.run_fft_batch_local(0);
+        job.run_fft_batch_local(1);
+        job.finish_fft();
+        let last = job.demod_subtask_count() - 1;
+        for i in 0..last {
+            job.run_demod_subtask_local(i);
+        }
+        // Subtask `last` never runs; a count would accept its stale LLRs.
+        job.run_demod_subtask_local(0);
+        job.coded_llrs();
     }
 
     #[test]

@@ -87,6 +87,14 @@ impl Stage {
             TaskKind::Demod => panic!("demod is not a migratable stage; probe Fft or Decode"),
         }
     }
+
+    /// Runs subtask `i` of this stage on the owning thread, in `job`.
+    fn run_local(self, job: &mut SlabJob<'_>, i: usize) {
+        match self {
+            Stage::Fft => job.run_fft_batch_local(i),
+            Stage::Decode => job.run_decode_subtask_local(i),
+        }
+    }
 }
 
 /// A ready-to-decode subframe: receiver, received samples, the owner's
@@ -140,8 +148,8 @@ impl Workbench {
         }
     }
 
-    /// Starts a job on the slab and advances it until the probed stage is
-    /// runnable; returns the owner's job and the helper's view.
+    /// Splits the bench into the owner's side and the helper's view; for
+    /// the decode stage, the helper's coded LLRs come from one owner job.
     fn split(&mut self) -> (Owner<'_>, Helper<'_>) {
         let Workbench {
             stage,
@@ -152,26 +160,23 @@ impl Workbench {
             fft_slots,
             dec_slots,
         } = self;
-        let (stage, rx, samples): (Stage, &UplinkRx, &[Vec<Cf32>]) = (*stage, rx, samples);
-        // analyze: allow(panic): bench setup of the job under test; the prepared subframe cannot fail to start once the config was validated
-        let mut job = rx.start_job_in(samples, slab).expect("job");
+        let mut owner = Owner {
+            stage: *stage,
+            rx,
+            samples,
+            slab,
+        };
         let count = match stage {
             Stage::Fft => samples.len(),
             Stage::Decode => {
-                for a in 0..samples.len() {
-                    job.run_fft_batch_local(a);
-                }
-                job.finish_fft();
-                for i in 0..job.demod_subtask_count() {
-                    job.run_demod_subtask_local(i);
-                }
+                let job = owner.job();
                 llrs.clear();
                 llrs.extend_from_slice(job.coded_llrs());
                 job.decode_subtask_count()
             }
         };
         let helper = Helper {
-            stage,
+            stage: *stage,
             count,
             rx,
             samples,
@@ -179,23 +184,41 @@ impl Workbench {
             fft_slots,
             dec_slots,
         };
-        (Owner { stage, job }, helper)
+        (owner, helper)
     }
 }
 
-/// The owner side: a subtask of the probed stage on the owning thread,
+/// The owner side: subtasks of the probed stage on the owning thread,
 /// straight into the slab.
 struct Owner<'a> {
     stage: Stage,
-    job: SlabJob<'a>,
+    rx: &'a UplinkRx,
+    samples: &'a [Vec<Cf32>],
+    slab: &'a mut JobSlab,
 }
 
 impl Owner<'_> {
-    fn local_subtask(&mut self, i: usize) {
-        match self.stage {
-            Stage::Fft => self.job.run_fft_batch_local(i),
-            Stage::Decode => self.job.run_decode_subtask_local(i),
+    /// A fresh job, advanced until the probed stage is runnable. A job
+    /// runs each FFT batch once, as one subframe does in the runtime, so
+    /// the FFT probes start one per pass, untimed (nothing is allocated).
+    /// Decode blocks may rerun in one job, so the decode probes keep a
+    /// single job and the owner's warm decoder, as they always did.
+    fn job(&mut self) -> SlabJob<'_> {
+        let mut job = self
+            .rx
+            .start_job_in(self.samples, self.slab)
+            // analyze: allow(panic): bench setup of the job under test; the prepared subframe cannot fail to start once the config was validated
+            .expect("job");
+        if self.stage == Stage::Decode {
+            for a in 0..self.samples.len() {
+                job.run_fft_batch_local(a);
+            }
+            job.finish_fft();
+            for i in 0..job.demod_subtask_count() {
+                job.run_demod_subtask_local(i);
+            }
         }
+        job
     }
 }
 
@@ -252,7 +275,7 @@ pub fn measure_stage_parallelism(
 ) -> StageMeasurement {
     let mut bench = Workbench::new(bw, antennas, mcs, task, 0x0F16_4000);
     let (mut owner, helper) = bench.split();
-    let (n, split) = (helper.count, helper.count / 2);
+    let (stage, n, split) = (owner.stage, helper.count, helper.count / 2);
     let mut serial_us = Samples::new();
     let mut two_core_us = Samples::new();
 
@@ -265,15 +288,22 @@ pub fn measure_stage_parallelism(
         let (serial_us, two_core_us) = (&mut serial_us, &mut two_core_us);
         s.spawn(move || {
             pin_current_thread(0);
+            let mut job = owner.job();
             for _ in 0..trials {
+                if stage == Stage::Fft {
+                    job = owner.job();
+                }
                 let t0 = Instant::now();
                 for i in 0..n {
-                    owner.local_subtask(i);
+                    stage.run_local(&mut job, i);
                 }
                 serial_us.push(as_us(t0.elapsed()));
             }
             // Two-core timings: the helper runs the second half.
             for _ in 0..trials {
+                if stage == Stage::Fft {
+                    job = owner.job();
+                }
                 let t0 = Instant::now();
                 let (env, flag) = Envelope::new(move || {
                     for i in split..n {
@@ -282,7 +312,7 @@ pub fn measure_stage_parallelism(
                 });
                 tx.send(env).expect("host alive");
                 for i in 0..split {
-                    owner.local_subtask(i);
+                    stage.run_local(&mut job, i);
                 }
                 assert!(flag.wait(Duration::from_secs(30)), "helper hung");
                 two_core_us.push(as_us(t0.elapsed()));
@@ -312,7 +342,7 @@ pub fn measure_migration_overhead(
     // analyze: allow(call:new): one-time bench construction before the timed loops; failing fast on a bad config is intended
     let mut bench = Workbench::new(bw, antennas, mcs, task, 0x0F18_0000);
     let (mut owner, helper) = bench.split();
-    let count = helper.count;
+    let (stage, count) = (owner.stage, helper.count);
     let mut local_us = Samples::new();
     let mut migrated_us = Samples::new();
 
@@ -340,16 +370,20 @@ pub fn measure_migration_overhead(
             // analyze: allow(panic): the host thread holds rx open for the scope's lifetime; a dead host must abort the probe loudly
             tx.send(warm).unwrap();
             wflag.wait(Duration::from_secs(5));
+            let mut job = owner.job();
             for i in 0..count {
-                owner.local_subtask(i);
+                stage.run_local(&mut job, i);
                 migrate(i);
             }
             // Interleave local and migrated trials so ambient load (other
             // tests, frequency scaling) perturbs both series equally.
             for t in 0..trials {
                 let i = t % count;
+                if stage == Stage::Fft {
+                    job = owner.job();
+                }
                 let t0 = Instant::now();
-                owner.local_subtask(i);
+                stage.run_local(&mut job, i);
                 local_us.push(as_us(t0.elapsed()));
 
                 let t1 = Instant::now();
@@ -420,7 +454,7 @@ pub fn measure_steal_overhead(
     // analyze: allow(call:new): one-time bench construction before the timed loops; failing fast on a bad config is intended
     let mut bench = Workbench::new(bw, antennas, mcs, task, 0x057E_A100);
     let (mut owner, helper) = bench.split();
-    let count = helper.count;
+    let (stage, count) = (owner.stage, helper.count);
     let mut local_us = Samples::new();
     let mut stolen_us = Samples::new();
     let (mut w, s) = steal::steal_pair(64);
@@ -460,16 +494,20 @@ pub fn measure_steal_overhead(
                 wait_done(done, epoch);
             };
             // Warm both paths untimed: caches and workspaces on each thread.
+            let mut job = owner.job();
             for i in 0..count {
-                owner.local_subtask(i);
+                stage.run_local(&mut job, i);
                 steal_round_trip(i);
             }
             // Interleave local and stolen trials so ambient load perturbs
             // both series equally.
             for t in 0..trials {
                 let i = t % count;
+                if stage == Stage::Fft {
+                    job = owner.job();
+                }
                 let t0 = Instant::now();
-                owner.local_subtask(i);
+                stage.run_local(&mut job, i);
                 local_us.push(as_us(t0.elapsed()));
 
                 let t1 = Instant::now();
