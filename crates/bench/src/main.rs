@@ -2,14 +2,15 @@
 //! `cargo xtask analyze` certifies from.
 //!
 //! Times the four vectorized PHY kernels (turbo max-log-MAP, soft demapper,
-//! MRC equalizer, FFT) plus the end-to-end MCS 27 subframe decode with a
-//! plain `Instant` loop, re-times them at every supported SIMD tier, times
-//! the batched turbo drain against per-call dispatch, and measures the
-//! two-thread migration hand-off (steal ticket vs. mailbox) per migratable
-//! stage. Writes one JSON object with those rows, a machine fingerprint
-//! and the git revision. Commit the output at the repository root to
-//! refresh the baseline — on a machine with at least two cores, since the
-//! analyzer refuses a `"cores": 1` file (the hand-off needs a second core):
+//! MRC equalizer, FFT), whole decode subtasks and the end-to-end MCS 27
+//! subframe decode with a plain `Instant` loop, re-times them at every
+//! supported SIMD tier, times the batched turbo drain against per-call
+//! dispatch, and measures the two-thread migration hand-off (steal ticket
+//! vs. mailbox) per migratable stage. Writes one JSON object with those
+//! rows, a machine fingerprint and the git revision. Commit the output at
+//! the repository root to refresh the baseline — on a machine with at
+//! least two cores, since the analyzer refuses a `"cores": 1` file (the
+//! hand-off needs a second core):
 //!
 //! ```text
 //! cargo run --release -p rtopex-bench [OUTPUT.json]
@@ -25,7 +26,7 @@ use rtopex_phy::params::Bandwidth;
 use rtopex_phy::simd::{self, SimdTier};
 use rtopex_phy::tasks::TaskKind;
 use rtopex_phy::turbo::{decode_batch, TurboBatchJob, TurboDecoder, TurboEncoder, TurboWorkspace};
-use rtopex_phy::uplink::{UplinkConfig, UplinkRx, UplinkTx};
+use rtopex_phy::uplink::{JobSlab, UplinkConfig, UplinkRx, UplinkTx};
 use rtopex_phy::Cf32;
 use rtopex_runtime::measure::{measure_migration_overhead, measure_steal_overhead};
 use std::fmt::Write as _;
@@ -148,17 +149,55 @@ fn fft_entries(out: &mut Vec<Entry>) {
     }
 }
 
-fn subframe_entry(out: &mut Vec<Entry>) {
-    // The γ-calibration anchor pass 3 reads (1.4 MHz, 2 antennas, MCS 27).
-    let cfg = UplinkConfig::new(Bandwidth::Mhz1_4, 2, 27).expect("config");
+/// A random payload of `cfg` encoded and received through AWGN at 30 dB.
+fn received_subframe(cfg: &UplinkConfig, seed: u64) -> Vec<Vec<Cf32>> {
     let tx = UplinkTx::new(cfg.clone());
-    let mut rng = StdRng::seed_from_u64(4);
+    let mut rng = StdRng::seed_from_u64(seed);
     let payload: Vec<u8> = (0..cfg.transport_block_bytes())
         .map(|_| rng.gen())
         .collect();
     let sf = tx.encode_subframe(&payload).expect("encode");
     let mut chan = AwgnChannel::new(30.0);
-    let samples = chan.apply(&sf.samples, cfg.num_antennas, &mut rng);
+    chan.apply(&sf.samples, cfg.num_antennas, &mut rng)
+}
+
+/// The decode stage per code block at 5 MHz, 2 antennas, 30 dB: one whole
+/// `UplinkRx::run_decode_subtask_into` (descramble, de-rate-match, turbo
+/// with CRC early stop) per block, mean over the subframe's blocks.
+fn decode_entries(out: &mut Vec<Entry>) {
+    for mcs in [5u8, 15] {
+        let cfg = UplinkConfig::new(Bandwidth::Mhz5, 2, mcs).expect("config");
+        let samples = received_subframe(&cfg, 5);
+        let rx = UplinkRx::new(cfg);
+        let mut slab = JobSlab::new();
+        let mut job = rx.start_job_in(&samples, &mut slab).expect("job");
+        for a in 0..samples.len() {
+            job.run_fft_batch_local(a);
+        }
+        job.finish_fft();
+        for i in 0..job.demod_subtask_count() {
+            job.run_demod_subtask_local(i);
+        }
+        let (llrs, blocks) = (job.coded_llrs().to_vec(), job.decode_subtask_count());
+        let mut bits = Vec::new();
+        let (mean_ns, iters) = time_kernel(300, || {
+            for r in 0..blocks {
+                rx.run_decode_subtask_into(&llrs, r, &mut bits);
+            }
+        });
+        out.push(Entry {
+            name: "decode_subtask_5mhz_mcs",
+            size: mcs as usize,
+            mean_ns: mean_ns / blocks as u64,
+            iters,
+        });
+    }
+}
+
+fn subframe_entry(out: &mut Vec<Entry>) {
+    // The γ-calibration anchor pass 3 reads (1.4 MHz, 2 antennas, MCS 27).
+    let cfg = UplinkConfig::new(Bandwidth::Mhz1_4, 2, 27).expect("config");
+    let samples = received_subframe(&cfg, 4);
     let rx = UplinkRx::new(cfg);
     let (mean_ns, iters) = time_kernel(500, || rx.decode_subframe(&samples).expect("decode"));
     out.push(Entry {
@@ -182,6 +221,7 @@ fn tier_entries() -> Vec<(&'static str, Vec<Entry>)> {
         turbo_entries(&mut entries);
         demap_entries(&mut entries);
         fft_entries(&mut entries);
+        decode_entries(&mut entries);
         subframe_entry(&mut entries);
         out.push((tier.name(), entries));
     }
@@ -379,6 +419,7 @@ fn main() {
     demap_entries(&mut entries);
     mrc_entries(&mut entries);
     fft_entries(&mut entries);
+    decode_entries(&mut entries);
     subframe_entry(&mut entries);
     let tiers = tier_entries();
     eprintln!("timing batched turbo dispatch…");

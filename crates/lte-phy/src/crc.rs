@@ -18,42 +18,75 @@
 pub struct Crc {
     /// Generator polynomial without the implicit leading term.
     pub poly: u32,
-    /// CRC length in bits.
+    /// CRC length in bits (9 to 32).
     pub len: u32,
+    /// `table[t]`: the register `t << (len − 8)` after eight zero-input
+    /// steps — one input byte's effect on the register's top byte.
+    table: &'static [u32; 256],
+}
+
+/// One input bit through the MSB-first shift register, all-zero initial
+/// state as specified by 36.212.
+const fn bit_step(poly: u32, len: u32, reg: u32, bit: u32) -> u32 {
+    let feedback = (reg >> (len - 1) & 1) ^ bit;
+    let shifted = (reg << 1) & (u32::MAX >> (32 - len));
+    if feedback != 0 {
+        shifted ^ poly
+    } else {
+        shifted
+    }
+}
+
+/// The byte-at-a-time table of the `len`-bit CRC with generator `poly`.
+const fn byte_table(poly: u32, len: u32) -> [u32; 256] {
+    let mut table = [0u32; 256];
+    let mut t = 0;
+    while t < 256 {
+        let mut reg = (t as u32) << (len - 8);
+        let mut i = 0;
+        while i < 8 {
+            reg = bit_step(poly, len, reg, 0);
+            i += 1;
+        }
+        table[t] = reg;
+        t += 1;
+    }
+    table
 }
 
 /// CRC24A — attached to the transport block (gCRC24A, 0x864CFB).
 pub const CRC24A: Crc = Crc {
     poly: 0x864CFB,
     len: 24,
+    table: &byte_table(0x864CFB, 24),
 };
 
 /// CRC24B — attached to each code block after segmentation (gCRC24B, 0x800063).
 pub const CRC24B: Crc = Crc {
     poly: 0x800063,
     len: 24,
+    table: &byte_table(0x800063, 24),
 };
 
 impl Crc {
     /// Computes the CRC of `bits` (each element 0 or 1), MSB-first, with
     /// all-zero initial state as specified by 36.212.
+    ///
+    /// Eight bits per step: each group of eight is packed into a byte,
+    /// XORed into the register's top byte and shifted through the table;
+    /// a tail shorter than eight runs one bit per step.
     pub fn compute(&self, bits: &[u8]) -> u32 {
         debug_assert!(bits.iter().all(|&b| b <= 1), "inputs must be single bits");
-        let mut reg: u32 = 0;
-        let top: u32 = 1 << (self.len - 1);
-        let mask: u32 = if self.len == 32 {
-            u32::MAX
-        } else {
-            (1 << self.len) - 1
-        };
-        for &b in bits {
-            let fb = ((reg & top) != 0) as u32 ^ (b as u32);
-            reg = (reg << 1) & mask;
-            if fb != 0 {
-                reg ^= self.poly;
-            }
-        }
-        reg
+        let (poly, len) = (self.poly, self.len);
+        let low = u32::MAX >> (40 - len); // the bits below the top byte
+        let chunks = bits.chunks_exact(8);
+        let tail = chunks.remainder();
+        let reg = chunks.fold(0u32, |reg, c| {
+            let byte = c.iter().fold(0u32, |acc, &b| acc << 1 | u32::from(b));
+            (reg & low) << 8 ^ self.table[(reg >> (len - 8) ^ byte) as usize]
+        });
+        tail.iter()
+            .fold(reg, |reg, &b| bit_step(poly, len, reg, u32::from(b)))
     }
 
     /// Appends the CRC parity bits (MSB first) of `bits` to `bits`.
@@ -81,6 +114,13 @@ impl Crc {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The one-bit-per-step register loop `compute` ran before the byte
+    /// table, kept as the oracle.
+    fn compute_bitwise(crc: &Crc, bits: &[u8]) -> u32 {
+        bits.iter()
+            .fold(0, |reg, &b| bit_step(crc.poly, crc.len, reg, u32::from(b)))
+    }
 
     #[test]
     fn attach_then_check_passes() {
@@ -130,6 +170,16 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn prop_byte_table_equals_bitwise(
+            bits in proptest::collection::vec(0u8..2, 0..6200),
+        ) {
+            // Any length, not only multiples of 8: the tail runs bitwise.
+            for crc in [CRC24A, CRC24B] {
+                prop_assert_eq!(crc.compute(&bits), compute_bitwise(&crc, &bits));
+            }
+        }
+
         #[test]
         fn prop_roundtrip(payload in proptest::collection::vec(0u8..2, 1..512)) {
             let mut bits = payload.clone();

@@ -6,7 +6,8 @@
 //! exactly `E` bits are read (wrapping, skipping the `<NULL>` padding) for
 //! transmission. De-rate-matching reverses the walk, *accumulating* LLRs at
 //! repeated positions (chase combining) and leaving punctured positions at
-//! LLR 0 (erasure).
+//! LLR 0 (erasure). Both directions read one table, resolved at
+//! construction: the buffer's transmitted positions in read order.
 
 use crate::turbo::{stream_len, TurboCodeword};
 
@@ -19,72 +20,53 @@ const PERM: [usize; COLS] = [
     11, 27, 7, 23, 15, 31,
 ];
 
-/// Identifies one of the three turbo streams inside the circular buffer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Slot {
-    /// `<NULL>` padding bit — never transmitted.
-    Null,
-    /// Bit `idx` of stream `stream`.
-    Bit { stream: u8, idx: u32 },
-}
-
 /// Rate matcher for turbo codewords of a fixed block size `K`.
 #[derive(Clone, Debug)]
 pub struct RateMatcher {
     /// Stream length `D = K + 4`.
     d: usize,
-    /// Rows of the sub-block interleaver, `R = ⌈D/32⌉`.
-    rows: usize,
-    /// Map: circular-buffer position → stream slot.
-    w_map: Vec<Slot>,
+    /// The circular buffer resolved once: its `3·D` transmitted positions
+    /// in read order from `k0`, `<NULL>` skipped, each the index
+    /// `stream·D + idx` into the flat `[d0|d1|d2]` streams. `E` bits read
+    /// the table cyclically.
+    order: Vec<u32>,
+}
+
+/// The circular buffer of 36.212 §5.1.4.1 for stream length `d`: the
+/// interleaved systematic stream, then the bit-interlaced parity streams,
+/// each position the flat index `stream·D + idx` of the bit it carries,
+/// or `None` for `<NULL>` padding.
+fn circular_buffer(d: usize) -> Vec<Option<u32>> {
+    let rows = d.div_ceil(COLS);
+    let kpi = rows * COLS;
+    // `nd` NULLs pad the head of each stream. `slot` resolves
+    // sub-block-interleaver output `j` of `stream`; the third stream takes
+    // 36.212's extra `+1` rotation.
+    let nd = kpi - d;
+    let slot = |j: usize, stream: usize| {
+        let y = ((j % rows) * COLS + PERM[j / rows] + usize::from(stream == 2)) % kpi;
+        (y >= nd).then(|| (stream * d + y - nd) as u32)
+    };
+    (0..kpi)
+        .map(|j| slot(j, 0))
+        .chain((0..kpi).flat_map(|j| [slot(j, 1), slot(j, 2)]))
+        .collect()
+}
+
+/// Redundancy-version-0 start offset `k0 = 2R` (36.212 §5.1.4.1.2:
+/// `R·(2·⌈Ncb/(8R)⌉·rv + 2)` at `rv = 0`). Only rv 0 is transmitted.
+fn k0(d: usize) -> usize {
+    2 * d.div_ceil(COLS)
 }
 
 impl RateMatcher {
     /// Creates a rate matcher for turbo block size `k`.
     pub fn new(k: usize) -> Self {
         let d = stream_len(k);
-        let rows = d.div_ceil(COLS);
-        let kpi = rows * COLS;
-        let nd = kpi - d; // NULL padding at the head of each stream
-        let mut w_map = Vec::with_capacity(3 * kpi);
-        // v0: interleaved systematic stream.
-        for j in 0..kpi {
-            w_map.push(Self::slot(j, rows, nd, 0, 0));
-        }
-        // Interlaced v1 (parity 1) and v2 (parity 2, extra +1 rotation).
-        for j in 0..kpi {
-            w_map.push(Self::slot(j, rows, nd, 1, 0));
-            w_map.push(Self::slot(j, rows, nd, 2, 1));
-        }
-        RateMatcher { d, rows, w_map }
-    }
-
-    /// Resolves sub-block-interleaver output position `j` of a stream to a
-    /// [`Slot`]. `shift` is 1 for the third stream (36.212's `+1` rotation).
-    fn slot(j: usize, rows: usize, nd: usize, stream: u8, shift: usize) -> Slot {
-        let kpi = rows * COLS;
-        let col = j / rows;
-        let row = j % rows;
-        let y_idx = (row * COLS + PERM[col] + shift) % kpi;
-        if y_idx < nd {
-            Slot::Null
-        } else {
-            Slot::Bit {
-                stream,
-                idx: (y_idx - nd) as u32,
-            }
-        }
-    }
-
-    /// Circular-buffer length `Kw = 3·R·32`.
-    pub fn buffer_len(&self) -> usize {
-        self.w_map.len()
-    }
-
-    /// Redundancy-version-0 start offset `k0 = 2R` (36.212 §5.1.4.1.2:
-    /// `R·(2·⌈Ncb/(8R)⌉·rv + 2)` at `rv = 0`). Only rv 0 is transmitted.
-    pub fn k0(&self) -> usize {
-        2 * self.rows
+        let buffer = circular_buffer(d);
+        let (before, from_k0) = buffer.split_at(k0(d));
+        let order = from_k0.iter().chain(before).flatten().copied().collect();
+        RateMatcher { d, order }
     }
 
     /// Selects `e` bits from the codeword's circular buffer.
@@ -95,53 +77,30 @@ impl RateMatcher {
     pub fn rate_match(&self, cw: &TurboCodeword, e: usize) -> Vec<u8> {
         assert_eq!(cw.d0.len(), self.d, "codeword size mismatch");
         assert!(e > 0, "cannot select zero bits");
-        let ncb = self.buffer_len();
-        let mut out = Vec::with_capacity(e);
-        let mut k = self.k0();
-        while out.len() < e {
-            if let Slot::Bit { stream, idx } = self.w_map[k] {
-                let bit = match stream {
-                    0 => cw.d0[idx as usize],
-                    1 => cw.d1[idx as usize],
-                    _ => cw.d2[idx as usize],
-                };
-                out.push(bit);
-            }
-            k = (k + 1) % ncb;
-        }
-        out
+        let streams = [&cw.d0, &cw.d1, &cw.d2];
+        let bit = |&p: &u32| streams[p as usize / self.d][p as usize % self.d];
+        self.order.iter().cycle().take(e).map(bit).collect()
     }
 
-    /// Reverses the selection walk over `llrs` (length `E`) into
-    /// caller-owned per-stream vectors `(d0, d1, d2)` (cleared, resized to
-    /// `D = K + 4`, refilled; no allocation once they have capacity),
-    /// accumulating repeated transmissions. Punctured (never-sent)
-    /// positions stay at 0.
-    pub fn de_rate_match_into(
-        &self,
-        llrs: &[f32],
-        d0: &mut Vec<f32>,
-        d1: &mut Vec<f32>,
-        d2: &mut Vec<f32>,
-    ) {
-        let ncb = self.buffer_len();
-        for v in [&mut *d0, &mut *d1, &mut *d2] {
-            v.clear();
-            v.resize(self.d, 0.0);
-        }
-        let mut k = self.k0();
-        let mut taken = 0usize;
-        while taken < llrs.len() {
-            if let Slot::Bit { stream, idx } = self.w_map[k] {
-                let tgt = match stream {
-                    0 => &mut d0[idx as usize],
-                    1 => &mut d1[idx as usize],
-                    _ => &mut d2[idx as usize],
-                };
-                *tgt += llrs[taken];
-                taken += 1;
+    /// Descrambles a code block's `E` coded LLRs with their scrambling
+    /// sign masks (the block's slice of
+    /// [`crate::scramble::Scrambler::masks`]) and reverses the selection
+    /// walk, in one pass, into the caller-owned flat `[d0|d1|d2]` streams
+    /// `out` (cleared, resized to `3·(K + 4)`, refilled; no allocation once
+    /// it has capacity). Repeated transmissions accumulate in transmission
+    /// order; punctured positions stay at 0.
+    ///
+    /// The walk is a modulo- and branch-free scatter-add: positions come
+    /// from the table, and descrambling is a sign-bit XOR.
+    pub fn de_rate_match_into(&self, llrs: &[f32], masks: &[u32], out: &mut Vec<f32>) {
+        debug_assert_eq!(llrs.len(), masks.len());
+        out.clear();
+        out.resize(3 * self.d, 0.0);
+        let n = self.order.len();
+        for (llrs, masks) in llrs.chunks(n).zip(masks.chunks(n)) {
+            for ((&p, &l), &m) in self.order.iter().zip(llrs).zip(masks) {
+                out[p as usize] += f32::from_bits(l.to_bits() ^ m);
             }
-            k = (k + 1) % ncb;
         }
     }
 }
@@ -149,13 +108,37 @@ impl RateMatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scramble::Scrambler;
     use crate::turbo::TurboEncoder;
     use proptest::prelude::*;
 
-    fn de_rate_match(rm: &RateMatcher, llrs: &[f32]) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
-        let (mut d0, mut d1, mut d2) = (Vec::new(), Vec::new(), Vec::new());
-        rm.de_rate_match_into(llrs, &mut d0, &mut d1, &mut d2);
-        (d0, d1, d2)
+    /// De-rate-matches without scrambling; returns `[d0|d1|d2]`.
+    fn de_rate_match(rm: &RateMatcher, llrs: &[f32]) -> Vec<f32> {
+        let mut out = Vec::new();
+        rm.de_rate_match_into(llrs, &vec![0; llrs.len()], &mut out);
+        out
+    }
+
+    /// The de-rate-matching the decode path ran before the read-order
+    /// table, kept as the oracle: a descrambled copy of the block (the
+    /// branchy sign flip), then the modulo walk over the circular buffer
+    /// from `k0`, skipping `<NULL>`.
+    fn de_rate_match_walk(k: usize, llrs: &[f32], s: &Scrambler, offset: usize) -> Vec<f32> {
+        let d = stream_len(k);
+        let buffer = circular_buffer(d);
+        let mut block = llrs.to_vec();
+        s.descramble_llrs_at(offset, &mut block);
+        let mut out = vec![0.0f32; 3 * d];
+        let mut pos = k0(d);
+        let mut taken = 0;
+        while taken < block.len() {
+            if let Some(p) = buffer[pos] {
+                out[p as usize] += block[taken];
+                taken += 1;
+            }
+            pos = (pos + 1) % buffer.len();
+        }
+        out
     }
 
     fn bits(n: usize, seed: u64) -> Vec<u8> {
@@ -180,18 +163,14 @@ mod tests {
     }
 
     #[test]
-    fn every_codeword_bit_appears_in_buffer() {
-        let rm = RateMatcher::new(40);
-        let mut counts = [[0usize; 64]; 3];
-        for slot in &rm.w_map {
-            if let Slot::Bit { stream, idx } = slot {
-                counts[*stream as usize][*idx as usize] += 1;
+    fn every_codeword_bit_appears_once_in_read_order() {
+        for k in [40usize, 104, 6144] {
+            let rm = RateMatcher::new(k);
+            let mut counts = vec![0usize; 3 * (k + 4)];
+            for &p in &rm.order {
+                counts[p as usize] += 1;
             }
-        }
-        for s in 0..3 {
-            for i in 0..44 {
-                assert_eq!(counts[s][i], 1, "stream {s} bit {i}");
-            }
+            assert!(counts.iter().all(|&c| c == 1), "k={k}");
         }
     }
 
@@ -201,11 +180,7 @@ mod tests {
         let enc = TurboEncoder::new(k);
         let cw = enc.encode(&bits(k, 1));
         let rm = RateMatcher::new(k);
-        let non_null = rm
-            .w_map
-            .iter()
-            .filter(|s| matches!(s, Slot::Bit { .. }))
-            .count();
+        let non_null = circular_buffer(k + 4).iter().flatten().count();
         assert_eq!(non_null, 3 * (k + 4));
         let out = rm.rate_match(&cw, non_null);
         let ones_in = cw
@@ -233,18 +208,18 @@ mod tests {
             .iter()
             .map(|&b| if b == 0 { 5.0 } else { -5.0 })
             .collect();
-        let (d0, d1, d2) = de_rate_match(&rm, &llrs);
-        let check = |llr: &[f32], bits: &[u8], name: &str| {
+        let streams = de_rate_match(&rm, &llrs);
+        for (name, (llr, bits)) in ["d0", "d1", "d2"]
+            .iter()
+            .zip(streams.chunks(k + 4).zip([&cw.d0, &cw.d1, &cw.d2]))
+        {
             for (i, (&l, &b)) in llr.iter().zip(bits).enumerate() {
                 if l != 0.0 {
                     let hard = (l < 0.0) as u8;
                     assert_eq!(hard, b, "{name}[{i}]");
                 }
             }
-        };
-        check(&d0, &cw.d0, "d0");
-        check(&d1, &cw.d1, "d1");
-        check(&d2, &cw.d2, "d2");
+        }
     }
 
     #[test]
@@ -260,7 +235,7 @@ mod tests {
             .iter()
             .map(|&b| if b == 0 { 1.0 } else { -1.0 })
             .collect();
-        let (d0, _, _) = de_rate_match(&rm, &llrs);
+        let d0 = &de_rate_match(&rm, &llrs)[..k + 4];
         for (&l, &b) in d0.iter().zip(&cw.d0) {
             assert_eq!(l, if b == 0 { 2.0 } else { -2.0 });
         }
@@ -276,22 +251,43 @@ mod tests {
         let cw = enc.encode(&data);
         let rm = RateMatcher::new(k);
         let tx = rm.rate_match(&cw, k);
-        // Count agreement with some systematic bits: walk the map again.
         let mut sys_count = 0usize;
-        let ncb = rm.buffer_len();
-        let mut pos = rm.k0();
-        let mut taken = 0;
-        while taken < k {
-            if let Slot::Bit { stream, idx } = rm.w_map[pos] {
-                if stream == 0 {
-                    assert_eq!(tx[taken], cw.d0[idx as usize]);
-                    sys_count += 1;
-                }
-                taken += 1;
+        for (&b, &p) in tx.iter().zip(&rm.order) {
+            if (p as usize) < k + 4 {
+                assert_eq!(b, cw.d0[p as usize]);
+                sys_count += 1;
             }
-            pos = (pos + 1) % ncb;
         }
         assert!(sys_count > k * 8 / 10, "only {sys_count} systematic bits");
+    }
+
+    #[test]
+    fn table_walk_is_bit_exact_vs_modulo_walk() {
+        // Every LTE block size the 5 MHz configurations use plus the
+        // extremes; E below D, exactly 3·D, and above 3·D (repetition
+        // across the wrap); LLRs with ±0.0 among them, so a first pass
+        // that stored instead of adding (−0.0 where 0.0 + −0.0 = +0.0)
+        // would show.
+        for k in [40usize, 2240, 3584, 4416, 4672, 5376, 6144] {
+            let d = k + 4;
+            let rm = RateMatcher::new(k);
+            for e in [d / 2 + 1, 3 * d, 7 * d + 5] {
+                let llrs: Vec<f32> = (0..e)
+                    .map(|i| match i % 9 {
+                        0 => 0.0,
+                        4 => -0.0,
+                        _ => ((i * 2_654_435_761) % 1000) as f32 / 37.0 - 13.5,
+                    })
+                    .collect();
+                let offset = 101;
+                let s = Scrambler::new(0x5EED ^ k as u32, offset + e);
+                let mut got = Vec::new();
+                rm.de_rate_match_into(&llrs, &s.masks()[offset..offset + e], &mut got);
+                let want = de_rate_match_walk(k, &llrs, &s, offset);
+                let as_bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(as_bits(&got), as_bits(&want), "k={k} e={e}");
+            }
+        }
     }
 
     proptest! {
@@ -307,8 +303,7 @@ mod tests {
             let tx = rm.rate_match(&cw, e);
             prop_assert_eq!(tx.len(), e);
             let llrs: Vec<f32> = tx.iter().map(|&b| if b == 0 { 1.0 } else { -1.0 }).collect();
-            let (d0, d1, d2) = de_rate_match(&rm, &llrs);
-            let total: f32 = d0.iter().chain(&d1).chain(&d2).map(|l| l.abs()).sum();
+            let total: f32 = de_rate_match(&rm, &llrs).iter().map(|l| l.abs()).sum();
             // Chase combining preserves total LLR magnitude.
             prop_assert!((total - e as f32).abs() < 1e-3 * e as f32);
         }

@@ -3,7 +3,8 @@
 //! LTE scrambles the rate-matched bit stream with a length-31 Gold sequence
 //! seeded from the cell/UE identity and subframe number. The descrambler
 //! operates on LLRs by sign-flipping, so it sits in the paper's *decode*
-//! task together with the rate dematcher and turbo decoder.
+//! task together with the rate dematcher and turbo decoder — fused into the
+//! de-rate-matching walk ([`crate::ratematch::RateMatcher::de_rate_match_into`]).
 
 /// Offset `Nc` discarded from the head of the Gold sequence.
 const NC: usize = 1600;
@@ -11,7 +12,8 @@ const NC: usize = 1600;
 /// A pseudo-random scrambling sequence generator.
 #[derive(Clone, Debug)]
 pub struct Scrambler {
-    seq: Vec<u8>,
+    /// The sequence as f32 sign masks: `c(n) << 31`.
+    masks: Vec<u32>,
 }
 
 /// Builds the standard `c_init` for PUSCH: `n_rnti·2¹⁴ + ns·2⁹ + cell_id`
@@ -36,23 +38,28 @@ impl Scrambler {
             x1[n + 31] = x1[n + 3] ^ x1[n];
             x2[n + 31] = x2[n + 3] ^ x2[n + 2] ^ x2[n + 1] ^ x2[n];
         }
-        let seq = (0..len).map(|n| x1[n + NC] ^ x2[n + NC]).collect();
-        Scrambler { seq }
+        let masks = (0..len)
+            .map(|n| u32::from(x1[n + NC] ^ x2[n + NC]) << 31)
+            .collect();
+        Scrambler { masks }
     }
 
     /// Sequence length.
     pub fn len(&self) -> usize {
-        self.seq.len()
+        self.masks.len()
     }
 
     /// True if the sequence is empty.
     pub fn is_empty(&self) -> bool {
-        self.seq.is_empty()
+        self.masks.is_empty()
     }
 
-    /// The raw sequence bits.
-    pub fn bits(&self) -> &[u8] {
-        &self.seq
+    /// The sequence as f32 sign-bit masks (`c(n) << 31`): descrambling an
+    /// LLR is `f32::from_bits(l.to_bits() ^ mask)`, which is `−l` where
+    /// the sequence bit is 1 (`L(b⊕1) = −L(b)`) for every value, ±0.0
+    /// included, without a branch.
+    pub fn masks(&self) -> &[u32] {
+        &self.masks
     }
 
     /// Scrambles a bit slice in place (`b ⊕ c`).
@@ -60,26 +67,25 @@ impl Scrambler {
     /// # Panics
     /// Panics if `bits` is longer than the generated sequence.
     pub fn scramble_bits(&self, bits: &mut [u8]) {
-        assert!(bits.len() <= self.seq.len(), "sequence too short");
-        for (b, &c) in bits.iter_mut().zip(&self.seq) {
-            *b ^= c;
+        assert!(bits.len() <= self.masks.len(), "sequence too short");
+        for (b, &m) in bits.iter_mut().zip(&self.masks) {
+            *b ^= (m >> 31) as u8;
         }
     }
+}
 
-    /// Descrambles soft LLRs in place against the sequence starting at
-    /// `offset` — positions where the sequence bit is 1 get their sign
-    /// flipped (`L(b⊕1) = −L(b)`) — so per-code-block workers can
-    /// descramble only their slice.
-    ///
-    /// # Panics
-    /// Panics if `offset + llrs.len()` exceeds the sequence length.
-    pub fn descramble_llrs_at(&self, offset: usize, llrs: &mut [f32]) {
-        // analyze: allow(panic): buffer-shape contract; a mismatch means the job was built against a different config — decode garbage or fail loudly, and loud wins
-        assert!(
-            offset + llrs.len() <= self.seq.len(),
-            "sequence too short for offset {offset}"
-        );
-        for (l, &c) in llrs.iter_mut().zip(&self.seq[offset..]) {
+#[cfg(test)]
+impl Scrambler {
+    /// The sequence bits.
+    fn bits(&self) -> Vec<u8> {
+        self.masks.iter().map(|&m| (m >> 31) as u8).collect()
+    }
+
+    /// The branchy LLR descrambler the decode path used before the sign
+    /// masks were fused into de-rate-matching, kept as the oracle: flips
+    /// the sign where the sequence bit (from `offset`) is 1.
+    pub(crate) fn descramble_llrs_at(&self, offset: usize, llrs: &mut [f32]) {
+        for (l, c) in llrs.iter_mut().zip(self.bits().into_iter().skip(offset)) {
             if c == 1 {
                 *l = -*l;
             }
@@ -119,7 +125,7 @@ mod tests {
             .bits()
             .iter()
             .zip(b.bits())
-            .filter(|(x, y)| x == y)
+            .filter(|(x, y)| **x == *y)
             .count();
         assert!(agree < 320, "sequences too similar: {agree}/512 agree");
     }
@@ -131,13 +137,37 @@ mod tests {
         let mut tx = bits.clone();
         s.scramble_bits(&mut tx);
         // Perfect channel: LLR = +4 for 0, −4 for 1 (of the scrambled bit).
-        let mut llrs: Vec<f32> = tx
+        let llrs: Vec<f32> = tx
             .iter()
             .map(|&b| if b == 0 { 4.0 } else { -4.0 })
             .collect();
-        s.descramble_llrs_at(0, &mut llrs);
-        for (l, &b) in llrs.iter().zip(&bits) {
-            assert_eq!((*l < 0.0) as u8, b);
+        let mut branchy = llrs.clone();
+        s.descramble_llrs_at(0, &mut branchy);
+        for ((l, &m), (o, &b)) in llrs.iter().zip(s.masks()).zip(branchy.iter().zip(&bits)) {
+            let masked = f32::from_bits(l.to_bits() ^ m);
+            assert_eq!((masked < 0.0) as u8, b);
+            assert_eq!(masked.to_bits(), o.to_bits());
+        }
+    }
+
+    #[test]
+    fn sign_mask_equals_negation_for_every_class_of_value() {
+        // ±0.0, subnormals, infinities and NaN payloads: the XOR flips the
+        // sign bit exactly where `-l` does, and leaves `l` alone elsewhere.
+        let values = [
+            0.0f32,
+            -0.0,
+            f32::MIN_POSITIVE / 2.0,
+            -1.5,
+            64.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(0x7FC0_1234),
+        ];
+        for &l in &values {
+            for (mask, want) in [(1u32 << 31, -l), (0, l)] {
+                assert_eq!(f32::from_bits(l.to_bits() ^ mask).to_bits(), want.to_bits());
+            }
         }
     }
 

@@ -35,6 +35,12 @@ use std::sync::Arc;
 /// Strong "known zero" LLR clamped onto filler-bit positions.
 const FILLER_LLR: f32 = 100.0;
 
+/// The flat `[d0|d1|d2]` turbo streams as the decoder's three slices.
+fn split_streams(streams: &[f32]) -> (&[f32], &[f32], &[f32]) {
+    let d = streams.len() / 3;
+    (&streams[..d], &streams[d..2 * d], &streams[2 * d..])
+}
+
 /// Converts bytes to bits, MSB first.
 pub fn bytes_to_bits(bytes: &[u8]) -> Vec<u8> {
     bytes
@@ -519,26 +525,16 @@ impl UplinkRx {
         assert!(r < cfg.seg.num_blocks, "decode subtask {r} out of range");
         // analyze: allow(panic): buffer-shape contract; a mismatch means the job was built against a different config — decode garbage or fail loudly, and loud wins
         assert_eq!(llrs.len(), cfg.coded_bits(), "coded LLR stream length");
-        let e = cfg.e_splits()[r];
-        let off = cfg.e_offset(r);
         let multi = cfg.seg.num_blocks > 1;
-        let filler = if r == 0 { cfg.seg.filler } else { 0 };
         let codec = &self.codecs[self.codec_index[r]];
 
         workspace::with_thread_workspace(|ws| {
-            ws.block_llrs.clear();
-            ws.block_llrs.extend_from_slice(&llrs[off..off + e]);
-            self.scrambler.descramble_llrs_at(off, &mut ws.block_llrs);
-            codec
-                .matcher
-                .de_rate_match_into(&ws.block_llrs, &mut ws.d0, &mut ws.d1, &mut ws.d2);
-            for v in ws.d0.iter_mut().take(filler) {
-                *v = FILLER_LLR;
-            }
+            let filler = self.prep_block(llrs, r, &mut ws.streams);
+            let (d0, d1, d2) = split_streams(&ws.streams);
             let (iterations, crc_ok) = codec.decoder.decode_with(
-                &ws.d0,
-                &ws.d1,
-                &ws.d2,
+                d0,
+                d1,
+                d2,
                 cfg.max_turbo_iters,
                 |bits| {
                     if multi {
@@ -556,10 +552,10 @@ impl UplinkRx {
     }
 
     /// Stages decode subtask `r` into the next free slot of `scratch`:
-    /// extracts and descrambles the block's LLR segment, de-rate-matches
-    /// it into the slot's `d0/d1/d2` streams and clamps filler positions —
-    /// everything [`UplinkRx::run_decode_subtask_into`] does *before* the
-    /// turbo decoder runs. A later [`run_staged_decode_batch`] call then
+    /// descrambles and de-rate-matches the block's LLR segment into the
+    /// slot's turbo streams and clamps filler positions — everything
+    /// [`UplinkRx::run_decode_subtask_into`] does *before* the turbo
+    /// decoder runs. A later [`run_staged_decode_batch`] call then
     /// decodes all staged slots together, pairing same-`K` blocks through
     /// the wide turbo kernel. Returns the slot index.
     ///
@@ -579,24 +575,9 @@ impl UplinkRx {
         assert_eq!(llrs.len(), cfg.coded_bits(), "coded LLR stream length");
         // analyze: allow(panic): buffer-shape contract; callers size their drains to `capacity()`
         assert!(!scratch.is_full(), "decode batch scratch full");
-        let e = cfg.e_splits()[r];
-        let off = cfg.e_offset(r);
         let i = scratch.len;
         let slot = &mut scratch.slots[i];
-        slot.block_llrs.clear();
-        slot.block_llrs.extend_from_slice(&llrs[off..off + e]);
-        self.scrambler.descramble_llrs_at(off, &mut slot.block_llrs);
-        let codec = &self.codecs[self.codec_index[r]];
-        codec.matcher.de_rate_match_into(
-            &slot.block_llrs,
-            &mut slot.d0,
-            &mut slot.d1,
-            &mut slot.d2,
-        );
-        slot.filler = if r == 0 { cfg.seg.filler } else { 0 };
-        for v in slot.d0.iter_mut().take(slot.filler) {
-            *v = FILLER_LLR;
-        }
+        slot.filler = self.prep_block(llrs, r, &mut slot.streams);
         slot.multi = cfg.seg.num_blocks > 1;
         slot.max_iters = cfg.max_turbo_iters;
         slot.codec_idx = self.codec_index[r];
@@ -635,10 +616,7 @@ impl UplinkRx {
             post_var,
             nv,
             sym_llrs,
-            block_llrs,
-            d0,
-            d1,
-            d2,
+            streams,
             turbo,
             block_bits,
             block_crc_ok,
@@ -687,17 +665,9 @@ impl UplinkRx {
         block_iters.clear();
         let multi = cfg.seg.num_blocks > 1;
         for r in 0..cfg.seg.num_blocks {
-            let e = cfg.e_splits[r];
-            let off = cfg.e_offsets[r];
-            block_llrs.clear();
-            block_llrs.extend_from_slice(&llrs[off..off + e]);
-            self.scrambler.descramble_llrs_at(off, block_llrs);
+            let filler = self.prep_block(llrs, r, streams);
+            let (d0, d1, d2) = split_streams(streams);
             let codec = &self.codecs[self.codec_index[r]];
-            codec.matcher.de_rate_match_into(block_llrs, d0, d1, d2);
-            let filler = if r == 0 { cfg.seg.filler } else { 0 };
-            for v in d0.iter_mut().take(filler) {
-                *v = FILLER_LLR;
-            }
             let (iterations, crc_ok) = codec.decoder.decode_with(
                 d0,
                 d1,
@@ -742,6 +712,23 @@ impl UplinkRx {
             let view = self.decode_subframe_with(rx_samples, ws)?;
             Ok(view.to_output())
         })
+    }
+
+    /// The prep half of decode subtask `r`: descrambles the block's slice
+    /// of the coded stream `llrs` and de-rate-matches it in one pass into
+    /// the flat `[d0|d1|d2]` turbo streams, then clamps the filler bits.
+    /// Returns the block's filler count.
+    fn prep_block(&self, llrs: &[f32], r: usize, streams: &mut Vec<f32>) -> usize {
+        let cfg = &self.cfg;
+        let (off, e) = (cfg.e_offsets[r], cfg.e_splits[r]);
+        self.codecs[self.codec_index[r]].matcher.de_rate_match_into(
+            &llrs[off..off + e],
+            &self.scrambler.masks()[off..off + e],
+            streams,
+        );
+        let filler = if r == 0 { cfg.seg.filler } else { 0 };
+        streams[..filler].fill(FILLER_LLR);
+        filler
     }
 
     /// Checks that `rx_samples` holds one full subframe per receive
@@ -806,10 +793,8 @@ pub const MAX_DECODE_BATCH: usize = 8;
 /// early-stop closure needs, and the decode outputs.
 #[derive(Debug, Default)]
 pub struct DecodeSlot {
-    block_llrs: Vec<f32>,
-    d0: Vec<f32>,
-    d1: Vec<f32>,
-    d2: Vec<f32>,
+    /// The flat `[d0|d1|d2]` turbo streams.
+    streams: Vec<f32>,
     max_iters: usize,
     multi: bool,
     filler: usize,
@@ -858,14 +843,10 @@ impl DecodeBatchScratch {
 
     /// Pre-grows every slot for any block of `cfg`.
     pub fn warm(&mut self, cfg: &UplinkConfig) {
-        let max_e = cfg.e_splits().iter().copied().max().unwrap_or(0);
         let k = cfg.seg.k_plus;
         for slot in &mut self.slots {
-            slot.block_llrs
-                .reserve(max_e.saturating_sub(slot.block_llrs.len()));
-            for d in [&mut slot.d0, &mut slot.d1, &mut slot.d2] {
-                d.reserve((k + 4).saturating_sub(d.len()));
-            }
+            slot.streams
+                .reserve((3 * (k + 4)).saturating_sub(slot.streams.len()));
             slot.bits.reserve(k.saturating_sub(slot.bits.len()));
         }
         for ws in &mut self.workspaces {
@@ -937,11 +918,12 @@ pub fn run_staged_decode_batch(rxs: &[&UplinkRx], scratch: &mut DecodeBatchScrat
         let jobs: [TurboBatchJob<'_>; MAX_DECODE_BATCH] = std::array::from_fn(|i| {
             let i = i.min(n - 1);
             let s = &slots[i];
+            let (d0, d1, d2) = split_streams(&s.streams);
             TurboBatchJob {
                 decoder: &rxs[i].codecs[s.codec_idx].decoder,
-                d0: &s.d0,
-                d1: &s.d1,
-                d2: &s.d2,
+                d0,
+                d1,
+                d2,
                 max_iters: s.max_iters,
             }
         });
@@ -979,7 +961,6 @@ pub struct JobSlab {
     block_bits: Vec<Vec<u8>>,
     block_iters: Vec<usize>,
     block_crc: Vec<bool>,
-    block_done: Vec<bool>,
     tb: Vec<u8>,
     tb_oks: Vec<bool>,
     payload: Vec<u8>,
@@ -1014,8 +995,6 @@ impl JobSlab {
         self.block_iters.resize(c, 0);
         self.block_crc.clear();
         self.block_crc.resize(c, false);
-        self.block_done.clear();
-        self.block_done.resize(c, false);
     }
 
     /// Pre-grows every buffer to the steady-state size of `cfg`, so later
@@ -1080,25 +1059,27 @@ pub struct SlabJob<'a> {
     samples: &'a [Vec<Cf32>],
     slab: &'a mut JobSlab,
     /// Antennas whose 14-symbol FFT batch has run or been absorbed (bit `a`).
-    fft_done: u32,
+    fft_done: u64,
     /// Demod subtasks that have run (bit `i`).
-    demod_done: u32,
+    demod_done: u64,
+    /// Decode subtasks (code blocks) that have run or been absorbed (bit `r`).
+    decode_done: u64,
 }
 
 /// Records subtask `i` of a stage in its completion mask.
 ///
 /// # Panics
 /// Panics if subtask `i` is already recorded.
-fn mark_done(mask: &mut u32, i: usize, what: &str) {
+fn mark_done(mask: &mut u64, i: usize, what: &str) {
     let bit = 1 << i;
-    // analyze: allow(panic): the paper's guarantee is that a subtask is never executed twice; a repeat means the scheduler ran or absorbed it twice, and the stage would go on from a grid or LLR row another antenna or symbol never wrote
+    // analyze: allow(panic): the paper's guarantee is that a subtask is never executed twice; a repeat means the scheduler ran or absorbed it twice, and the stage would go on from a grid, LLR row or code block another subtask never wrote, or count a block's iterations twice
     assert!(*mask & bit == 0, "{what} {i} ran twice");
     *mask |= bit;
 }
 
-/// The mask with the low `n` bits set: every subtask of an `n`-subtask
-/// stage done.
-fn all_done(n: usize) -> u32 {
+/// The mask with the low `n` bits set (`n < 64`): every subtask of an
+/// `n`-subtask stage done.
+fn all_done(n: usize) -> u64 {
     (1 << n) - 1
 }
 
@@ -1122,6 +1103,7 @@ impl UplinkRx {
             slab,
             fft_done: 0,
             demod_done: 0,
+            decode_done: 0,
         })
     }
 }
@@ -1267,7 +1249,8 @@ impl SlabJob<'_> {
     /// the slab's per-block buffers.
     ///
     /// # Panics
-    /// Panics if demod subtasks are still outstanding or `r` out of range.
+    /// Panics if demod subtasks are still outstanding, `r` is out of
+    /// range, or block `r` already ran or was absorbed.
     pub fn run_decode_subtask_local(&mut self, r: usize) {
         // analyze: allow(panic): buffer-shape contract; a mismatch means the job was built against a different config — decode garbage or fail loudly, and loud wins
         assert_eq!(
@@ -1280,7 +1263,7 @@ impl SlabJob<'_> {
                 .run_decode_subtask_into(&self.slab.llrs, r, &mut self.slab.block_bits[r]);
         self.slab.block_iters[r] = iterations;
         self.slab.block_crc[r] = crc_ok;
-        self.slab.block_done[r] = true;
+        mark_done(&mut self.decode_done, r, "decode subtask");
     }
 
     /// Runs every decode subtask whose bit is set in `mask` on the owning
@@ -1290,8 +1273,8 @@ impl SlabJob<'_> {
     /// [`SlabJob::run_decode_subtask_local`] calls.
     ///
     /// # Panics
-    /// Panics if demod subtasks are still outstanding or `mask` addresses
-    /// a block out of range.
+    /// Panics if demod subtasks are still outstanding, `mask` addresses
+    /// a block out of range, or one that already ran or was absorbed.
     pub fn run_decode_batch_local(&mut self, mask: u64, scratch: &mut DecodeBatchScratch) {
         // analyze: allow(panic): buffer-shape contract; a mismatch means the job was built against a different config — decode garbage or fail loudly, and loud wins
         assert_eq!(
@@ -1330,7 +1313,7 @@ impl SlabJob<'_> {
                 bits.extend_from_slice(&slot.bits);
                 self.slab.block_iters[br] = slot.iterations;
                 self.slab.block_crc[br] = slot.crc_ok;
-                self.slab.block_done[br] = true;
+                mark_done(&mut self.decode_done, br, "decode subtask");
             }
         }
     }
@@ -1339,19 +1322,20 @@ impl SlabJob<'_> {
     /// [`UplinkRx::run_decode_subtask_into`] on another thread).
     ///
     /// # Panics
-    /// Panics if `r` is out of range.
+    /// Panics if `r` is out of range, or if block `r` already ran or was
+    /// absorbed.
     pub fn absorb_decode_buf(&mut self, r: usize, buf: &BlockBuf) {
         let bits = &mut self.slab.block_bits[r];
         bits.clear();
         bits.extend_from_slice(&buf.bits);
         self.slab.block_iters[r] = buf.iterations;
         self.slab.block_crc[r] = buf.crc_ok;
-        self.slab.block_done[r] = true;
+        mark_done(&mut self.decode_done, r, "decode subtask");
     }
 
     /// Whether decode subtask `r` has been run or absorbed.
     pub fn decode_done(&self, r: usize) -> bool {
-        self.slab.block_done[r]
+        self.decode_done & (1 << r) != 0
     }
 
     /// Finishes the job: reassembles the transport block into the slab and
@@ -1365,10 +1349,13 @@ impl SlabJob<'_> {
     pub fn finish(self) -> Result<SlabVerdict, PhyError> {
         let cfg = &self.rx.cfg;
         let c = cfg.seg.num_blocks;
-        for (r, done) in self.slab.block_done.iter().enumerate().take(c) {
-            // analyze: allow(panic): stage-ordering protocol; the SlotBoard confirms every subtask before this stage runs, so a missing result is a scheduler bug
-            assert!(done, "decode subtask {r} missing");
-        }
+        let missing = all_done(c) & !self.decode_done;
+        // analyze: allow(panic): stage-ordering protocol; the SlotBoard confirms every subtask before this stage runs, so a missing result is a scheduler bug
+        assert!(
+            missing == 0,
+            "decode subtask {} missing",
+            missing.trailing_zeros()
+        );
         cfg.seg.desegment_into(
             &self.slab.block_bits[..c],
             &mut self.slab.tb,
@@ -1675,16 +1662,20 @@ mod tests {
         }
     }
 
-    /// A clean two-antenna subframe and its receiver, for the stage
-    /// bookkeeping tests.
-    fn two_antenna_subframe() -> (UplinkRx, Vec<Vec<Cf32>>) {
-        let cfg = UplinkConfig::new(Bandwidth::Mhz1_4, 2, 5).unwrap();
+    /// A clean subframe of `cfg` on 2 antennas and its receiver, for the
+    /// stage bookkeeping tests.
+    fn clean_subframe(cfg: UplinkConfig) -> (UplinkRx, Vec<Vec<Cf32>>) {
         let sf = UplinkTx::new(cfg.clone())
             .encode_subframe(&payload(&cfg, 3))
             .unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         let rx_samples = AwgnChannel::new(30.0).apply(&sf.samples, 2, &mut rng);
         (UplinkRx::new(cfg), rx_samples)
+    }
+
+    /// The one-block 1.4 MHz QPSK case of [`clean_subframe`].
+    fn two_antenna_subframe() -> (UplinkRx, Vec<Vec<Cf32>>) {
+        clean_subframe(UplinkConfig::new(Bandwidth::Mhz1_4, 2, 5).unwrap())
     }
 
     #[test]
@@ -1718,6 +1709,53 @@ mod tests {
         // Subtask `last` never runs; a count would accept its stale LLRs.
         job.run_demod_subtask_local(0);
         job.coded_llrs();
+    }
+
+    /// Starts a job and runs its FFT and demod stages.
+    fn job_at_decode<'a>(
+        rx: &'a UplinkRx,
+        samples: &'a [Vec<Cf32>],
+        slab: &'a mut JobSlab,
+    ) -> SlabJob<'a> {
+        let mut job = rx.start_job_in(samples, slab).unwrap();
+        job.run_fft_batch_local(0);
+        job.run_fft_batch_local(1);
+        job.finish_fft();
+        for i in 0..job.demod_subtask_count() {
+            job.run_demod_subtask_local(i);
+        }
+        job
+    }
+
+    #[test]
+    #[should_panic(expected = "decode subtask 0 ran twice")]
+    fn local_then_absorbed_decode_block_panics() {
+        let (rx, samples) = two_antenna_subframe();
+        let mut slab = JobSlab::new();
+        let mut job = job_at_decode(&rx, &samples, &mut slab);
+        let mut buf = BlockBuf::new();
+        (buf.iterations, buf.crc_ok) =
+            rx.run_decode_subtask_into(job.coded_llrs(), 0, &mut buf.bits);
+        job.run_decode_subtask_local(0);
+        // A thief's result for the same block arrives as well; a flag
+        // would take it and finish as if one decode had run.
+        job.absorb_decode_buf(0, &buf);
+        job.finish().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "decode subtask 1 ran twice")]
+    fn batch_mask_over_a_run_block_panics() {
+        let (rx, samples) = clean_subframe(UplinkConfig::new(Bandwidth::Mhz5, 2, 20).unwrap());
+        let blocks = rx.config().segmentation().num_blocks;
+        assert!(blocks >= 2);
+        let mut slab = JobSlab::new();
+        let mut scratch = DecodeBatchScratch::new();
+        let mut job = job_at_decode(&rx, &samples, &mut slab);
+        job.run_decode_subtask_local(1);
+        // The drain's mask still names block 1.
+        job.run_decode_batch_local(all_done(blocks), &mut scratch);
+        job.finish().unwrap();
     }
 
     #[test]

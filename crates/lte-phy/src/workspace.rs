@@ -42,14 +42,9 @@ pub struct PhyWorkspace {
     pub(crate) nv: Vec<f32>,
     /// LLRs of one data symbol (`M × Qm`).
     pub(crate) sym_llrs: Vec<f32>,
-    /// Descrambled slice of the coded stream for one code block.
-    pub(crate) block_llrs: Vec<f32>,
-    /// De-rate-matched stream `d0` (systematic).
-    pub(crate) d0: Vec<f32>,
-    /// De-rate-matched stream `d1` (parity 1).
-    pub(crate) d1: Vec<f32>,
-    /// De-rate-matched stream `d2` (parity 2).
-    pub(crate) d2: Vec<f32>,
+    /// One code block's descrambled, de-rate-matched turbo streams, flat
+    /// `[d0|d1|d2]` (systematic, parity 1, parity 2).
+    pub(crate) streams: Vec<f32>,
     /// Turbo-decoder trellis and exchange buffers.
     pub(crate) turbo: TurboWorkspace,
     /// Hard-decision bits per code block (inner vectors reused).
@@ -88,10 +83,7 @@ impl PhyWorkspace {
             post_var: Vec::new(),
             nv: Vec::new(),
             sym_llrs: Vec::new(),
-            block_llrs: Vec::new(),
-            d0: Vec::new(),
-            d1: Vec::new(),
-            d2: Vec::new(),
+            streams: Vec::new(),
             turbo: TurboWorkspace::new(),
             block_bits: Vec::new(),
             block_crc_ok: Vec::new(),
@@ -137,12 +129,8 @@ impl PhyWorkspace {
         reserve_to(&mut self.post_var, m);
         reserve_to(&mut self.nv, m);
         reserve_to(&mut self.sym_llrs, m * qm);
-        let max_e = cfg.e_splits().iter().copied().max().unwrap_or(0);
-        reserve_to(&mut self.block_llrs, max_e);
         let max_k = seg.k_plus;
-        for v in [&mut self.d0, &mut self.d1, &mut self.d2] {
-            reserve_to(v, max_k + 4);
-        }
+        reserve_to(&mut self.streams, 3 * (max_k + 4));
         self.turbo.warm(max_k);
         for (r, bits) in self.block_bits.iter_mut().enumerate().take(c) {
             reserve_to(bits, seg.block_size(r));

@@ -199,10 +199,8 @@ struct Owner<'a> {
 
 impl Owner<'_> {
     /// A fresh job, advanced until the probed stage is runnable. A job
-    /// runs each FFT batch once, as one subframe does in the runtime, so
-    /// the FFT probes start one per pass, untimed (nothing is allocated).
-    /// Decode blocks may rerun in one job, so the decode probes keep a
-    /// single job and the owner's warm decoder, as they always did.
+    /// runs each subtask once, as one subframe does in the runtime, so
+    /// the probes start one per pass, untimed (nothing is allocated).
     fn job(&mut self) -> SlabJob<'_> {
         let mut job = self
             .rx
@@ -288,11 +286,8 @@ pub fn measure_stage_parallelism(
         let (serial_us, two_core_us) = (&mut serial_us, &mut two_core_us);
         s.spawn(move || {
             pin_current_thread(0);
-            let mut job = owner.job();
             for _ in 0..trials {
-                if stage == Stage::Fft {
-                    job = owner.job();
-                }
+                let mut job = owner.job();
                 let t0 = Instant::now();
                 for i in 0..n {
                     stage.run_local(&mut job, i);
@@ -301,9 +296,7 @@ pub fn measure_stage_parallelism(
             }
             // Two-core timings: the helper runs the second half.
             for _ in 0..trials {
-                if stage == Stage::Fft {
-                    job = owner.job();
-                }
+                let mut job = owner.job();
                 let t0 = Instant::now();
                 let (env, flag) = Envelope::new(move || {
                     for i in split..n {
@@ -379,9 +372,7 @@ pub fn measure_migration_overhead(
             // tests, frequency scaling) perturbs both series equally.
             for t in 0..trials {
                 let i = t % count;
-                if stage == Stage::Fft {
-                    job = owner.job();
-                }
+                let mut job = owner.job();
                 let t0 = Instant::now();
                 stage.run_local(&mut job, i);
                 local_us.push(as_us(t0.elapsed()));
@@ -503,9 +494,7 @@ pub fn measure_steal_overhead(
             // both series equally.
             for t in 0..trials {
                 let i = t % count;
-                if stage == Stage::Fft {
-                    job = owner.job();
-                }
+                let mut job = owner.job();
                 let t0 = Instant::now();
                 stage.run_local(&mut job, i);
                 local_us.push(as_us(t0.elapsed()));
