@@ -2,11 +2,11 @@
 //! `cargo xtask analyze` certifies from.
 //!
 //! Times the four vectorized PHY kernels (turbo max-log-MAP, soft demapper,
-//! MRC equalizer, FFT), whole decode subtasks and the end-to-end MCS 27
-//! subframe decode with a plain `Instant` loop, re-times them at every
-//! supported SIMD tier, times the batched turbo drain against per-call
-//! dispatch, and measures the two-thread migration hand-off (steal ticket
-//! vs. mailbox) per migratable stage. Writes one JSON object with those
+//! MRC equalizer, FFT), whole FFT batches, demod and decode subtasks and
+//! the end-to-end MCS 27 subframe decode with a plain `Instant` loop,
+//! re-times them at every supported SIMD tier, times the batched turbo
+//! drain against per-call dispatch, and measures the two-thread migration
+//! hand-off (steal ticket vs. mailbox) per migratable stage. Writes one JSON object with those
 //! rows, a machine fingerprint and the git revision. Commit the output at
 //! the repository root to refresh the baseline — on a machine with at
 //! least two cores, since the analyzer refuses a `"cores": 1` file (the
@@ -19,7 +19,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtopex_phy::channel::{AwgnChannel, ChannelModel};
-use rtopex_phy::equalizer::{mrc_combine, ChannelEstimate};
+use rtopex_phy::equalizer::{mrc_combine_into, ChannelEstimate};
 use rtopex_phy::fft::FftPlan;
 use rtopex_phy::modulation::Modulation;
 use rtopex_phy::params::Bandwidth;
@@ -30,7 +30,7 @@ use rtopex_phy::uplink::{JobSlab, UplinkConfig, UplinkRx, UplinkTx};
 use rtopex_phy::Cf32;
 use rtopex_runtime::measure::{measure_migration_overhead, measure_steal_overhead};
 use std::fmt::Write as _;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Measured mean for one kernel.
 struct Entry {
@@ -91,12 +91,10 @@ fn demap_entries(out: &mut Vec<Entry>) {
         let qm = m.bits_per_symbol();
         let data = bits(600 * qm, 2);
         let syms = m.map(&data);
-        let nv = vec![0.05f32; syms.len()];
-        let mut llrs = Vec::with_capacity(600 * qm);
+        let mut llrs = vec![0.0f32; 600 * qm];
         let (mean_ns, iters) = time_kernel(200, || {
-            llrs.clear();
-            m.demap_maxlog(&syms, &nv, &mut llrs);
-            llrs.len()
+            m.demap_maxlog(&syms, 0.05, &mut llrs);
+            llrs[0]
         });
         out.push(Entry {
             name: "demap_600sym_qm",
@@ -120,7 +118,10 @@ fn mrc_entries(out: &mut Vec<Entry>) {
         .collect();
     let est = ChannelEstimate { h, noise_var: 0.05 };
     let rows: Vec<&[Cf32]> = data.iter().map(Vec::as_slice).collect();
-    let (mean_ns, iters) = time_kernel(200, || mrc_combine(&rows, &est));
+    let (mut combined, mut post_var) = (vec![Cf32::ZERO; m], vec![0.0; m]);
+    let (mean_ns, iters) = time_kernel(200, || {
+        mrc_combine_into(&rows, &est, &mut combined, &mut post_var)
+    });
     out.push(Entry {
         name: "mrc_600sc_2ant",
         size: m,
@@ -159,6 +160,59 @@ fn received_subframe(cfg: &UplinkConfig, seed: u64) -> Vec<Vec<Cf32>> {
     let sf = tx.encode_subframe(&payload).expect("encode");
     let mut chan = AwgnChannel::new(30.0);
     chan.apply(&sf.samples, cfg.num_antennas, &mut rng)
+}
+
+/// The FFT and demod stages at 5 MHz, 2 antennas, 30 dB: one antenna's
+/// 14-symbol `UplinkRx::run_fft_batch_into`, and one
+/// `SlabJob::run_demod_subtask_local` (MRC, de-precoding IDFT, demap into
+/// the LLR row) per data symbol, mean over the subframe's symbols. A job
+/// runs each subtask once, so every demod pass starts a fresh one and
+/// times only its demod stage.
+fn front_entries(out: &mut Vec<Entry>) {
+    for mcs in [5u8, 15] {
+        let cfg = UplinkConfig::new(Bandwidth::Mhz5, 2, mcs).expect("config");
+        let samples = received_subframe(&cfg, 5);
+        let rx = UplinkRx::new(cfg);
+        if mcs == 5 {
+            let mut batch = Vec::new();
+            let (mean_ns, iters) =
+                time_kernel(200, || rx.run_fft_batch_into(&samples, 0, &mut batch));
+            out.push(Entry {
+                name: "fft_batch_5mhz",
+                size: rx.config().bandwidth.fft_size(),
+                mean_ns,
+                iters,
+            });
+        }
+        let mut slab = JobSlab::new();
+        let mut pass = || {
+            let mut job = rx.start_job_in(&samples, &mut slab).expect("job");
+            for a in 0..samples.len() {
+                job.run_fft_batch_local(a);
+            }
+            job.finish_fft();
+            let t = Instant::now();
+            for i in 0..job.demod_subtask_count() {
+                job.run_demod_subtask_local(i);
+            }
+            t.elapsed()
+        };
+        for _ in 0..3 {
+            pass();
+        }
+        let (start, mut demod, mut iters) = (Instant::now(), Duration::ZERO, 0u32);
+        while start.elapsed() < Duration::from_millis(300) {
+            demod += pass();
+            iters += 1;
+        }
+        let symbols = rx.config().data_symbols().len() as u128;
+        out.push(Entry {
+            name: "demod_subtask_5mhz_mcs",
+            size: mcs as usize,
+            mean_ns: (demod.as_nanos() / (iters as u128 * symbols)) as u64,
+            iters,
+        });
+    }
 }
 
 /// The decode stage per code block at 5 MHz, 2 antennas, 30 dB: one whole
@@ -221,6 +275,7 @@ fn tier_entries() -> Vec<(&'static str, Vec<Entry>)> {
         turbo_entries(&mut entries);
         demap_entries(&mut entries);
         fft_entries(&mut entries);
+        front_entries(&mut entries);
         decode_entries(&mut entries);
         subframe_entry(&mut entries);
         out.push((tier.name(), entries));
@@ -419,6 +474,7 @@ fn main() {
     demap_entries(&mut entries);
     mrc_entries(&mut entries);
     fft_entries(&mut entries);
+    front_entries(&mut entries);
     decode_entries(&mut entries);
     subframe_entry(&mut entries);
     let tiers = tier_entries();

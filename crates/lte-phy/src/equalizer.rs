@@ -11,6 +11,7 @@
 use crate::complex::Cf32;
 use crate::params::dmrs_symbols;
 use crate::resource_grid::Grid;
+#[cfg(target_arch = "x86_64")]
 use crate::simd::{self, SimdTier};
 
 /// Channel state estimated from one subframe's DMRS.
@@ -122,100 +123,96 @@ pub fn estimate_channel_band_into(
 ///
 /// # Panics
 /// Panics if `rows` length differs from the estimate's antenna count, or a
-/// row's width differs from the subcarrier count.
+/// row's or gain vector's width differs from the subcarrier count.
 pub fn mrc_combine(rows: &[&[Cf32]], est: &ChannelEstimate) -> (Vec<Cf32>, Vec<f32>) {
+    let m = est.num_subcarriers();
     // analyze: allow(alloc): allocating convenience over mrc_combine_into
-    let mut combined = Vec::new();
+    let mut combined = vec![Cf32::ZERO; m];
     // analyze: allow(alloc): allocating convenience over mrc_combine_into
-    let mut post_var = Vec::new();
+    let mut post_var = vec![0.0; m];
     mrc_combine_into(rows, est, &mut combined, &mut post_var);
     (combined, post_var)
 }
 
-/// [`mrc_combine`] into caller-owned vectors (cleared and refilled; no
-/// allocation once they have capacity). Produces values identical to
+/// [`mrc_combine`] into caller-owned rows of the subcarrier count `m`,
+/// returning `Σ post_var` summed in subcarrier order — the demapper's
+/// mean noise variance times `m`. Produces values identical to
 /// [`mrc_combine`].
 ///
 /// # Panics
 /// Panics if `rows` length differs from the estimate's antenna count, or a
-/// row's width differs from the subcarrier count.
+/// row's or gain vector's width differs from the subcarrier count, or an
+/// output row is shorter than it.
 pub fn mrc_combine_into(
     rows: &[&[Cf32]],
     est: &ChannelEstimate,
-    combined: &mut Vec<Cf32>,
-    post_var: &mut Vec<f32>,
-) {
+    combined: &mut [Cf32],
+    post_var: &mut [f32],
+) -> f32 {
     // analyze: allow(panic): buffer-shape contract; a mismatch means the job was built against a different config — decode garbage or fail loudly, and loud wins
     assert_eq!(rows.len(), est.num_antennas(), "antenna count");
     let m = est.num_subcarriers();
-    for row in rows {
+    for (row, h) in rows.iter().zip(&est.h) {
         // analyze: allow(panic): buffer-shape contract; a mismatch means the job was built against a different config — decode garbage or fail loudly, and loud wins
         assert_eq!(row.len(), m, "subcarrier count");
+        // analyze: allow(panic): buffer-shape contract; the intrinsic kernel reads every gain vector through raw pointers up to `m`
+        assert_eq!(h.len(), m, "channel estimate width");
     }
-    combined.clear();
-    combined.reserve(m);
-    post_var.clear();
-    post_var.reserve(m);
-    let tier = simd::active_tier();
+    let (combined, post_var) = (&mut combined[..m], &mut post_var[..m]);
     let mut k0 = 0;
+    let mut var_sum = 0.0f32;
+    #[cfg(target_arch = "x86_64")]
+    if simd::active_tier() >= SimdTier::Avx2 {
+        // The MRC block stays 8-wide under Avx512 too: per-antenna rows
+        // are short and the deinterleave dominates, so a 16-lane form
+        // measured no faster.
+        // SAFETY: the Avx2 tier is only reported after runtime detection
+        // succeeded (see crate::simd); every row, gain vector and output
+        // holds `m` entries (checked above).
+        #[allow(unsafe_code)]
+        unsafe {
+            (k0, var_sum) = avx2::mrc(rows, est, combined, post_var);
+        }
+    }
+    // Split-complex (SoA) lane blocks: the same per-subcarrier arithmetic
+    // as the AVX2 blocks and the historical per-k loop (`x − (−y)` ≡
+    // `x + y` in IEEE 754, so expanding the conjugate multiply is
+    // value-preserving). On the AVX2 tier this is only the `m mod 8` tail.
     while k0 < m {
         let len = (m - k0).min(8);
         let mut acc_re = [0.0f32; 8];
         let mut acc_im = [0.0f32; 8];
         let mut gain = [0.0f32; 8];
-        #[cfg(target_arch = "x86_64")]
-        let done = if tier >= SimdTier::Avx2 && len == 8 {
-            // The MRC block stays 8-wide under Avx512 too: per-antenna rows
-            // are short and the deinterleave dominates, so a 16-lane form
-            // does not pay (measured in the `mrc` bench group).
-            // SAFETY: the Avx2 tier is only reported after runtime
-            // detection succeeded (see crate::simd).
-            #[allow(unsafe_code)]
-            unsafe {
-                avx2::mrc_block(rows, &est.h, k0, &mut acc_re, &mut acc_im, &mut gain)
-            };
-            true
-        } else {
-            false
-        };
-        #[cfg(not(target_arch = "x86_64"))]
-        let done = {
-            let _ = tier;
-            false
-        };
-        if !done {
-            // Split-complex (SoA) lane accumulation — same per-subcarrier
-            // arithmetic as the AVX2 tier and the historical per-k loop
-            // (`x − (−y)` ≡ `x + y` in IEEE 754, so expanding the complex
-            // conjugate multiply is value-preserving).
-            for (a, row) in rows.iter().enumerate() {
-                let h = &est.h[a][k0..k0 + len];
-                let r = &row[k0..k0 + len];
-                for j in 0..len {
-                    acc_re[j] += h[j].re * r[j].re + h[j].im * r[j].im;
-                    acc_im[j] += h[j].re * r[j].im - h[j].im * r[j].re;
-                    gain[j] += h[j].re * h[j].re + h[j].im * h[j].im;
-                }
+        for (row, h) in rows.iter().zip(&est.h) {
+            let (h, r) = (&h[k0..k0 + len], &row[k0..k0 + len]);
+            for j in 0..len {
+                acc_re[j] += h[j].re * r[j].re + h[j].im * r[j].im;
+                acc_im[j] += h[j].re * r[j].im - h[j].im * r[j].re;
+                gain[j] += h[j].re * h[j].re + h[j].im * h[j].im;
             }
         }
         for j in 0..len {
             let g = gain[j].max(1e-9);
             let inv = 1.0 / g;
-            combined.push(Cf32::new(acc_re[j] * inv, acc_im[j] * inv));
-            post_var.push(est.noise_var / g);
+            combined[k0 + j] = Cf32::new(acc_re[j] * inv, acc_im[j] * inv);
+            post_var[k0 + j] = est.noise_var / g;
+            var_sum += post_var[k0 + j];
         }
         k0 += len;
     }
+    var_sum
 }
 
-/// Explicit AVX2 tier of the MRC accumulation: deinterleaves eight complex
-/// subcarriers per antenna into split-complex registers and accumulates
-/// `Σ h*·r` and `Σ |h|²` with the exact operation sequence of the lane
-/// form, hence bit-exact with it.
+/// Explicit AVX2 tier of MRC: deinterleaves eight complex subcarriers per
+/// antenna into split-complex registers, accumulates `Σ h*·r` and `Σ |h|²`
+/// and finishes the block in registers (`max(g, 1e-9)`, `1/g`, both
+/// products, `σ²/g`, re-interleave) with the exact operation sequence of
+/// the lane form, hence bit-exact with it.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     #![allow(unsafe_code)]
 
+    use super::ChannelEstimate;
     use crate::complex::Cf32;
     use core::arch::x86_64::*;
 
@@ -239,48 +236,75 @@ mod avx2 {
         }
     }
 
+    /// Combines every whole 8-subcarrier block of the symbol into
+    /// `combined` and `post_var`; returns the first subcarrier left for
+    /// the lane tail and the in-order sum of the variances written.
+    ///
     /// # Safety
-    /// Every row and `h[a]` must have at least `k0 + 8` entries; the CPU
-    /// must support AVX2.
+    /// Every row, `est.h[a]`, `combined` and `post_var` must hold at least
+    /// `post_var.len()` entries; the CPU must support AVX2.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn mrc_block(
+    pub(super) unsafe fn mrc(
         rows: &[&[Cf32]],
-        h: &[Vec<Cf32>],
-        k0: usize,
-        acc_re: &mut [f32; 8],
-        acc_im: &mut [f32; 8],
-        gain: &mut [f32; 8],
-    ) {
-        let mut num_re = _mm256_setzero_ps();
-        let mut num_im = _mm256_setzero_ps();
-        let mut g = _mm256_setzero_ps();
-        for (a, row) in rows.iter().enumerate() {
-            // SAFETY: caller guarantees k0 + 8 in-bounds complex entries.
-            let ((hre, him), (rre, rim)) = unsafe {
-                (
-                    load_split(h[a].as_ptr().add(k0)),
-                    load_split(row.as_ptr().add(k0)),
-                )
-            };
-            num_re = _mm256_add_ps(
-                num_re,
-                _mm256_add_ps(_mm256_mul_ps(hre, rre), _mm256_mul_ps(him, rim)),
-            );
-            num_im = _mm256_add_ps(
-                num_im,
-                _mm256_sub_ps(_mm256_mul_ps(hre, rim), _mm256_mul_ps(him, rre)),
-            );
-            g = _mm256_add_ps(
-                g,
-                _mm256_add_ps(_mm256_mul_ps(hre, hre), _mm256_mul_ps(him, him)),
-            );
+        est: &ChannelEstimate,
+        combined: &mut [Cf32],
+        post_var: &mut [f32],
+    ) -> (usize, f32) {
+        let m = post_var.len();
+        let (floor, one, nv) = (
+            _mm256_set1_ps(1e-9),
+            _mm256_set1_ps(1.0),
+            _mm256_set1_ps(est.noise_var),
+        );
+        let mut var_sum = 0.0f32;
+        let mut k0 = 0;
+        while k0 + 8 <= m {
+            let mut num_re = _mm256_setzero_ps();
+            let mut num_im = _mm256_setzero_ps();
+            let mut g = _mm256_setzero_ps();
+            for (row, h) in rows.iter().zip(&est.h) {
+                // SAFETY: caller guarantees k0 + 8 in-bounds complex entries.
+                let ((hre, him), (rre, rim)) = unsafe {
+                    (
+                        load_split(h.as_ptr().add(k0)),
+                        load_split(row.as_ptr().add(k0)),
+                    )
+                };
+                num_re = _mm256_add_ps(
+                    num_re,
+                    _mm256_add_ps(_mm256_mul_ps(hre, rre), _mm256_mul_ps(him, rim)),
+                );
+                num_im = _mm256_add_ps(
+                    num_im,
+                    _mm256_sub_ps(_mm256_mul_ps(hre, rim), _mm256_mul_ps(him, rre)),
+                );
+                g = _mm256_add_ps(
+                    g,
+                    _mm256_add_ps(_mm256_mul_ps(hre, hre), _mm256_mul_ps(him, him)),
+                );
+            }
+            // `maxps` returns its second operand when the first is NaN,
+            // as `f32::max` returns the non-NaN floor.
+            let g = _mm256_max_ps(g, floor);
+            let inv = _mm256_div_ps(one, g);
+            let (re, im) = (_mm256_mul_ps(num_re, inv), _mm256_mul_ps(num_im, inv));
+            let lo = _mm256_unpacklo_ps(re, im); // r0 i0 r1 i1 | r4 i4 r5 i5
+            let hi = _mm256_unpackhi_ps(re, im); // r2 i2 r3 i3 | r6 i6 r7 i7
+                                                 // SAFETY: caller guarantees k0 + 8 writable entries in both
+                                                 // outputs (16 floats of `combined`).
+            unsafe {
+                let out = combined.as_mut_ptr().add(k0) as *mut f32;
+                _mm256_storeu_ps(out, _mm256_permute2f128_ps(lo, hi, 0x20));
+                _mm256_storeu_ps(out.add(8), _mm256_permute2f128_ps(lo, hi, 0x31));
+                _mm256_storeu_ps(post_var.as_mut_ptr().add(k0), _mm256_div_ps(nv, g));
+            }
+            // In subcarrier order, as the lane form sums.
+            for &v in &post_var[k0..k0 + 8] {
+                var_sum += v;
+            }
+            k0 += 8;
         }
-        // SAFETY: the output arrays are 8 contiguous f32s each.
-        unsafe {
-            _mm256_storeu_ps(acc_re.as_mut_ptr(), num_re);
-            _mm256_storeu_ps(acc_im.as_mut_ptr(), num_im);
-            _mm256_storeu_ps(gain.as_mut_ptr(), g);
-        }
+        (k0, var_sum)
     }
 }
 
@@ -417,46 +441,139 @@ mod tests {
         assert!(err < 0.2, "max err {err}");
     }
 
+    /// The push-based MRC the slice form replaced (lane blocks through
+    /// `[f32; 8]` arrays, then `Vec::push`), kept as its oracle.
+    fn mrc_combine_push(rows: &[&[Cf32]], est: &ChannelEstimate) -> (Vec<Cf32>, Vec<f32>) {
+        let m = est.num_subcarriers();
+        let (mut combined, mut post_var) = (Vec::new(), Vec::new());
+        let mut k0 = 0;
+        while k0 < m {
+            let len = (m - k0).min(8);
+            let mut acc_re = [0.0f32; 8];
+            let mut acc_im = [0.0f32; 8];
+            let mut gain = [0.0f32; 8];
+            for (a, row) in rows.iter().enumerate() {
+                let h = &est.h[a][k0..k0 + len];
+                let r = &row[k0..k0 + len];
+                for j in 0..len {
+                    acc_re[j] += h[j].re * r[j].re + h[j].im * r[j].im;
+                    acc_im[j] += h[j].re * r[j].im - h[j].im * r[j].re;
+                    gain[j] += h[j].re * h[j].re + h[j].im * h[j].im;
+                }
+            }
+            for j in 0..len {
+                let g = gain[j].max(1e-9);
+                let inv = 1.0 / g;
+                combined.push(Cf32::new(acc_re[j] * inv, acc_im[j] * inv));
+                post_var.push(est.noise_var / g);
+            }
+            k0 += len;
+        }
+        (combined, post_var)
+    }
+
+    fn random_estimate(
+        m: usize,
+        nant: usize,
+        rng: &mut StdRng,
+    ) -> (ChannelEstimate, Vec<Vec<Cf32>>) {
+        let mut draw = || -> Vec<Vec<Cf32>> {
+            (0..nant)
+                .map(|_| (0..m).map(|_| complex_gaussian(rng)).collect())
+                .collect()
+        };
+        let mut h = draw();
+        // A deep fade on the first subcarriers drives the 1e-9 gain floor.
+        for ha in h.iter_mut() {
+            for v in ha.iter_mut().take(3) {
+                *v = v.scale(1e-6);
+            }
+        }
+        (ChannelEstimate { h, noise_var: 0.07 }, draw())
+    }
+
     #[test]
     fn blocked_mrc_is_bit_exact_vs_reference() {
-        use crate::simd::{force_tier, test_guard, SimdTier};
+        use crate::simd::{force_tier, supported_tiers, test_guard};
         let _g = test_guard();
         let mut rng = StdRng::seed_from_u64(9);
         // Deliberately non-multiple-of-8 widths to cover the lane tail.
-        for m in [1usize, 8, 13, 72] {
-            for nant in [1usize, 2, 4] {
-                let h: Vec<Vec<Cf32>> = (0..nant)
-                    .map(|_| (0..m).map(|_| complex_gaussian(&mut rng)).collect())
-                    .collect();
-                let data: Vec<Vec<Cf32>> = (0..nant)
-                    .map(|_| (0..m).map(|_| complex_gaussian(&mut rng)).collect())
-                    .collect();
-                let est = ChannelEstimate { h, noise_var: 0.07 };
+        for m in [1usize, 8, 13, 72, 300, 1200] {
+            for nant in [1usize, 2, 4, 8] {
+                let (est, data) = random_estimate(m, nant, &mut rng);
                 let rows: Vec<&[Cf32]> = data.iter().map(Vec::as_slice).collect();
-                // Reference: the historical per-subcarrier Cf32 loop.
-                let mut exp_c = Vec::new();
-                let mut exp_v = Vec::new();
+                // The push-based oracle agrees with the historical
+                // per-subcarrier Cf32 loop…
+                let (exp_c, exp_v) = mrc_combine_push(&rows, &est);
                 for k in 0..m {
                     let mut num = Cf32::ZERO;
                     let mut gain = 0.0f32;
                     for (a, row) in rows.iter().enumerate() {
-                        let hk = est.h[a][k];
-                        num += hk.conj() * row[k];
-                        gain += hk.norm_sq();
+                        num += est.h[a][k].conj() * row[k];
+                        gain += est.h[a][k].norm_sq();
                     }
                     let g = gain.max(1e-9);
-                    exp_c.push(num.scale(1.0 / g));
-                    exp_v.push(est.noise_var / g);
+                    assert_eq!(
+                        (exp_c[k], exp_v[k]),
+                        (num.scale(1.0 / g), est.noise_var / g)
+                    );
                 }
-                for tier in [None, Some(SimdTier::Scalar)] {
+                // …and every tier matches the oracle bit for bit, into
+                // outputs poisoned with NaN so an unwritten lane shows.
+                let exp_sum = exp_v.iter().sum::<f32>();
+                let cbits = |c: &[Cf32]| -> Vec<(u32, u32)> {
+                    c.iter().map(|v| (v.re.to_bits(), v.im.to_bits())).collect()
+                };
+                let vbits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
+                for tier in supported_tiers().map(Some).chain([None]) {
                     force_tier(tier);
-                    let (c, v) = mrc_combine(&rows, &est);
-                    assert_eq!(c, exp_c, "m={m} nant={nant} tier={tier:?}");
-                    assert_eq!(v, exp_v, "m={m} nant={nant} tier={tier:?}");
+                    let mut c = vec![Cf32::new(f32::NAN, f32::NAN); m];
+                    let mut v = vec![f32::NAN; m];
+                    let sum = mrc_combine_into(&rows, &est, &mut c, &mut v);
+                    let what = format!("m={m} nant={nant} tier={tier:?}");
+                    assert_eq!(cbits(&c), cbits(&exp_c), "{what}");
+                    assert_eq!(vbits(&v), vbits(&exp_v), "{what}");
+                    assert_eq!(sum.to_bits(), exp_sum.to_bits(), "{what}");
                 }
                 force_tier(None);
             }
         }
+    }
+
+    /// MRC against a channel estimate whose second gain vector holds 8
+    /// entries instead of `m`: every forced tier must refuse it, then the
+    /// auto-dispatched call panics for the `should_panic` harness.
+    fn short_gain_vector_panics_on_every_tier(m: usize) {
+        use crate::simd::{force_tier, supported_tiers, test_guard};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let mut rng = StdRng::seed_from_u64(10);
+        let (mut est, data) = random_estimate(m, 2, &mut rng);
+        est.h[1].truncate(8);
+        let rows: Vec<&[Cf32]> = data.iter().map(Vec::as_slice).collect();
+        {
+            let _g = test_guard();
+            for tier in supported_tiers() {
+                force_tier(Some(tier));
+                let err = catch_unwind(AssertUnwindSafe(|| mrc_combine(&rows, &est)))
+                    .expect_err("a short gain vector must be refused");
+                let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+                assert!(msg.contains("channel estimate width"), "{tier:?}: {msg}");
+            }
+            force_tier(None);
+        }
+        mrc_combine(&rows, &est);
+    }
+
+    #[test]
+    #[should_panic(expected = "channel estimate width")]
+    fn short_gain_vector_panics_m72() {
+        short_gain_vector_panics_on_every_tier(72);
+    }
+
+    #[test]
+    #[should_panic(expected = "channel estimate width")]
+    fn short_gain_vector_panics_m300() {
+        short_gain_vector_panics_on_every_tier(300);
     }
 
     #[test]

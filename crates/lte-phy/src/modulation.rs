@@ -7,6 +7,7 @@
 //! per axis instead of `O(points)` per symbol.
 
 use crate::complex::Cf32;
+#[cfg(target_arch = "x86_64")]
 use crate::simd::{self, SimdTier};
 
 /// Supported modulation schemes.
@@ -109,261 +110,174 @@ impl Modulation {
                     self.axis_level(&qb[..nb]) * self.norm(),
                 )
             })
-            // analyze: allow(alloc): TX-side mapper; the RX hot path is demap_maxlog_into
+            // analyze: allow(alloc): TX-side mapper; the RX hot path is demap_maxlog
             .collect()
     }
 
     /// Max-log soft demapping of equalized symbols into LLRs
-    /// (`ln P(0)/P(1)` convention), appended to `out`.
+    /// (`ln P(0)/P(1)` convention), written into the row `out` in LTE bit
+    /// order (`Qm` per symbol; I-axis bit `t` → bit `2t`, Q-axis → `2t + 1`).
     ///
-    /// `noise_var[i]` is the post-equalization noise variance of symbol `i`
-    /// (complex, total across both axes).
+    /// `noise_var` is the post-equalization noise variance shared by the
+    /// row's symbols (complex, total across both axes); the per-axis
+    /// scale `1/(σ²/2)` is computed once for the row.
     ///
-    /// Blocked lane-form kernel with a runtime-dispatched AVX2 tier: four
-    /// symbols (eight PAM axis values) are demapped at a time against the
-    /// hoisted per-axis level array, emitting eight LLRs per bit position.
-    /// All tiers are bit-exact with each other and with the historical
-    /// per-symbol scalar loop (same squared distances, same `min` chains
-    /// in the same level order, same `(d1 − d0)·inv` scaling).
+    /// Two forms: a portable lane form, and an AVX2 form that demaps four
+    /// symbols (eight axis values) per register and re-interleaves the
+    /// LLRs in registers. AVX2 and AVX-512 CPUs run the AVX2 form for every
+    /// modulation, which beat the lane form 1.7–1.9× in the measured tier
+    /// table (EXPERIMENTS.md, front-end section). Both forms are bit-exact
+    /// with each other and with the historical per-symbol scalar loop
+    /// (same squared distances, same running minima, same
+    /// `(d1 − d0)·inv` scaling).
     ///
     /// # Panics
-    /// Panics if `noise_var.len() != symbols.len()`.
-    pub fn demap_maxlog(self, symbols: &[Cf32], noise_var: &[f32], out: &mut Vec<f32>) {
+    /// Panics if `out.len() != symbols.len() × Qm`.
+    pub fn demap_maxlog(self, symbols: &[Cf32], noise_var: f32, out: &mut [f32]) {
         // analyze: allow(panic): buffer-shape contract; a mismatch means the job was built against a different config — decode garbage or fail loudly, and loud wins
-        assert_eq!(symbols.len(), noise_var.len(), "per-symbol noise required");
-        let start = out.len();
-        out.resize(start + symbols.len() * self.bits_per_symbol(), 0.0);
-        let dst = &mut out[start..];
-        // Hoist the axis table into a padded level array: entry `v` carries
-        // axis-bit pattern `v` (MSB first); unused slots are +∞ so their
-        // distances never win a `min`.
-        let (table, used) = self.axis_table();
-        let mut levels = [f32::INFINITY; 8];
-        for (slot, entry) in levels.iter_mut().zip(&table[..used]) {
-            *slot = entry.0;
-        }
-        let tier = simd::active_tier();
+        assert_eq!(
+            out.len(),
+            symbols.len() * self.bits_per_symbol(),
+            "LLR row length"
+        );
+        // Per-axis noise variance is half the complex variance.
+        let inv = 1.0 / (noise_var.max(1e-12) * 0.5);
+        // Entry `v` is the level of axis-bit pattern `v` (MSB first); the
+        // kernels read only the first `2^NB`.
+        let levels = self.axis_table().0.map(|(level, _)| level);
         match self {
-            Modulation::Qpsk => demap_blocks::<1>(&levels, symbols, noise_var, dst, tier),
-            Modulation::Qam16 => demap_blocks::<2>(&levels, symbols, noise_var, dst, tier),
-            Modulation::Qam64 => demap_blocks::<3>(&levels, symbols, noise_var, dst, tier),
+            Modulation::Qpsk => demap::<1>(&levels, symbols, inv, out),
+            Modulation::Qam16 => demap::<2>(&levels, symbols, inv, out),
+            Modulation::Qam64 => demap::<3>(&levels, symbols, inv, out),
         }
     }
 }
 
-/// Blocked demapper driver for `NB` bits per axis: packs four symbols into
-/// an 8-lane axis-value block (`[I₀ Q₀ I₁ Q₁ …]`), runs the per-block
-/// kernel for the active tier, and scatters LLRs into the LTE bit order
-/// (I-axis bit `t` → symbol bit `2t`, Q-axis → `2t + 1`).
-fn demap_blocks<const NB: usize>(
-    levels: &[f32; 8],
-    symbols: &[Cf32],
-    noise_var: &[f32],
-    dst: &mut [f32],
-    tier: SimdTier,
-) {
-    let qm = 2 * NB;
-    let mut s0 = 0;
-    // AVX-512 wide blocks: eight symbols (16 axis values) per iteration.
-    // Identical per-lane distance/min chains as the 8-lane forms, so the
-    // wide tier stays bit-exact; the tail (< 8 symbols) falls through to
-    // the blocked loop below.
+/// Demaps a row for `NB` bits per axis: whole four-symbol blocks on the
+/// AVX2 form when the CPU has it, the rest on the lane form.
+fn demap<const NB: usize>(levels: &[f32; 8], symbols: &[Cf32], inv: f32, out: &mut [f32]) {
+    let mut done = 0;
     #[cfg(target_arch = "x86_64")]
-    if NB >= 2 && tier >= SimdTier::Avx512 {
-        while symbols.len() - s0 >= 8 {
-            let mut vals = [0.0f32; 16];
-            let mut invs = [0.0f32; 16];
-            for j in 0..8 {
-                let y = symbols[s0 + j];
-                vals[2 * j] = y.re;
-                vals[2 * j + 1] = y.im;
-                let inv = 1.0 / (noise_var[s0 + j].max(1e-12) * 0.5);
-                invs[2 * j] = inv;
-                invs[2 * j + 1] = inv;
-            }
-            let mut llrs = [[0.0f32; 16]; NB];
-            // SAFETY: the Avx512 tier is only reported after runtime
-            // detection succeeded (see crate::simd).
-            #[allow(unsafe_code)]
-            unsafe {
-                avx512::demap_block16::<NB>(levels, &vals, &invs, &mut llrs)
-            };
-            for j in 0..8 {
-                let base = (s0 + j) * qm;
-                for (t, row) in llrs.iter().enumerate() {
-                    dst[base + 2 * t] = row[2 * j];
-                    dst[base + 2 * t + 1] = row[2 * j + 1];
+    if simd::active_tier() >= SimdTier::Avx2 {
+        // SAFETY: the Avx2 tier is only reported after runtime detection
+        // succeeded (see crate::simd); `out` holds `2·NB` LLRs per symbol
+        // (checked by the caller).
+        #[allow(unsafe_code)]
+        unsafe {
+            done = avx2::demap::<NB>(levels, symbols, inv, out);
+        }
+    }
+    demap_lanes::<NB>(levels, &symbols[done..], inv, &mut out[2 * NB * done..]);
+}
+
+/// Portable lane form: each axis value against the `2^NB` PAM levels,
+/// folding the squared distances into the per-bit `d0`/`d1` minima
+/// selected by the level's bit pattern (a compile-time property, so the
+/// loops are branchless).
+fn demap_lanes<const NB: usize>(levels: &[f32; 8], symbols: &[Cf32], inv: f32, out: &mut [f32]) {
+    for (y, o) in symbols.iter().zip(out.chunks_exact_mut(2 * NB)) {
+        for (axis, x) in [y.re, y.im].into_iter().enumerate() {
+            let mut d0 = [f32::MAX; NB];
+            let mut d1 = [f32::MAX; NB];
+            for (v, &level) in levels.iter().enumerate().take(1 << NB) {
+                let e = x - level;
+                let d = e * e;
+                for t in 0..NB {
+                    let sel = if (v >> (NB - 1 - t)) & 1 == 0 {
+                        &mut d0[t]
+                    } else {
+                        &mut d1[t]
+                    };
+                    // `minps` order: the running minimum is never NaN, so
+                    // this is `f32::min` and what the AVX2 form computes.
+                    *sel = if d < *sel { d } else { *sel };
                 }
             }
-            s0 += 8;
-        }
-    }
-    while s0 < symbols.len() {
-        let nsym = (symbols.len() - s0).min(4);
-        let mut vals = [0.0f32; 8];
-        let mut invs = [0.0f32; 8];
-        for j in 0..nsym {
-            let y = symbols[s0 + j];
-            vals[2 * j] = y.re;
-            vals[2 * j + 1] = y.im;
-            // Per-axis noise variance is half the complex variance.
-            let inv = 1.0 / (noise_var[s0 + j].max(1e-12) * 0.5);
-            invs[2 * j] = inv;
-            invs[2 * j + 1] = inv;
-        }
-        let mut llrs = [[0.0f32; 8]; NB];
-        // QPSK (NB = 1) has only 2 live levels in the padded 8-level table,
-        // and its lane form autovectorizes tightly; the intrinsic tier only
-        // wins from 16-QAM up (measured in the `demap_simd` bench group).
-        #[cfg(target_arch = "x86_64")]
-        let done = if NB >= 2 && tier >= SimdTier::Avx2 {
-            // SAFETY: the Avx2 tier is only reported after runtime
-            // detection succeeded (see crate::simd).
-            #[allow(unsafe_code)]
-            unsafe {
-                avx2::demap_block::<NB>(levels, &vals, &invs, &mut llrs)
-            };
-            true
-        } else {
-            false
-        };
-        #[cfg(not(target_arch = "x86_64"))]
-        let done = {
-            let _ = tier;
-            false
-        };
-        if !done {
-            demap_block_lanes::<NB>(levels, &vals, &invs, &mut llrs);
-        }
-        for j in 0..nsym {
-            let base = (s0 + j) * qm;
-            for (t, row) in llrs.iter().enumerate() {
-                dst[base + 2 * t] = row[2 * j];
-                dst[base + 2 * t + 1] = row[2 * j + 1];
+            for t in 0..NB {
+                o[2 * t + axis] = (d1[t] - d0[t]) * inv;
             }
-        }
-        s0 += nsym;
-    }
-}
-
-/// Portable lane-form demap kernel: for each of the `2^NB` PAM levels,
-/// compute eight squared distances at once and fold them into the per-bit
-/// `d0`/`d1` minima selected by that level's bit pattern (a compile-time
-/// property, so the inner loops are branchless).
-fn demap_block_lanes<const NB: usize>(
-    levels: &[f32; 8],
-    vals: &[f32; 8],
-    invs: &[f32; 8],
-    llrs: &mut [[f32; 8]; NB],
-) {
-    let mut d0 = [[f32::MAX; 8]; NB];
-    let mut d1 = [[f32::MAX; 8]; NB];
-    for v in 0..(1usize << NB) {
-        let lv = levels[v];
-        let mut d = [0.0f32; 8];
-        for j in 0..8 {
-            let e = vals[j] - lv;
-            d[j] = e * e;
-        }
-        for t in 0..NB {
-            let sel = if (v >> (NB - 1 - t)) & 1 == 0 {
-                &mut d0[t]
-            } else {
-                &mut d1[t]
-            };
-            for j in 0..8 {
-                sel[j] = sel[j].min(d[j]);
-            }
-        }
-    }
-    for t in 0..NB {
-        for j in 0..8 {
-            llrs[t][j] = (d1[t][j] - d0[t][j]) * invs[j];
         }
     }
 }
 
-/// Explicit AVX2 tier of the block demap kernel — the same level loop and
-/// `min` chains as [`demap_block_lanes`], eight lanes per instruction.
+/// Explicit AVX2 form: the lane form's level loop and minima over eight
+/// axis values per instruction, LLRs re-interleaved into LTE bit order in
+/// registers and stored straight into the row.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     #![allow(unsafe_code)]
 
+    use crate::complex::Cf32;
     use core::arch::x86_64::*;
 
+    /// Demaps every whole four-symbol block of `symbols`; returns the
+    /// number of symbols done.
+    ///
     /// # Safety
-    /// The CPU must support AVX2.
+    /// `out` must hold `2·NB` entries per symbol; the CPU must support AVX2.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn demap_block<const NB: usize>(
+    pub(super) unsafe fn demap<const NB: usize>(
         levels: &[f32; 8],
-        vals: &[f32; 8],
-        invs: &[f32; 8],
-        llrs: &mut [[f32; 8]; NB],
-    ) {
-        // SAFETY: all loads/stores cover exactly 8 contiguous f32s.
-        unsafe {
-            let v = _mm256_loadu_ps(vals.as_ptr());
-            let inv = _mm256_loadu_ps(invs.as_ptr());
+        symbols: &[Cf32],
+        inv: f32,
+        out: &mut [f32],
+    ) -> usize {
+        let inv = _mm256_set1_ps(inv);
+        let blocks = symbols.len() / 4;
+        for b in 0..blocks {
+            // SAFETY: four in-bounds symbols are eight contiguous floats,
+            // [I0 Q0 I1 Q1 I2 Q2 I3 Q3].
+            let v = unsafe { _mm256_loadu_ps(symbols.as_ptr().add(4 * b) as *const f32) };
             let mut d0 = [_mm256_set1_ps(f32::MAX); NB];
             let mut d1 = [_mm256_set1_ps(f32::MAX); NB];
-            for lvl in 0..(1usize << NB) {
-                let e = _mm256_sub_ps(v, _mm256_set1_ps(levels[lvl]));
+            for (lvl, &level) in levels.iter().enumerate().take(1 << NB) {
+                let e = _mm256_sub_ps(v, _mm256_set1_ps(level));
                 let d = _mm256_mul_ps(e, e);
                 for t in 0..NB {
+                    // `minps(d, m)` is `d < m ? d : m`, the lane form's select.
                     if (lvl >> (NB - 1 - t)) & 1 == 0 {
-                        d0[t] = _mm256_min_ps(d0[t], d);
+                        d0[t] = _mm256_min_ps(d, d0[t]);
                     } else {
-                        d1[t] = _mm256_min_ps(d1[t], d);
+                        d1[t] = _mm256_min_ps(d, d1[t]);
                     }
                 }
             }
-            for t in 0..NB {
-                let llr = _mm256_mul_ps(_mm256_sub_ps(d1[t], d0[t]), inv);
-                _mm256_storeu_ps(llrs[t].as_mut_ptr(), llr);
+            // Row `t` holds bit `t`'s (I, Q) pair of each symbol as one
+            // 64-bit lane; symbol `j`'s LLRs are pair `j` of rows 0..NB.
+            let r: [__m256d; NB] = core::array::from_fn(|t| {
+                _mm256_castps_pd(_mm256_mul_ps(_mm256_sub_ps(d1[t], d0[t]), inv))
+            });
+            // SAFETY: the block's `8·NB` LLRs are in bounds (caller).
+            unsafe {
+                let dst = out.as_mut_ptr().add(8 * NB * b) as *mut f64;
+                match NB {
+                    1 => _mm256_storeu_pd(dst, r[0]),
+                    2 => {
+                        let lo = _mm256_unpacklo_pd(r[0], r[1]); // a0 b0 | a2 b2
+                        let hi = _mm256_unpackhi_pd(r[0], r[1]); // a1 b1 | a3 b3
+                        _mm256_storeu_pd(dst, _mm256_permute2f128_pd(lo, hi, 0x20));
+                        _mm256_storeu_pd(dst.add(4), _mm256_permute2f128_pd(lo, hi, 0x31));
+                    }
+                    _ => {
+                        // Rotate each row so every output vector is a blend:
+                        // [a0 b0 c0 a1] [b1 c1 a2 b2] [c2 a3 b3 c3].
+                        let a = _mm256_permute4x64_pd(r[0], 0b01_10_11_00); // a0 a3 a2 a1
+                        let b = _mm256_permute4x64_pd(r[1], 0b10_11_00_01); // b1 b0 b3 b2
+                        let c = _mm256_permute4x64_pd(r[2], 0b11_00_01_10); // c2 c1 c0 c3
+                        _mm256_storeu_pd(dst, blend3(a, b, c));
+                        _mm256_storeu_pd(dst.add(4), blend3(b, c, a));
+                        _mm256_storeu_pd(dst.add(8), blend3(c, a, b));
+                    }
+                }
             }
         }
+        4 * blocks
     }
-}
 
-/// Explicit AVX-512 tier: eight symbols' axis values per register. Same
-/// level loop and per-lane `min` chains as the 8-lane forms.
-#[cfg(target_arch = "x86_64")]
-mod avx512 {
-    #![allow(unsafe_code)]
-
-    use core::arch::x86_64::*;
-
-    /// # Safety
-    /// The CPU must support AVX-512F.
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn demap_block16<const NB: usize>(
-        levels: &[f32; 8],
-        vals: &[f32; 16],
-        invs: &[f32; 16],
-        llrs: &mut [[f32; 16]; NB],
-    ) {
-        // SAFETY: all loads/stores cover exactly 16 contiguous f32s.
-        unsafe {
-            let v = _mm512_loadu_ps(vals.as_ptr());
-            let inv = _mm512_loadu_ps(invs.as_ptr());
-            let mut d0 = [_mm512_set1_ps(f32::MAX); NB];
-            let mut d1 = [_mm512_set1_ps(f32::MAX); NB];
-            for lvl in 0..(1usize << NB) {
-                let e = _mm512_sub_ps(v, _mm512_set1_ps(levels[lvl]));
-                let d = _mm512_mul_ps(e, e);
-                for t in 0..NB {
-                    if (lvl >> (NB - 1 - t)) & 1 == 0 {
-                        d0[t] = _mm512_min_ps(d0[t], d);
-                    } else {
-                        d1[t] = _mm512_min_ps(d1[t], d);
-                    }
-                }
-            }
-            for t in 0..NB {
-                let llr = _mm512_mul_ps(_mm512_sub_ps(d1[t], d0[t]), inv);
-                _mm512_storeu_ps(llrs[t].as_mut_ptr(), llr);
-            }
-        }
+    /// `[x0 y1 z2 x3]`.
+    #[target_feature(enable = "avx2")]
+    fn blend3(x: __m256d, y: __m256d, z: __m256d) -> __m256d {
+        _mm256_blend_pd(_mm256_blend_pd(x, y, 0b0010), z, 0b0100)
     }
 }
 
@@ -378,9 +292,8 @@ mod tests {
 
     fn roundtrip(m: Modulation, bits: &[u8]) -> Vec<u8> {
         let syms = m.map(bits);
-        let nv = vec![0.01f32; syms.len()];
-        let mut llrs = Vec::new();
-        m.demap_maxlog(&syms, &nv, &mut llrs);
+        let mut llrs = vec![0.0; bits.len()];
+        m.demap_maxlog(&syms, 0.01, &mut llrs);
         hard(&llrs)
     }
 
@@ -440,10 +353,10 @@ mod tests {
         let m = Modulation::Qam16;
         let bits = pattern(4 * 10);
         let syms = m.map(&bits);
-        let mut llr_low = Vec::new();
-        let mut llr_high = Vec::new();
-        m.demap_maxlog(&syms, &vec![0.01; syms.len()], &mut llr_low);
-        m.demap_maxlog(&syms, &vec![1.0; syms.len()], &mut llr_high);
+        let mut llr_low = vec![0.0; bits.len()];
+        let mut llr_high = vec![0.0; bits.len()];
+        m.demap_maxlog(&syms, 0.01, &mut llr_low);
+        m.demap_maxlog(&syms, 1.0, &mut llr_high);
         for (a, b) in llr_low.iter().zip(&llr_high) {
             assert!(a.abs() > b.abs(), "confidence must drop with noise");
             assert_eq!(a.signum(), b.signum());
@@ -466,16 +379,17 @@ mod tests {
         let norm = 1.0 / 10f32.sqrt();
         // Between levels 1 and 3 on the I axis (boundary at 2·norm).
         let y = [Cf32::new(2.0 * norm, 3.0 * norm)];
-        let mut llrs = Vec::new();
-        m.demap_maxlog(&y, &[0.1], &mut llrs);
+        let mut llrs = [0.0; 4];
+        m.demap_maxlog(&y, 0.1, &mut llrs);
         // Bit 2 (I-axis inner/outer bit) is ambiguous.
         assert!(llrs[2].abs() < 1e-4, "boundary LLR {}", llrs[2]);
         // Bit 0 (I-axis sign bit) is confidently 0 (positive axis).
         assert!(llrs[0] > 1.0);
     }
 
-    /// The pre-vectorization per-symbol scalar demapper, kept verbatim as
-    /// the reference the blocked tiers are verified against.
+    /// The pre-vectorization per-symbol scalar demapper with one noise
+    /// variance per symbol, kept verbatim as the reference the one-variance
+    /// forms are verified against.
     fn demap_maxlog_reference(
         m: Modulation,
         symbols: &[Cf32],
@@ -520,12 +434,12 @@ mod tests {
     }
 
     #[test]
-    fn blocked_demap_is_bit_exact_vs_reference() {
+    fn demap_forms_are_bit_exact_vs_reference() {
         use crate::simd::{force_tier, supported_tiers, test_guard};
         let _g = test_guard();
         for m in [Modulation::Qpsk, Modulation::Qam16, Modulation::Qam64] {
-            // Non-multiple-of-4/-8 symbol counts cover both wide-block tails.
-            for nsym in [1usize, 4, 7, 8, 9, 23, 50] {
+            // Non-multiple-of-4 symbol counts cover the AVX2 form's tail.
+            for nsym in [1usize, 4, 7, 8, 9, 23, 50, 300] {
                 let bits = pattern(m.bits_per_symbol() * nsym);
                 let syms: Vec<Cf32> = m
                     .map(&bits)
@@ -535,18 +449,30 @@ mod tests {
                         *s + Cf32::new((i as f32 * 0.13).sin() * 0.4, (i as f32 * 0.31).cos() * 0.4)
                     })
                     .collect();
-                let nv: Vec<f32> = (0..nsym).map(|i| 0.02 + 0.01 * (i % 5) as f32).collect();
-                let mut expect = Vec::new();
-                demap_maxlog_reference(m, &syms, &nv, &mut expect);
-                for tier in supported_tiers() {
-                    force_tier(Some(tier));
-                    let mut got = Vec::new();
-                    m.demap_maxlog(&syms, &nv, &mut got);
-                    assert_eq!(got, expect, "{m:?} nsym={nsym} tier={}", tier.name());
+                // Includes a variance below the 1e-12 floor, and zero.
+                for nv in [0.037f32, 1.7, 1e-14, 0.0] {
+                    // The receiver's flat copy of one variance.
+                    let mut expect = Vec::new();
+                    demap_maxlog_reference(m, &syms, &vec![nv; nsym], &mut expect);
+                    let expect: Vec<u32> = expect.iter().map(|l| l.to_bits()).collect();
+                    for tier in supported_tiers().map(Some).chain([None]) {
+                        force_tier(tier);
+                        let mut got = vec![f32::NAN; expect.len()];
+                        m.demap_maxlog(&syms, nv, &mut got);
+                        let got: Vec<u32> = got.iter().map(|l| l.to_bits()).collect();
+                        assert_eq!(got, expect, "{m:?} nsym={nsym} nv={nv} tier={tier:?}");
+                    }
+                    force_tier(None);
                 }
-                force_tier(None);
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "LLR row length")]
+    fn short_llr_row_panics() {
+        let syms = Modulation::Qam16.map(&pattern(4 * 8));
+        Modulation::Qam16.demap_maxlog(&syms, 0.1, &mut [0.0; 31]);
     }
 
     proptest! {

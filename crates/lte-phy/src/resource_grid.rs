@@ -50,6 +50,12 @@ impl Grid {
         let m = self.bw.num_subcarriers();
         &mut self.data[l * m..(l + 1) * m]
     }
+
+    /// All 14 symbol rows back to back: the layout of one antenna's FFT
+    /// batch.
+    pub(crate) fn rows_mut(&mut self) -> &mut [Cf32] {
+        &mut self.data
+    }
 }
 
 /// OFDM modulator/demodulator for a fixed bandwidth (shares the cached
@@ -74,13 +80,6 @@ impl OfdmProcessor {
         self.bw
     }
 
-    /// FFT bin index of subcarrier `k` (allocation centered on DC).
-    fn bin(&self, k: usize) -> usize {
-        let n = self.bw.fft_size();
-        let m = self.bw.num_subcarriers();
-        (n + k - m / 2) % n
-    }
-
     /// Modulates a full grid into `samples_per_subframe` time samples
     /// (IFFT + cyclic prefix per symbol), normalized to ≈ unit mean power
     /// for a unit-power grid.
@@ -91,11 +90,14 @@ impl OfdmProcessor {
         let mut out = Vec::with_capacity(self.bw.samples_per_subframe());
         let mut freq = vec![Cf32::ZERO; n];
         let mut scratch = vec![Cf32::ZERO; n];
+        let half = m / 2;
         for l in 0..SYMBOLS_PER_SUBFRAME {
-            freq.iter_mut().for_each(|v| *v = Cf32::ZERO);
-            for (k, &v) in grid.symbol(l).iter().enumerate() {
-                freq[self.bin(k)] = v;
-            }
+            // Centered on DC: the lower half of the allocation sits in the
+            // top bins, the upper half from bin 0.
+            let sym = grid.symbol(l);
+            freq.fill(Cf32::ZERO);
+            freq[n - half..].copy_from_slice(&sym[..half]);
+            freq[..m - half].copy_from_slice(&sym[half..]);
             self.plan.inverse_scratch(&mut freq, &mut scratch);
             for v in freq.iter_mut() {
                 *v = v.scale(scale);
@@ -139,8 +141,13 @@ impl OfdmProcessor {
         time_buf.extend_from_slice(&samples[start..start + n]);
         self.plan.forward_with(time_buf, fft_scratch);
         let scale = (m as f32).sqrt() / n as f32;
-        for (k, o) in out.iter_mut().enumerate() {
-            *o = time_buf[self.bin(k)].scale(scale);
+        // Subcarriers 0..m/2 are bins n − m/2..n, the rest bins 0..m − m/2.
+        let (lo, hi) = out.split_at_mut(m / 2);
+        for (o, v) in lo.iter_mut().zip(&time_buf[n - m / 2..]) {
+            *o = v.scale(scale);
+        }
+        for (o, v) in hi.iter_mut().zip(&time_buf[..m - m / 2]) {
+            *o = v.scale(scale);
         }
     }
 
@@ -169,6 +176,68 @@ mod tests {
             }
         }
         g
+    }
+
+    impl OfdmProcessor {
+        /// FFT bin of subcarrier `k`, one `%` per subcarrier: the mapping
+        /// the split copies replaced, kept as their oracle.
+        fn bin(&self, k: usize) -> usize {
+            let n = self.bw.fft_size();
+            let m = self.bw.num_subcarriers();
+            (n + k - m / 2) % n
+        }
+    }
+
+    fn bits(v: &[Cf32]) -> Vec<(u32, u32)> {
+        v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+    }
+
+    #[test]
+    fn split_extraction_is_bit_exact_vs_bin_map() {
+        use crate::simd::{force_tier, supported_tiers, test_guard};
+        let _g = test_guard();
+        for bw in Bandwidth::ALL {
+            let proc_ = OfdmProcessor::new(bw);
+            let samples = proc_.modulate(&filled_grid(bw));
+            let (n, m) = (bw.fft_size(), bw.num_subcarriers());
+            let scale = (m as f32).sqrt() / n as f32;
+            let (mut time, mut scratch) = (Vec::new(), Vec::new());
+            let mut out = vec![Cf32::new(f32::NAN, f32::NAN); m];
+            for tier in supported_tiers().map(Some).chain([None]) {
+                force_tier(tier);
+                for l in 0..SYMBOLS_PER_SUBFRAME {
+                    out.fill(Cf32::new(f32::NAN, f32::NAN));
+                    proc_.demod_symbol_into(&samples, l, &mut out, &mut time, &mut scratch);
+                    // `time` still holds the symbol's FFT output.
+                    let want: Vec<Cf32> = (0..m).map(|k| time[proc_.bin(k)].scale(scale)).collect();
+                    let what = format!("{} symbol {l} tier {tier:?}", bw.label());
+                    assert_eq!(bits(&out), bits(&want), "{what}");
+                }
+            }
+            force_tier(None);
+        }
+    }
+
+    #[test]
+    fn split_mapping_is_bit_exact_vs_bin_map() {
+        for bw in Bandwidth::ALL {
+            let proc_ = OfdmProcessor::new(bw);
+            let grid = filled_grid(bw);
+            let n = bw.fft_size();
+            let scale = n as f32 / (bw.num_subcarriers() as f32).sqrt();
+            let mut want = Vec::new();
+            for l in 0..SYMBOLS_PER_SUBFRAME {
+                let mut freq = vec![Cf32::ZERO; n];
+                for (k, &v) in grid.symbol(l).iter().enumerate() {
+                    freq[proc_.bin(k)] = v;
+                }
+                proc_.plan.inverse(&mut freq);
+                let freq: Vec<Cf32> = freq.iter().map(|v| v.scale(scale)).collect();
+                want.extend_from_slice(&freq[n - bw.cp_len(l)..]);
+                want.extend_from_slice(&freq);
+            }
+            assert_eq!(bits(&proc_.modulate(&grid)), bits(&want), "{}", bw.label());
+        }
     }
 
     #[test]

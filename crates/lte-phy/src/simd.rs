@@ -9,7 +9,8 @@
 //!   reference the intrinsic tiers are tested against,
 //! * **AVX2** — explicit 8-lane `core::arch::x86_64` intrinsics, and
 //! * **AVX-512** — 16-lane intrinsics (`avx512f` + `avx512bw`), used by the
-//!   wide demapper blocks and the paired-trellis batched turbo decoder.
+//!   paired-trellis batched turbo decoder; every other kernel runs its
+//!   AVX2 form on this tier.
 //!
 //! All tiers are **bit-exact** with each other: every kernel restricts
 //! itself to the same adds, multiplies by exact constants, `max`/`min`

@@ -28,7 +28,7 @@ use crate::scramble::{pusch_c_init, Scrambler};
 use crate::segmentation::Segmentation;
 use crate::tasks::TaskBreakdown;
 use crate::turbo::{decode_batch, TurboBatchJob, TurboDecoder, TurboEncoder, TurboWorkspace};
-use crate::workspace::{self, PhyWorkspace};
+use crate::workspace::{self, PhyWorkspace, SymbolScratch};
 use crate::zadoff_chu::dmrs_sequence;
 use std::sync::Arc;
 
@@ -482,24 +482,13 @@ impl UplinkRx {
         antenna: usize,
         out: &mut Vec<Cf32>,
     ) {
-        // analyze: allow(panic): buffer-shape contract; a mismatch means the job was built against a different config — decode garbage or fail loudly, and loud wins
-        assert!(
-            antenna < self.cfg.num_antennas,
-            "antenna {antenna} out of range"
+        // Every entry is overwritten, so only a first use pays the fill.
+        out.resize(
+            SYMBOLS_PER_SUBFRAME * self.cfg.bandwidth.num_subcarriers(),
+            Cf32::ZERO,
         );
-        let nsc = self.cfg.bandwidth.num_subcarriers();
-        out.clear();
-        out.resize(SYMBOLS_PER_SUBFRAME * nsc, Cf32::ZERO);
         workspace::with_thread_workspace(|ws| {
-            for (symbol, row) in out.chunks_exact_mut(nsc).enumerate() {
-                self.ofdm.demod_symbol_into(
-                    &rx_samples[antenna],
-                    symbol,
-                    row,
-                    &mut ws.time,
-                    &mut ws.fft_scratch,
-                );
-            }
+            self.fft_batch(rx_samples, antenna, out, &mut ws.sym)
         });
     }
 
@@ -610,12 +599,7 @@ impl UplinkRx {
             grids,
             est,
             llrs,
-            time,
-            fft_scratch,
-            combined,
-            post_var,
-            nv,
-            sym_llrs,
+            sym,
             streams,
             turbo,
             block_bits,
@@ -626,38 +610,17 @@ impl UplinkRx {
             payload,
         } = ws;
 
-        // FFT task: CP removal + FFT per antenna-symbol.
-        for (a, samples) in rx_samples.iter().enumerate() {
-            for l in 0..SYMBOLS_PER_SUBFRAME {
-                self.ofdm
-                    .demod_symbol_into(samples, l, grids[a].symbol_mut(l), time, fft_scratch);
-            }
+        // FFT task: one 14-symbol batch per antenna.
+        for (a, grid) in grids.iter_mut().enumerate() {
+            self.fft_batch(rx_samples, a, grid.rows_mut(), sym);
         }
-        let m = cfg.alloc_subcarriers();
-        estimate_channel_band_into(grids, &self.dmrs, 0..m, est);
+        estimate_channel_band_into(grids, &self.dmrs, 0..cfg.alloc_subcarriers(), est);
 
-        // Demod task: MRC + DFT de-precoding + soft demapping per data
-        // symbol.
+        // Demod task: one LLR row per data symbol.
         llrs.clear();
         llrs.resize(cfg.coded_bits(), 0.0);
-        let per_symbol = m * cfg.mcs.modulation_order();
-        let scale = (m as f32).sqrt();
-        for (si, &l) in cfg.data_symbols().iter().enumerate() {
-            let mut rows: [&[Cf32]; 8] = [&[]; 8];
-            for (a, g) in grids.iter().enumerate() {
-                rows[a] = &g.symbol(l)[..m];
-            }
-            mrc_combine_into(&rows[..grids.len()], est, combined, post_var);
-            self.dft.inverse_with(combined, fft_scratch);
-            for v in combined.iter_mut() {
-                *v = v.scale(scale);
-            }
-            let mean_var = post_var.iter().sum::<f32>() / m as f32;
-            nv.clear();
-            nv.resize(m, mean_var);
-            sym_llrs.clear();
-            cfg.modulation().demap_maxlog(combined, nv, sym_llrs);
-            llrs[si * per_symbol..(si + 1) * per_symbol].copy_from_slice(sym_llrs);
+        for i in 0..cfg.data_syms.len() {
+            self.demod_symbol(grids, est, i, llrs, sym);
         }
 
         // Decode task: descramble + de-rate-match + turbo per code block.
@@ -712,6 +675,64 @@ impl UplinkRx {
             let view = self.decode_subframe_with(rx_samples, ws)?;
             Ok(view.to_output())
         })
+    }
+
+    /// The FFT subtask kernel: antenna `antenna`'s 14 symbols (CP removal,
+    /// forward FFT, subcarrier extraction) into `out`, 14 subcarrier rows
+    /// back to back.
+    ///
+    /// # Panics
+    /// Panics if `antenna` is out of range.
+    fn fft_batch(
+        &self,
+        rx_samples: &[Vec<Cf32>],
+        antenna: usize,
+        out: &mut [Cf32],
+        s: &mut SymbolScratch,
+    ) {
+        // analyze: allow(panic): buffer-shape contract; a mismatch means the job was built against a different config — decode garbage or fail loudly, and loud wins
+        assert!(
+            antenna < self.cfg.num_antennas,
+            "antenna {antenna} out of range"
+        );
+        let nsc = self.cfg.bandwidth.num_subcarriers();
+        for (l, row) in out.chunks_exact_mut(nsc).enumerate() {
+            self.ofdm
+                .demod_symbol_into(&rx_samples[antenna], l, row, &mut s.time, &mut s.fft);
+        }
+    }
+
+    /// The demod subtask kernel for data symbol `i`: MRC across the
+    /// antennas' grids, the DFT de-precoding IDFT, the mean post-combining
+    /// noise variance and the soft demapper, writing the symbol's `M × Qm`
+    /// LLRs straight into its row of the coded stream `llrs`.
+    fn demod_symbol(
+        &self,
+        grids: &[Grid],
+        est: &ChannelEstimate,
+        i: usize,
+        llrs: &mut [f32],
+        s: &mut SymbolScratch,
+    ) {
+        let (l, m) = (self.cfg.data_syms[i], self.cfg.alloc_subcarriers());
+        let mut rows: [&[Cf32]; 8] = [&[]; 8];
+        for (a, g) in grids.iter().enumerate() {
+            rows[a] = &g.symbol(l)[..m];
+        }
+        s.combined.resize(m, Cf32::ZERO);
+        s.post_var.resize(m, 0.0);
+        let var_sum = mrc_combine_into(&rows[..grids.len()], est, &mut s.combined, &mut s.post_var);
+        self.dft.inverse_with(&mut s.combined, &mut s.fft);
+        let scale = (m as f32).sqrt();
+        for v in s.combined.iter_mut() {
+            *v = v.scale(scale);
+        }
+        let row = m * self.cfg.mcs.modulation_order();
+        self.cfg.modu.demap_maxlog(
+            &s.combined,
+            var_sum / m as f32,
+            &mut llrs[i * row..(i + 1) * row],
+        );
     }
 
     /// The prep half of decode subtask `r`: descrambles the block's slice
@@ -1119,11 +1140,7 @@ impl SlabJob<'_> {
         let nsc = self.rx.cfg.bandwidth.num_subcarriers();
         // analyze: allow(panic): buffer-shape contract; a mismatch means the job was built against a different config — decode garbage or fail loudly, and loud wins
         assert_eq!(flat.len(), SYMBOLS_PER_SUBFRAME * nsc, "batch length");
-        for (symbol, row) in flat.chunks_exact(nsc).enumerate() {
-            self.slab.grids[antenna]
-                .symbol_mut(symbol)
-                .copy_from_slice(row);
-        }
+        self.slab.grids[antenna].rows_mut().copy_from_slice(flat);
         mark_done(&mut self.fft_done, antenna, "FFT batch of antenna");
     }
 
@@ -1136,21 +1153,9 @@ impl SlabJob<'_> {
     /// Panics if `antenna` is out of range, or if its batch already ran
     /// or was absorbed.
     pub fn run_fft_batch_local(&mut self, antenna: usize) {
-        // analyze: allow(panic): buffer-shape contract; a mismatch means the job was built against a different config — decode garbage or fail loudly, and loud wins
-        assert!(
-            antenna < self.rx.cfg.num_antennas,
-            "antenna {antenna} out of range"
-        );
+        let grid = self.slab.grids[antenna].rows_mut();
         workspace::with_thread_workspace(|ws| {
-            for symbol in 0..SYMBOLS_PER_SUBFRAME {
-                self.rx.ofdm.demod_symbol_into(
-                    &self.samples[antenna],
-                    symbol,
-                    self.slab.grids[antenna].symbol_mut(symbol),
-                    &mut ws.time,
-                    &mut ws.fft_scratch,
-                );
-            }
+            self.rx.fft_batch(self.samples, antenna, grid, &mut ws.sym);
         });
         mark_done(&mut self.fft_done, antenna, "FFT batch of antenna");
     }
@@ -1188,38 +1193,15 @@ impl SlabJob<'_> {
             all_done(self.rx.cfg.num_antennas),
             "FFT task incomplete"
         );
-        let cfg = &self.rx.cfg;
-        let data_syms = cfg.data_symbols();
         // analyze: allow(panic): buffer-shape contract; a mismatch means the job was built against a different config — decode garbage or fail loudly, and loud wins
-        assert!(i < data_syms.len(), "demod subtask {i} out of range");
-        let l = data_syms[i];
-        let m = cfg.alloc_subcarriers();
-        let per_symbol = m * cfg.mcs.modulation_order();
+        assert!(
+            i < self.demod_subtask_count(),
+            "demod subtask {i} out of range"
+        );
+        let slab = &mut *self.slab;
         workspace::with_thread_workspace(|ws| {
-            let mut rows: [&[Cf32]; 8] = [&[]; 8];
-            for (a, g) in self.slab.grids.iter().enumerate() {
-                rows[a] = &g.symbol(l)[..m];
-            }
-            mrc_combine_into(
-                &rows[..self.slab.grids.len()],
-                &self.slab.est,
-                &mut ws.combined,
-                &mut ws.post_var,
-            );
             self.rx
-                .dft
-                .inverse_with(&mut ws.combined, &mut ws.fft_scratch);
-            let scale = (m as f32).sqrt();
-            for v in ws.combined.iter_mut() {
-                *v = v.scale(scale);
-            }
-            let mean_var = ws.post_var.iter().sum::<f32>() / m as f32;
-            ws.nv.clear();
-            ws.nv.resize(m, mean_var);
-            ws.sym_llrs.clear();
-            cfg.modulation()
-                .demap_maxlog(&ws.combined, &ws.nv, &mut ws.sym_llrs);
-            self.slab.llrs[i * per_symbol..(i + 1) * per_symbol].copy_from_slice(&ws.sym_llrs);
+                .demod_symbol(&slab.grids, &slab.est, i, &mut slab.llrs, &mut ws.sym);
         });
         mark_done(&mut self.demod_done, i, "demod subtask");
     }

@@ -1,10 +1,11 @@
 //! Reusable per-thread workspace for the uplink decode hot path.
 //!
 //! A [`PhyWorkspace`] owns every buffer a full subframe decode needs —
-//! per-antenna grids, FFT scratch, MRC/demapper staging, de-rate-matched
-//! streams, the turbo trellis, and transport-block reassembly. All buffers
-//! follow a grow-only discipline (`clear()` + `resize()`/`extend` against
-//! retained capacity), so after one warm-up subframe a steady-state
+//! per-antenna grids, FFT and MRC scratch, the coded-LLR stream, the
+//! de-rate-matched streams, the turbo trellis, and transport-block
+//! reassembly. All buffers follow a grow-only discipline (`clear()` +
+//! `resize()`/`extend` against retained capacity), so after one warm-up
+//! subframe a steady-state
 //! [`crate::uplink::UplinkRx::decode_subframe_with`] call performs **zero
 //! heap allocations** — even when consecutive subframes use different
 //! configurations, as long as none exceeds the largest already seen.
@@ -30,18 +31,8 @@ pub struct PhyWorkspace {
     pub(crate) est: ChannelEstimate,
     /// Full coded-LLR stream for the subframe (`G` entries).
     pub(crate) llrs: Vec<f32>,
-    /// CP-stripped time-domain samples of one OFDM symbol.
-    pub(crate) time: Vec<Cf32>,
-    /// FFT/IDFT ping-pong scratch.
-    pub(crate) fft_scratch: Vec<Cf32>,
-    /// MRC-combined subcarriers of one data symbol.
-    pub(crate) combined: Vec<Cf32>,
-    /// Per-subcarrier post-combining noise variance.
-    pub(crate) post_var: Vec<f32>,
-    /// Flat noise-variance vector handed to the demapper.
-    pub(crate) nv: Vec<f32>,
-    /// LLRs of one data symbol (`M × Qm`).
-    pub(crate) sym_llrs: Vec<f32>,
+    /// The FFT and demod kernels' per-symbol buffers.
+    pub(crate) sym: SymbolScratch,
     /// One code block's descrambled, de-rate-matched turbo streams, flat
     /// `[d0|d1|d2]` (systematic, parity 1, parity 2).
     pub(crate) streams: Vec<f32>,
@@ -77,12 +68,7 @@ impl PhyWorkspace {
                 noise_var: 0.0,
             },
             llrs: Vec::new(),
-            time: Vec::new(),
-            fft_scratch: Vec::new(),
-            combined: Vec::new(),
-            post_var: Vec::new(),
-            nv: Vec::new(),
-            sym_llrs: Vec::new(),
+            sym: SymbolScratch::default(),
             streams: Vec::new(),
             turbo: TurboWorkspace::new(),
             block_bits: Vec::new(),
@@ -119,16 +105,13 @@ impl PhyWorkspace {
         self.prepare(cfg);
         let n = cfg.bandwidth.fft_size();
         let m = cfg.alloc_subcarriers();
-        let qm = cfg.mcs.modulation_order();
         let seg = cfg.segmentation();
         let c = seg.num_blocks;
         reserve_to(&mut self.llrs, cfg.coded_bits());
-        reserve_to(&mut self.time, n);
-        reserve_to(&mut self.fft_scratch, n);
-        reserve_to(&mut self.combined, m);
-        reserve_to(&mut self.post_var, m);
-        reserve_to(&mut self.nv, m);
-        reserve_to(&mut self.sym_llrs, m * qm);
+        reserve_to(&mut self.sym.time, n);
+        reserve_to(&mut self.sym.fft, n);
+        reserve_to(&mut self.sym.combined, m);
+        reserve_to(&mut self.sym.post_var, m);
         let max_k = seg.k_plus;
         reserve_to(&mut self.streams, 3 * (max_k + 4));
         self.turbo.warm(max_k);
@@ -148,6 +131,19 @@ impl PhyWorkspace {
             reserve_to(ha, m);
         }
     }
+}
+
+/// One OFDM symbol's buffers for the FFT batch and demod kernels.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct SymbolScratch {
+    /// CP-stripped time-domain samples of one OFDM symbol.
+    pub(crate) time: Vec<Cf32>,
+    /// FFT/IDFT ping-pong scratch.
+    pub(crate) fft: Vec<Cf32>,
+    /// MRC-combined subcarriers of one data symbol.
+    pub(crate) combined: Vec<Cf32>,
+    /// Per-subcarrier post-combining noise variance.
+    pub(crate) post_var: Vec<f32>,
 }
 
 fn reserve_to<T>(v: &mut Vec<T>, n: usize) {
@@ -199,7 +195,7 @@ mod tests {
         let mut ws = PhyWorkspace::new();
         ws.warm(&cfg);
         assert!(ws.llrs.capacity() >= cfg.coded_bits());
-        assert!(ws.fft_scratch.capacity() >= cfg.bandwidth.fft_size());
+        assert!(ws.sym.fft.capacity() >= cfg.bandwidth.fft_size());
         assert_eq!(ws.block_bits.len(), cfg.segmentation().num_blocks);
     }
 
