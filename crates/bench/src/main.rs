@@ -2,8 +2,9 @@
 //! `cargo xtask analyze` certifies from.
 //!
 //! Times the four vectorized PHY kernels (turbo max-log-MAP, soft demapper,
-//! MRC equalizer, FFT), whole FFT batches, demod and decode subtasks and
-//! the end-to-end MCS 27 subframe decode with a plain `Instant` loop,
+//! MRC equalizer, FFT), whole FFT batches, demod and decode subtasks, the
+//! fronthaul IQ quantizer and the end-to-end MCS 27 subframe decode with a
+//! plain `Instant` loop,
 //! re-times them at every supported SIMD tier, times the batched turbo
 //! drain against per-call dispatch, and measures the two-thread migration
 //! hand-off (steal ticket vs. mailbox) per migratable stage. Writes one JSON object with those
@@ -21,6 +22,7 @@ use rand::{Rng, SeedableRng};
 use rtopex_phy::channel::{AwgnChannel, ChannelModel};
 use rtopex_phy::equalizer::{mrc_combine_into, ChannelEstimate};
 use rtopex_phy::fft::FftPlan;
+use rtopex_phy::iq::{quantize_be_into, quantize_roundtrip_into};
 use rtopex_phy::modulation::Modulation;
 use rtopex_phy::params::Bandwidth;
 use rtopex_phy::simd::{self, SimdTier};
@@ -248,6 +250,40 @@ fn decode_entries(out: &mut Vec<Entry>) {
     }
 }
 
+/// The fronthaul send-path quantizer on one received 5 MHz, two-antenna
+/// subframe (2 × 7680 samples): `quantize_be_into` over the wire's 44
+/// fragments of at most 360 samples (what `write_iq_frame` runs), and
+/// `quantize_roundtrip_into` once per antenna (`fill_quantized`).
+fn iq_entries(out: &mut Vec<Entry>) {
+    let cfg = UplinkConfig::new(Bandwidth::Mhz5, 2, 5).expect("config");
+    let samples = received_subframe(&cfg, 5);
+    let (mut payload, mut buf) = ([0u8; 4 * 360], samples.clone());
+    let be = time_kernel(200, || {
+        for c in samples.iter().flat_map(|s| s.chunks(360)) {
+            quantize_be_into(c, &mut payload[..4 * c.len()]);
+        }
+        payload[0]
+    });
+    let roundtrip = time_kernel(200, || {
+        for (s, d) in samples.iter().zip(&mut buf) {
+            quantize_roundtrip_into(s, d);
+        }
+        buf[0][0]
+    });
+    let size = samples.iter().map(Vec::len).sum();
+    for (name, (mean_ns, iters)) in [
+        ("iq_quantize_be_5mhz_2ant", be),
+        ("iq_roundtrip_5mhz_2ant", roundtrip),
+    ] {
+        out.push(Entry {
+            name,
+            size,
+            mean_ns,
+            iters,
+        });
+    }
+}
+
 fn subframe_entry(out: &mut Vec<Entry>) {
     // The γ-calibration anchor pass 3 reads (1.4 MHz, 2 antennas, MCS 27).
     let cfg = UplinkConfig::new(Bandwidth::Mhz1_4, 2, 27).expect("config");
@@ -277,6 +313,7 @@ fn tier_entries() -> Vec<(&'static str, Vec<Entry>)> {
         fft_entries(&mut entries);
         front_entries(&mut entries);
         decode_entries(&mut entries);
+        iq_entries(&mut entries);
         subframe_entry(&mut entries);
         out.push((tier.name(), entries));
     }
@@ -476,6 +513,7 @@ fn main() {
     fft_entries(&mut entries);
     front_entries(&mut entries);
     decode_entries(&mut entries);
+    iq_entries(&mut entries);
     subframe_entry(&mut entries);
     let tiers = tier_entries();
     eprintln!("timing batched turbo dispatch…");

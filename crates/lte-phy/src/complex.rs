@@ -8,13 +8,20 @@
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// A complex sample with `f32` in-phase (`re`) and quadrature (`im`) parts.
+///
+/// `repr(C)` pins the layout the SIMD kernels rely on when they read a
+/// `&[Cf32]` as interleaved `[re, im]` floats.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
+#[repr(C)]
 pub struct Cf32 {
     /// Real (in-phase) component.
     pub re: f32,
     /// Imaginary (quadrature) component.
     pub im: f32,
 }
+
+const _: () = assert!(size_of::<Cf32>() == 8 && align_of::<Cf32>() == 4);
+const _: () = assert!(std::mem::offset_of!(Cf32, im) == 4);
 
 impl Cf32 {
     /// The additive identity.

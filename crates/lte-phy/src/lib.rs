@@ -71,6 +71,7 @@ pub mod crc;
 pub mod equalizer;
 pub mod error;
 pub mod fft;
+pub mod iq;
 pub mod mcs;
 pub mod modulation;
 pub mod params;

@@ -39,7 +39,6 @@ pub struct TcpFronthaulTx {
     params: StreamParams,
     stream: TcpStream,
     wbuf: Vec<u8>,
-    scratch: Vec<u8>,
 }
 
 impl TcpFronthaulTx {
@@ -93,7 +92,6 @@ impl TcpFronthaulTx {
             params,
             stream,
             wbuf: Vec::with_capacity(FLUSH_WATERMARK + wire::MAX_IQ_FRAME + 4),
-            scratch: vec![0u8; wire::MAX_IQ_FRAME],
         })
     }
 }
@@ -110,24 +108,17 @@ impl FronthaulTx for TcpFronthaulTx {
         mcs: u8,
         samples: &[Vec<Cf32>],
     ) -> Result<(), TransportError> {
+        self.params.check_subframe(samples)?;
         let total = wire::fragments_for(self.params.samples_per_subframe as usize) as u16;
         for (ant, s) in samples.iter().enumerate() {
-            if s.len() != self.params.samples_per_subframe as usize {
-                return Err(TransportError::Protocol("subframe length mismatch".into()));
-            }
             for (frag, chunk) in s.chunks(wire::SAMPLES_PER_FRAG).enumerate() {
-                let len = wire::write_iq_frame(
-                    &mut self.scratch,
-                    mcs,
-                    cell,
-                    ant as u8,
-                    frag as u8,
-                    total,
-                    seq,
-                    chunk,
-                );
-                self.wbuf.extend_from_slice(&(len as u32).to_be_bytes());
-                self.wbuf.extend_from_slice(&self.scratch[..len]);
+                // Length prefix and frame written in place at the tail.
+                let len = wire::iq_frame_len(chunk.len());
+                let at = self.wbuf.len();
+                self.wbuf.resize(at + 4 + len, 0);
+                let (prefix, frame) = self.wbuf[at..].split_at_mut(4);
+                prefix.copy_from_slice(&(len as u32).to_be_bytes());
+                wire::write_iq_frame(frame, mcs, cell, ant as u8, frag as u8, total, seq, chunk);
             }
         }
         if self.wbuf.len() >= FLUSH_WATERMARK {

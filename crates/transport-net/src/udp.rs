@@ -106,11 +106,9 @@ impl FronthaulTx for UdpFronthaulTx {
         mcs: u8,
         samples: &[Vec<Cf32>],
     ) -> Result<(), TransportError> {
+        self.params.check_subframe(samples)?;
         let total = wire::fragments_for(self.params.samples_per_subframe as usize) as u16;
         for (ant, s) in samples.iter().enumerate() {
-            if s.len() != self.params.samples_per_subframe as usize {
-                return Err(TransportError::Protocol("subframe length mismatch".into()));
-            }
             for (frag, chunk) in s.chunks(wire::SAMPLES_PER_FRAG).enumerate() {
                 let len = wire::write_iq_frame(
                     &mut self.scratch,

@@ -13,9 +13,10 @@
 //! frame is one datagram; over TCP each frame is preceded by a
 //! big-endian `u32` length.
 
+use rtopex_phy::iq::quantize_be_into;
 use rtopex_phy::Cf32;
 use rtopex_transport::iface::{StreamParams, TransportError, PROTOCOL_VERSION};
-use rtopex_transport::packet::{dequantize, quantize, PacketHeader, HEADER_LEN, MAX_PAYLOAD};
+use rtopex_transport::packet::{dequantize, PacketHeader, HEADER_LEN, MAX_PAYLOAD};
 use rtopex_transport::probe;
 
 /// Session negotiation: version + stream geometry.
@@ -254,9 +255,10 @@ pub fn iq_frame_len(n: usize) -> usize {
 }
 
 /// Writes one IQ fragment frame into the front of `out`, quantizing
-/// `samples` to the wire's 16-bit fixed point. Returns the frame
-/// length. `out` must hold at least [`iq_frame_len`]`(samples.len())`
-/// bytes and `samples.len()` must fit one fragment.
+/// `samples` to the wire's 16-bit fixed point with one
+/// `rtopex_phy::iq::quantize_be_into` call. Returns the frame length.
+/// `out` must hold at least [`iq_frame_len`]`(samples.len())` bytes and
+/// `samples.len()` must fit one fragment.
 // The argument list IS the wire header, field for field; a builder
 // struct would just restate `PacketHeader` with extra copies.
 #[allow(clippy::too_many_arguments)]
@@ -274,8 +276,8 @@ pub fn write_iq_frame(
     debug_assert!(n <= SAMPLES_PER_FRAG);
     let frame_len = iq_frame_len(n);
     // Sender side: `out` is sized by the caller per the documented
-    // contract, so the splits below panic only on a caller bug (like
-    // `fill_quantized`); no peer controls these lengths.
+    // contract, so the splits and the payload slice below panic only on a
+    // caller bug (like `fill_quantized`); no peer controls these lengths.
     let (head, tail) = out.split_at_mut(2);
     if let [t, m] = head {
         *t = FT_IQ;
@@ -292,16 +294,7 @@ pub fn write_iq_frame(
         payload_len: plen,
     }
     .write_to(hdr);
-    for (b, s) in payload_all
-        .get_mut(..plen as usize)
-        .unwrap_or(&mut [])
-        .chunks_exact_mut(4)
-        .zip(samples)
-    {
-        let [r0, r1] = quantize(s.re).to_be_bytes();
-        let [i0, i1] = quantize(s.im).to_be_bytes();
-        b.copy_from_slice(&[r0, r1, i0, i1]);
-    }
+    quantize_be_into(samples, &mut payload_all[..plen as usize]);
     frame_len
 }
 
@@ -361,6 +354,7 @@ pub fn dequantize_payload(payload: &[u8], dst: &mut [Cf32]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtopex_transport::packet::quantize;
 
     fn params() -> StreamParams {
         StreamParams {

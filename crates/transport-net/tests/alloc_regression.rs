@@ -1,19 +1,23 @@
-//! Rx hot-path allocation guarantee: after session setup and warm-up,
-//! ingesting IQ frames and swapping completed subframes to the consumer
-//! performs **zero** heap allocation, measured by a counting global
-//! allocator — the dynamic twin of the analyzer's `ingest_frame` purity
-//! seed.
+//! Hot-path allocation guarantees, measured by a per-thread counting
+//! global allocator. Rx: after session setup and warm-up, ingesting IQ
+//! frames and swapping completed subframes to the consumer performs
+//! **zero** heap allocation — the dynamic twin of the analyzer's
+//! `ingest_frame` purity seed. Tx: after warm-up, `send` (and TCP's
+//! `flush`) performs zero on every transport.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
+use std::thread;
 use std::time::Duration;
 
 use rtopex_phy::Cf32;
-use rtopex_transport::iface::{StreamParams, SubframeBuf};
+use rtopex_transport::iface::{FronthaulRx, FronthaulTx, StreamParams, SubframeBuf};
+use rtopex_transport::inproc::inproc_pair;
 use rtopex_transport_net::ring::{Pop, SwapQueue};
 use rtopex_transport_net::session::ASM_SLOTS;
 use rtopex_transport_net::{wire, RxSession};
+use rtopex_transport_net::{TcpFronthaulTx, TcpRxPending, UdpFronthaulTx, UdpRxPending};
 
 struct CountingAlloc;
 
@@ -156,4 +160,59 @@ fn rx_hot_path_makes_zero_allocations_after_warmup() {
     let st = session.stats();
     assert_eq!(st.gaps, 0);
     assert!(st.stale >= 1);
+}
+
+/// Sends 20 warm-up subframes, then counts the allocations of 20 more
+/// `send` + `flush` calls on this thread (the receiver's io thread is not
+/// counted). `_rx` stays alive so the stream stays open.
+fn steady_send_allocs(mut tx: Box<dyn FronthaulTx>, _rx: Box<dyn FronthaulRx>) -> u64 {
+    let p = tx.params().clone();
+    let n = p.samples_per_subframe as usize;
+    let samples: Vec<Vec<Cf32>> = (0..p.antennas)
+        .map(|a| {
+            (0..n)
+                .map(|i| Cf32::new((i as f32).sin() * 0.3, a as f32 / 9.0))
+                .collect()
+        })
+        .collect();
+    let mut send = |seq: u32| {
+        tx.send(1, seq, 27, &samples).unwrap();
+        tx.flush().unwrap();
+    };
+    (0..20).for_each(&mut send);
+    let ((), allocs) = count_allocs(|| (20..40).for_each(&mut send));
+    allocs
+}
+
+#[test]
+fn tx_send_makes_zero_allocations_after_warmup() {
+    let p = params();
+    let (tx, rx) = inproc_pair(p.clone(), 4);
+    assert_eq!(
+        steady_send_allocs(Box::new(tx), Box::new(rx)),
+        0,
+        "InProcTx::send"
+    );
+
+    let pending = UdpRxPending::bind("127.0.0.1:0").unwrap();
+    let addr = pending.local_addr().unwrap();
+    let h = thread::spawn(move || pending.accept(Duration::from_secs(5), 8).unwrap());
+    let tx = UdpFronthaulTx::connect(addr, p.clone()).unwrap();
+    let rx = h.join().unwrap();
+    assert_eq!(
+        steady_send_allocs(Box::new(tx), Box::new(rx)),
+        0,
+        "UdpFronthaulTx::send"
+    );
+
+    let pending = TcpRxPending::bind("127.0.0.1:0").unwrap();
+    let addr = pending.local_addr().unwrap();
+    let h = thread::spawn(move || pending.accept(Duration::from_secs(5), 8).unwrap());
+    let tx = TcpFronthaulTx::connect(addr, p).unwrap();
+    let rx = h.join().unwrap();
+    assert_eq!(
+        steady_send_allocs(Box::new(tx), Box::new(rx)),
+        0,
+        "TcpFronthaulTx::send + flush"
+    );
 }

@@ -3,8 +3,10 @@
 //!
 //! The invariant under test: every subframe the receiver delivers is
 //! **byte-identical** (f32 bit equality) to the sent subframe after the
-//! wire's i16 quantization — under plain delivery, under fragment
-//! reordering (UDP), and across a sender reconnect (TCP).
+//! wire's i16 quantization — under plain delivery, for the quantizer's
+//! edge values at every SIMD tier, under fragment reordering (UDP), and
+//! across a sender reconnect (TCP). A subframe of the wrong geometry is
+//! refused whole by every transport.
 
 use std::sync::mpsc;
 use std::thread;
@@ -163,6 +165,105 @@ fn udp_delivers_byte_identical() {
 #[test]
 fn tcp_delivers_byte_identical() {
     conformance_plain(tcp_pair);
+}
+
+/// A subframe that does not match the stream geometry is refused whole:
+/// `send` returns `Err(Protocol)` before anything reaches the wire, the
+/// coalescing buffer, the queue or the freelist, so the next good
+/// subframe arrives as if the bad ones had never been offered.
+fn conformance_refuses_bad_geometry(make: fn(&StreamParams) -> Pair) {
+    let p = params();
+    let (mut tx, mut rx) = make(&p);
+    let mut short = subframe(&p, 3, 0);
+    short[1].pop(); // antenna 1 one sample short
+    let mut one = subframe(&p, 3, 1);
+    one.truncate(1); // antenna 1 missing
+    for (seq, bad) in [short, one].iter().enumerate() {
+        let r = tx.send(3, seq as u32, 27, bad);
+        assert!(matches!(r, Err(TransportError::Protocol(_))), "{r:?}");
+    }
+    let got = stream_and_verify(tx, rx.as_mut(), &[(3, 2)]);
+    assert_eq!(got, [(3, 2)]);
+    let st = rx.stats();
+    assert_eq!((st.delivered, st.gaps, st.bad_frames), (1, 0, 0), "{st:?}");
+}
+
+#[test]
+fn inproc_refuses_bad_geometry_whole() {
+    conformance_refuses_bad_geometry(inproc_boxed);
+}
+
+#[test]
+fn udp_refuses_bad_geometry_whole() {
+    conformance_refuses_bad_geometry(udp_pair);
+}
+
+#[test]
+fn tcp_refuses_bad_geometry_whole() {
+    conformance_refuses_bad_geometry(tcp_pair);
+}
+
+/// One subframe of the quantizer's edge values: NaNs, ±inf, ±0,
+/// subnormals, the extremes, both clamp edges and every exact .5-LSB tie
+/// (with its neighbouring bit patterns) in a band around zero.
+fn edge_subframe(p: &StreamParams) -> Vec<Vec<Cf32>> {
+    let lsb = |k: f32| k / 4096.0;
+    let mut v = vec![
+        f32::NAN,
+        -f32::NAN,
+        f32::from_bits(0xFFC1_2345),
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        0.0,
+        -0.0,
+        f32::from_bits(1),
+        f32::from_bits(0x807F_FFFF),
+        f32::MAX,
+        f32::MIN,
+        lsb(32767.5),
+        lsb(-32768.5),
+        lsb(32766.5),
+        lsb(-32767.5),
+    ];
+    let mut k = 0i32;
+    while v.len() < 2 * p.antennas as usize * p.samples_per_subframe as usize {
+        let x = lsb(k as f32 / 2.0);
+        let b = x.to_bits();
+        v.extend([b, b.wrapping_add(1), b.wrapping_sub(1)].map(f32::from_bits));
+        k = if k > 0 { -k } else { 1 - k };
+    }
+    v.chunks_exact(2 * p.samples_per_subframe as usize)
+        .map(|a| a.chunks_exact(2).map(|c| Cf32::new(c[0], c[1])).collect())
+        .collect()
+}
+
+/// The edge-value subframe through every transport at every SIMD tier
+/// the CPU has: each delivery is bit-identical to `dequantize(quantize(x))`.
+#[test]
+fn edge_values_delivered_bit_identical_at_every_tier() {
+    use rtopex_phy::simd::{force_tier, supported_tiers};
+    let p = params();
+    let sent = edge_subframe(&p);
+    for tier in supported_tiers() {
+        force_tier(Some(tier));
+        for make in [inproc_boxed, udp_pair, tcp_pair] {
+            let (mut tx, mut rx) = make(&p);
+            tx.send(8, 5, 27, &sent).unwrap();
+            tx.finish().unwrap();
+            let mut buf = SubframeBuf::for_stream(&p);
+            assert_eq!(
+                rx.recv_into(&mut buf, RECV_TIMEOUT).unwrap(),
+                Recv::Subframe
+            );
+            for (g, s) in buf.samples.iter().zip(&sent) {
+                for (a, b) in g.iter().zip(s) {
+                    let want = [b.re, b.im].map(|x| dequantize(quantize(x)).to_bits());
+                    assert_eq!([a.re.to_bits(), a.im.to_bits()], want, "{tier:?}: {b:?}");
+                }
+            }
+        }
+    }
+    force_tier(None);
 }
 
 /// UDP under reordering: fragments of each subframe sent in reversed

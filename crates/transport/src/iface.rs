@@ -23,9 +23,8 @@
 use std::fmt;
 use std::time::Duration;
 
+use rtopex_phy::iq::quantize_roundtrip_into;
 use rtopex_phy::Cf32;
-
-use crate::packet::{dequantize, quantize};
 
 /// Wire protocol version carried in the hello frame. Mismatched peers
 /// refuse the session instead of mis-parsing each other's frames.
@@ -59,6 +58,20 @@ impl StreamParams {
     pub fn local_cell(&self, cell: u16) -> Option<usize> {
         self.cells.iter().position(|&c| c == cell)
     }
+
+    /// Checks one subframe against the stream geometry: `antennas` rows
+    /// of `samples_per_subframe` samples. Every [`FronthaulTx::send`]
+    /// calls it before writing, queueing or recycling anything, so a
+    /// refused subframe leaves no trace on the stream.
+    pub fn check_subframe(&self, samples: &[Vec<Cf32>]) -> Result<(), TransportError> {
+        let n = self.samples_per_subframe as usize;
+        if samples.len() != self.antennas as usize || samples.iter().any(|s| s.len() != n) {
+            return Err(TransportError::Protocol(
+                "subframe geometry mismatch".into(),
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// One reassembled IQ subframe, owned by the consumer and recycled
@@ -91,7 +104,8 @@ impl SubframeBuf {
 
     /// Copies `samples` in through the wire's i16 quantization, so the
     /// stored payload is bit-identical to what a byte transport would
-    /// deliver. Panics if the geometry disagrees (caller bug).
+    /// deliver. Panics if the geometry disagrees (caller bug; senders
+    /// refuse it first with [`StreamParams::check_subframe`]).
     pub fn fill_quantized(&mut self, cell: u16, seq: u32, mcs: u8, samples: &[Vec<Cf32>]) {
         // analyze: allow(panic): caller-bug guard — the stream geometry is
         // fixed at session setup, so a mismatch here is a programming error
@@ -100,11 +114,7 @@ impl SubframeBuf {
         self.seq = seq;
         self.mcs = mcs;
         for (dst, src) in self.samples.iter_mut().zip(samples) {
-            // analyze: allow(panic): caller-bug guard — geometry fixed at setup
-            assert_eq!(src.len(), dst.len(), "subframe length mismatch");
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d = Cf32::new(dequantize(quantize(s.re)), dequantize(quantize(s.im)));
-            }
+            quantize_roundtrip_into(src, dst);
         }
     }
 }

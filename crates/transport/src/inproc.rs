@@ -83,6 +83,7 @@ impl FronthaulTx for InProcTx {
         mcs: u8,
         samples: &[Vec<Cf32>],
     ) -> Result<(), TransportError> {
+        self.params.check_subframe(samples)?;
         // analyze: allow(panic): std mutex poisoning only follows another
         // holder's panic; propagating it is the correct response
         let mut st = self.chan.state.lock().unwrap();

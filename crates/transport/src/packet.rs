@@ -10,12 +10,12 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rtopex_phy::Cf32;
 
+/// The wire's sample format, defined beside its SIMD kernels in
+/// `rtopex_phy::iq`.
+pub use rtopex_phy::iq::{dequantize, quantize, IQ_SCALE};
+
 /// Maximum payload bytes per packet (Ethernet MTU minus IP/UDP headroom).
 pub const MAX_PAYLOAD: usize = 1440;
-
-/// Fixed-point scale: full-scale i16 corresponds to this float amplitude.
-/// Baseband is normalized near unit power, so 8× headroom avoids clipping.
-const IQ_SCALE: f32 = 4096.0;
 
 /// Wire header of an IQ fragment (12 bytes, big-endian).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -195,7 +195,8 @@ impl SeqTracker {
 pub struct IqPacketizer;
 
 impl IqPacketizer {
-    /// Splits one antenna's subframe samples into wire packets.
+    /// Splits one antenna's subframe samples into wire packets. No send
+    /// path calls it, so it keeps the scalar [`quantize`] reference.
     pub fn packetize(
         &self,
         bs_id: u16,
@@ -279,18 +280,6 @@ impl IqPacketizer {
         }
         Some(out)
     }
-}
-
-/// Quantizes one baseband component to the wire's 16-bit fixed point.
-pub fn quantize(v: f32) -> i16 {
-    (v * IQ_SCALE)
-        .round()
-        .clamp(i16::MIN as f32, i16::MAX as f32) as i16
-}
-
-/// Inverse of [`quantize`].
-pub fn dequantize(v: i16) -> f32 {
-    v as f32 / IQ_SCALE
 }
 
 #[cfg(test)]
