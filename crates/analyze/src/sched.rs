@@ -22,8 +22,6 @@
 //!   smallest migratable subtask (an FFT transform): a δ smaller than
 //!   either makes Alg. 1's `tp + δ ≤ slack` test admit migrations whose
 //!   bookkeeping exceeds the work moved.
-//! * **batched-turbo floor** — every recorded `batched.*.speedup` must
-//!   stay at or above [`MIN_BATCH_SPEEDUP`].
 //!
 //! The PHY structure (FFT sizes, PRB/TBS tables, turbo segmentation)
 //! and the shipped configs are *mirrored* here rather than imported, so
@@ -280,14 +278,6 @@ pub fn shipped_configs() -> Vec<MirrorConfig> {
 // The tracked baseline.
 // ---------------------------------------------------------------------
 
-/// Minimum recorded batched-turbo speedup (`batched.*.speedup` in
-/// `BENCH_kernels.json`) the tracked baseline must keep: the cross-cell
-/// batched drain exists to outrun per-call dispatch, so a recorded batch
-/// that no longer pays for itself is a regression to profile before
-/// re-recording. The floor sits under the 1.36–1.47× recorded at batch 4
-/// so host-noise jitter across re-records does not flap the gate.
-pub const MIN_BATCH_SPEEDUP: f64 = 1.2;
-
 /// `machine.cores` of the baseline: the core count it was recorded on.
 pub fn parse_cores(src: &str) -> Result<usize, String> {
     Json::parse(src)?
@@ -295,24 +285,6 @@ pub fn parse_cores(src: &str) -> Result<usize, String> {
         .and_then(Json::as_f64)
         .map(|c| c as usize)
         .ok_or_else(|| "missing machine.cores".into())
-}
-
-/// Recorded batched-dispatch speedups (`batched.*.speedup`); empty when
-/// the section is absent.
-pub fn parse_batched(src: &str) -> Result<Vec<(String, f64)>, String> {
-    let j = Json::parse(src)?;
-    let Some(b) = j.get("batched") else {
-        return Ok(Vec::new());
-    };
-    let mut out = Vec::new();
-    for (key, val) in b.fields() {
-        let s = val
-            .get("speedup")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("missing speedup for batched entry `{key}`"))?;
-        out.push((key.clone(), s));
-    }
-    Ok(out)
 }
 
 /// WCET inputs parsed from `BENCH_kernels.json`.
@@ -531,39 +503,16 @@ pub fn audit(kernels_src: &str, configs: &[MirrorConfig]) -> Audit {
             });
         }
     }
-    let parsed = parse_kernels(kernels_src)
-        .and_then(|t| Ok((t, parse_handoff(kernels_src)?, parse_batched(kernels_src)?)));
-    let (table, handoff, batched) = match parsed {
+    let parsed = parse_kernels(kernels_src).and_then(|t| Ok((t, parse_handoff(kernels_src)?)));
+    let (table, handoff) = match parsed {
         Ok(p) => p,
         Err(e) => return refused(parse_violation(e)),
     };
 
     let mut v = Vec::new();
-    // Batched-dispatch floor: the recorded cross-cell batch must still
-    // outrun per-call dispatch.
-    for (key, speedup) in &batched {
-        if *speedup < MIN_BATCH_SPEEDUP {
-            v.push(Violation {
-                file: BASELINE.into(),
-                line: 0,
-                pass: "sched",
-                class: "batching-regression",
-                msg: format!(
-                    "batched entry `{key}`: recorded speedup {speedup:.2}x is below the {MIN_BATCH_SPEEDUP}x floor — the batched drain no longer pays for its staging; profile before re-recording"
-                ),
-            });
-        }
-    }
-
     let mut report = String::from("{\n");
     let g = gamma(&table);
     let _ = writeln!(report, "  \"gamma\": {g:.4},");
-    let _ = writeln!(report, "  \"batched_speedups\": {{");
-    for (i, (key, s)) in batched.iter().enumerate() {
-        let comma = if i + 1 < batched.len() { "," } else { "" };
-        let _ = writeln!(report, "    \"{key}\": {s:.3}{comma}");
-    }
-    let _ = writeln!(report, "  }},");
     let _ = writeln!(
         report,
         "  \"handoff\": {{\"steal_delta_us\": {:.2}, \"mailbox_delta_us\": {:.2}}},",
@@ -730,33 +679,6 @@ mod tests {
         let a = audit(&doc, &shipped_configs());
         assert!(
             a.violations.iter().any(|v| v.class == "bench-parse"),
-            "{:#?}",
-            a.violations
-        );
-    }
-
-    #[test]
-    fn tracked_batched_speedups_clear_the_floor() {
-        let b = parse_batched(KERNELS).unwrap();
-        assert!(
-            !b.is_empty(),
-            "tracked kernels baseline must record batched rows"
-        );
-        assert!(b.iter().all(|(_, s)| *s >= MIN_BATCH_SPEEDUP), "{b:?}");
-    }
-
-    #[test]
-    fn batched_speedup_below_floor_is_caught() {
-        let doc = KERNELS.replace(
-            "\"batched\": {",
-            "\"batched\": {\n    \"turbo_kX_b4\": { \"per_call_avx2_ns\": 100, \"batched_ns\": 100, \"speedup\": 1.000 },",
-        );
-        assert_ne!(doc, KERNELS, "tracked baseline must have a batched section");
-        let a = audit(&doc, &shipped_configs());
-        assert!(
-            a.violations
-                .iter()
-                .any(|v| v.class == "batching-regression"),
             "{:#?}",
             a.violations
         );

@@ -4,11 +4,10 @@
 //! Times the four vectorized PHY kernels (turbo max-log-MAP, soft demapper,
 //! MRC equalizer, FFT), whole FFT batches, demod and decode subtasks, the
 //! fronthaul IQ quantizer and the end-to-end MCS 27 subframe decode with a
-//! plain `Instant` loop,
-//! re-times them at every supported SIMD tier, times the batched turbo
-//! drain against per-call dispatch, and measures the two-thread migration
-//! hand-off (steal ticket vs. mailbox) per migratable stage. Writes one JSON object with those
-//! rows, a machine fingerprint and the git revision. Commit the output at
+//! plain `Instant` loop, re-times them at every supported SIMD tier, and
+//! measures the two-thread migration hand-off (steal ticket vs. mailbox)
+//! per migratable stage. Writes one JSON object with those rows, a machine
+//! fingerprint and the git revision. Commit the output at
 //! the repository root to refresh the baseline — on a machine with at
 //! least two cores, since the analyzer refuses a `"cores": 1` file (the
 //! hand-off needs a second core):
@@ -25,9 +24,9 @@ use rtopex_phy::fft::FftPlan;
 use rtopex_phy::iq::{quantize_be_into, quantize_roundtrip_into};
 use rtopex_phy::modulation::Modulation;
 use rtopex_phy::params::Bandwidth;
-use rtopex_phy::simd::{self, SimdTier};
+use rtopex_phy::simd;
 use rtopex_phy::tasks::TaskKind;
-use rtopex_phy::turbo::{decode_batch, TurboBatchJob, TurboDecoder, TurboEncoder, TurboWorkspace};
+use rtopex_phy::turbo::{TurboDecoder, TurboEncoder, TurboWorkspace};
 use rtopex_phy::uplink::{JobSlab, UplinkConfig, UplinkRx, UplinkTx};
 use rtopex_phy::Cf32;
 use rtopex_runtime::measure::{measure_migration_overhead, measure_steal_overhead};
@@ -321,74 +320,6 @@ fn tier_entries() -> Vec<(&'static str, Vec<Entry>)> {
     out
 }
 
-/// One batched-vs-per-call turbo measurement.
-struct BatchedEntry {
-    k: usize,
-    batch: usize,
-    per_call_ns: u64,
-    batched_ns: u64,
-    speedup: f64,
-}
-
-/// Cross-cell batched dispatch headline: `decode_batch` at the widest
-/// detected tier (paired trellises sharing AVX-512 lanes) vs. the same
-/// jobs decoded one `decode_with` call at a time on the per-call AVX2
-/// path — the best pre-batching configuration. Both sides decode the
-/// same four distinct codewords per invocation.
-fn batched_entries() -> Vec<BatchedEntry> {
-    const BATCH: usize = 4;
-    let per_call_tier = if simd::supports(SimdTier::Avx2) {
-        SimdTier::Avx2
-    } else {
-        simd::hardware_tier()
-    };
-    let mut out = Vec::new();
-    for k in [2048usize, 6144] {
-        let enc = TurboEncoder::new(k);
-        let llr =
-            |v: &[u8]| -> Vec<f32> { v.iter().map(|&x| 4.0 * (1.0 - 2.0 * x as f32)).collect() };
-        let streams: Vec<(Vec<f32>, Vec<f32>, Vec<f32>)> = (0..BATCH)
-            .map(|i| {
-                let cw = enc.encode(&bits(k, 10 + i as u64));
-                (llr(&cw.d0), llr(&cw.d1), llr(&cw.d2))
-            })
-            .collect();
-        let dec = TurboDecoder::with_qpp(enc.qpp().clone());
-        let mut wss: Vec<TurboWorkspace> = (0..BATCH).map(|_| TurboWorkspace::new()).collect();
-        let mut results = vec![(0usize, false); BATCH];
-
-        simd::force_tier(Some(per_call_tier));
-        let (per_call_ns, _) = time_kernel(300, || {
-            for (s, ws) in streams.iter().zip(wss.iter_mut()) {
-                dec.decode_with(&s.0, &s.1, &s.2, 1, |_| false, ws);
-            }
-        });
-
-        simd::force_tier(None);
-        let jobs: Vec<TurboBatchJob> = streams
-            .iter()
-            .map(|s| TurboBatchJob {
-                decoder: &dec,
-                d0: &s.0,
-                d1: &s.1,
-                d2: &s.2,
-                max_iters: 1,
-            })
-            .collect();
-        let (batched_ns, _) = time_kernel(300, || {
-            decode_batch(&jobs, |_, _| false, &mut wss, &mut results)
-        });
-        out.push(BatchedEntry {
-            k,
-            batch: BATCH,
-            per_call_ns,
-            batched_ns,
-            speedup: per_call_ns as f64 / batched_ns as f64,
-        });
-    }
-    out
-}
-
 /// Steal-ticket vs. mailbox hand-off for one migratable stage (µs): the
 /// per-subtask cost of moving work to a second core on each migration
 /// path, which pass 3 holds every migrating config's δ above.
@@ -516,8 +447,6 @@ fn main() {
     iq_entries(&mut entries);
     subframe_entry(&mut entries);
     let tiers = tier_entries();
-    eprintln!("timing batched turbo dispatch…");
-    let batched = batched_entries();
     eprintln!("timing the steal and mailbox hand-off…");
     let handoff = handoff_entries();
 
@@ -556,22 +485,6 @@ fn main() {
             .unwrap();
         }
         writeln!(body, "    }}{tcomma}").unwrap();
-    }
-    writeln!(body, "  }},").unwrap();
-    writeln!(body, "  \"batched\": {{").unwrap();
-    for (i, b) in batched.iter().enumerate() {
-        let comma = if i + 1 < batched.len() { "," } else { "" };
-        writeln!(
-            body,
-            "    \"turbo_k{}_b{}\": {{ \"per_call_avx2_ns\": {}, \"batched_ns\": {}, \
-             \"speedup\": {:.3} }}{}",
-            b.k, b.batch, b.per_call_ns, b.batched_ns, b.speedup, comma
-        )
-        .unwrap();
-        eprintln!(
-            "  turbo k={} batch {}: per-call {} ns, batched {} ns ({:.2}x)",
-            b.k, b.batch, b.per_call_ns, b.batched_ns, b.speedup
-        );
     }
     writeln!(body, "  }},").unwrap();
     writeln!(body, "  \"handoff\": {{").unwrap();

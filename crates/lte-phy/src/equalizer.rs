@@ -163,9 +163,6 @@ pub fn mrc_combine_into(
     let mut var_sum = 0.0f32;
     #[cfg(target_arch = "x86_64")]
     if simd::active_tier() >= SimdTier::Avx2 {
-        // The MRC block stays 8-wide under Avx512 too: per-antenna rows
-        // are short and the deinterleave dominates, so a 16-lane form
-        // measured no faster.
         // SAFETY: the Avx2 tier is only reported after runtime detection
         // succeeded (see crate::simd); every row, gain vector and output
         // holds `m` entries (checked above).

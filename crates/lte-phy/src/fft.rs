@@ -19,7 +19,7 @@
 //!
 //! The radix-2/3/4/5 butterflies are written once, generic over the
 //! complex arithmetic. The lane forms run them on one [`Cf32`] at a time;
-//! the AVX2 tier, which the AVX-512 tier also runs, on four interleaved
+//! the AVX2 tier, which AVX-512 CPUs also run, on four interleaved
 //! complex values per register: four `q` per vector once the stride is a
 //! multiple of 4, and four butterfly groups per vector in the stride-1
 //! radix-4 first stage. Both run the same IEEE operation per component
@@ -235,8 +235,8 @@ impl FftPlan {
             #[allow(unsafe_code)]
             match tier {
                 #[cfg(target_arch = "x86_64")]
-                SimdTier::Avx2 | SimdTier::Avx512 => {
-                    // SAFETY: both tiers are only reported by `crate::simd`
+                SimdTier::Avx2 => {
+                    // SAFETY: the tier is only reported by `crate::simd`
                     // after runtime AVX2 detection; `forward_scratch` and
                     // `inverse_scratch` checked both buffers hold `n = r·m·s`.
                     unsafe { avx2::stage(st, src, dst) }

@@ -1,16 +1,14 @@
 //! Runtime-dispatched SIMD tier selection for the PHY kernels.
 //!
 //! The hot kernels (max-log-MAP, soft demapper, MRC, FFT butterflies) exist
-//! in up to three tiers:
+//! in two tiers:
 //!
 //! * **lane-form scalar** — fixed-width, branchless `[f32; 8]` loops that
 //!   LLVM autovectorizes on any target (this is the `portable_simd`-style
 //!   fallback: on AArch64 the same lane forms compile to NEON); the
 //!   reference the intrinsic tiers are tested against,
-//! * **AVX2** — explicit 8-lane `core::arch::x86_64` intrinsics, and
-//! * **AVX-512** — 16-lane intrinsics (`avx512f` + `avx512bw`), used by the
-//!   paired-trellis batched turbo decoder; every other kernel runs its
-//!   AVX2 form on this tier.
+//! * **AVX2** — explicit 8-lane `core::arch::x86_64` intrinsics. An
+//!   AVX-512 CPU runs this tier too: no 16-lane form beat it.
 //!
 //! All tiers are **bit-exact** with each other: every kernel restricts
 //! itself to the same adds, multiplies by exact constants, `max`/`min`
@@ -19,8 +17,8 @@
 //!
 //! Detection runs once per process ([`active_tier`] caches it); tests and
 //! benchmarks can pin a tier with [`force_tier`] / [`try_force_tier`] or
-//! the `RTOPEX_SIMD` environment variable (`scalar`, `lanes`, `avx2` or
-//! `avx512`, checked at first use). Unknown names and tiers the CPU cannot
+//! the `RTOPEX_SIMD` environment variable (`scalar`, `lanes` or `avx2`,
+//! checked at first use). Unknown names and tiers the CPU cannot
 //! run are rejected with an explicit error instead of silently falling
 //! back to detection.
 
@@ -29,8 +27,8 @@ use std::sync::OnceLock;
 
 /// The instruction-set tier a kernel invocation will use.
 ///
-/// Ordered by width: `Scalar < Avx2 < Avx512`. A CPU that supports a tier
-/// supports every smaller one.
+/// Ordered by width: `Scalar < Avx2`. A CPU that supports a tier supports
+/// every smaller one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdTier {
     /// Portable lane-form scalar code (autovectorized by LLVM; NEON on
@@ -38,13 +36,11 @@ pub enum SimdTier {
     Scalar,
     /// Explicit AVX2 intrinsics (8 × f32 lanes).
     Avx2,
-    /// Explicit AVX-512 intrinsics (16 × f32 lanes; `avx512f`+`avx512bw`).
-    Avx512,
 }
 
 impl SimdTier {
     /// Every tier, narrowest first.
-    pub const ALL: [SimdTier; 3] = [SimdTier::Scalar, SimdTier::Avx2, SimdTier::Avx512];
+    pub const ALL: [SimdTier; 2] = [SimdTier::Scalar, SimdTier::Avx2];
 
     /// The canonical lowercase name (what `RTOPEX_SIMD` accepts and the
     /// bench JSON records).
@@ -52,12 +48,11 @@ impl SimdTier {
         match self {
             SimdTier::Scalar => "scalar",
             SimdTier::Avx2 => "avx2",
-            SimdTier::Avx512 => "avx512",
         }
     }
 }
 
-/// Tier override: 0 = none, 1 = scalar, 2 = AVX2, 3 = AVX-512.
+/// Tier override: 0 = none, 1 = scalar, 2 = AVX2.
 static OVERRIDE: AtomicU8 = AtomicU8::new(0);
 
 /// One-time resolution of `RTOPEX_SIMD` + hardware detection.
@@ -70,15 +65,8 @@ static HARDWARE: OnceLock<SimdTier> = OnceLock::new();
 pub fn hardware_tier() -> SimdTier {
     *HARDWARE.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f")
-                && std::arch::is_x86_feature_detected!("avx512bw")
-            {
-                return SimdTier::Avx512;
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return SimdTier::Avx2;
-            }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return SimdTier::Avx2;
         }
         SimdTier::Scalar
     })
@@ -102,10 +90,9 @@ pub fn parse_tier(name: &str) -> Result<SimdTier, String> {
     match name {
         "scalar" | "lanes" => Ok(SimdTier::Scalar),
         "avx2" => Ok(SimdTier::Avx2),
-        "avx512" => Ok(SimdTier::Avx512),
         // analyze: allow(alloc): error construction on the once-per-process env-parse path (inside `DETECTED.get_or_init`), never in the steady state
         other => Err(format!(
-            "unknown SIMD tier `{other}` (valid: scalar, lanes, avx2, avx512)"
+            "unknown SIMD tier `{other}` (valid: scalar, lanes, avx2)"
         )),
     }
 }
@@ -143,7 +130,6 @@ pub fn active_tier() -> SimdTier {
     match OVERRIDE.load(Ordering::Relaxed) {
         1 => SimdTier::Scalar,
         2 => SimdTier::Avx2,
-        3 => SimdTier::Avx512,
         _ => detected_tier(),
     }
 }
@@ -165,7 +151,6 @@ pub fn try_force_tier(tier: Option<SimdTier>) -> Result<(), String> {
             match t {
                 SimdTier::Scalar => 1,
                 SimdTier::Avx2 => 2,
-                SimdTier::Avx512 => 3,
             }
         }
     };
@@ -229,12 +214,18 @@ mod tests {
 
     #[test]
     fn tier_names_roundtrip_and_unknown_names_are_rejected() {
+        assert_eq!(SimdTier::ALL.len(), 2);
         for tier in SimdTier::ALL {
             assert_eq!(parse_tier(tier.name()), Ok(tier));
         }
         assert_eq!(parse_tier("lanes"), Ok(SimdTier::Scalar));
-        let err = parse_tier("sse9").unwrap_err();
-        assert!(err.contains("sse9") && err.contains("avx512"), "{err}");
+        for name in ["sse9", "avx512"] {
+            let err = parse_tier(name).unwrap_err();
+            assert!(
+                err.contains(&format!("`{name}`")) && err.contains("(valid: scalar, lanes, avx2)"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

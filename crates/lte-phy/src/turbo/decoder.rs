@@ -76,9 +76,7 @@ impl TurboWorkspace {
     /// Pre-grows every buffer for block size `k`, so a subsequent decode of
     /// any block size `≤ k` allocates nothing.
     pub fn warm(&mut self, k: usize) {
-        // 2× NUM_STATES: the paired-trellis kernel stores both items' rows
-        // in the first workspace's alpha buffer.
-        reserve_to(&mut self.alpha, (k + 1) * 2 * NUM_STATES);
+        reserve_to(&mut self.alpha, (k + 1) * NUM_STATES);
         for v in [
             &mut self.sys2,
             &mut self.le21,
@@ -226,9 +224,6 @@ fn map_decode(
 ) {
     #[cfg(target_arch = "x86_64")]
     if tier >= SimdTier::Avx2 {
-        // A single 8-state trellis fills exactly one ymm; the Avx512 tier
-        // only pays off when two trellises share a zmm (`map_decode_pair`),
-        // so single decodes route to the AVX2 form under both wide tiers.
         // SAFETY: the Avx2 tier is only ever reported by `crate::simd`
         // after `is_x86_feature_detected!("avx2")` succeeded.
         #[allow(unsafe_code)]
@@ -456,179 +451,6 @@ mod avx2 {
     }
 }
 
-/// Explicit AVX-512 tier: **two same-`K` trellises share one `__m512`** —
-/// lanes 0–7 carry item A's 8 state metrics, lanes 8–15 item B's. Every
-/// operation applies the identical 8-lane pattern to both halves
-/// (`vpermps` becomes a 16-lane `vpermps` whose index vector repeats the
-/// 8-lane permutation offset by 8), so each half is bit-exact with the
-/// AVX2 single-trellis pass — batching never changes an output bit.
-#[cfg(target_arch = "x86_64")]
-mod avx512 {
-    #![allow(unsafe_code)]
-
-    use super::{tail_betas, LANES, NEG_INF, NUM_STATES, TAIL_STEPS};
-    use core::arch::x86_64::*;
-
-    /// Borrowed inputs of one constituent MAP pass (the slice arguments of
-    /// [`super::map_decode`], bundled so the paired kernel takes two).
-    pub(super) struct MapInput<'a> {
-        pub sys: &'a [f32],
-        pub sys_tail: &'a [f32; TAIL_STEPS],
-        pub par: &'a [f32],
-        pub par_tail: &'a [f32; TAIL_STEPS],
-        pub apriori: &'a [f32],
-    }
-
-    /// 16-lane permutation applying the 8-lane pattern `p` to each half.
-    #[target_feature(enable = "avx512f")]
-    fn idx16(p: &[usize; NUM_STATES]) -> __m512i {
-        _mm512_set_epi32(
-            (p[7] + 8) as i32,
-            (p[6] + 8) as i32,
-            (p[5] + 8) as i32,
-            (p[4] + 8) as i32,
-            (p[3] + 8) as i32,
-            (p[2] + 8) as i32,
-            (p[1] + 8) as i32,
-            (p[0] + 8) as i32,
-            p[7] as i32,
-            p[6] as i32,
-            p[5] as i32,
-            p[4] as i32,
-            p[3] as i32,
-            p[2] as i32,
-            p[1] as i32,
-            p[0] as i32,
-        )
-    }
-
-    /// The 8-entry sign table replicated into both halves.
-    #[target_feature(enable = "avx512f")]
-    fn sign16(s: &[f32; NUM_STATES]) -> __m512 {
-        _mm512_set_ps(
-            s[7], s[6], s[5], s[4], s[3], s[2], s[1], s[0], s[7], s[6], s[5], s[4], s[3], s[2],
-            s[1], s[0],
-        )
-    }
-
-    /// `a` broadcast into lanes 0–7, `b` into lanes 8–15.
-    #[target_feature(enable = "avx512f")]
-    fn splat_halves(a: f32, b: f32) -> __m512 {
-        _mm512_set_ps(b, b, b, b, b, b, b, b, a, a, a, a, a, a, a, a)
-    }
-
-    /// Horizontal max of each 8-lane half with the exact reduction tree of
-    /// [`super::hmax8`]: returns `(hmax(lanes 0–7), hmax(lanes 8–15))`.
-    #[target_feature(enable = "avx512f")]
-    fn hmax_halves(m: __m512) -> (f32, f32) {
-        // Stage 1 of hmax8 pairs lane j with lane j+4: swap the 128-bit
-        // quarters within each half and max.
-        let a = _mm512_max_ps(m, _mm512_shuffle_f32x4::<0b10_11_00_01>(m, m));
-        let b = _mm512_max_ps(a, _mm512_shuffle_ps::<0b0100_1110>(a, a));
-        let c = _mm512_max_ps(b, _mm512_shuffle_ps::<0b1011_0001>(b, b));
-        (
-            _mm512_cvtss_f32(c),
-            _mm_cvtss_f32(_mm512_extractf32x4_ps::<2>(c)),
-        )
-    }
-
-    /// Two same-`K` constituent MAP passes in lockstep, one trellis per
-    /// zmm half. `alpha` is the paired forward-metric store, resized to
-    /// `(K+1)·16` (row `i` = item A's states in floats 0–7, item B's in
-    /// 8–15; reused across calls).
-    ///
-    /// # Safety
-    /// The CPU must support AVX-512F. Both inputs must have the same `K`.
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn map_decode_pair(
-        a: &MapInput<'_>,
-        b: &MapInput<'_>,
-        out_a: &mut [f32],
-        out_b: &mut [f32],
-        alpha: &mut Vec<f32>,
-    ) {
-        const W: usize = 2 * NUM_STATES;
-        let k = a.sys.len();
-        debug_assert_eq!(b.sys.len(), k);
-        debug_assert!(
-            a.par.len() == k
-                && b.par.len() == k
-                && a.apriori.len() == k
-                && b.apriori.len() == k
-                && out_a.len() == k
-                && out_b.len() == k
-        );
-
-        alpha.clear();
-        alpha.resize((k + 1) * W, NEG_INF);
-        alpha[0] = 0.0; // item A, state 0
-        alpha[NUM_STATES] = 0.0; // item B, state 0 (lane 8)
-
-        let ip0 = idx16(&LANES.prev[0]);
-        let ip1 = idx16(&LANES.prev[1]);
-        let sp0 = sign16(&LANES.sign_prev[0]);
-        let sp1 = sign16(&LANES.sign_prev[1]);
-        let ap = alpha.as_mut_ptr();
-        for i in 0..k {
-            let hu = splat_halves(
-                0.5 * (a.sys[i] + a.apriori[i]),
-                0.5 * (b.sys[i] + b.apriori[i]),
-            );
-            let hp = splat_halves(0.5 * a.par[i], 0.5 * b.par[i]);
-            let g0 = _mm512_add_ps(hu, _mm512_mul_ps(sp0, hp));
-            let g1 = _mm512_sub_ps(_mm512_mul_ps(sp1, hp), hu);
-            // SAFETY: rows i and i+1 are in bounds of the (k+1)·16 buffer.
-            unsafe {
-                let cur = _mm512_loadu_ps(ap.add(i * W));
-                let a0 = _mm512_permutexvar_ps(ip0, cur);
-                let a1 = _mm512_permutexvar_ps(ip1, cur);
-                let nxt = _mm512_max_ps(_mm512_add_ps(a0, g0), _mm512_add_ps(a1, g1));
-                _mm512_storeu_ps(ap.add((i + 1) * W), nxt);
-            }
-        }
-
-        let in0 = idx16(&LANES.next[0]);
-        let in1 = idx16(&LANES.next[1]);
-        let sn0 = sign16(&LANES.sign_next[0]);
-        let sn1 = sign16(&LANES.sign_next[1]);
-        let beta_a = tail_betas(a.sys_tail, a.par_tail);
-        let beta_b = tail_betas(b.sys_tail, b.par_tail);
-        let mut beta = splat_halves(0.0, 0.0);
-        for s in 0..NUM_STATES {
-            // Assemble the paired beta row lane by lane (runs once).
-            beta = _mm512_mask_mov_ps(
-                beta,
-                (1u16 << s) | (1u16 << (s + NUM_STATES)),
-                splat_halves(beta_a[s], beta_b[s]),
-            );
-        }
-        for i in (0..k).rev() {
-            let hu = splat_halves(
-                0.5 * (a.sys[i] + a.apriori[i]),
-                0.5 * (b.sys[i] + b.apriori[i]),
-            );
-            let hp = splat_halves(0.5 * a.par[i], 0.5 * b.par[i]);
-            let gb0 = _mm512_add_ps(
-                _mm512_add_ps(hu, _mm512_mul_ps(sn0, hp)),
-                _mm512_permutexvar_ps(in0, beta),
-            );
-            let gb1 = _mm512_add_ps(
-                _mm512_sub_ps(_mm512_mul_ps(sn1, hp), hu),
-                _mm512_permutexvar_ps(in1, beta),
-            );
-            // SAFETY: row i is in bounds.
-            let arow = unsafe { _mm512_loadu_ps(ap.add(i * W)) };
-            let m0 = _mm512_add_ps(arow, gb0);
-            let m1 = _mm512_add_ps(arow, gb1);
-            beta = _mm512_max_ps(gb0, gb1);
-            let (best0_a, best0_b) = hmax_halves(m0);
-            let (best1_a, best1_b) = hmax_halves(m1);
-            out_a[i] = best0_a - best1_a;
-            out_b[i] = best0_b - best1_b;
-        }
-    }
-}
-
 impl TurboDecoder {
     /// Creates a decoder for block size `k`.
     pub fn new(k: usize) -> Self {
@@ -754,317 +576,6 @@ impl TurboDecoder {
             }
         }
         (max_iters, false)
-    }
-
-    /// Decodes **two same-`K` code blocks in lockstep**, interleaving their
-    /// trellises across SIMD lanes on the AVX-512 tier (each zmm half runs
-    /// one item's recursion). On narrower tiers the items run back-to-back
-    /// per iteration. Either way the outputs — LLR trajectories, hard bits,
-    /// iteration counts — are **bit-for-bit identical** to two sequential
-    /// [`TurboDecoder::decode_with`] calls: the per-half operations match
-    /// the single-trellis tiers exactly, and when one item's early-stop
-    /// fires it simply drops out of the pair while the partner continues on
-    /// the single path.
-    ///
-    /// `a`/`b` are each `(d0, d1, d2)` streams of length `K + 4`; hard bits
-    /// are left in the respective workspace's `bits`. Returns the two
-    /// `(iterations, converged)` results.
-    ///
-    /// # Panics
-    /// Panics if any stream length differs from `K + 4` or `max_iters == 0`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn decode_pair_with(
-        &self,
-        a: (&[f32], &[f32], &[f32]),
-        b: (&[f32], &[f32], &[f32]),
-        max_iters: usize,
-        early_stop_a: impl Fn(&[u8]) -> bool,
-        early_stop_b: impl Fn(&[u8]) -> bool,
-        ws_a: &mut TurboWorkspace,
-        ws_b: &mut TurboWorkspace,
-    ) -> ((usize, bool), (usize, bool)) {
-        let k = self.k();
-        // analyze: allow(panic): decoder config contract; zero iterations can only come from a miscomputed MCS table
-        assert!(max_iters > 0, "max_iters must be positive");
-        for d in [a.0, a.1, a.2, b.0, b.1, b.2] {
-            // analyze: allow(panic): buffer-shape contract; a mismatch means the job was built against a different config — decode garbage or fail loudly, and loud wins
-            assert_eq!(d.len(), k + 4, "stream length");
-        }
-
-        let (sys_a, par1_a, par2_a) = (&a.0[..k], &a.1[..k], &a.2[..k]);
-        let (sys_b, par1_b, par2_b) = (&b.0[..k], &b.1[..k], &b.2[..k]);
-        let xt1_a = [a.0[k], a.0[k + 1], a.0[k + 2]];
-        let zt1_a = [a.1[k], a.1[k + 1], a.1[k + 2]];
-        let xt2_a = [a.0[k + 3], a.1[k + 3], a.2[k + 3]];
-        let zt2_a = [a.2[k], a.2[k + 1], a.2[k + 2]];
-        let xt1_b = [b.0[k], b.0[k + 1], b.0[k + 2]];
-        let zt1_b = [b.1[k], b.1[k + 1], b.1[k + 2]];
-        let xt2_b = [b.0[k + 3], b.1[k + 3], b.2[k + 3]];
-        let zt2_b = [b.2[k], b.2[k + 1], b.2[k + 2]];
-
-        let TurboWorkspace {
-            alpha: alpha_a,
-            sys2: sys2_a,
-            le21: le21_a,
-            le12: le12_a,
-            a2: a2_a,
-            le21_il: le21_il_a,
-            l1: l1_a,
-            l2: l2_a,
-            l2_nat: l2_nat_a,
-            bits: bits_a,
-        } = ws_a;
-        let TurboWorkspace {
-            alpha: alpha_b,
-            sys2: sys2_b,
-            le21: le21_b,
-            le12: le12_b,
-            a2: a2_b,
-            le21_il: le21_il_b,
-            l1: l1_b,
-            l2: l2_b,
-            l2_nat: l2_nat_b,
-            bits: bits_b,
-        } = ws_b;
-
-        let tier = simd::active_tier();
-        self.qpp.interleave_into(sys_a, sys2_a);
-        self.qpp.interleave_into(sys_b, sys2_b);
-        for v in [&mut *le21_a, &mut *le21_b, l1_a, l1_b, l2_a, l2_b] {
-            v.clear();
-            v.resize(k, 0.0);
-        }
-        for bits in [&mut *bits_a, &mut *bits_b] {
-            bits.clear();
-            bits.resize(k, 0);
-        }
-
-        let mut done_a: Option<(usize, bool)> = None;
-        let mut done_b: Option<(usize, bool)> = None;
-        for it in 1..=max_iters {
-            #[cfg(target_arch = "x86_64")]
-            let paired = done_a.is_none() && done_b.is_none() && tier >= SimdTier::Avx512;
-            #[cfg(not(target_arch = "x86_64"))]
-            let paired = false;
-
-            // DEC1 on natural order.
-            if paired {
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: the Avx512 tier is only ever reported by
-                // `crate::simd` after avx512f+avx512bw detection succeeded;
-                // both items share K by construction.
-                #[allow(unsafe_code)]
-                unsafe {
-                    avx512::map_decode_pair(
-                        &avx512::MapInput {
-                            sys: sys_a,
-                            sys_tail: &xt1_a,
-                            par: par1_a,
-                            par_tail: &zt1_a,
-                            apriori: le21_a,
-                        },
-                        &avx512::MapInput {
-                            sys: sys_b,
-                            sys_tail: &xt1_b,
-                            par: par1_b,
-                            par_tail: &zt1_b,
-                            apriori: le21_b,
-                        },
-                        l1_a,
-                        l1_b,
-                        alpha_a,
-                    )
-                };
-            } else {
-                if done_a.is_none() {
-                    map_decode(sys_a, &xt1_a, par1_a, &zt1_a, le21_a, l1_a, alpha_a, tier);
-                }
-                if done_b.is_none() {
-                    map_decode(sys_b, &xt1_b, par1_b, &zt1_b, le21_b, l1_b, alpha_b, tier);
-                }
-            }
-            if done_a.is_none() {
-                dec1_glue(&self.qpp, sys_a, le21_a, l1_a, le12_a, a2_a);
-            }
-            if done_b.is_none() {
-                dec1_glue(&self.qpp, sys_b, le21_b, l1_b, le12_b, a2_b);
-            }
-
-            // DEC2 on interleaved order.
-            if paired {
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: as above.
-                #[allow(unsafe_code)]
-                unsafe {
-                    avx512::map_decode_pair(
-                        &avx512::MapInput {
-                            sys: sys2_a,
-                            sys_tail: &xt2_a,
-                            par: par2_a,
-                            par_tail: &zt2_a,
-                            apriori: a2_a,
-                        },
-                        &avx512::MapInput {
-                            sys: sys2_b,
-                            sys_tail: &xt2_b,
-                            par: par2_b,
-                            par_tail: &zt2_b,
-                            apriori: a2_b,
-                        },
-                        l2_a,
-                        l2_b,
-                        alpha_a,
-                    )
-                };
-            } else {
-                if done_a.is_none() {
-                    map_decode(sys2_a, &xt2_a, par2_a, &zt2_a, a2_a, l2_a, alpha_a, tier);
-                }
-                if done_b.is_none() {
-                    map_decode(sys2_b, &xt2_b, par2_b, &zt2_b, a2_b, l2_b, alpha_b, tier);
-                }
-            }
-            if done_a.is_none() {
-                dec2_glue(
-                    &self.qpp, sys2_a, a2_a, l2_a, le21_il_a, le21_a, l2_nat_a, bits_a,
-                );
-                if early_stop_a(bits_a) {
-                    done_a = Some((it, true));
-                }
-            }
-            if done_b.is_none() {
-                dec2_glue(
-                    &self.qpp, sys2_b, a2_b, l2_b, le21_il_b, le21_b, l2_nat_b, bits_b,
-                );
-                if early_stop_b(bits_b) {
-                    done_b = Some((it, true));
-                }
-            }
-            if done_a.is_some() && done_b.is_some() {
-                break;
-            }
-        }
-        (
-            done_a.unwrap_or((max_iters, false)),
-            done_b.unwrap_or((max_iters, false)),
-        )
-    }
-}
-
-/// Post-DEC1 per-item glue: extrinsic `DEC1 → DEC2` and its interleave.
-fn dec1_glue(
-    qpp: &Qpp,
-    sys: &[f32],
-    le21: &[f32],
-    l1: &[f32],
-    le12: &mut Vec<f32>,
-    a2: &mut Vec<f32>,
-) {
-    le12.clear();
-    le12.extend((0..sys.len()).map(|i| clamp_scale(l1[i] - sys[i] - le21[i])));
-    qpp.interleave_into(le12, a2);
-}
-
-/// Post-DEC2 per-item glue: extrinsic `DEC2 → DEC1`, posterior
-/// deinterleave and hard decision — the same statements as the tail of
-/// [`TurboDecoder::decode_with`]'s iteration body.
-#[allow(clippy::too_many_arguments)]
-fn dec2_glue(
-    qpp: &Qpp,
-    sys2: &[f32],
-    a2: &[f32],
-    l2: &[f32],
-    le21_il: &mut Vec<f32>,
-    le21: &mut Vec<f32>,
-    l2_nat: &mut Vec<f32>,
-    bits: &mut Vec<u8>,
-) {
-    le21_il.clear();
-    le21_il.extend((0..sys2.len()).map(|i| clamp_scale(l2[i] - sys2[i] - a2[i])));
-    qpp.deinterleave_into(le21_il, le21);
-    qpp.deinterleave_into(l2, l2_nat);
-    bits.clear();
-    bits.extend(l2_nat.iter().map(|&l| (l < 0.0) as u8));
-}
-
-/// One decode request inside a [`decode_batch`] call.
-pub struct TurboBatchJob<'a> {
-    /// Decoder for this job's block size (jobs with equal `K` get paired).
-    pub decoder: &'a TurboDecoder,
-    /// Systematic stream, length `K + 4`.
-    pub d0: &'a [f32],
-    /// First parity stream, length `K + 4`.
-    pub d1: &'a [f32],
-    /// Second parity stream, length `K + 4`.
-    pub d2: &'a [f32],
-    /// Iteration cap for this job.
-    pub max_iters: usize,
-}
-
-/// Batched turbo decoding: pairs same-`K` jobs (first-fit, preserving
-/// order) and runs each pair through [`TurboDecoder::decode_pair_with`] so
-/// two trellises share the AVX-512 lanes; unpaired jobs decode singly.
-/// Results — including each job's hard bits, left in its workspace's
-/// `bits` — are **bit-for-bit identical** to sequential
-/// [`TurboDecoder::decode_with`] calls in job order.
-///
-/// `early_stop` receives `(job index, hard bits)`. `results[i]` is set to
-/// job `i`'s `(iterations, converged)`.
-///
-/// # Panics
-/// Panics if `jobs.len() > 64` (cluster drains are tick-bounded far below
-/// this) or either output slice is shorter than `jobs`.
-pub fn decode_batch(
-    jobs: &[TurboBatchJob<'_>],
-    early_stop: impl Fn(usize, &[u8]) -> bool,
-    workspaces: &mut [TurboWorkspace],
-    results: &mut [(usize, bool)],
-) {
-    // analyze: allow(panic): batch-shape contract; the cluster drain sizes these slices together
-    assert!(jobs.len() <= 64, "decode_batch caps at 64 jobs");
-    // analyze: allow(panic): batch-shape contract; the cluster drain sizes these slices together
-    assert!(
-        workspaces.len() >= jobs.len() && results.len() >= jobs.len(),
-        "one workspace and result slot per job"
-    );
-    let mut used = 0u64;
-    for i in 0..jobs.len() {
-        if used & (1 << i) != 0 {
-            continue;
-        }
-        used |= 1 << i;
-        let ji = &jobs[i];
-        let k = ji.decoder.k();
-        let partner = (i + 1..jobs.len()).find(|&j| {
-            used & (1 << j) == 0 && jobs[j].decoder.k() == k && jobs[j].max_iters == ji.max_iters
-        });
-        match partner {
-            Some(j) => {
-                used |= 1 << j;
-                let (lo, hi) = workspaces.split_at_mut(j);
-                let (ra, rb) = ji.decoder.decode_pair_with(
-                    (ji.d0, ji.d1, ji.d2),
-                    (jobs[j].d0, jobs[j].d1, jobs[j].d2),
-                    ji.max_iters,
-                    |bits| early_stop(i, bits),
-                    |bits| early_stop(j, bits),
-                    &mut lo[i],
-                    &mut hi[0],
-                );
-                results[i] = ra;
-                results[j] = rb;
-            }
-            None => {
-                results[i] = ji.decoder.decode_with(
-                    ji.d0,
-                    ji.d1,
-                    ji.d2,
-                    ji.max_iters,
-                    |bits| early_stop(i, bits),
-                    &mut workspaces[i],
-                );
-            }
-        }
     }
 }
 
@@ -1379,151 +890,6 @@ mod tests {
                     tier.name()
                 );
             }
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn paired_map_pass_is_bit_exact_vs_singles() {
-        if !simd::supports(SimdTier::Avx512) {
-            eprintln!("skipping: AVX-512 not available");
-            return;
-        }
-        for (k, seed) in [(40usize, 11u64), (104, 12), (512, 13), (6144, 14)] {
-            let (sys_a, st_a, par_a, pt_a, ap_a, expect_a) = map_case(k, seed);
-            let (sys_b, st_b, par_b, pt_b, ap_b, expect_b) = map_case(k, seed + 100);
-            let mut out_a = vec![0.0f32; k];
-            let mut out_b = vec![0.0f32; k];
-            let mut alpha = Vec::new();
-            // SAFETY: AVX-512 support was checked above; both items share k.
-            #[allow(unsafe_code)]
-            unsafe {
-                avx512::map_decode_pair(
-                    &avx512::MapInput {
-                        sys: &sys_a,
-                        sys_tail: &st_a,
-                        par: &par_a,
-                        par_tail: &pt_a,
-                        apriori: &ap_a,
-                    },
-                    &avx512::MapInput {
-                        sys: &sys_b,
-                        sys_tail: &st_b,
-                        par: &par_b,
-                        par_tail: &pt_b,
-                        apriori: &ap_b,
-                    },
-                    &mut out_a,
-                    &mut out_b,
-                    &mut alpha,
-                )
-            };
-            assert_eq!(out_a, expect_a, "item A k={k} seed={seed}");
-            assert_eq!(out_b, expect_b, "item B k={k} seed={seed}");
-        }
-    }
-
-    /// Builds a noisy `(d0, d1, d2)` LLR triple for a random payload.
-    fn noisy_streams(k: usize, snr_db: f32, seed: u64) -> (Vec<f32>, Vec<f32>, Vec<f32>, Qpp) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut data = bits(k - 24, seed);
-        CRC24B.attach(&mut data);
-        let enc = TurboEncoder::new(k);
-        let cw = enc.encode(&data);
-        (
-            channel_llrs(&cw.d0, snr_db, &mut rng),
-            channel_llrs(&cw.d1, snr_db, &mut rng),
-            channel_llrs(&cw.d2, snr_db, &mut rng),
-            enc.qpp().clone(),
-        )
-    }
-
-    #[test]
-    fn decode_pair_matches_sequential_under_every_tier() {
-        let _g = simd::test_guard();
-        let k = 512;
-        // One converging and one iteration-burning item, so the pair
-        // exercises the drop-out path (A stops, B continues solo).
-        let (a0, a1, a2, qpp) = noisy_streams(k, 4.0, 21);
-        let (b0, b1, b2, _) = noisy_streams(k, -4.0, 22);
-        let dec = TurboDecoder::with_qpp(qpp);
-        let mut ws = TurboWorkspace::new();
-        let mut expect = Vec::new();
-        for (d0, d1, d2) in [(&a0, &a1, &a2), (&b0, &b1, &b2)] {
-            let r = dec.decode_with(d0, d1, d2, 6, |b| CRC24B.check(b), &mut ws);
-            expect.push((r, ws.bits.clone()));
-        }
-        for tier in simd::supported_tiers() {
-            simd::force_tier(Some(tier));
-            let mut ws_a = TurboWorkspace::new();
-            let mut ws_b = TurboWorkspace::new();
-            let (ra, rb) = dec.decode_pair_with(
-                (&a0, &a1, &a2),
-                (&b0, &b1, &b2),
-                6,
-                |b| CRC24B.check(b),
-                |b| CRC24B.check(b),
-                &mut ws_a,
-                &mut ws_b,
-            );
-            assert_eq!(
-                (ra, ws_a.bits.clone()),
-                expect[0],
-                "item A, {}",
-                tier.name()
-            );
-            assert_eq!(
-                (rb, ws_b.bits.clone()),
-                expect[1],
-                "item B, {}",
-                tier.name()
-            );
-        }
-        simd::force_tier(None);
-    }
-
-    #[test]
-    fn decode_batch_matches_sequential_calls() {
-        let _g = simd::test_guard();
-        // Mixed sizes and channel qualities: 512s pair up (one pair), the
-        // 2048 and the odd 512 run... sizes: [512, 2048, 512, 104] pairs
-        // (0,2); 2048 and 104 decode singly.
-        let specs = [(512usize, 2.0f32), (2048, 6.0), (512, -3.0), (104, 8.0)];
-        let cases: Vec<_> = specs
-            .iter()
-            .enumerate()
-            .map(|(i, &(k, snr))| {
-                let (d0, d1, d2, qpp) = noisy_streams(k, snr, 31 + i as u64);
-                (d0, d1, d2, TurboDecoder::with_qpp(qpp))
-            })
-            .collect();
-        let mut expect = Vec::new();
-        let mut ws = TurboWorkspace::new();
-        for (d0, d1, d2, dec) in &cases {
-            let r = dec.decode_with(d0, d1, d2, 5, |b| CRC24B.check(b), &mut ws);
-            expect.push((r, ws.bits.clone()));
-        }
-        let jobs: Vec<TurboBatchJob> = cases
-            .iter()
-            .map(|(d0, d1, d2, dec)| TurboBatchJob {
-                decoder: dec,
-                d0,
-                d1,
-                d2,
-                max_iters: 5,
-            })
-            .collect();
-        let mut workspaces: Vec<TurboWorkspace> =
-            (0..jobs.len()).map(|_| TurboWorkspace::new()).collect();
-        let mut results = vec![(0usize, false); jobs.len()];
-        decode_batch(&jobs, |_, b| CRC24B.check(b), &mut workspaces, &mut results);
-        for i in 0..jobs.len() {
-            assert_eq!(
-                (results[i], workspaces[i].bits.clone()),
-                expect[i],
-                "job {i} (k={})",
-                specs[i].0
-            );
         }
     }
 }

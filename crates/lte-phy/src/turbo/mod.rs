@@ -18,7 +18,7 @@ pub mod decoder;
 pub mod encoder;
 pub mod qpp;
 
-pub use decoder::{decode_batch, TurboBatchJob, TurboDecodeResult, TurboDecoder, TurboWorkspace};
+pub use decoder::{TurboDecodeResult, TurboDecoder, TurboWorkspace};
 pub use encoder::{TurboCodeword, TurboEncoder};
 pub use qpp::Qpp;
 

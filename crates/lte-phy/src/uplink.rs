@@ -27,7 +27,7 @@ use crate::resource_grid::{Grid, OfdmProcessor};
 use crate::scramble::{pusch_c_init, Scrambler};
 use crate::segmentation::Segmentation;
 use crate::tasks::TaskBreakdown;
-use crate::turbo::{decode_batch, TurboBatchJob, TurboDecoder, TurboEncoder, TurboWorkspace};
+use crate::turbo::{TurboDecoder, TurboEncoder};
 use crate::workspace::{self, PhyWorkspace, SymbolScratch};
 use crate::zadoff_chu::dmrs_sequence;
 use std::sync::Arc;
@@ -540,40 +540,6 @@ impl UplinkRx {
         })
     }
 
-    /// Stages decode subtask `r` into the next free slot of `scratch`:
-    /// descrambles and de-rate-matches the block's LLR segment into the
-    /// slot's turbo streams and clamps filler positions — everything
-    /// [`UplinkRx::run_decode_subtask_into`] does *before* the turbo
-    /// decoder runs. A later [`run_staged_decode_batch`] call then
-    /// decodes all staged slots together, pairing same-`K` blocks through
-    /// the wide turbo kernel. Returns the slot index.
-    ///
-    /// # Panics
-    /// Panics if `r` is out of range, `llrs` has the wrong length, or
-    /// `scratch` is full.
-    pub fn stage_decode_subtask(
-        &self,
-        llrs: &[f32],
-        r: usize,
-        scratch: &mut DecodeBatchScratch,
-    ) -> usize {
-        let cfg = &self.cfg;
-        // analyze: allow(panic): buffer-shape contract; a mismatch means the job was built against a different config — decode garbage or fail loudly, and loud wins
-        assert!(r < cfg.seg.num_blocks, "decode subtask {r} out of range");
-        // analyze: allow(panic): buffer-shape contract; a mismatch means the job was built against a different config — decode garbage or fail loudly, and loud wins
-        assert_eq!(llrs.len(), cfg.coded_bits(), "coded LLR stream length");
-        // analyze: allow(panic): buffer-shape contract; callers size their drains to `capacity()`
-        assert!(!scratch.is_full(), "decode batch scratch full");
-        let i = scratch.len;
-        let slot = &mut scratch.slots[i];
-        slot.filler = self.prep_block(llrs, r, &mut slot.streams);
-        slot.multi = cfg.seg.num_blocks > 1;
-        slot.max_iters = cfg.max_turbo_iters;
-        slot.codec_idx = self.codec_index[r];
-        scratch.len = i + 1;
-        i
-    }
-
     /// Decodes one subframe serially, using `ws` for every intermediate
     /// buffer and returning views into the workspace instead of fresh
     /// allocations. After one warm-up call (or an explicit
@@ -803,169 +769,21 @@ impl BlockBuf {
     }
 }
 
-/// Largest number of decode subtasks one [`run_staged_decode_batch`] call
-/// drains: enough for every code block of a 5 MHz subframe plus headroom
-/// for cross-cell drains, small enough that staging never delays the
-/// first decode noticeably.
-pub const MAX_DECODE_BATCH: usize = 8;
-
-/// One staged decode subtask inside a [`DecodeBatchScratch`]: the
-/// descrambled, de-rate-matched soft streams plus the bookkeeping the
-/// early-stop closure needs, and the decode outputs.
+/// The scratch argument of [`SlabJob::run_decode_batch_local`]. It holds
+/// nothing, because the masked drain decodes block by block through the
+/// thread's workspace; the type and both signatures stay only because the
+/// separate `benchmark/` workspace calls them.
 #[derive(Debug, Default)]
-pub struct DecodeSlot {
-    /// The flat `[d0|d1|d2]` turbo streams.
-    streams: Vec<f32>,
-    max_iters: usize,
-    multi: bool,
-    filler: usize,
-    codec_idx: usize,
-    /// Hard-decision bits (valid after [`run_staged_decode_batch`]).
-    pub bits: Vec<u8>,
-    /// Turbo iterations used.
-    pub iterations: usize,
-    /// Per-block CRC outcome.
-    pub crc_ok: bool,
-}
-
-/// Preallocated staging area for a batched decode drain: up to
-/// [`MAX_DECODE_BATCH`] subtasks' prepped streams and turbo workspaces.
-/// A runtime worker keeps one per core, warms it once per configuration,
-/// and reuses it every subframe — the steady-state batched decode
-/// performs **zero heap allocations**, like the rest of the slab path.
-#[derive(Debug)]
-pub struct DecodeBatchScratch {
-    slots: Vec<DecodeSlot>,
-    workspaces: Vec<TurboWorkspace>,
-    len: usize,
-}
-
-impl Default for DecodeBatchScratch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+pub struct DecodeBatchScratch;
 
 impl DecodeBatchScratch {
-    /// A scratch with [`MAX_DECODE_BATCH`] cold slots; warm before use.
+    /// The (empty) scratch.
     pub fn new() -> Self {
-        DecodeBatchScratch {
-            // analyze: allow(alloc): scratch construction; runs once per worker and tests/alloc_regression.rs proves the steady state is alloc-free
-            slots: (0..MAX_DECODE_BATCH)
-                .map(|_| DecodeSlot::default())
-                .collect(),
-            // analyze: allow(alloc): scratch construction; runs once per worker and tests/alloc_regression.rs proves the steady state is alloc-free
-            workspaces: (0..MAX_DECODE_BATCH)
-                .map(|_| TurboWorkspace::new())
-                .collect(),
-            len: 0,
-        }
+        DecodeBatchScratch
     }
 
-    /// Pre-grows every slot for any block of `cfg`.
-    pub fn warm(&mut self, cfg: &UplinkConfig) {
-        let k = cfg.seg.k_plus;
-        for slot in &mut self.slots {
-            slot.streams
-                .reserve((3 * (k + 4)).saturating_sub(slot.streams.len()));
-            slot.bits.reserve(k.saturating_sub(slot.bits.len()));
-        }
-        for ws in &mut self.workspaces {
-            ws.warm(k);
-        }
-    }
-
-    /// Slots staged since the last [`DecodeBatchScratch::clear`].
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no subtask is staged.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Whether every slot is staged.
-    pub fn is_full(&self) -> bool {
-        self.len == self.slots.len()
-    }
-
-    /// Maximum batch size.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Drops all staged subtasks (buffers keep their capacity).
-    pub fn clear(&mut self) {
-        self.len = 0;
-    }
-
-    /// Staged slot `i` (outputs valid after [`run_staged_decode_batch`]).
-    ///
-    /// # Panics
-    /// Panics if `i` is not a staged slot index.
-    pub fn slot(&self, i: usize) -> &DecodeSlot {
-        // analyze: allow(panic): buffer-shape contract; callers index by the value stage_decode_subtask returned
-        assert!(i < self.len, "slot {i} not staged");
-        &self.slots[i]
-    }
-}
-
-/// Decodes every staged slot of `scratch` through [`decode_batch`], which
-/// pairs same-`K` blocks (first fit, in staging order) so two trellises
-/// share one wide SIMD kernel; leftovers run the single-block path.
-/// `rxs[i]` is the receiver whose [`UplinkRx::stage_decode_subtask`]
-/// staged slot `i` — slots from *different* cells pair freely, because an
-/// LTE turbo interleaver is fully determined by `K` (same `K` ⇒ identical
-/// QPP), so either receiver's decoder serves both. Results are bit-for-bit
-/// identical to per-slot [`UplinkRx::run_decode_subtask_into`] calls.
-///
-/// # Panics
-/// Panics if `rxs.len()` differs from the staged count.
-pub fn run_staged_decode_batch(rxs: &[&UplinkRx], scratch: &mut DecodeBatchScratch) {
-    let n = scratch.len;
-    // analyze: allow(panic): buffer-shape contract; a mismatch means the drain staged against different receivers — decode garbage or fail loudly, and loud wins
-    assert_eq!(rxs.len(), n, "one receiver per staged slot");
-    if n == 0 {
-        return;
-    }
-    let DecodeBatchScratch {
-        slots, workspaces, ..
-    } = scratch;
-    let mut results = [(0usize, false); MAX_DECODE_BATCH];
-    {
-        // Fixed-size, so the drain stays allocation-free; entries past `n`
-        // repeat the last staged slot and are never decoded.
-        let jobs: [TurboBatchJob<'_>; MAX_DECODE_BATCH] = std::array::from_fn(|i| {
-            let i = i.min(n - 1);
-            let s = &slots[i];
-            let (d0, d1, d2) = split_streams(&s.streams);
-            TurboBatchJob {
-                decoder: &rxs[i].codecs[s.codec_idx].decoder,
-                d0,
-                d1,
-                d2,
-                max_iters: s.max_iters,
-            }
-        });
-        let early_stop = |i: usize, bits: &[u8]| {
-            let s = &slots[i];
-            if s.multi {
-                CRC24B.check(bits)
-            } else {
-                CRC24A.check(&bits[s.filler..])
-            }
-        };
-        decode_batch(&jobs[..n], early_stop, workspaces, &mut results);
-    }
-    for ((s, ws), &(iterations, crc_ok)) in
-        slots.iter_mut().zip(workspaces.iter()).zip(&results[..n])
-    {
-        s.bits.clear();
-        s.bits.extend_from_slice(&ws.bits);
-        s.iterations = iterations;
-        s.crc_ok = crc_ok;
-    }
+    /// Does nothing: there is no buffer to grow.
+    pub fn warm(&mut self, _cfg: &UplinkConfig) {}
 }
 
 /// Preallocated per-subframe state backing a [`SlabJob`]: the grids, the
@@ -1249,54 +1067,22 @@ impl SlabJob<'_> {
     }
 
     /// Runs every decode subtask whose bit is set in `mask` on the owning
-    /// thread, draining them through [`run_staged_decode_batch`] in groups
-    /// of up to [`MAX_DECODE_BATCH`] so same-`K` blocks share one wide
-    /// turbo kernel. Bit-for-bit identical to per-block
-    /// [`SlabJob::run_decode_subtask_local`] calls.
+    /// thread, in block order, as [`SlabJob::run_decode_subtask_local`]
+    /// calls. `_scratch` is unused (see [`DecodeBatchScratch`]).
     ///
     /// # Panics
     /// Panics if demod subtasks are still outstanding, `mask` addresses
     /// a block out of range, or one that already ran or was absorbed.
-    pub fn run_decode_batch_local(&mut self, mask: u64, scratch: &mut DecodeBatchScratch) {
-        // analyze: allow(panic): buffer-shape contract; a mismatch means the job was built against a different config — decode garbage or fail loudly, and loud wins
-        assert_eq!(
-            self.demod_done,
-            all_done(self.demod_subtask_count()),
-            "demod task incomplete"
-        );
-        let blocks = self.decode_subtask_count();
+    pub fn run_decode_batch_local(&mut self, mask: u64, _scratch: &mut DecodeBatchScratch) {
         // analyze: allow(panic): buffer-shape contract; a mismatch means the job was built against a different config — decode garbage or fail loudly, and loud wins
         assert!(
-            blocks >= 64 - mask.leading_zeros() as usize,
+            self.decode_subtask_count() >= 64 - mask.leading_zeros() as usize,
             "decode mask out of range"
         );
-        let mut staged = [0usize; MAX_DECODE_BATCH];
-        let mut r = 0;
-        while r < blocks {
-            scratch.clear();
-            let mut ns = 0;
-            while r < blocks && ns < scratch.capacity() {
-                if mask & (1 << r) != 0 {
-                    self.rx.stage_decode_subtask(&self.slab.llrs, r, scratch);
-                    staged[ns] = r;
-                    ns += 1;
-                }
-                r += 1;
-            }
-            if ns == 0 {
-                continue;
-            }
-            let rxs = [self.rx; MAX_DECODE_BATCH];
-            run_staged_decode_batch(&rxs[..ns], scratch);
-            for (i, &br) in staged.iter().enumerate().take(ns) {
-                let slot = scratch.slot(i);
-                let bits = &mut self.slab.block_bits[br];
-                bits.clear();
-                bits.extend_from_slice(&slot.bits);
-                self.slab.block_iters[br] = slot.iterations;
-                self.slab.block_crc[br] = slot.crc_ok;
-                mark_done(&mut self.decode_done, br, "decode subtask");
-            }
+        let mut rest = mask;
+        while rest != 0 {
+            self.run_decode_subtask_local(rest.trailing_zeros() as usize);
+            rest &= rest - 1;
         }
     }
 
@@ -1742,9 +1528,8 @@ mod tests {
 
     #[test]
     fn batched_decode_drain_equals_serial() {
-        // Multi-block (same-K blocks pair through the wide kernel) and
-        // single-block (degenerate drain) configs, at an SNR low enough
-        // that iteration counts vary — any kernel divergence shows up in
+        // Multi-block and single-block configs, at an SNR low enough that
+        // iteration counts vary — any divergence shows up in
         // `block_iterations`, not just the payload.
         for (mcs, snr_db) in [(20u8, 6.0), (5u8, 2.0)] {
             let cfg = UplinkConfig::new(Bandwidth::Mhz5, 2, mcs).unwrap();
@@ -1813,8 +1598,7 @@ mod tests {
         for i in 0..job.demod_subtask_count() {
             job.run_demod_subtask_local(i);
         }
-        // Odd blocks via the batch drain, even blocks serially — the mix a
-        // steal-mode owner produces when thieves took part of the stage.
+        // Odd blocks via the masked drain, even blocks one call each.
         let mut mask = 0u64;
         for r in (1..blocks).step_by(2) {
             mask |= 1 << r;

@@ -81,10 +81,7 @@ use rtopex_model::stats::Samples;
 use rtopex_phy::channel::{AwgnChannel, ChannelModel};
 use rtopex_phy::params::Bandwidth;
 use rtopex_phy::tasks::TaskKind;
-use rtopex_phy::uplink::{
-    BlockBuf, DecodeBatchScratch, JobSlab, SlabJob, UplinkConfig, UplinkRx, UplinkTx,
-    MAX_DECODE_BATCH,
-};
+use rtopex_phy::uplink::{BlockBuf, JobSlab, SlabJob, UplinkConfig, UplinkRx, UplinkTx};
 use rtopex_phy::Cf32;
 use rtopex_transport::{FronthaulRx, MulticellIngest, Recv, RxStats, SubframeBuf, TestbedLink};
 use rtopex_workload::{load_to_mcs, LoadTrace, TraceParams};
@@ -1059,72 +1056,21 @@ pub struct FedReport {
 enum StageOp {
     /// Execute locally through the slab job.
     RunLocal(usize),
-    /// Execute the masked subtasks locally as one batch (decode stages
-    /// drain these through the wide same-`K` turbo kernel).
-    RunLocalBatch(u64),
     /// Absorb a completed result from the arena slot.
     Absorb(usize),
 }
 
-/// Accumulates locally-run subtask indices and flushes them to `exec` in
-/// groups of up to `limit`, so batch-capable stages (decode) hit the wide
-/// kernels while unit-batch stages (FFT) keep per-index dispatch.
-struct LocalBatcher {
-    mask: u64,
-    pending: usize,
-    limit: usize,
-}
-
-impl LocalBatcher {
-    /// The owner's local drain width is the stage kind's: decode blocks
-    /// group up to the turbo kernel's batch; an FFT subtask is already a
-    /// whole antenna batch and runs the moment the owner claims it.
-    /// (Thief-side executions stay single-subtask either way: a stolen
-    /// ticket is one arena slot.)
-    fn new(kind: TaskKind) -> Self {
-        LocalBatcher {
-            mask: 0,
-            pending: 0,
-            limit: match kind {
-                TaskKind::Decode => MAX_DECODE_BATCH,
-                _ => 1,
-            },
-        }
-    }
-
-    fn push(&mut self, i: usize, exec: &mut dyn FnMut(StageOp)) {
-        self.mask |= 1 << i;
-        self.pending += 1;
-        if self.pending >= self.limit {
-            self.flush(exec);
-        }
-    }
-
-    fn flush(&mut self, exec: &mut dyn FnMut(StageOp)) {
-        match self.pending {
-            0 => {}
-            1 => exec(StageOp::RunLocal(self.mask.trailing_zeros() as usize)),
-            _ => exec(StageOp::RunLocalBatch(self.mask)),
-        }
-        self.mask = 0;
-        self.pending = 0;
-    }
-}
-
 /// Runs subtasks `0..count` on the owner — a whole stage when nothing was
 /// published, or what Algorithm 1 kept local.
-fn run_local(kind: TaskKind, count: usize, exec: &mut dyn FnMut(StageOp)) {
-    let mut local = LocalBatcher::new(kind);
+fn run_local(count: usize, exec: &mut dyn FnMut(StageOp)) {
     for i in 0..count {
-        local.push(i, exec);
+        exec(StageOp::RunLocal(i));
     }
-    local.flush(exec);
 }
 
 /// A worker's own mutable state between subframes: scratch preallocated
 /// before the start barrier, its deque end, and its [`WorkerTotals`].
 struct WorkerState {
-    dec_scratch: DecodeBatchScratch,
     deque: steal::Worker,
     idle_scratch: Vec<(usize, Nanos)>,
     plan_scratch: Vec<(usize, usize)>,
@@ -1149,7 +1095,6 @@ fn worker_loop<'a>(
     });
     let mut slab = JobSlab::new();
     let mut w = WorkerState {
-        dec_scratch: DecodeBatchScratch::new(),
         deque,
         idle_scratch: Vec::with_capacity(shared.inboxes.len()),
         plan_scratch: Vec::with_capacity(shared.inboxes.len()),
@@ -1158,21 +1103,14 @@ fn worker_loop<'a>(
     };
     for p in pool {
         slab.warm(p.rx.config());
-        w.dec_scratch.warm(p.rx.config());
         // Warm decode: run the whole pipeline once so instruction and data
         // caches, branch predictors and the slab's buffers are all hot
-        // before the first real release. The decode leg uses the batched
-        // drain the run will, so the first subframe hits warm code paths.
+        // before the first real release.
         // analyze: allow(panic): warm-up job before the epoch barrier; the pool was just prepared with this exact config
         let mut job = p.rx.start_job_in(&p.samples, &mut slab).expect("warm job");
         run_to_decode(&mut job, p.samples.len());
-        let blocks = job.decode_subtask_count();
-        if blocks > 1 {
-            job.run_decode_batch_local(u64::MAX >> (64 - blocks), &mut w.dec_scratch);
-        } else {
-            for r in 0..blocks {
-                job.run_decode_subtask_local(r);
-            }
+        for r in 0..job.decode_subtask_count() {
+            job.run_decode_subtask_local(r);
         }
         let _ = job.finish();
     }
@@ -1387,26 +1325,21 @@ fn fanout_steal(
     if (local_mask.count_ones() as usize) < count {
         shared.wake_thieves(me);
     }
-    let mut local = LocalBatcher::new(kind);
     for i in 0..count {
         if local_mask & (1 << i) != 0 {
-            local.push(i, exec);
+            exec(StageOp::RunLocal(i));
         }
     }
-    // Drain own work LIFO; anything not popped here was stolen. On a
-    // batching stage the owner claims a group of tickets before running
-    // them as one — thieves keep stealing the rest from the other end
-    // while the group decodes.
+    // Drain own work LIFO, running each ticket the moment it is popped;
+    // anything not popped here was stolen.
     while let Some(t) = worker.pop() {
         let (e, i) = decode_ticket(t);
         debug_assert_eq!(e, epoch, "own deque holds a stale ticket");
         local_mask |= 1 << i;
-        local.push(i, exec);
+        exec(StageOp::RunLocal(i));
     }
-    local.flush(exec);
     let mut migrated = 0usize;
     let mut recoveries = 0usize;
-    let mut recover = LocalBatcher::new(kind);
     for i in 0..count {
         if local_mask & (1 << i) != 0 {
             continue;
@@ -1419,12 +1352,11 @@ fn fanout_steal(
             _ => {
                 // Declined by the guard, or a straggler: recover locally
                 // (Fig. 12 state 6).
-                recover.push(i, exec);
+                exec(StageOp::RunLocal(i));
                 recoveries += 1;
             }
         }
     }
-    recover.flush(exec);
     wm.migration.record_stage(kind, count, migrated);
     if recoveries > 0 {
         wm.migration.record_recovery(recoveries);
@@ -1460,7 +1392,7 @@ fn fanout_mutex<'a>(
         plan_scratch,
     );
     if plan.local == count {
-        run_local(kind, count, exec);
+        run_local(count, exec);
         wm.migration.record_stage(kind, count, 0);
         return;
     }
@@ -1484,20 +1416,18 @@ fn fanout_mutex<'a>(
         }
     }
     debug_assert_eq!(next, count);
-    run_local(kind, plan.local, exec);
+    run_local(plan.local, exec);
     let mut recoveries = 0usize;
     let migrated = flag_scratch.len();
-    let mut recover = LocalBatcher::new(kind);
     for (i, flag) in flag_scratch.drain(..) {
         let budget = deadline.saturating_duration_since(Instant::now());
         if flag.wait(budget.min(Duration::from_millis(50))) {
             exec(StageOp::Absorb(i));
         } else {
-            recover.push(i, exec);
+            exec(StageOp::RunLocal(i));
             recoveries += 1;
         }
     }
-    recover.flush(exec);
     wm.migration.record_stage(kind, count, migrated);
     if recoveries > 0 {
         wm.migration.record_recovery(recoveries);
@@ -1506,7 +1436,7 @@ fn fanout_mutex<'a>(
 
 /// One migratable stage of the subframe `phy` is decoding: FFT (subtask =
 /// one antenna's 14-symbol batch) or decode (subtask = one code block).
-/// The stage kind fixes the subtask geometry and the local drain; the
+/// The stage kind fixes the subtask geometry and the kernel; the
 /// scheduler mode fixes the publication gate and the fan-out.
 fn run_stage<'a>(
     kind: TaskKind,
@@ -1544,7 +1474,6 @@ fn run_stage<'a>(
         publish_stage(arena, kind, job.pool_idx, count, tp_us, job.deadline, llrs)
     });
     let WorkerState {
-        dec_scratch,
         deque,
         idle_scratch,
         plan_scratch,
@@ -1554,13 +1483,6 @@ fn run_stage<'a>(
     let mut exec = |op: StageOp| match kind {
         TaskKind::Fft => match op {
             StageOp::RunLocal(b) => phy.run_fft_batch_local(b),
-            StageOp::RunLocalBatch(m) => {
-                for b in 0..count {
-                    if m & (1 << b) != 0 {
-                        phy.run_fft_batch_local(b);
-                    }
-                }
-            }
             StageOp::Absorb(b) => {
                 let slot = arena.fft_slots[b].lock();
                 phy.absorb_fft_batch(b, &slot);
@@ -1568,7 +1490,6 @@ fn run_stage<'a>(
         },
         _ => match op {
             StageOp::RunLocal(r) => phy.run_decode_subtask_local(r),
-            StageOp::RunLocalBatch(m) => phy.run_decode_batch_local(m, dec_scratch),
             StageOp::Absorb(r) => {
                 let slot = arena.dec_slots[r].lock();
                 phy.absorb_decode_buf(r, &slot);
@@ -1579,7 +1500,7 @@ fn run_stage<'a>(
         // Nothing published — always in the serial modes, and in the
         // RT-OPEX ones whenever no helper could take a subtask: the whole
         // stage runs here.
-        run_local(kind, count, &mut exec);
+        run_local(count, &mut exec);
         if cfg.mode.migrates() {
             totals.migration.record_stage(kind, count, 0);
         }

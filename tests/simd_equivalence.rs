@@ -2,19 +2,16 @@
 //!
 //! The vectorized PHY kernels (max-log-MAP, soft demapper, MRC, FFT
 //! butterflies) are designed to be **bit-exact** across tiers: the AVX2
-//! and AVX-512 intrinsic paths and the portable lane forms perform the
-//! same additions, multiplies by the same constants and the same
-//! `max`/`min` reductions in rounding-equivalent order. These property
+//! intrinsic paths and the portable lane forms perform the same
+//! additions, multiplies by the same constants and the same `max`/`min`
+//! reductions in rounding-equivalent order. These property
 //! tests drive whole subframes through `decode_subframe_with` under a
 //! forced-scalar tier, under every other tier this CPU supports, and
 //! under auto dispatch, and require the coded LLRs, the recovered
 //! payload, the CRC verdicts and the per-block turbo iteration counts to
-//! match exactly. The batched decode entry point
-//! (`run_staged_decode_batch`, which pairs same-`K` blocks from
-//! different cells through the wide turbo kernel) is held to the same
-//! standard against per-block sequential decodes.
+//! match exactly.
 //!
-//! On hardware without AVX2/AVX-512 the tier loop shrinks to the tiers
+//! On hardware without AVX2 the tier loop shrinks to the tiers
 //! that exist and the test degrades gracefully — the lane-form-vs-
 //! reference equivalence is covered by unit tests inside `rtopex-phy`
 //! regardless of the machine.
@@ -25,10 +22,7 @@ use rand::{Rng, SeedableRng};
 use rtopex::phy::channel::{AwgnChannel, ChannelModel};
 use rtopex::phy::params::Bandwidth;
 use rtopex::phy::simd::{self, SimdTier};
-use rtopex::phy::uplink::{
-    run_staged_decode_batch, DecodeBatchScratch, JobSlab, RxOutput, UplinkConfig, UplinkRx,
-    UplinkTx,
-};
+use rtopex::phy::uplink::{JobSlab, RxOutput, UplinkConfig, UplinkRx, UplinkTx};
 use rtopex::phy::workspace::PhyWorkspace;
 use rtopex::phy::Cf32;
 use std::sync::{Mutex, MutexGuard};
@@ -124,83 +118,5 @@ proptest! {
         prop_assert_eq!(out_scalar.crc_ok, out_auto.crc_ok);
         prop_assert_eq!(&out_scalar.block_crc_ok, &out_auto.block_crc_ok);
         prop_assert_eq!(&out_scalar.block_iterations, &out_auto.block_iterations);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-    #[test]
-    fn batched_cross_cell_decode_matches_sequential_on_every_tier(
-        seed in 0u64..1_000,
-        mcs_a in prop::sample::select(vec![10u8, 16]),
-        mcs_b in prop::sample::select(vec![22u8, 27]),
-        snr_db in prop::sample::select(vec![8.0f64, 30.0]),
-    ) {
-        let _g = tier_guard();
-        // Two cells at different MCS so the batch mixes block sizes and
-        // modulations; 5 MHz so high MCS carries multiple code blocks.
-        let cells = [
-            make_cell(Bandwidth::Mhz5, mcs_a, snr_db, seed),
-            make_cell(Bandwidth::Mhz5, mcs_b, snr_db, seed ^ 0x9E37_79B9),
-        ];
-
-        // Scalar per-block sequential reference, in staging order.
-        simd::force_tier(Some(SimdTier::Scalar));
-        let llrs: Vec<Vec<f32>> =
-            cells.iter().map(|(rx, s)| coded_llrs_under_current_tier(rx, s)).collect();
-        let mut reference = Vec::new();
-        for (ci, (rx, _)) in cells.iter().enumerate() {
-            for r in 0..rx.config().e_splits().len() {
-                let mut bits = Vec::new();
-                let (iterations, crc_ok) = rx.run_decode_subtask_into(&llrs[ci], r, &mut bits);
-                reference.push((bits, iterations, crc_ok));
-            }
-        }
-
-        for tier in simd::supported_tiers() {
-            simd::force_tier(Some(tier));
-            let mut scratch = DecodeBatchScratch::new();
-            for (rx, _) in &cells {
-                scratch.warm(rx.config());
-            }
-            let mut got = Vec::new();
-            let mut rxs: Vec<&UplinkRx> = Vec::new();
-            let drain = |rxs: &mut Vec<&UplinkRx>, scratch: &mut DecodeBatchScratch,
-                             got: &mut Vec<(Vec<u8>, usize, bool)>| {
-                if scratch.is_empty() {
-                    return;
-                }
-                run_staged_decode_batch(rxs, scratch);
-                for i in 0..scratch.len() {
-                    let s = scratch.slot(i);
-                    got.push((s.bits.clone(), s.iterations, s.crc_ok));
-                }
-                scratch.clear();
-                rxs.clear();
-            };
-            // Stage every block of both cells through one shared scratch;
-            // the cell boundary lands mid-batch, so batches mix blocks
-            // (and K values) from both cells — the cross-cell shape the
-            // cluster's drain produces.
-            for (ci, (rx, _)) in cells.iter().enumerate() {
-                for r in 0..rx.config().e_splits().len() {
-                    if scratch.is_full() {
-                        drain(&mut rxs, &mut scratch, &mut got);
-                    }
-                    rx.stage_decode_subtask(&llrs[ci], r, &mut scratch);
-                    rxs.push(rx);
-                }
-            }
-            drain(&mut rxs, &mut scratch, &mut got);
-
-            prop_assert_eq!(got.len(), reference.len());
-            for (i, (got_i, ref_i)) in got.iter().zip(reference.iter()).enumerate() {
-                prop_assert_eq!(
-                    got_i, ref_i,
-                    "batched block {} diverged from sequential scalar on {}", i, tier.name()
-                );
-            }
-        }
-        simd::force_tier(None);
     }
 }
