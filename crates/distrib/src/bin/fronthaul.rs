@@ -1,5 +1,5 @@
 //! `rtopex-fronthaul` — the RAP-side aggregator of the distributed
-//! C-RAN: streams the deterministic emulated workload to one or more
+//! C-RAN: streams the deterministic tower-trace workload to one or more
 //! `rtopex-node` workers over UDP or TCP.
 //!
 //! ```text
@@ -12,8 +12,9 @@
 //!
 //! Cells are split contiguously across hosts; every subframe is released
 //! on the global cadence with the per-cell ingest stagger of the shared
-//! 10 GbE port ([`MulticellIngest`]), so the multi-host timeline is the
-//! same one the single-host emulation schedules. With `--spawn`, worker
+//! 10 GbE port, by the same pacing loop `CranCluster::run` feeds its
+//! in-process fronthaul with ([`send_paced`]), so the multi-host
+//! timeline is the single-host one. With `--spawn`, worker
 //! reports are collected and aggregated, and the process exits non-zero
 //! if any worker misses the 0.5 % deadline bar.
 
@@ -21,8 +22,8 @@ use rtopex_distrib::{
     json_num, parse_bandwidth, parse_mode, parse_transport, partition_cells, Args, Geometry,
     MISS_OK,
 };
-use rtopex_runtime::cluster::CranCluster;
-use rtopex_transport::{FronthaulTx, MulticellIngest, TestbedLink};
+use rtopex_runtime::cluster::{send_paced, SendPlan};
+use rtopex_transport::FronthaulTx;
 use rtopex_transport_net::{TcpFronthaulTx, UdpFronthaulTx};
 use std::io::{BufRead, BufReader, Read};
 use std::process::{Child, ChildStdout, Command, Stdio};
@@ -159,29 +160,14 @@ fn main() {
     };
     let partitions = partition_cells(cells, hosts.len());
 
-    // The deterministic workload: the exact pool + per-cell MCS plan an
-    // emulated run of this config would schedule, and the per-cell
+    // The deterministic workload: the exact pool + per-cell MCS plan
+    // `CranCluster::run` sends for this config, and the per-cell
     // delivery stagger of the shared fronthaul port.
     eprintln!(
         "rtopex-fronthaul: encoding pool ({} MCS) for {cells} cell(s), {subframes} subframes…",
         geo.mcs_pool.len()
     );
-    let cfg = geo.cluster_config(cells, mode);
-    let pool = CranCluster::encode_pool(&cfg);
-    let plan = CranCluster::mcs_plan(&cfg);
-    let ingest = MulticellIngest::homogeneous(
-        TestbedLink::paper_testbed(),
-        cells,
-        geo.bandwidth,
-        geo.antennas,
-    );
-    let d0 = ingest.deterministic_delivery_us(0).unwrap_or(0.0);
-    let stagger: Vec<Duration> = (0..cells)
-        .map(|c| {
-            let d = ingest.deterministic_delivery_us(c).unwrap_or(d0);
-            Duration::from_secs_f64(((d - d0).max(0.0)) / 1e6)
-        })
-        .collect();
+    let plan = SendPlan::new(&geo.cluster_config(cells, mode));
 
     // Connect every host (hello negotiates geometry), then give the
     // nodes one warm-up window to calibrate before the cadence starts.
@@ -209,38 +195,13 @@ fn main() {
         let handles: Vec<_> = txs
             .iter_mut()
             .map(|(tx, host_cells)| {
-                let pool = &pool;
                 let plan = &plan;
-                let stagger = &stagger;
-                let geo = &geo;
+                // The host's wire ids are the global cell indices.
+                let rows: Vec<usize> = host_cells.iter().map(|&c| c as usize).collect();
                 s.spawn(move || {
-                    let mut sent = 0u64;
-                    // `j` is the subframe index: it drives the cadence
-                    // timestamp and the wire seq, not just `plan[cell][j]`.
-                    #[allow(clippy::needless_range_loop)]
-                    for j in 0..geo.subframes {
-                        for &cell in host_cells.iter() {
-                            let at = epoch + geo.period * j as u32 + stagger[cell as usize];
-                            std::thread::sleep(at.saturating_duration_since(Instant::now()));
-                            let pidx = plan[cell as usize][j];
-                            let (mcs, samples) = &pool[pidx];
-                            match tx.send(cell, j as u32, *mcs, samples) {
-                                Ok(()) => sent += 1,
-                                Err(e) => {
-                                    eprintln!("rtopex-fronthaul: send cell {cell}: {e}");
-                                    return sent;
-                                }
-                            }
-                        }
-                        // One coalesced write per period per host (TCP);
-                        // no-op for UDP.
-                        if let Err(e) = tx.flush() {
-                            eprintln!("rtopex-fronthaul: flush: {e}");
-                            return sent;
-                        }
-                    }
-                    if let Err(e) = tx.finish() {
-                        eprintln!("rtopex-fronthaul: finish: {e}");
+                    let (sent, ended) = send_paced(tx.as_mut(), plan, &rows, epoch);
+                    if let Err(e) = ended {
+                        eprintln!("rtopex-fronthaul: stream to cells {host_cells:?}: {e}");
                     }
                     sent
                 })

@@ -8,12 +8,13 @@
 //!   match, and drives it with [`CranCluster::run_fed`]. Emits a JSON
 //!   report on stdout when the stream closes.
 //! * **`rtopex-fronthaul`** — the aggregator (the RAP side of Fig. 1).
-//!   Pre-encodes the same deterministic workload an emulated run would
-//!   generate ([`CranCluster::encode_pool`] + [`CranCluster::mcs_plan`]),
-//!   splits the cells across one or more nodes, and streams IQ subframes
-//!   on the configured cadence with the per-cell ingest stagger of the
-//!   shared 10 GbE port. `--spawn` launches the nodes itself (sibling
-//!   `rtopex-node` binary) for the single-command localhost demo.
+//!   Pre-encodes the deterministic workload [`CranCluster::run`] sends
+//!   in-process ([`SendPlan`]), splits the cells across one or more
+//!   nodes, and streams IQ subframes with the same pacing loop
+//!   ([`send_paced`]): the configured cadence plus the per-cell ingest
+//!   stagger of the shared 10 GbE port. `--spawn` launches the nodes
+//!   itself (sibling `rtopex-node` binary) for the single-command
+//!   localhost demo.
 //!
 //! This crate is the only place the workspace touches real sockets for
 //! scheduling work: `rtopex-runtime` sees nothing but the
@@ -21,7 +22,10 @@
 //! enforces that the runtime and core crates stay network-free).
 //!
 //! [`CranCluster`]: rtopex_runtime::CranCluster
+//! [`CranCluster::run`]: rtopex_runtime::CranCluster::run
 //! [`CranCluster::run_fed`]: rtopex_runtime::CranCluster::run_fed
+//! [`SendPlan`]: rtopex_runtime::SendPlan
+//! [`send_paced`]: rtopex_runtime::send_paced
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -4,8 +4,9 @@
 //! The paper's consolidation pitch: RT-OPEX lets one host carry more
 //! RAPs at the same deadline-miss budget because idle cycles are shared
 //! across cells instead of stranded per partition. This experiment runs
-//! the actual [`CranCluster`] — real PHY, real threads, batched
-//! multi-cell ingest — at N = 1, 2, 3, … cells and reports each
+//! the actual [`CranCluster`] — real PHY, real threads, the workload
+//! paced over an in-process fronthaul with the shared port's per-cell
+//! ingest stagger — at N = 1, 2, 3, … cells and reports each
 //! scheduler's deadline-miss rate, then the largest N each sustains at
 //! the < 0.5 % miss threshold. The comparison of interest is
 //! RT-OPEX(mutex) vs RT-OPEX(steal): same Algorithm 1 semantics, but the
@@ -77,7 +78,9 @@ pub fn cluster_cfg(opts: &Opts, mode: SchedulerMode, cells: usize) -> ClusterCon
 pub fn best_of(opts: &Opts, mode: SchedulerMode, cells: usize, trials: usize) -> ScalePoint {
     (0..trials.max(1))
         .map(|_| {
-            let r = CranCluster::new(cluster_cfg(opts, mode, cells)).run();
+            let r = CranCluster::new(cluster_cfg(opts, mode, cells))
+                .run()
+                .cluster;
             ScalePoint {
                 cells,
                 miss: r.miss_rate(),

@@ -5,10 +5,11 @@
 //! tests keeps the simulator tests off the two vCPUs a one-cell cluster
 //! pins; inside this binary they hold one lock. Beside the real-PHY fit
 //! and the simulator sweeps the cluster test missed up to 25 % of its
-//! deadlines. Isolated it still misses a few on a noisy 2-vCPU guest:
-//! a partitioned worker parks until its release instant, and a late
-//! wake-up leaves too little slack for the decode, so the subframe is
-//! dropped.
+//! deadlines. Its runs go through `CranCluster::run`, an in-process
+//! fronthaul into the shipped `run_fed` path, so deadlines count from
+//! each subframe's arrival; a worker that wakes late for a delivered
+//! subframe can still leave too little slack for the decode on a noisy
+//! 2-vCPU guest, and the subframe is dropped.
 
 use rtopex_experiments::cluster_scale::cluster_cfg;
 use rtopex_experiments::table1::real_phy_fit;
@@ -35,7 +36,7 @@ fn single_cell_points_are_sane() {
         let mut cfg = cluster_cfg(&opts, mode, 1);
         cfg.subframes = SUBFRAMES; // keep the test brisk
         let best = (0..3)
-            .map(|_| CranCluster::new(cfg.clone()).run().miss_rate())
+            .map(|_| CranCluster::new(cfg.clone()).run().cluster.miss_rate())
             .fold(f64::INFINITY, f64::min);
         // One 5 MHz cell on the vectorized PHY is comfortably sustainable
         // for every scheduler; allow a single miss in the best trial for

@@ -21,23 +21,19 @@
 //!   to take it — Algorithm 1's "migrate to idle cores" without the
 //!   sender ever guessing wrong about who is idle.
 //!
-//! ## One driver, two sources
+//! ## One driver, one source
 //!
 //! Every run goes through one private driver (`CranCluster::drive`): it
 //! builds the pool, calibration, arenas and shared state, spawns and
-//! barriers the pinned workers, lets a delivery *source* stage releases,
-//! then shuts the inboxes down and assembles the report. The source is
-//! the only thing the two public entry points differ in:
-//!
-//! * [`CranCluster::run`] — **emulated**: the deterministic tower-trace
-//!   cadence, every release pre-staged with its embargo timestamp. The
-//!   only path with an exact cadence (capacity sweeps) and the only one
-//!   on which FFT subtasks migrate, because a helper reads the pool's
-//!   samples.
-//! * [`CranCluster::run_fed`] — **fed**: subframes pulled off a
-//!   [`FronthaulRx`] and swapped into per-cell delivery slots. The only
-//!   way network subframes get in; open-ended, so nothing in it depends
-//!   on `ClusterConfig::subframes`.
+//! barriers the pinned workers, then runs the delivery loop — subframes
+//! pulled off a [`FronthaulRx`] and swapped into per-cell delivery
+//! slots — until the stream closes, shuts the inboxes down and
+//! assembles the report. [`CranCluster::run_fed`] hands it any
+//! receiver (UDP, TCP or in-process); [`CranCluster::run`] is the same
+//! call over an in-process pair whose sender thread paces the
+//! deterministic tower-trace workload with [`send_paced`], the loop
+//! `rtopex-fronthaul` runs per host. Every test, experiment and
+//! benchmark number therefore comes from the path `rtopex-node` ships.
 //!
 //! Below the driver the file reads top-down: worker loop → one stage
 //! helper (`run_stage`, called for FFT and for decode) over two fan-outs
@@ -65,10 +61,16 @@
 //! Slot payloads are only read by the owner after the slot's ready flag
 //! turns `DONE` (release/acquire paired), so a half-written slot is never
 //! absorbed.
+//!
+//! An FFT thief reads its antenna batch straight from the job's delivery
+//! slot under that slot's read guard (see [`FedCell`] for why this is
+//! sound): the owner holds a read guard on it for the whole job, and the
+//! delivery thread takes the write guard only to land a new subframe in
+//! a slot the owner has returned.
 
 use crate::affinity::pin_current_thread;
 use crate::migrate::{Envelope, ResultFlag};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtopex_core::metrics::{DeadlineMetrics, MigrationStats};
@@ -83,11 +85,14 @@ use rtopex_phy::params::Bandwidth;
 use rtopex_phy::tasks::TaskKind;
 use rtopex_phy::uplink::{BlockBuf, JobSlab, SlabJob, UplinkConfig, UplinkRx, UplinkTx};
 use rtopex_phy::Cf32;
-use rtopex_transport::{FronthaulRx, MulticellIngest, Recv, RxStats, SubframeBuf, TestbedLink};
+use rtopex_transport::{
+    inproc_pair, FronthaulRx, FronthaulTx, MulticellIngest, Recv, RxStats, StreamParams,
+    SubframeBuf, TestbedLink, TransportError,
+};
 use rtopex_workload::{load_to_mcs, LoadTrace, TraceParams};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Barrier;
+use std::sync::{mpsc, Barrier};
 use std::time::{Duration, Instant};
 
 /// How subframes are scheduled across the cluster's cores.
@@ -141,12 +146,15 @@ pub struct ClusterConfig {
     pub num_antennas: usize,
     /// Consolidated cells (RAPs); each owns 2 cores (`⌈T_max⌉ = 2`).
     pub num_cells: usize,
-    /// Subframes per cell.
+    /// Subframes per cell that [`CranCluster::run`] sends and
+    /// [`CranCluster::mcs_plan`] draws; [`CranCluster::run_fed`] never
+    /// reads it.
     pub subframes: usize,
     /// Subframe period (LTE: 1 ms; dilatable — every deadline scales with
     /// it through [`ClusterConfig::budget`]).
     pub period: Duration,
-    /// Emulated one-way transport latency.
+    /// One-way fronthaul latency the Eq. 3 budget charges; deadlines
+    /// count from arrival, so no path delays a subframe by it.
     pub rtt_half: Duration,
     /// Scheduler under test.
     pub mode: SchedulerMode,
@@ -250,20 +258,13 @@ struct Calib {
     decode_total_us: Vec<f64>,
 }
 
-/// One subframe release. `Copy` so the release queues never allocate.
-/// Jobs are pre-staged into the inboxes with an embargo timestamp:
-/// workers take a job only once `release` has passed, which keeps the
-/// cadence exact without a per-release delivery-thread wakeup (whose OS
-/// scheduling jitter on a busy host would eat into every budget).
+/// One delivered subframe. `Copy` so the release queues never allocate.
 #[derive(Clone, Copy, Debug)]
 struct OwnJob {
     cell: usize,
     pool_idx: usize,
-    /// Fed-mode delivery slot holding this subframe's samples; unused
-    /// (always 0) in the emulated `run()` path, where samples come from
-    /// the pre-encoded pool.
+    /// Delivery slot of `cell` holding this subframe's samples.
     slot: usize,
-    release: Instant,
     deadline: Instant,
 }
 
@@ -296,9 +297,10 @@ impl<'a> Inbox<'a> {
 /// publication protocol); this is just its descriptor payload.
 struct StageDesc {
     kind: TaskKind,
-    pool_idx: usize,
+    /// The subframe being decoded: its pool entry (decoder config), its
+    /// deadline, and the delivery slot an FFT thief reads samples from.
+    job: OwnJob,
     tp_us: f64,
-    deadline: Instant,
     /// Snapshot of the coded-LLR stream for decode stages.
     llrs: Vec<f32>,
 }
@@ -345,9 +347,13 @@ impl CoreArena {
                 cfg.num_antennas.max(max_blocks),
                 StageDesc {
                     kind: TaskKind::Demod,
-                    pool_idx: 0,
+                    job: OwnJob {
+                        cell: 0,
+                        pool_idx: 0,
+                        slot: 0,
+                        deadline: Instant::now(),
+                    },
                     tp_us: 0.0,
-                    deadline: Instant::now(),
                     llrs: Vec::with_capacity(max_llrs),
                 },
             ),
@@ -363,17 +369,15 @@ impl CoreArena {
 fn publish_stage(
     arena: &CoreArena,
     kind: TaskKind,
-    pool_idx: usize,
+    job: &OwnJob,
     count: usize,
     tp_us: f64,
-    deadline: Instant,
     llrs: Option<&[f32]>,
 ) -> u64 {
     arena.board.publish(count, |d| {
         d.kind = kind;
-        d.pool_idx = pool_idx;
+        d.job = *job;
         d.tp_us = tp_us;
-        d.deadline = deadline;
         if let Some(l) = llrs {
             d.llrs.clear();
             d.llrs.extend_from_slice(l);
@@ -406,6 +410,12 @@ impl WorkerTotals {
         }
     }
 
+    /// A subframe of `cell` given up without a verdict: a miss + drop.
+    fn record_drop(&mut self, cell: usize) {
+        self.deadline.record(cell, true);
+        self.dropped += 1;
+    }
+
     fn merge(&mut self, other: &WorkerTotals) {
         self.deadline.merge(&other.deadline);
         self.migration.merge(&other.migration);
@@ -417,23 +427,57 @@ impl WorkerTotals {
     }
 }
 
-/// Delivery slots per fed-mode cell. Sized so one cell can have a
-/// subframe in flight on each of its two cores plus a small landing
-/// margin for jitter before the shed path (miss + drop) kicks in.
+/// Delivery slots per cell. Sized so one cell can have a subframe in
+/// flight on each of its two cores plus a small landing margin for
+/// jitter before the shed path (miss + drop) kicks in.
 const FED_SLOTS: usize = 4;
 
-/// One fed-mode cell's landing area: preallocated sample buffers the
-/// delivery thread swaps network subframes into, and a free list the
-/// owning worker returns slots through. Contention is delivery ↔ one
-/// owner only; both critical sections are a pointer swap or an index
-/// push.
+/// One cell's landing area: preallocated sample buffers the delivery
+/// thread swaps received subframes into, and a free list the owning
+/// worker returns slots through.
+///
+/// Each slot is a reader–writer lock, and only the delivery thread
+/// writes. Why an FFT thief may read a job's samples from its slot:
+///
+/// * The owner holds a read guard on the slot for the whole job, so the
+///   slot cannot be rewritten while any stage of that job is live.
+/// * The delivery thread takes the write guard only to swap samples
+///   into a slot it popped from the free list, that is, after the owner
+///   has returned it.
+/// * A thief takes its own read guard under the board's stage guard. A
+///   straggler that entered the board at a live epoch and still holds
+///   the slot's read guard makes that swap wait for it, at most one FFT
+///   batch. One that reaches the slot after the swap computes from the
+///   next subframe's samples, but only for a subtask its owner has
+///   already recovered: the owner stopped reading that stage's flags
+///   when it returned the slot, and its next publication (the board's
+///   unchanged epoch fence) resets them. So every batch the owner
+///   absorbs was computed from its own job's samples.
+///
+/// The write guard waits only for thieves that are running an FFT batch,
+/// and they wait for nothing the delivery thread holds, so the swap
+/// cannot deadlock the owner's recovery.
 struct FedCell {
-    slots: Vec<Mutex<Vec<Vec<Cf32>>>>,
+    slots: Vec<RwLock<Vec<Vec<Cf32>>>>,
     free: Mutex<Vec<usize>>,
 }
 
-/// Fed-mode shared state: per-cell slot arenas plus the shed counter
-/// (subframes that arrived while every slot of their cell was busy).
+impl FedCell {
+    /// Swaps `samples` into a free slot (the caller's buffer gets the
+    /// slot's old allocation back) and returns the slot, or `None` when
+    /// every slot is in use.
+    fn land(&self, samples: &mut [Vec<Cf32>]) -> Option<usize> {
+        let slot = self.free.lock().pop()?;
+        let mut dst = self.slots[slot].write();
+        for (d, s) in dst.iter_mut().zip(samples.iter_mut()) {
+            std::mem::swap(d, s);
+        }
+        Some(slot)
+    }
+}
+
+/// The delivery slots of every cell plus the shed counter (subframes
+/// that arrived while every slot of their cell was busy).
 struct FedShared {
     cells: Vec<FedCell>,
     shed: AtomicU64,
@@ -445,7 +489,7 @@ impl FedShared {
             .map(|_| FedCell {
                 slots: (0..FED_SLOTS)
                     .map(|_| {
-                        Mutex::new(vec![
+                        RwLock::new(vec![
                             vec![Cf32::new(0.0, 0.0); samples_per_subframe];
                             cfg.num_antennas
                         ])
@@ -461,27 +505,24 @@ impl FedShared {
     }
 }
 
-/// Returns a fed job's delivery slot to its cell's free list on every
-/// exit path of `process_subframe` (drop at a slack check included).
+/// Returns a job's delivery slot to its cell's free list on every exit
+/// path of `process_subframe` (drop at a slack check included).
 /// Declared before the slot's sample guard so the guard releases first.
 struct FedSlotRelease<'f> {
-    fed: Option<(&'f FedShared, usize, usize)>,
+    cell: &'f FedCell,
+    slot: usize,
 }
 
 impl Drop for FedSlotRelease<'_> {
     fn drop(&mut self) {
-        if let Some((f, cell, slot)) = self.fed {
-            f.cells[cell].free.lock().push(slot);
-        }
+        self.cell.free.lock().push(self.slot);
     }
 }
 
 struct Shared<'a> {
     cfg: &'a ClusterConfig,
     arenas: &'a [CoreArena],
-    /// `Some` when subframes arrive over a [`FronthaulRx`] instead of the
-    /// pre-encoded pool; `None` in the emulated `run()` path.
-    fed: Option<&'a FedShared>,
+    fed: &'a FedShared,
     inboxes: Vec<Inbox<'a>>,
     global: Inbox<'a>,
     stealers: Vec<steal::Stealer>,
@@ -491,10 +532,9 @@ struct Shared<'a> {
     schedule: PartitionedSchedule,
     /// Reference instant for `epoch_ns` (captured at construction).
     base: Instant,
-    /// Over-the-air instant of subframe 0, as nanoseconds after `base`;
-    /// written once by the transport thread after every worker has warmed
-    /// up and passed the start barrier, so cold caches never eat into the
-    /// first subframes' budgets.
+    /// Arrival instant of subframe 0 at the node, as nanoseconds after
+    /// `base`; pinned by the delivery thread when the first subframe
+    /// lands (until then idle-window estimates run off `base`).
     epoch_ns: AtomicU64,
     /// Per-cell ingest stagger within a period (shared 10 GbE port).
     stagger: Vec<Duration>,
@@ -502,7 +542,7 @@ struct Shared<'a> {
 }
 
 impl<'a> Shared<'a> {
-    /// Over-the-air instant of subframe 0.
+    /// Arrival instant of subframe 0.
     fn epoch(&self) -> Instant {
         self.base + Duration::from_nanos(self.epoch_ns.load(Ordering::Acquire))
     }
@@ -515,21 +555,20 @@ impl<'a> Shared<'a> {
     }
 
     /// Queues a release on the shared FIFO (Global) or on the core the
-    /// partitioned schedule gives `job.cell`'s subframe `seq`. Returns the
-    /// inbox so a live source can wake its worker; the pre-staging source
-    /// wakes everyone once, after the last release.
-    fn stage(&self, job: OwnJob, seq: u64) -> &Inbox<'a> {
+    /// partitioned schedule gives `job.cell`'s subframe `seq`, and wakes
+    /// one worker parked on that inbox.
+    fn stage(&self, job: OwnJob, seq: u64) {
         let inbox = match self.cfg.mode {
             SchedulerMode::Global => &self.global,
             _ => &self.inboxes[self.schedule.core_for(job.cell, seq)],
         };
         inbox.state.lock().own.push_back(job);
-        inbox
+        inbox.cv.notify_one();
     }
 
     /// Arrival instant of cell `cell`'s subframe `j` at the compute node.
     fn release_instant(&self, cell: usize, j: u64) -> Instant {
-        self.epoch() + self.cfg.period * j as u32 + self.cfg.rtt_half + self.stagger[cell]
+        self.epoch() + self.cfg.period * j as u32 + self.stagger[cell]
     }
 
     /// The next release that will claim `core`, strictly after `now`:
@@ -542,11 +581,6 @@ impl<'a> Shared<'a> {
             (e.as_nanos() / self.cfg.period.as_nanos()) as u64 + 1
         });
         let j = self.schedule.next_own_index(core, from);
-        // Only the emulated cadence has a known last release; a fed stream
-        // is open-ended and `cfg.subframes` there is the peer's claim.
-        if self.fed.is_none() && j >= self.cfg.subframes as u64 {
-            return now + self.cfg.period * 64;
-        }
         self.release_instant(cell, j)
     }
 
@@ -711,8 +745,8 @@ impl CranCluster {
 
     /// The deterministic per-cell MCS plan (tower traces) as pool indices
     /// into `cfg.mcs_pool` — public so a fronthaul aggregator can
-    /// transmit exactly the load schedule an emulated `run()` would have
-    /// generated for the same config and seed.
+    /// transmit exactly the load schedule [`Self::run`] sends for the
+    /// same config and seed.
     pub fn mcs_plan(cfg: &ClusterConfig) -> Vec<Vec<usize>> {
         (0..cfg.num_cells)
             .map(|cell| {
@@ -728,10 +762,9 @@ impl CranCluster {
             .collect()
     }
 
-    /// The sender-side subframe pool: the same pre-encoded,
-    /// channel-impaired sample streams `run()` decodes from memory, keyed
-    /// by MCS. A fronthaul aggregator pairs this with [`Self::mcs_plan`]
-    /// to put the emulated workload on a real wire.
+    /// The sender-side subframe pool: one pre-encoded, channel-impaired
+    /// sample stream per pool MCS, keyed by MCS. A fronthaul aggregator
+    /// pairs this with [`Self::mcs_plan`] (see [`SendPlan`]).
     pub fn encode_pool(cfg: &ClusterConfig) -> Vec<(u8, Vec<Vec<Cf32>>)> {
         Self::prepare_pool(cfg)
             .into_iter()
@@ -739,36 +772,61 @@ impl CranCluster {
             .collect()
     }
 
-    /// Runs the cluster to completion (blocking) over the emulated
-    /// cadence and reports.
+    /// Runs the cluster to completion (blocking) over an in-process
+    /// fronthaul and reports. A sender thread paces
+    /// [`Self::mcs_plan`] × [`Self::encode_pool`] with [`send_paced`]
+    /// into [`Self::run_fed`]'s delivery loop; its first subframe is due
+    /// once every worker has warmed up and passed the start barrier.
+    /// Deadlines are arrival-based, as on every fed run.
     ///
     /// # Panics
     /// Panics on zero subframes.
-    pub fn run(&self) -> ClusterReport {
-        assert!(self.cfg.subframes > 0, "empty run");
-        let plan = Self::mcs_plan(&self.cfg);
-        self.drive(None, |shared, barrier| {
-            deliver_emulated(shared, &plan, barrier)
+    pub fn run(&self) -> FedReport {
+        let cfg = &self.cfg;
+        assert!(cfg.subframes > 0, "empty run");
+        let params = StreamParams {
+            samples_per_subframe: cfg.bandwidth.samples_per_subframe() as u32,
+            antennas: cfg.num_antennas as u8,
+            cells: (0..cfg.num_cells as u16).collect(),
+            period_us: cfg.period.as_micros() as u32,
+            budget_us: cfg.budget().as_micros() as u32,
+            mcs_pool: cfg.mcs_pool.clone(),
+            subframes: cfg.subframes as u32,
+        };
+        // The ready queue rides out a delivery thread stalled for 16
+        // periods before drop-oldest turns subframes into gaps.
+        let (mut tx, mut rx) = inproc_pair(params, cfg.num_cells * 16);
+        let plan = SendPlan::new(cfg);
+        let rows: Vec<usize> = (0..cfg.num_cells).collect();
+        let (ready_tx, ready_rx) = mpsc::sync_channel(1);
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                // No epoch: the driver died before its workers were up.
+                if let Ok(epoch) = ready_rx.recv() {
+                    let _ = send_paced(&mut tx, &plan, &rows, epoch);
+                }
+            });
+            self.drive(&mut rx, move || {
+                let _ = ready_tx.send(Instant::now());
+            })
         })
     }
 
-    /// Runs the cluster fed by a real fronthaul receiver instead of the
-    /// emulated pre-encoded pool: IQ subframes arrive through `rx`
-    /// (in-process, UDP or TCP — any [`FronthaulRx`]), land in
-    /// preallocated per-cell slot arenas, and are scheduled exactly like
-    /// emulated releases except that deadlines are **arrival-based**
-    /// (`arrival + budget`): the network already charged `T_fronthaul`,
-    /// so the budget clock starts when the subframe reaches the node.
+    /// Runs the cluster fed by a fronthaul receiver: IQ subframes arrive
+    /// through `rx` (in-process, UDP or TCP — any [`FronthaulRx`]), land
+    /// in preallocated per-cell delivery slots, and are scheduled with
+    /// **arrival-based** deadlines (`arrival + budget`): the network
+    /// already charged `T_fronthaul`, so the budget clock starts when the
+    /// subframe reaches the node.
     ///
-    /// Differences from [`CranCluster::run`], all confined to where the
-    /// samples come from:
-    ///
-    /// * The pre-encoded pool still exists but only for calibration and
+    /// * The pre-encoded pool exists only for calibration, warm-up and
     ///   per-MCS decoder configs — received samples are what gets decoded.
-    /// * FFT stages are never published for stealing: a thief reads the
-    ///   owner's samples, and a fed job's samples live behind its slot
-    ///   guard for exactly the job's lifetime. Decode stages migrate as
-    ///   usual — the published LLR snapshot is self-contained.
+    /// * Both parallel stages migrate. An FFT thief reads its antenna
+    ///   batch from the job's delivery slot under the slot's read guard
+    ///   (see [`FedCell`]); a decode thief reads the published LLR
+    ///   snapshot.
+    /// * A subframe whose MCS is not in `ClusterConfig::mcs_pool` has no
+    ///   decoder config; it is recorded as a miss + drop, never decoded.
     /// * A subframe arriving while all [`FED_SLOTS`] slots of its cell
     ///   are busy is shed at delivery and recorded as a miss + drop, the
     ///   overload behaviour Eq. 3 prescribes.
@@ -783,6 +841,16 @@ impl CranCluster {
     /// Panics if `rx`'s negotiated stream geometry (antennas, cell count,
     /// samples per subframe) does not match this cluster's config.
     pub fn run_fed(&self, rx: &mut dyn FronthaulRx) -> FedReport {
+        self.drive(rx, || {})
+    }
+
+    /// The one driver behind [`Self::run`] and [`Self::run_fed`]: builds
+    /// the pool, calibration, arenas and shared state, spawns the pinned
+    /// workers and waits for them to warm up, runs the delivery loop on
+    /// the calling thread until `rx` closes, then shuts the inboxes down
+    /// and assembles the report. `ready` fires once every worker is past
+    /// the start barrier, just before the first receive.
+    fn drive(&self, rx: &mut dyn FronthaulRx, ready: impl FnOnce()) -> FedReport {
         let cfg = &self.cfg;
         let params = rx.params();
         assert_eq!(
@@ -800,65 +868,22 @@ impl CranCluster {
             "stream samples/subframe != bandwidth"
         );
         let fed = FedShared::new(cfg, cfg.bandwidth.samples_per_subframe());
-        let cluster = self.drive(Some(&fed), |shared, barrier| {
-            deliver_fed(shared, &fed, rx, barrier)
-        });
-        FedReport {
-            cluster,
-            rx: rx.stats(),
-            shed: fed.shed.load(Ordering::Relaxed),
-        }
-    }
-
-    /// The one driver behind [`Self::run`] and [`Self::run_fed`]: builds
-    /// the pool, calibration, arenas and shared state, spawns the pinned
-    /// workers and waits for them to warm up, hands the delivery thread
-    /// to `deliver`, then shuts the inboxes down and assembles the report.
-    ///
-    /// `deliver` is the source: it pins the epoch, releases the workers
-    /// through `barrier`, stages every subframe it has, and returns the
-    /// instant by which the last of them has drained. `fed` is the
-    /// landing area a network source swaps samples into (`None`: samples
-    /// come from the pre-encoded pool).
-    fn drive(
-        &self,
-        fed: Option<&FedShared>,
-        deliver: impl FnOnce(&Shared<'_>, &Barrier) -> Instant,
-    ) -> ClusterReport {
-        let cfg = &self.cfg;
         let pool = Self::prepare_pool(cfg);
         let calib = Self::calibrate(&pool);
         let cores = cfg.total_cores();
         let arenas: Vec<CoreArena> = (0..cores).map(|_| CoreArena::new(&pool, cfg)).collect();
-        let ingest = MulticellIngest::homogeneous(
-            TestbedLink::paper_testbed(),
-            cfg.num_cells,
-            cfg.bandwidth,
-            cfg.num_antennas,
-        );
-        let d0 = ingest.deterministic_delivery_us(0).unwrap_or(0.0);
-        let stagger: Vec<Duration> = (0..cfg.num_cells)
-            .map(|c| {
-                let d = ingest.deterministic_delivery_us(c).unwrap_or(d0);
-                Duration::from_secs_f64(((d - d0).max(0.0)) / 1e6)
-            })
-            .collect();
-        // Inbox depth is the source's: the emulated cadence pre-stages
-        // every release; a fed cell can never have more than `FED_SLOTS`
-        // jobs queued, and `cfg.subframes` there is whatever the peer's
-        // hello claimed and must not size anything.
-        let depth = match fed {
-            None => cfg.subframes + 2,
-            Some(_) => FED_SLOTS,
-        };
         let (mut workers, stealers): (Vec<steal::Worker>, Vec<steal::Stealer>) =
             (0..cores).map(|_| steal::steal_pair(64)).unzip();
+        // A cell never has more than `FED_SLOTS` jobs queued; the
+        // subframe count is the peer's claim and must not size anything.
         let shared = Shared {
             cfg,
             arenas: &arenas,
-            fed,
-            inboxes: (0..cores).map(|_| Inbox::with_capacity(depth)).collect(),
-            global: Inbox::with_capacity(cfg.num_cells * depth),
+            fed: &fed,
+            inboxes: (0..cores)
+                .map(|_| Inbox::with_capacity(FED_SLOTS))
+                .collect(),
+            global: Inbox::with_capacity(cfg.num_cells * FED_SLOTS),
             stealers,
             idle: (0..cores).map(|_| AtomicBool::new(false)).collect(),
             totals: Mutex::new(WorkerTotals::new(cfg.num_cells)),
@@ -866,13 +891,12 @@ impl CranCluster {
             schedule: PartitionedSchedule::with_cores_per_bs(cfg.num_cells, 2),
             base: Instant::now(),
             epoch_ns: AtomicU64::new(0),
-            stagger,
+            stagger: ingest_stagger(cfg),
             pinned: AtomicBool::new(false),
         };
         // Start barrier: workers warm caches (a full decode of every pool
-        // entry) before the release cadence exists, so subframe 0 never
-        // pays the cold-start penalty. The source pins the epoch only
-        // after every worker has reported ready.
+        // entry) before the first subframe is received, so subframe 0
+        // never pays the cold-start penalty.
         let barrier = Barrier::new(cores + 1);
 
         std::thread::scope(|s| {
@@ -883,7 +907,8 @@ impl CranCluster {
                 s.spawn(move || worker_loop(core, shared, pool, w, barrier));
             }
             barrier.wait(); // all workers warm
-            let drained = deliver(shared, barrier);
+            ready();
+            let drained = deliver_fed(shared, &mut *rx);
             std::thread::sleep(drained.saturating_duration_since(Instant::now()));
             for inbox in shared.all_inboxes() {
                 inbox.state.lock().shutdown = true;
@@ -893,24 +918,28 @@ impl CranCluster {
 
         let elapsed = Instant::now().saturating_duration_since(shared.epoch());
         let m = shared.totals.into_inner();
-        ClusterReport {
-            mode: cfg.mode,
-            cells: cfg.num_cells,
-            deadline: m.deadline,
-            migration: m.migration,
-            proc_us: m.proc_us,
-            dropped: m.dropped,
-            crc_failures: m.crc_failures,
-            pinned: shared.pinned.load(Ordering::Relaxed),
-            steals: m.steals,
-            declined_steals: m.declined,
-            elapsed,
+        FedReport {
+            cluster: ClusterReport {
+                mode: cfg.mode,
+                cells: cfg.num_cells,
+                deadline: m.deadline,
+                migration: m.migration,
+                proc_us: m.proc_us,
+                dropped: m.dropped,
+                crc_failures: m.crc_failures,
+                pinned: shared.pinned.load(Ordering::Relaxed),
+                steals: m.steals,
+                declined_steals: m.declined,
+                elapsed,
+            },
+            rx: rx.stats(),
+            shed: fed.shed.load(Ordering::Relaxed),
         }
     }
 }
 
-/// Index of the pool entry whose MCS is nearest `mcs` (trace loads and
-/// received subframes both snap to the pre-encoded pool).
+/// Index of the pool entry whose MCS is nearest `mcs` (trace loads snap
+/// to the pre-encoded pool).
 fn nearest_pool_idx(pool_mcs: &[u8], mcs: u8) -> Option<usize> {
     pool_mcs
         .iter()
@@ -919,53 +948,91 @@ fn nearest_pool_idx(pool_mcs: &[u8], mcs: u8) -> Option<usize> {
         .map(|(i, _)| i)
 }
 
-/// The emulated source: plays the batched-ingest delivery thread — one
-/// port, cells back-to-back per period. The whole delivery schedule is
-/// deterministic, so every release is pre-staged with its embargo
-/// timestamp; workers gate on it themselves (see `OwnJob`). `plan` is
-/// [`CranCluster::mcs_plan`]'s per-cell pool indices.
-fn deliver_emulated(shared: &Shared<'_>, plan: &[Vec<usize>], barrier: &Barrier) -> Instant {
-    let cfg = shared.cfg;
-    shared.pin_epoch(Instant::now() + Duration::from_millis(5));
-    barrier.wait();
-    for j in 0..cfg.subframes as u64 {
-        for (cell, seq) in plan.iter().enumerate() {
-            let release = shared.release_instant(cell, j);
-            let job = OwnJob {
-                cell,
-                pool_idx: seq[j as usize],
-                slot: 0,
-                release,
-                deadline: release + cfg.budget(),
-            };
-            shared.stage(job, j);
-        }
-    }
-    for inbox in shared.all_inboxes() {
-        inbox.cv.notify_all();
-    }
-    // Sleep out the cadence plus drain margin.
-    shared.epoch() + cfg.period * cfg.subframes as u32 + cfg.budget() + cfg.period * 4
+/// Per-cell ingest stagger within a period: how long after cell 0's
+/// subframe each cell's reaches the node when every cell shares the
+/// paper testbed's 10 GbE port ([`MulticellIngest`]).
+fn ingest_stagger(cfg: &ClusterConfig) -> Vec<Duration> {
+    let ingest = MulticellIngest::homogeneous(
+        TestbedLink::paper_testbed(),
+        cfg.num_cells,
+        cfg.bandwidth,
+        cfg.num_antennas,
+    );
+    let d0 = ingest.deterministic_delivery_us(0).unwrap_or(0.0);
+    (0..cfg.num_cells)
+        .map(|c| {
+            let d = ingest.deterministic_delivery_us(c).unwrap_or(d0);
+            Duration::from_secs_f64(((d - d0).max(0.0)) / 1e6)
+        })
+        .collect()
 }
 
-/// The fed source: pulls subframes off the transport, swaps their
+/// The deterministic workload a paced sender transmits for one
+/// [`ClusterConfig`]: its pre-encoded pool, the per-cell MCS plan over
+/// it (`cfg.subframes` entries per cell), the per-cell ingest stagger
+/// and the cadence.
+pub struct SendPlan {
+    pool: Vec<(u8, Vec<Vec<Cf32>>)>,
+    plan: Vec<Vec<usize>>,
+    stagger: Vec<Duration>,
+    period: Duration,
+}
+
+impl SendPlan {
+    /// Encodes the pool and draws the plan for `cfg`.
+    pub fn new(cfg: &ClusterConfig) -> Self {
+        SendPlan {
+            pool: CranCluster::encode_pool(cfg),
+            plan: CranCluster::mcs_plan(cfg),
+            stagger: ingest_stagger(cfg),
+            period: cfg.period,
+        }
+    }
+}
+
+/// The pacing loop every sender runs: [`CranCluster::run`]'s in-process
+/// one, each `rtopex-fronthaul` host thread and the public-API tests.
+///
+/// The `k`-th cell of `tx`'s stream carries plan row `rows[k]`. Row
+/// `r`'s subframe `j` goes out at `epoch + j·period + stagger[r]` with
+/// wire seq `j`; every period ends with one flush, and the stream with
+/// `finish`. Returns the subframes sent and how the stream ended: a
+/// transport error stops it early, without `finish`.
+pub fn send_paced(
+    tx: &mut dyn FronthaulTx,
+    plan: &SendPlan,
+    rows: &[usize],
+    epoch: Instant,
+) -> (u64, Result<(), TransportError>) {
+    let subframes = plan.plan.first().map_or(0, Vec::len);
+    let mut sent = 0u64;
+    for j in 0..subframes {
+        for (k, &row) in rows.iter().enumerate() {
+            let at = epoch + plan.period * j as u32 + plan.stagger[row];
+            std::thread::sleep(at.saturating_duration_since(Instant::now()));
+            let cell = tx.params().cells[k];
+            let (mcs, samples) = &plan.pool[plan.plan[row][j]];
+            if let Err(e) = tx.send(cell, j as u32, *mcs, samples) {
+                return (sent, Err(e));
+            }
+            sent += 1;
+        }
+        // One coalesced write per period (TCP); a no-op elsewhere.
+        if let Err(e) = tx.flush() {
+            return (sent, Err(e));
+        }
+    }
+    (sent, tx.finish())
+}
+
+/// The delivery loop: pulls subframes off the transport, swaps their
 /// samples into a free slot of the owning cell, and stages the job on the
 /// cell's core (or the global queue). The swap is two pointer exchanges
 /// per antenna — the recv buffer and the slot trade allocations, so
 /// steady state never touches the heap. Returns once the sender closes
 /// the stream or has been silent for the idle limit.
-fn deliver_fed(
-    shared: &Shared<'_>,
-    fed: &FedShared,
-    rx: &mut dyn FronthaulRx,
-    barrier: &Barrier,
-) -> Instant {
+fn deliver_fed(shared: &Shared<'_>, rx: &mut dyn FronthaulRx) -> Instant {
     let cfg = shared.cfg;
-    // Provisional epoch so idle-window math is defined before the first
-    // subframe lands; re-pinned to the true arrival below.
-    shared.pin_epoch(Instant::now());
-    barrier.wait();
-
     let params = rx.params().clone();
     let mut buf = SubframeBuf::for_stream(&params);
     let mut first = true;
@@ -979,35 +1046,31 @@ fn deliver_fed(
                 last_traffic = now;
                 if first {
                     first = false;
-                    shared.pin_epoch(now.checked_sub(cfg.rtt_half).unwrap_or(now));
+                    shared.pin_epoch(now);
                 }
                 let Some(cell) = params.local_cell(buf.cell) else {
                     continue; // foreign cell id: transport bug, shed
                 };
-                let slot = fed.cells[cell].free.lock().pop();
-                let Some(slot) = slot else {
-                    // Every slot busy: the cell is overloaded; shed now
-                    // rather than queue a subframe that would miss anyway.
-                    fed.shed.fetch_add(1, Ordering::Relaxed);
-                    let mut t = shared.totals.lock();
-                    t.deadline.record(cell, true);
-                    t.dropped += 1;
+                // Only the config the subframe was encoded with decodes
+                // it; a neighbouring pool entry's would only NACK.
+                let Some(pool_idx) = cfg.mcs_pool.iter().position(|&m| m == buf.mcs) else {
+                    shared.totals.lock().record_drop(cell);
                     continue;
                 };
-                {
-                    let mut dst = fed.cells[cell].slots[slot].lock();
-                    for (d, s) in dst.iter_mut().zip(buf.samples.iter_mut()) {
-                        std::mem::swap(d, s);
-                    }
-                }
+                let Some(slot) = shared.fed.cells[cell].land(&mut buf.samples) else {
+                    // Every slot busy: the cell is overloaded; shed now
+                    // rather than queue a subframe that would miss anyway.
+                    shared.fed.shed.fetch_add(1, Ordering::Relaxed);
+                    shared.totals.lock().record_drop(cell);
+                    continue;
+                };
                 let job = OwnJob {
                     cell,
-                    pool_idx: nearest_pool_idx(&cfg.mcs_pool, buf.mcs).unwrap_or(0),
+                    pool_idx,
                     slot,
-                    release: now,
                     deadline: now + cfg.budget(),
                 };
-                shared.stage(job, buf.seq as u64).cv.notify_one();
+                shared.stage(job, buf.seq as u64);
             }
             Ok(Recv::TimedOut) => {
                 if last_traffic.elapsed() > idle_limit {
@@ -1039,11 +1102,11 @@ fn run_to_decode(job: &mut SlabJob<'_>, batches: usize) -> (f64, f64) {
     (fft_us, t1.elapsed().as_secs_f64() * 1e6)
 }
 
-/// Results of a fed (network-driven) cluster run: the usual cluster
-/// report plus the transport's receive-side accounting.
+/// Results of a cluster run: the scheduler's report plus the
+/// transport's receive-side accounting.
 #[derive(Clone, Debug)]
 pub struct FedReport {
-    /// Scheduler-side outcomes, identical in shape to an emulated run.
+    /// Scheduler-side outcomes.
     pub cluster: ClusterReport,
     /// Transport receive stats (delivered/gaps/stale/drops) at run end.
     pub rx: RxStats,
@@ -1115,7 +1178,6 @@ fn worker_loop<'a>(
         let _ = job.finish();
     }
     barrier.wait(); // all workers warm
-    barrier.wait(); // the source has pinned the epoch
     let mode = shared.cfg.mode;
 
     enum Got<'e> {
@@ -1131,34 +1193,20 @@ fn worker_loop<'a>(
             &shared.inboxes[me]
         };
         let got = 'acquire: loop {
-            // The front job may still be embargoed (release in the
-            // future); until then this core is idle and may help others.
-            let mut embargo: Option<Instant> = None;
             {
                 let mut st = inbox.state.lock();
-                match st.own.front().copied() {
-                    Some(j) if j.release <= Instant::now() => {
-                        st.own.pop_front();
-                        break 'acquire Got::Own(j);
-                    }
-                    Some(j) => embargo = Some(j.release),
-                    None => {}
+                if let Some(j) = st.own.pop_front() {
+                    break 'acquire Got::Own(j);
                 }
                 if let Some(e) = st.migrated.pop_front() {
                     break 'acquire Got::Migrated(e);
                 }
-                if st.shutdown && st.own.is_empty() {
+                if st.shutdown {
                     break 'acquire Got::Shutdown;
                 }
                 if mode != SchedulerMode::RtOpexSteal {
                     shared.idle[me].store(true, Ordering::Release);
-                    match embargo {
-                        Some(t) => {
-                            let d = t.saturating_duration_since(Instant::now());
-                            inbox.cv.wait_for(&mut st, d);
-                        }
-                        None => inbox.cv.wait(&mut st),
-                    }
+                    inbox.cv.wait(&mut st);
                     shared.idle[me].store(false, Ordering::Release);
                     continue 'acquire;
                 }
@@ -1228,14 +1276,14 @@ fn steal_from(
     let (epoch, idx) = decode_ticket(ticket);
     let admit = |stage: &StageDesc| {
         let now = Instant::now();
-        let slack = stage.deadline.saturating_duration_since(now);
+        let slack = stage.job.deadline.saturating_duration_since(now);
         shared.guard().admit(
             Nanos::from_us_f64(stage.tp_us),
             Nanos(slack.as_nanos() as u64),
             shared.idle_window(me, now),
         )
     };
-    match execute_stolen(&shared.arenas[victim], pool, epoch, idx, admit) {
+    match execute_stolen(&shared.arenas[victim], shared.fed, pool, epoch, idx, admit) {
         Theft::Stale => {} // ticket of a recovered stage: drop it
         Theft::Declined => wm.declined += 1,
         Theft::Executed => wm.steals += 1,
@@ -1261,9 +1309,11 @@ enum Theft {
 /// `enter` validates the epoch and holds the board's read guard for the
 /// whole execution: the owner's next publication (epoch bump) cannot
 /// start until we are done, so a straggler of a recovered stage can never
-/// write into a newer stage's slots.
+/// write into a newer stage's slots. An FFT batch reads the job's samples
+/// from its delivery slot in `fed` (see [`FedCell`]).
 fn execute_stolen(
     arena: &CoreArena,
+    fed: &FedShared,
     pool: &[Prepared],
     epoch: u64,
     idx: usize,
@@ -1276,14 +1326,15 @@ fn execute_stolen(
         stage.decline(idx);
         return Theft::Declined;
     }
-    let prepared = &pool[stage.pool_idx];
+    let job = stage.job;
+    let prepared = &pool[job.pool_idx];
     match stage.kind {
         TaskKind::Fft => {
+            // analyze: allow(guard-held-lock): delivery-slot read guard, shared with the owner for its whole job; only the delivery thread writes, into a slot the owner has returned, and it waits at most for this one batch (FedCell's soundness note)
+            let samples = fed.cells[job.cell].slots[job.slot].read();
             // analyze: allow(guard-held-lock): per-subtask slot mutex, a leaf contended only with the recovering owner; the stage guard must stay held across the write-back to fence that owner's next publication, and executing without the slot lock would race a straggler's write-back
             let mut slot = arena.fft_slots[idx].lock();
-            prepared
-                .rx
-                .run_fft_batch_into(&prepared.samples, idx, &mut slot);
+            prepared.rx.run_fft_batch_into(&samples, idx, &mut slot);
         }
         TaskKind::Decode => {
             // analyze: allow(guard-held-lock): per-subtask slot mutex, a leaf contended only with the recovering owner; the stage guard must stay held across the write-back to fence that owner's next publication, and executing without the slot lock would race a straggler's write-back
@@ -1400,6 +1451,7 @@ fn fanout_mutex<'a>(
     // arena reference for the scope's lifetime.
     let arenas: &'a [CoreArena] = shared.arenas;
     let arena = &arenas[me];
+    let fed: &'a FedShared = shared.fed;
     let mut next = plan.local;
     flag_scratch.clear();
     for &(host, n) in plan_scratch.iter() {
@@ -1408,7 +1460,7 @@ fn fanout_mutex<'a>(
             // Algorithm 1 admitted the subtask at plan time, so the helper
             // only has to fence out a straggler of a recovered stage.
             let (env, flag) = Envelope::new(move || {
-                execute_stolen(arena, pool, epoch, idx, |_| true);
+                execute_stolen(arena, fed, pool, epoch, idx, |_| true);
             });
             shared.push_migrated(host, env);
             flag_scratch.push((idx, flag));
@@ -1458,12 +1510,7 @@ fn run_stage<'a>(
     };
     // analyze: allow(panic): the owner mask is a u64 bitset; a config with more than 64 subtasks cannot be represented and must be rejected at fan-out
     assert!(count <= 64, "subtask count exceeds owner mask");
-    // A fed subframe keeps its FFT owner-local: a helper executes against
-    // the *pool's* samples, but a fed job's real samples live behind its
-    // slot guard. Decode stages still migrate — their LLR snapshot is
-    // self-contained.
-    let helpable = count > 1 && !(kind == TaskKind::Fft && shared.fed.is_some());
-    let publish = helpable
+    let publish = count > 1
         && match cfg.mode {
             SchedulerMode::RtOpexSteal => shared.worth_publishing(me, tp_us, job.deadline),
             SchedulerMode::RtOpexMutex => shared.any_idle_helper(me),
@@ -1471,7 +1518,7 @@ fn run_stage<'a>(
         };
     let published = publish.then(|| {
         let llrs = (kind == TaskKind::Decode).then(|| phy.coded_llrs());
-        publish_stage(arena, kind, job.pool_idx, count, tp_us, job.deadline, llrs)
+        publish_stage(arena, kind, job, count, tp_us, llrs)
     });
     let WorkerState {
         deque,
@@ -1537,6 +1584,17 @@ fn run_stage<'a>(
     }
 }
 
+/// The slack check before a stage: whether a stage estimated at `est`
+/// still fits before `job`'s deadline. When it does not, the subframe is
+/// recorded as a miss + drop and the caller gives it up.
+fn has_slack(job: &OwnJob, est: Duration, totals: &mut WorkerTotals) -> bool {
+    if Instant::now() + est <= job.deadline {
+        return true;
+    }
+    totals.record_drop(job.cell);
+    false
+}
+
 fn process_subframe<'a>(
     me: usize,
     shared: &Shared<'a>,
@@ -1547,44 +1605,39 @@ fn process_subframe<'a>(
 ) {
     let cfg = shared.cfg;
     let prepared = &pool[job.pool_idx];
-    // Fed mode: the subframe's samples live in its delivery slot. The
-    // guard is held for the whole job; the release sentinel (declared
-    // first, so it drops last) returns the slot to the free list on
-    // every exit path, slack drops included.
+    // The subframe's samples live in its delivery slot. The read guard
+    // is held for the whole job (FFT thieves take their own); the release
+    // sentinel (declared first, so it drops last) returns the slot to the
+    // free list on every exit path, slack drops included.
+    let cell = &shared.fed.cells[job.cell];
     let _slot_release = FedSlotRelease {
-        fed: shared.fed.map(|f| (f, job.cell, job.slot)),
+        cell,
+        slot: job.slot,
     };
-    let fed_samples = shared.fed.map(|f| f.cells[job.cell].slots[job.slot].lock());
-    let samples: &[Vec<Cf32>] = match fed_samples.as_deref() {
-        Some(s) => s,
-        None => &prepared.samples,
-    };
+    let samples = cell.slots[job.slot].read();
     let started = Instant::now();
     let pidx = job.pool_idx;
     let calib = &shared.calib;
 
     // Stage slack checks use the calibrated serial stage estimates.
     let est_fft = Duration::from_secs_f64(calib.fft_batch_us * cfg.num_antennas as f64 / 1e6);
-    if Instant::now() + est_fft > job.deadline {
-        w.totals.deadline.record(job.cell, true);
-        w.totals.dropped += 1;
+    if !has_slack(&job, est_fft, &mut w.totals) {
         return;
     }
 
     let mut phy = prepared
         .rx
-        .start_job_in(samples, slab)
+        .start_job_in(&samples, slab)
         // analyze: allow(panic): pool entries come from prepare_pool with the same config; a shape mismatch means the pool was corrupted and the slot must die loudly
         .expect("prepared samples are consistent");
 
+    // analyze: allow(lock-order): the slots -> slots edge is fanout_mutex's envelope, which calls execute_stolen on the host core, never on this thread under this guard; two readers of one slot only share it, and the one writer waits for both (FedCell)
     run_stage(TaskKind::Fft, me, shared, pool, &job, &mut phy, w);
     phy.finish_fft();
 
     // --- Demod task: serial on the owner. ---
     let est_demod = Duration::from_secs_f64(calib.demod_us[pidx] / 1e6);
-    if Instant::now() + est_demod > job.deadline {
-        w.totals.deadline.record(job.cell, true);
-        w.totals.dropped += 1;
+    if !has_slack(&job, est_demod, &mut w.totals) {
         return;
     }
     for i in 0..phy.demod_subtask_count() {
@@ -1599,11 +1652,10 @@ fn process_subframe<'a>(
     } else {
         est_dec
     };
-    if Instant::now() + est_effective > job.deadline {
-        w.totals.deadline.record(job.cell, true);
-        w.totals.dropped += 1;
+    if !has_slack(&job, est_effective, &mut w.totals) {
         return;
     }
+    // analyze: allow(lock-order): as for the FFT stage: the envelope's execute_stolen runs on its host, never under this guard
     run_stage(TaskKind::Decode, me, shared, pool, &job, &mut phy, w);
 
     // analyze: allow(panic): the recovery loop above re-runs every unconfirmed subtask before finish(); an unabsorbed subtask here is a scheduler bug, not a runtime condition
@@ -1622,70 +1674,25 @@ fn process_subframe<'a>(
 mod tests {
     use super::*;
 
-    fn quick_cfg(mode: SchedulerMode) -> ClusterConfig {
-        // 5 MHz so high-MCS subframes carry multiple code blocks and the
-        // FFT batch stays above the migration cost δ — at 1.4 MHz the
-        // optimized PHY finishes every stage faster than δ, and
-        // Algorithm 1 (correctly) never migrates.
-        ClusterConfig {
+    #[test]
+    fn mutex_mode_migrates_and_decodes_correctly() {
+        // 5 MHz with a long period: high-MCS subframes carry several code
+        // blocks and helpers have real idle windows.
+        let cfg = ClusterConfig {
             bandwidth: Bandwidth::Mhz5,
             num_cells: 2,
             subframes: 40,
             period: Duration::from_micros(3_000),
-            mode,
+            mode: SchedulerMode::RtOpexMutex,
             mcs_pool: vec![5, 16, 27],
             ..ClusterConfig::demo()
-        }
-    }
-
-    #[test]
-    fn every_mode_accounts_for_all_subframes() {
-        for mode in SchedulerMode::ALL {
-            let r = CranCluster::new(quick_cfg(mode)).run();
-            assert_eq!(r.deadline.total_subframes(), 2 * 40, "{}", mode.name());
-            assert_eq!(
-                r.proc_us.len() as u64 + r.dropped,
-                2 * 40,
-                "{}",
-                mode.name()
-            );
-            assert_eq!(r.crc_failures, 0, "{} corrupted decodes", mode.name());
-        }
-    }
-
-    #[test]
-    fn serial_modes_never_migrate() {
-        for mode in [SchedulerMode::Partitioned, SchedulerMode::Global] {
-            let r = CranCluster::new(quick_cfg(mode)).run();
-            assert_eq!(
-                r.migration.fft_migrated + r.migration.decode_migrated,
-                0,
-                "{}",
-                mode.name()
-            );
-            assert_eq!(r.steals, 0);
-        }
-    }
-
-    #[test]
-    fn steal_mode_decodes_correctly_under_migration() {
-        // Give thieves real idle windows: a long period and few cells.
-        let r = CranCluster::new(quick_cfg(SchedulerMode::RtOpexSteal)).run();
-        assert_eq!(r.crc_failures, 0, "stolen subtasks corrupted decodes");
-        // Steal accounting is self-consistent: every absorbed migration
-        // was a thief execution.
-        assert!(
-            r.steals >= r.migration.fft_migrated + r.migration.decode_migrated,
-            "steals {} < absorbed {}",
-            r.steals,
-            r.migration.fft_migrated + r.migration.decode_migrated
-        );
-    }
-
-    #[test]
-    fn mutex_mode_migrates_and_decodes_correctly() {
-        let r = CranCluster::new(quick_cfg(SchedulerMode::RtOpexMutex)).run();
-        // Real subtasks crossed threads…
+        };
+        let r = CranCluster::new(cfg).run().cluster;
+        // Every subframe was paced over the in-process fronthaul and
+        // accounted for…
+        assert_eq!(r.deadline.total_subframes(), 2 * 40);
+        assert_eq!(r.proc_us.len() as u64 + r.dropped, 2 * 40);
+        // …real subtasks crossed threads…
         assert!(
             r.migration.fft_migrated + r.migration.decode_migrated > 0,
             "no migrations happened"
@@ -1695,10 +1702,48 @@ mod tests {
         assert_eq!(r.crc_failures, 0, "migration corrupted decodes");
     }
 
+    /// Publishes `count` subtasks of `kind` for `own`, lets two racing
+    /// thieves take every ticket they can, and returns the subtasks the
+    /// owner still holds.
+    fn publish_and_steal(
+        arena: &CoreArena,
+        fed: &FedShared,
+        pool: &[Prepared],
+        own: &OwnJob,
+        kind: TaskKind,
+        count: usize,
+        llrs: Option<&[f32]>,
+    ) -> Vec<usize> {
+        let epoch = publish_stage(arena, kind, own, count, 50.0, llrs);
+        let (mut w, s) = steal::steal_pair(64);
+        for i in 0..count {
+            w.push(encode_ticket(epoch, i)).unwrap();
+        }
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                let s = s.clone();
+                scope.spawn(move || loop {
+                    match s.steal() {
+                        Steal::Taken(t) => {
+                            let (e, i) = decode_ticket(t);
+                            let theft = execute_stolen(arena, fed, pool, e, i, |_| true);
+                            assert_eq!(theft, Theft::Executed, "live epoch");
+                        }
+                        Steal::Retry => continue,
+                        Steal::Empty => break,
+                    }
+                });
+            }
+        });
+        std::iter::from_fn(|| w.pop().map(|t| decode_ticket(t).1)).collect()
+    }
+
     #[test]
     fn deterministic_thief_correctness() {
-        // Owner publishes a decode stage; two thieves race to steal every
-        // ticket; the owner absorbs and the payload must be bit-exact.
+        // The owner publishes both parallel stages of a subframe sitting
+        // in a delivery slot; two thieves race to steal every ticket (FFT
+        // batches read the slot through its read guard); the owner absorbs
+        // and the payload must be bit-exact.
         let cfg = ClusterConfig {
             bandwidth: Bandwidth::Mhz5,
             num_cells: 1,
@@ -1709,64 +1754,128 @@ mod tests {
         };
         let pool = CranCluster::prepare_pool(&cfg);
         let p = &pool[0];
-        let serial = p.rx.decode_subframe(&p.samples).unwrap();
+        // Another subframe of the same MCS lands in the slot: a thief
+        // reading the pool's samples instead would corrupt the payload.
+        let other = ClusterConfig {
+            seed: cfg.seed + 1,
+            ..cfg.clone()
+        };
+        let mut landed = CranCluster::encode_pool(&other).swap_remove(0).1;
+        let serial = p.rx.decode_subframe(&landed).unwrap();
         let blocks = p.rx.config().segmentation().num_blocks;
         assert!(blocks >= 2, "need multiple code blocks");
 
+        let fed = FedShared::new(&cfg, cfg.bandwidth.samples_per_subframe());
+        let slot = fed.cells[0].land(&mut landed).unwrap();
+        let samples = fed.cells[0].slots[slot].read();
         let arena = CoreArena::new(&pool, &cfg);
         let mut slab = JobSlab::new();
         slab.warm(p.rx.config());
-        let mut job = p.rx.start_job_in(&p.samples, &mut slab).unwrap();
-        run_to_decode(&mut job, cfg.num_antennas);
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let epoch = publish_stage(
-            &arena,
-            TaskKind::Decode,
-            0,
-            blocks,
-            50.0,
-            deadline,
-            Some(job.coded_llrs()),
-        );
-        let (mut w, s) = steal::steal_pair(64);
-        for r in 0..blocks {
-            w.push(encode_ticket(epoch, r)).unwrap();
-        }
-        std::thread::scope(|scope| {
-            for _ in 0..2 {
-                let s = s.clone();
-                let (arena, pool) = (&arena, &pool);
-                scope.spawn(move || loop {
-                    match s.steal() {
-                        Steal::Taken(t) => {
-                            let (e, r) = decode_ticket(t);
-                            let theft = execute_stolen(arena, pool, e, r, |_| true);
-                            assert_eq!(theft, Theft::Executed, "live epoch");
-                        }
-                        Steal::Retry => continue,
-                        Steal::Empty => break,
-                    }
-                });
+        let mut job = p.rx.start_job_in(&samples, &mut slab).unwrap();
+        let own = OwnJob {
+            cell: 0,
+            pool_idx: 0,
+            slot,
+            deadline: Instant::now() + Duration::from_secs(5),
+        };
+
+        let batches = cfg.num_antennas;
+        let kept = publish_and_steal(&arena, &fed, &pool, &own, TaskKind::Fft, batches, None);
+        assert!(kept.len() < batches, "thieves never stole an FFT batch");
+        for b in 0..batches {
+            if kept.contains(&b) {
+                job.run_fft_batch_local(b);
+            } else {
+                assert_eq!(arena.board.wait(b, own.deadline), SlotState::Done);
+                job.absorb_fft_batch(b, &arena.fft_slots[b].lock());
             }
-        });
-        // Owner: whatever was not stolen is still in the deque.
-        let mut local = 0;
-        while let Some(t) = w.pop() {
-            let (_, r) = decode_ticket(t);
-            job.run_decode_subtask_local(r);
-            local += 1;
         }
+        job.finish_fft();
+        for i in 0..job.demod_subtask_count() {
+            job.run_demod_subtask_local(i);
+        }
+
+        let llrs = Some(job.coded_llrs());
+        let kept = publish_and_steal(&arena, &fed, &pool, &own, TaskKind::Decode, blocks, llrs);
+        assert!(kept.len() < blocks, "thieves never stole a code block");
         for r in 0..blocks {
-            if !job.decode_done(r) {
-                assert_eq!(arena.board.wait(r, deadline), SlotState::Done);
-                let slot = arena.dec_slots[r].lock();
-                job.absorb_decode_buf(r, &slot);
+            if kept.contains(&r) {
+                job.run_decode_subtask_local(r);
+            } else {
+                assert_eq!(arena.board.wait(r, own.deadline), SlotState::Done);
+                job.absorb_decode_buf(r, &arena.dec_slots[r].lock());
             }
         }
         let verdict = job.finish().unwrap();
-        assert!(local < blocks, "thieves never stole anything");
+        assert!(serial.crc_ok);
         assert_eq!(verdict.crc_ok, serial.crc_ok);
         assert_eq!(slab.payload(), &serial.payload[..]);
+    }
+
+    #[test]
+    fn a_thief_in_the_slot_delays_landing_but_not_recovery() {
+        let cfg = ClusterConfig {
+            num_cells: 1,
+            mcs_pool: vec![5],
+            ..ClusterConfig::demo()
+        };
+        let pool = CranCluster::prepare_pool(&cfg);
+        let p = &pool[0];
+        let fed = FedShared::new(&cfg, cfg.bandwidth.samples_per_subframe());
+        let cell = &fed.cells[0];
+        let slot = cell.land(&mut p.samples.clone()).unwrap();
+        let arena = CoreArena::new(&pool, &cfg);
+        let own = OwnJob {
+            cell: 0,
+            pool_idx: 0,
+            slot,
+            deadline: Instant::now() + Duration::from_millis(20),
+        };
+
+        // The owner holds its job's slot and publishes the FFT stage; a
+        // straggler enters the board at the live epoch, takes the slot's
+        // read guard as `execute_stolen` does, and stalls there.
+        let owner_samples = cell.slots[slot].read();
+        let epoch = publish_stage(&arena, TaskKind::Fft, &own, cfg.num_antennas, 10.0, None);
+        let stage = arena.board.enter(epoch).expect("live epoch");
+        let thief_samples = cell.slots[stage.job.slot].read();
+
+        // Recovery: batch 0 never completes, so the owner's wait ends at
+        // the deadline and it runs the whole stage itself, straggler or
+        // not.
+        assert_ne!(arena.board.wait(0, own.deadline), SlotState::Done);
+        let mut slab = JobSlab::new();
+        let mut job = p.rx.start_job_in(&owner_samples, &mut slab).unwrap();
+        for b in 0..cfg.num_antennas {
+            job.run_fft_batch_local(b);
+        }
+        job.finish_fft();
+        drop(job);
+
+        // The owner returns the slot. The delivery thread's swap into it
+        // waits for the straggler, and goes through once it leaves.
+        drop(owner_samples);
+        cell.free.lock().push(slot);
+        let left = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let delivery = s.spawn(|| {
+                let landed = cell.land(&mut p.samples.clone());
+                (landed, left.load(Ordering::SeqCst))
+            });
+            // Lets the delivery thread reach the write guard first; the
+            // assertions below hold whichever thread gets there first.
+            std::thread::sleep(Duration::from_millis(20));
+            stage.complete(0);
+            left.store(true, Ordering::SeqCst);
+            drop(thief_samples);
+            drop(stage);
+            let (landed, after_straggler) = delivery.join().unwrap();
+            assert_eq!(landed, Some(slot));
+            assert!(after_straggler, "swapped under a reader");
+        });
+        // Nothing fences the owner's next publication.
+        let next = publish_stage(&arena, TaskKind::Fft, &own, cfg.num_antennas, 10.0, None);
+        assert!(next > epoch);
     }
 
     #[test]

@@ -25,10 +25,11 @@
 //!
 //! [`cluster`] is the runtime: one driver runs N cells on 2N pinned
 //! workers under any [`SchedulerMode`], with deadline checks and ACK/NACK
-//! accounting, and takes its subframes from one of two sources —
-//! [`CranCluster::run`] replays a deterministic tower-trace cadence from a
-//! pre-encoded pool at a configurable subframe period;
-//! [`CranCluster::run_fed`] decodes what a fronthaul receiver delivers.
+//! accounting, and decodes what a fronthaul receiver delivers
+//! ([`CranCluster::run_fed`]). [`CranCluster::run`] is the same driver
+//! fed over an in-process fronthaul by a sender thread that paces a
+//! deterministic tower-trace workload ([`send_paced`]) at a configurable
+//! subframe period.
 //!
 //! [`measure`] provides the micro-measurement harnesses behind Fig. 4
 //! (task times on 1 vs 2 cores) and Fig. 18 (local vs migrated execution,
@@ -45,7 +46,9 @@ pub mod cluster;
 pub mod measure;
 pub mod migrate;
 
-pub use cluster::{ClusterConfig, ClusterReport, CranCluster, FedReport, SchedulerMode};
+pub use cluster::{
+    send_paced, ClusterConfig, ClusterReport, CranCluster, FedReport, SchedulerMode, SendPlan,
+};
 pub use measure::{
     measure_migration_overhead, measure_stage_parallelism, measure_steal_overhead,
     StageMeasurement, StealMeasurement,

@@ -1,5 +1,5 @@
-//! In-process fronthaul transport: the existing emulation refactored
-//! behind the [`crate::iface`] trait pair.
+//! In-process fronthaul transport behind the [`crate::iface`] trait
+//! pair: what `CranCluster::run` feeds its own delivery loop through.
 //!
 //! Tx and Rx share a bounded ready queue plus a freelist of recycled
 //! [`SubframeBuf`]s, so the steady state moves subframes by pointer swap

@@ -1,7 +1,8 @@
 //! A live multi-cell C-RAN node on real threads: one [`CranCluster`]
-//! drives N cells' transport cadence, pinned per-cell workers, and
-//! RT-OPEX migration of real PHY subtasks — through the lock-free steal
-//! path or the mutex mailbox path, side by side.
+//! takes N cells' subframes over an in-process fronthaul paced at the
+//! transport cadence, runs pinned per-cell workers, and migrates real
+//! PHY subtasks — through the lock-free steal path or the mutex mailbox
+//! path, side by side.
 //!
 //! Unlike the capacity sweep in `rtopex-experiments` (which dilates the
 //! subframe period to stress 5 MHz cells), this demo runs narrowband
@@ -60,7 +61,7 @@ fn main() {
             cfg.period,
             cfg.budget()
         );
-        let report = CranCluster::new(cfg).run();
+        let report = CranCluster::new(cfg).run().cluster;
         let mut proc = report.proc_us.clone();
         println!(
             "pinned: {} | deadline misses: {}/{} ({:.2}%)",
