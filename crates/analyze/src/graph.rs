@@ -129,7 +129,6 @@ pub const ANALYZE_ROOTS: &[&str] = &[
     "crates/model/src",
     "crates/sim/src",
     "crates/experiments/src",
-    "crates/bench/src",
 ];
 
 /// Recursively collects `.rs` files under `dir`, sorted for determinism.
@@ -713,12 +712,6 @@ impl Workspace {
         let s = start.saturating_sub(1).min(lines.len());
         let e = end.min(lines.len());
         &lines[s..e]
-    }
-
-    /// Display label `file:line: Type::name`.
-    pub fn describe(&self, id: FnId) -> String {
-        let f = &self.fns[id];
-        format!("{}:{}: {}", self.files[f.file].path, f.line, f.label())
     }
 }
 

@@ -1,4 +1,4 @@
-//! Pass 4 — adversarial-input taint audit.
+//! Pass 3 — adversarial-input taint audit.
 //!
 //! PR 8 moved the fronthaul onto a real wire, so the receive path now
 //! begins at **untrusted bytes**: anything a peer (or an attacker who

@@ -2,16 +2,13 @@
 //! its fixture seeds, and the real workspace must stay clean.
 //!
 //! The fixture sources under `tests/fixtures/` are never compiled — the
-//! analyzer is lexical, so the `.rs` files are plain inputs. The
-//! baselines under `fixtures/unsched/` trip one pass-3 gate each: kernel
-//! costs ×100 (`unschedulable`) and the parent's one-core recording
-//! (`invalid-baseline`).
+//! analyzer is lexical, so the `.rs` files are plain inputs.
 
 use std::path::{Path, PathBuf};
 
 use rtopex_analyze::purity::{class, Seed};
 use rtopex_analyze::taint::{self, tclass};
-use rtopex_analyze::{graph, locks, purity, sched};
+use rtopex_analyze::{graph, locks, purity};
 
 fn fixture_ws(name: &str) -> graph::Workspace {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
@@ -115,65 +112,6 @@ fn taint_fixture_seeds_every_class() {
     assert!(p.msg.contains("finish"), "{p}");
 }
 
-const FIXTURE_KERNELS: &str = include_str!("fixtures/unsched/BENCH_kernels.json");
-/// The parent's tracked baseline as recorded at `e82fe3a`: one core, no
-/// hand-off block.
-const ONE_CORE_KERNELS: &str = include_str!("fixtures/unsched/BENCH_kernels_e82fe3a.json");
-const REAL_KERNELS: &str = include_str!("../../../BENCH_kernels.json");
-
-#[test]
-fn unschedulable_fixture_is_caught() {
-    // Kernel costs x100: every shipped config's T-hat blows through its
-    // Eq. 3 budget, and the audit must say so for each shipped mode.
-    let a = sched::audit(FIXTURE_KERNELS, &sched::shipped_configs());
-    assert!(
-        a.violations.iter().any(|v| v.class == "unschedulable"),
-        "{:#?}",
-        a.violations
-    );
-}
-
-#[test]
-fn one_core_baseline_is_refused() {
-    // The hand-off is a two-thread measurement: a file recorded with
-    // `"cores": 1` certifies nothing, and says so once.
-    let a = sched::audit(ONE_CORE_KERNELS, &sched::shipped_configs());
-    assert_eq!(a.violations.len(), 1, "{:#?}", a.violations);
-    assert_eq!(a.violations[0].class, "invalid-baseline");
-    assert!(
-        a.violations[0].msg.contains("1 core"),
-        "{}",
-        a.violations[0]
-    );
-}
-
-/// The tracked baseline with the decode stage's mailbox hand-off set to
-/// `us`, every other byte kept.
-fn with_mailbox_decode_delta(us: f64) -> String {
-    const KEY: &str = "\"mailbox_delta_us\": ";
-    let handoff = REAL_KERNELS.find("\"handoff\"").unwrap();
-    let decode = handoff + REAL_KERNELS[handoff..].find("\"decode\"").unwrap();
-    let start = decode + REAL_KERNELS[decode..].find(KEY).unwrap() + KEY.len();
-    let end = start + REAL_KERNELS[start..].find(' ').unwrap();
-    format!("{}{us:.3}{}", &REAL_KERNELS[..start], &REAL_KERNELS[end..])
-}
-
-#[test]
-fn slow_handoff_fixture_is_caught() {
-    // A mailbox hand-off above the shipped δ of 60 µs: the mutex mode of
-    // the cluster sweep would admit migrations that cost more than they
-    // save. The steal path is untouched and must stay clean.
-    let a = sched::audit(&with_mailbox_decode_delta(75.0), &sched::shipped_configs());
-    let slow: Vec<_> = a
-        .violations
-        .iter()
-        .filter(|v| v.class == "delta-too-small")
-        .collect();
-    assert_eq!(slow.len(), 1, "{:#?}", a.violations);
-    assert!(slow[0].msg.contains("rtopex_mutex"), "{}", slow[0]);
-    assert!(slow[0].msg.contains("75.0"), "{}", slow[0]);
-}
-
 /// The regression that keeps every suppression honest: the shipped
 /// workspace must analyze clean, exactly as the CI gate runs it.
 #[test]
@@ -184,21 +122,14 @@ fn workspace_analyzes_clean() {
         .parent()
         .unwrap()
         .to_path_buf();
-    let analysis = rtopex_analyze::analyze_workspace(&root, false);
+    let violations = rtopex_analyze::analyze_workspace(&root);
     assert!(
-        analysis.violations.is_empty(),
+        violations.is_empty(),
         "workspace no longer analyzes clean:\n{}",
-        analysis
-            .violations
+        violations
             .iter()
             .map(|v| v.to_string())
             .collect::<Vec<_>>()
             .join("\n")
     );
-    // The Eq. 3 report certifies every shipped config from the tracked
-    // baseline's kernel table and hand-off.
-    let report = rtopex_analyze::json::Json::parse(&analysis.sched_report).unwrap();
-    let configs = report.get("configs").and_then(|c| c.as_arr()).unwrap();
-    assert_eq!(configs.len(), sched::shipped_configs().len());
-    assert!(report.path(&["handoff", "mailbox_delta_us"]).is_some());
 }

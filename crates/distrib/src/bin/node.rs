@@ -1,9 +1,10 @@
 //! `rtopex-node` — a distributed C-RAN compute worker.
 //!
 //! Listens for one fronthaul aggregator, adopts the stream geometry from
-//! its hello, runs the negotiated cells through
-//! [`CranCluster::run_fed`], and emits a flat JSON report on stdout when
-//! the stream closes.
+//! its hello, refuses a pool this host cannot decode within the hello's
+//! Eq. 3 budget ([`CranCluster::check_eq3`]), runs the negotiated cells
+//! through [`CranCluster::run_fed`], and emits a flat JSON report on
+//! stdout when the stream closes.
 //!
 //! ```text
 //! rtopex-node --listen 127.0.0.1:0 [--transport udp|tcp] [--mode steal]
@@ -87,16 +88,23 @@ fn main() {
             params.samples_per_subframe, params.budget_us, params.period_us, params.mcs_pool
         ));
     };
+    let cluster = CranCluster::new(geo.cluster_config(params.cells.len(), mode));
+    let worst = match cluster.check_eq3() {
+        Ok(worst) => worst,
+        Err(e) => fail(&format!("pool unschedulable on this host: {e}")),
+    };
     eprintln!(
-        "rtopex-node: {} cell(s) over {transport}, {:?} @ {} µs period, budget {} µs, {} subframes/cell",
+        "rtopex-node: {} cell(s) over {transport}, {:?} @ {} µs period, budget {} µs \
+         (worst MCS {} needs {} µs), {} subframes/cell",
         params.cells.len(),
         geo.bandwidth,
         geo.period.as_micros(),
         geo.budget().as_micros(),
+        worst.mcs,
+        worst.need.as_micros(),
         geo.subframes,
     );
 
-    let cluster = CranCluster::new(geo.cluster_config(params.cells.len(), mode));
     let fed = cluster.run_fed(&mut *rx);
 
     let report = node_report_json(transport, mode, &geo, params.cells.len(), &fed);

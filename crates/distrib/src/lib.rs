@@ -195,7 +195,8 @@ impl Geometry {
         }
     }
 
-    /// A cluster config for `num_cells` of this geometry.
+    /// A cluster config for `num_cells` of this geometry, with
+    /// [`ClusterConfig::demo`]'s SNR, δ and seed.
     pub fn cluster_config(&self, num_cells: usize, mode: SchedulerMode) -> ClusterConfig {
         ClusterConfig {
             bandwidth: self.bandwidth,
@@ -205,10 +206,8 @@ impl Geometry {
             period: self.period,
             rtt_half: self.rtt_half,
             mode,
-            snr_db: 30.0,
             mcs_pool: self.mcs_pool.clone(),
-            delta_us: 60.0,
-            seed: 0xC0DE,
+            ..ClusterConfig::demo()
         }
     }
 

@@ -91,8 +91,9 @@ use rtopex_transport::{
 };
 use rtopex_workload::{load_to_mcs, LoadTrace, TraceParams};
 use std::collections::VecDeque;
+use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Barrier};
+use std::sync::{mpsc, Barrier, OnceLock};
 use std::time::{Duration, Instant};
 
 /// How subframes are scheduled across the cluster's cores.
@@ -528,7 +529,7 @@ struct Shared<'a> {
     stealers: Vec<steal::Stealer>,
     idle: Vec<AtomicBool>,
     totals: Mutex<WorkerTotals>,
-    calib: Calib,
+    calib: &'a Calib,
     schedule: PartitionedSchedule,
     /// Reference instant for `epoch_ns` (captured at construction).
     base: Instant,
@@ -655,9 +656,39 @@ impl<'a> Shared<'a> {
     }
 }
 
+/// Eq. 3 on this host for the pool MCS with the largest calibrated
+/// serial time `T̂ = FFT + demod + decode`: `Ok` from
+/// [`CranCluster::check_eq3`] when `T̂` fits the budget, `Err` when it
+/// does not.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Eq3Check {
+    /// The pool MCS with the largest `T̂`.
+    pub mcs: u8,
+    /// Its calibrated serial time `T̂`.
+    pub need: Duration,
+    /// The Eq. 3 budget, [`ClusterConfig::budget`].
+    pub budget: Duration,
+}
+
+impl fmt::Display for Eq3Check {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "MCS {} needs {} µs, budget {} µs",
+            self.mcs,
+            self.need.as_micros(),
+            self.budget.as_micros()
+        )
+    }
+}
+
 /// The sharded multi-cell runtime.
 pub struct CranCluster {
     cfg: ClusterConfig,
+    /// The pre-encoded pool and its calibration, filled once by whichever
+    /// of [`Self::check_eq3`] or a run needs them first, so the estimates
+    /// the check certified are the ones the slack checks use.
+    calibrated: OnceLock<(Vec<Prepared>, Calib)>,
 }
 
 impl CranCluster {
@@ -668,12 +699,50 @@ impl CranCluster {
     pub fn new(cfg: ClusterConfig) -> Self {
         assert!(!cfg.mcs_pool.is_empty(), "MCS pool must be non-empty");
         assert!(cfg.num_cells > 0, "empty run");
-        CranCluster { cfg }
+        CranCluster {
+            cfg,
+            calibrated: OnceLock::new(),
+        }
     }
 
     /// The configuration in force.
     pub fn config(&self) -> &ClusterConfig {
         &self.cfg
+    }
+
+    /// Checks the paper's Eq. 3 (`T_w ≤ 2·period − RTT/2`) on this host:
+    /// every pool MCS's calibrated serial time, FFT + demod + decode at
+    /// the configured SNR (the same estimates the per-stage slack checks
+    /// read), against [`ClusterConfig::budget`]. Returns the worst MCS,
+    /// as `Err` when it does not fit. Calibrates on the calling thread if
+    /// no run has yet; [`Self::run`] and [`Self::run_fed`] never call it.
+    pub fn check_eq3(&self) -> Result<Eq3Check, Eq3Check> {
+        let cfg = &self.cfg;
+        let (_, calib) = self.calibrated();
+        let fft_us = calib.fft_batch_us * cfg.num_antennas as f64;
+        let (worst, need_us) = (0..cfg.mcs_pool.len())
+            .map(|i| (i, fft_us + calib.demod_us[i] + calib.decode_total_us[i]))
+            .max_by(|a, b| a.1.total_cmp(&b.1))
+            .expect("non-empty pool");
+        let check = Eq3Check {
+            mcs: cfg.mcs_pool[worst],
+            need: Duration::from_secs_f64(need_us / 1e6),
+            budget: cfg.budget(),
+        };
+        if check.need <= check.budget {
+            Ok(check)
+        } else {
+            Err(check)
+        }
+    }
+
+    /// The pre-encoded pool and its calibration, built on first use.
+    fn calibrated(&self) -> &(Vec<Prepared>, Calib) {
+        self.calibrated.get_or_init(|| {
+            let pool = Self::prepare_pool(&self.cfg);
+            let calib = Self::calibrate(&pool);
+            (pool, calib)
+        })
     }
 
     /// Pre-encodes one subframe per pool MCS (shared by every cell: the
@@ -844,12 +913,13 @@ impl CranCluster {
         self.drive(rx, || {})
     }
 
-    /// The one driver behind [`Self::run`] and [`Self::run_fed`]: builds
-    /// the pool, calibration, arenas and shared state, spawns the pinned
-    /// workers and waits for them to warm up, runs the delivery loop on
-    /// the calling thread until `rx` closes, then shuts the inboxes down
-    /// and assembles the report. `ready` fires once every worker is past
-    /// the start barrier, just before the first receive.
+    /// The one run loop behind [`Self::run`] and [`Self::run_fed`]: takes
+    /// the pool and calibration (building them on first use), builds the
+    /// arenas and shared state, spawns the pinned workers and waits for
+    /// them to warm up, runs the delivery loop on the calling thread until
+    /// `rx` closes, then shuts the inboxes down and assembles the report.
+    /// `ready` fires once every worker is past the start barrier, just
+    /// before the first receive.
     fn drive(&self, rx: &mut dyn FronthaulRx, ready: impl FnOnce()) -> FedReport {
         let cfg = &self.cfg;
         let params = rx.params();
@@ -868,10 +938,9 @@ impl CranCluster {
             "stream samples/subframe != bandwidth"
         );
         let fed = FedShared::new(cfg, cfg.bandwidth.samples_per_subframe());
-        let pool = Self::prepare_pool(cfg);
-        let calib = Self::calibrate(&pool);
+        let (pool, calib) = self.calibrated();
         let cores = cfg.total_cores();
-        let arenas: Vec<CoreArena> = (0..cores).map(|_| CoreArena::new(&pool, cfg)).collect();
+        let arenas: Vec<CoreArena> = (0..cores).map(|_| CoreArena::new(pool, cfg)).collect();
         let (mut workers, stealers): (Vec<steal::Worker>, Vec<steal::Stealer>) =
             (0..cores).map(|_| steal::steal_pair(64)).unzip();
         // A cell never has more than `FED_SLOTS` jobs queued; the
@@ -901,7 +970,6 @@ impl CranCluster {
 
         std::thread::scope(|s| {
             let shared = &shared;
-            let pool = &pool;
             let barrier = &barrier;
             for (core, w) in workers.drain(..).enumerate() {
                 s.spawn(move || worker_loop(core, shared, pool, w, barrier));
@@ -1850,7 +1918,6 @@ mod tests {
             job.run_fft_batch_local(b);
         }
         job.finish_fft();
-        drop(job);
 
         // The owner returns the slot. The delivery thread's swap into it
         // waits for the straggler, and goes through once it leaves.
@@ -1885,6 +1952,37 @@ mod tests {
         assert_eq!(cfg.total_cores(), 6);
         assert!(SchedulerMode::RtOpexSteal.migrates());
         assert!(!SchedulerMode::Global.migrates());
+    }
+
+    #[test]
+    fn eq3_refuses_a_pool_the_host_cannot_decode_in_budget() {
+        // 2·10 − 10 = 10 µs: no 5 MHz subframe decodes that fast.
+        let tight = ClusterConfig {
+            bandwidth: Bandwidth::Mhz5,
+            mcs_pool: vec![5, 27],
+            period: Duration::from_micros(10),
+            rtt_half: Duration::from_micros(10),
+            ..ClusterConfig::demo()
+        };
+        let cluster = CranCluster::new(tight.clone());
+        let err = cluster.check_eq3().unwrap_err();
+        assert!([5, 27].contains(&err.mcs), "{err}");
+        assert!(err.need > Duration::from_micros(10), "{err}");
+        assert_eq!(err.budget, Duration::from_micros(10));
+        assert!(err
+            .to_string()
+            .starts_with(&format!("MCS {} needs ", err.mcs)));
+        // The pool is calibrated once per cluster: the verdict is stable.
+        assert_eq!(cluster.check_eq3(), Err(err));
+        // A 1 s budget is far above any calibration, even a contended one.
+        let roomy = ClusterConfig {
+            period: Duration::from_secs(1),
+            rtt_half: Duration::from_secs(1),
+            ..tight
+        };
+        let ok = CranCluster::new(roomy).check_eq3().unwrap();
+        assert!([5, 27].contains(&ok.mcs), "{ok}");
+        assert_eq!(ok.budget, Duration::from_secs(1));
     }
 
     #[test]

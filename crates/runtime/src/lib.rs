@@ -29,7 +29,8 @@
 //! ([`CranCluster::run_fed`]). [`CranCluster::run`] is the same driver
 //! fed over an in-process fronthaul by a sender thread that paces a
 //! deterministic tower-trace workload ([`send_paced`]) at a configurable
-//! subframe period.
+//! subframe period. [`CranCluster::check_eq3`] checks the paper's Eq. 3
+//! deadline against the same per-MCS calibration the runs schedule with.
 //!
 //! [`measure`] provides the micro-measurement harnesses behind Fig. 4
 //! (task times on 1 vs 2 cores) and Fig. 18 (local vs migrated execution,
@@ -47,7 +48,8 @@ pub mod measure;
 pub mod migrate;
 
 pub use cluster::{
-    send_paced, ClusterConfig, ClusterReport, CranCluster, FedReport, SchedulerMode, SendPlan,
+    send_paced, ClusterConfig, ClusterReport, CranCluster, Eq3Check, FedReport, SchedulerMode,
+    SendPlan,
 };
 pub use measure::{
     measure_migration_overhead, measure_stage_parallelism, measure_steal_overhead,

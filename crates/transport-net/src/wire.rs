@@ -108,8 +108,8 @@ pub fn validate_geometry(p: &StreamParams) -> Result<(), TransportError> {
 
 /// Checked byte cursor over an untrusted frame. Every read is bounds-
 /// checked exactly once, so the parsers below contain no indexing or
-/// slicing that could panic — pass 4 of `rtopex-analyze` verifies this
-/// transitively.
+/// slicing that could panic — the taint pass of `rtopex-analyze`
+/// verifies this transitively.
 struct Rd<'a> {
     b: &'a [u8],
 }

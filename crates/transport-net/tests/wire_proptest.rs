@@ -1,8 +1,8 @@
 //! Property tests for the wire codec: every frame type round-trips
 //! through encode → decode, and every decoder survives arbitrary bytes
-//! without panicking (the same guarantee pass 4 of `rtopex-analyze`
-//! proves statically and the fuzzer probes dynamically — this is the
-//! quick, always-on sampling of that surface).
+//! without panicking (the same guarantee the taint pass of
+//! `rtopex-analyze` proves statically and the fuzzer probes dynamically
+//! — this is the quick, always-on sampling of that surface).
 
 use std::io::Cursor;
 use std::sync::atomic::AtomicBool;

@@ -46,7 +46,6 @@ const LINT_ROOTS: &[&str] = &[
     "crates/model/src",
     "crates/sim/src",
     "crates/experiments/src",
-    "crates/bench/src",
 ];
 
 /// One lint hit, pointing at a workspace-relative file and 1-based line.

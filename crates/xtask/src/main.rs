@@ -1,11 +1,9 @@
-//! Repo automation. Two subcommands:
+//! Repo automation. Four subcommands:
 //!
 //! * `cargo xtask lint` — annotation invariant linter (see [`lint`]).
-//! * `cargo xtask analyze [--quick]` — whole-workspace call-graph
-//!   analyzer: transitive hot-path purity, lock-order/blocking audit,
-//!   and the static Eq. 3 schedulability gate (see `rtopex-analyze`).
-//!   Without `--quick`, the schedulability report is written to
-//!   `target/analyze/schedulability.json` for the CI artifact.
+//! * `cargo xtask analyze` — whole-workspace call-graph analyzer:
+//!   transitive hot-path purity, lock-order/blocking audit and
+//!   adversarial-input taint audit (see `rtopex-analyze`).
 //! * `cargo xtask layering` — crate-layering gate: the core runtime
 //!   must stay free of network-transport dependencies (see [`layering`]).
 //! * `cargo xtask fuzz [--smoke]` — fuzzer automation: corpus replay
@@ -28,10 +26,7 @@ fn main() {
     match args.first().map(String::as_str) {
         Some("lint") => std::process::exit(lint::run(root)),
         Some("layering") => std::process::exit(layering::run(root)),
-        Some("analyze") => {
-            let quick = args.iter().any(|a| a == "--quick");
-            std::process::exit(analyze(root, quick));
-        }
+        Some("analyze") => std::process::exit(analyze(root)),
         Some("fuzz") => std::process::exit(fuzz::run(root, &args[1..])),
         Some(other) => {
             eprintln!("unknown xtask `{other}`; available: lint, analyze, layering, fuzz");
@@ -39,7 +34,7 @@ fn main() {
         }
         None => {
             eprintln!(
-                "usage: cargo xtask <lint | analyze [--quick] | layering | \
+                "usage: cargo xtask <lint | analyze | layering | \
                  fuzz [--smoke | --seed N --iters N --budget-ms N]>"
             );
             std::process::exit(2);
@@ -47,31 +42,18 @@ fn main() {
     }
 }
 
-/// Runs the three analyzer passes, prints findings, and (unless `quick`)
-/// writes the schedulability report artifact. Returns the exit code.
-fn analyze(root: &Path, quick: bool) -> i32 {
-    let analysis = rtopex_analyze::analyze_workspace(root, quick);
-    if !quick {
-        let dir = root.join("target/analyze");
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("xtask analyze: cannot create {}: {e}", dir.display());
-            return 2;
-        }
-        let path = dir.join("schedulability.json");
-        if let Err(e) = std::fs::write(&path, &analysis.sched_report) {
-            eprintln!("xtask analyze: cannot write {}: {e}", path.display());
-            return 2;
-        }
-        eprintln!("xtask analyze: schedulability report -> {}", path.display());
-    }
-    for v in &analysis.violations {
+/// Runs the three analyzer passes and prints findings. Returns the exit
+/// code.
+fn analyze(root: &Path) -> i32 {
+    let violations = rtopex_analyze::analyze_workspace(root);
+    for v in &violations {
         eprintln!("{v}");
     }
-    if analysis.violations.is_empty() {
+    if violations.is_empty() {
         eprintln!("xtask analyze: clean");
         0
     } else {
-        eprintln!("xtask analyze: {} violation(s)", analysis.violations.len());
+        eprintln!("xtask analyze: {} violation(s)", violations.len());
         1
     }
 }
