@@ -76,8 +76,8 @@ pub struct Seed {
 /// the deque operations run inside the Eq. 3 budget on every subframe
 /// and must be pure; the cluster's orchestration fns legitimately lock
 /// slot mutexes and read the per-subframe clock but must never allocate
-/// or panic; the measurement/driver loops only promise not to panic
-/// (their boxed-envelope allocation *is* the measured mailbox baseline).
+/// or panic; the worker loop and the measurement probes only promise not
+/// to panic.
 pub const SEEDS: &[Seed] = &[
     // — PHY decode path: everything is denied. —
     Seed {
@@ -164,9 +164,9 @@ pub const SEEDS: &[Seed] = &[
     },
     Seed {
         type_qual: None,
-        name: "fanout_steal",
+        name: "fanout",
         deny: class::ALLOC | class::PANIC,
-        why: "subtask publication into preallocated slot arenas",
+        why: "both RT-OPEX modes' ticket hand-out (deque push or inbox send) and the absorb/recover tail over preallocated slot arenas",
     },
     Seed {
         type_qual: None,
@@ -178,7 +178,7 @@ pub const SEEDS: &[Seed] = &[
         type_qual: None,
         name: "execute_stolen",
         deny: class::ALLOC | class::PANIC,
-        why: "helper-side execution into the victim's slot, run by try_steal's thieves and by mailbox envelopes; takes the slot mutex under the stage guard by design",
+        why: "helper-side execution into the victim's slot, run by try_steal's thieves and by mutex-mode hosts (run_migrated); takes the slot mutex under the stage guard by design",
     },
     // — Network fronthaul rx hot path: one frame from the io thread into
     //   the preallocated assembly slots / swap ring. Allocation and
@@ -203,20 +203,12 @@ pub const SEEDS: &[Seed] = &[
         deny: class::ALLOC | class::LOCK | class::CLOCK,
         why: "discrete-event hot loop; tests/alloc_regression.rs proves 0 steady-state allocs per subframe",
     },
-    // — Run loops and the migration-overhead probes: must not panic.
-    //   (fanout_mutex's boxed envelope is the measured mailbox baseline
-    //   cost, so allocation is not denied there.) —
+    // — Run loops and the migration-overhead probes: must not panic. —
     Seed {
         type_qual: None,
         name: "worker_loop",
         deny: class::PANIC,
         why: "long-running per-core loop; a panic kills the core silently",
-    },
-    Seed {
-        type_qual: None,
-        name: "fanout_mutex",
-        deny: class::PANIC,
-        why: "mailbox baseline path; its boxed envelope is the measured handoff cost",
     },
     Seed {
         type_qual: None,

@@ -1,7 +1,7 @@
 //! Model checks for the slot-arena publication protocol
 //! (`crates/core/src/slots.rs`, compiled into `rtopex-check` against the
 //! shim lock and atomics) — alone and composed with the deque, exactly
-//! the way `rtopex-runtime`'s `try_steal`/`fanout_steal` compose them.
+//! the way `rtopex-runtime`'s `try_steal`/`fanout` compose them.
 
 use rtopex_check::slots::{SlotBoard, SlotState};
 use rtopex_check::steal::{decode_ticket, encode_ticket, steal_pair, DeltaGuard, Steal};

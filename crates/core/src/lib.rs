@@ -10,8 +10,8 @@
 //! | decision | function | simulator call site | runtime call site |
 //! |---|---|---|---|
 //! | a core's next own subframe | [`PartitionedSchedule::next_own_index`] | `sim::engine::Partitioned::next_release` | `runtime::cluster::Shared::next_release` |
-//! | idle windows, in Alg. 1's order | [`migration::survey_idle_windows`] | `Partitioned::fill_idle_cores` | `fanout_mutex` |
-//! | R1 | [`DeltaGuard::capacity`] / [`DeltaGuard::admit`] | via [`migration::plan_migration_into`] in `Partitioned::plan_parallel_stage` | `plan_migration_into` in `fanout_mutex`; `admit` in `steal_from` and `Shared::worth_publishing` |
+//! | idle windows, in Alg. 1's order | [`migration::survey_idle_windows`] | `Partitioned::fill_idle_cores` | `run_stage` (mutex mode) |
+//! | R1 | [`DeltaGuard::capacity`] / [`DeltaGuard::admit`] | via [`migration::plan_migration_into`] in `Partitioned::plan_parallel_stage` | `plan_migration_into` in `run_stage`; `admit` in `steal_from` and `Shared::worth_publishing` |
 //!
 //! The processing-thread state machine of Fig. 12 is not a module here:
 //! it is `runtime::cluster::worker_loop`, and the simulator's stage

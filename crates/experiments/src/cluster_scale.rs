@@ -9,9 +9,10 @@
 //! ingest stagger — at N = 1, 2, 3, … cells and reports each
 //! scheduler's deadline-miss rate, then the largest N each sustains at
 //! the < 0.5 % miss threshold. The comparison of interest is
-//! RT-OPEX(mutex) vs RT-OPEX(steal): same Algorithm 1 semantics, but the
-//! steal path migrates through lock-free tickets with steal-time δ
-//! admission instead of boxed closures through mutex mailboxes.
+//! RT-OPEX(mutex) vs RT-OPEX(steal): the same tickets, executor and
+//! recovery, under two policies — Algorithm 1 planned at the owner and
+//! sent to the planned hosts, or tickets stolen from a lock-free deque
+//! with steal-time δ admission.
 //!
 //! ## Measuring under a noisy host
 //!
@@ -55,8 +56,8 @@ pub struct ScalePoint {
 /// each subframe a `2·6 − 7 = 5 ms` processing budget — wide enough to
 /// ride out single-millisecond hypervisor stalls, tight enough that a
 /// scheduler whose p99 processing latency inflates past ~5 ms misses
-/// structurally, in every trial, which is exactly where the mutex
-/// mailbox baseline lands first as cells are added.
+/// structurally, in every trial, which is where a policy that strands
+/// idle cycles lands first as cells are added.
 pub fn cluster_cfg(opts: &Opts, mode: SchedulerMode, cells: usize) -> ClusterConfig {
     ClusterConfig {
         bandwidth: Bandwidth::Mhz5,
@@ -155,7 +156,7 @@ pub fn run(opts: &Opts) {
         println!("{:>14}: sustains {sustained} cell(s){tail}", mode.name());
     }
     println!("paper: RT-OPEX carries ~15 % more load per host at the same miss budget;");
-    println!("here the lock-free steal path should sustain ≥ the mutex mailbox baseline.");
+    println!("here steal-time admission should sustain ≥ Algorithm 1 planned at the owner.");
 }
 
 #[cfg(test)]

@@ -4,7 +4,10 @@
 //! execution time on its own core with its end-to-end time when migrated:
 //! FFT 108 → 126 µs, decode +≈20 µs — a fixed cost dominated by pulling
 //! shared state into the remote core's cache. We repeat the measurement
-//! with the real PHY kernels and real mailboxes.
+//! with the real PHY kernels through the cluster's own hand-off: the
+//! owner publishes the stage on its slot arena and sends the subtask's
+//! ticket to a host parked on its inbox, which runs the runtime's
+//! executor, as in mutex mode.
 
 use crate::common::{header, Opts};
 use rtopex_phy::params::Bandwidth;
@@ -36,6 +39,7 @@ pub fn run(opts: &Opts) {
     }
     println!("paper: FFT 108 → 126 µs and decode +≈20 µs — a fixed per-subtask cost;");
     println!(
-        "note: on this substrate δ reflects channel handoff + thread wake-up + cache transfer."
+        "note: here δ includes publication (epoch bump, LLR snapshot), the inbox hand-off, \
+         the host's wake-up, board entry and cache transfer."
     );
 }

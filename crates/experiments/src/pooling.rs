@@ -16,9 +16,9 @@
 //! (each added host dilutes any single host's influence by `1/H`).
 //!
 //! The four modes mirror the real runtime's contenders: partitioned,
-//! global-EDF over the shared budget, and RT-OPEX with the two measured
-//! migration costs — δ = 60 µs for the mutex-mailbox path and δ = 20 µs
-//! for the lock-free steal path.
+//! global-EDF over the shared budget, and RT-OPEX at two migration
+//! costs — δ = 60 µs (`rtopex-mutex`: the runtime's configured δ) and
+//! δ = 20 µs (`rtopex-steal`: the paper's Fig. 18 cost).
 //!
 //! **The search is censored for the partitioned family.** Partitioned
 //! and both RT-OPEX modes need at least one core per cell, so their

@@ -8,10 +8,11 @@
 //!   subframe runs serially on its assigned core; no cross-core help.
 //! * **Global** (§3.1.2) — one shared FIFO queue, any core takes the next
 //!   subframe whole.
-//! * **RT-OPEX (mutex)** — the PR-2 era migration path: Algorithm 1 plans
-//!   at the *owner*, ships subtasks as boxed closures through per-core
-//!   `Mutex<VecDeque>+Condvar` inboxes, and recovers stragglers. Kept as
-//!   the baseline the lock-free path is measured against.
+//! * **RT-OPEX (mutex)** — Algorithm 1, sender-initiated: the owner
+//!   surveys the idle cores' free windows, plans how many subtasks each
+//!   may take, publishes the stage only when the plan migrates something,
+//!   and sends each planned subtask's *ticket* to its host's
+//!   `Mutex<VecDeque>+Condvar` inbox.
 //! * **RT-OPEX (steal)** — the lock-free path: the owner publishes
 //!   subtask *tickets* into its bounded Chase–Lev deque
 //!   ([`rtopex_core::steal`]) and drains it LIFO; idle cores steal FIFO
@@ -20,6 +21,10 @@
 //!   arena. Nothing migrates unless a thief actually had the idle cycles
 //!   to take it — Algorithm 1's "migrate to idle cores" without the
 //!   sender ever guessing wrong about who is idle.
+//!
+//! The two RT-OPEX modes differ only in policy (who decides, and when);
+//! the ticket, the arena, the executor and the absorb/recover tail are
+//! shared.
 //!
 //! Every mode idles through one path: a worker with nothing queued spins
 //! (scanning the deques) only while a steal is possible — steal mode,
@@ -45,19 +50,24 @@
 //! benchmark number therefore comes from the path `rtopex-node` ships.
 //!
 //! Below the driver the file reads top-down: worker loop → one stage
-//! helper (`run_stage`, called for FFT and for decode) over two fan-outs
-//! (`fanout_steal`, `fanout_mutex`) → one thief executor
-//! (`execute_stolen`) that every migrated subtask, ticket or envelope,
-//! runs through.
+//! helper (`run_stage`, called for FFT and for decode) → one fan-out
+//! (`fanout`: the mode picks the hand-out, then one loop absorbs or
+//! recovers every subtask the owner did not run) → one helper executor
+//! (`execute_stolen`) that every migrated subtask, stolen or sent, runs
+//! through. A subtask's `SlotBoard` ready flag is its only completion
+//! signal in both RT-OPEX modes.
 //!
 //! ## Allocation discipline
 //!
 //! Every per-subframe buffer lives in a per-worker [`JobSlab`] or a
-//! per-core [`CoreArena`] warmed before the run starts: the steady-state
-//! steal-mode loop performs **zero heap allocations** (enforced by
-//! `tests/alloc_regression.rs`). The mutex baseline still boxes one
-//! closure per migrated subtask — that allocation is the mailbox's cost
-//! and part of what the comparison measures.
+//! per-core [`CoreArena`] warmed before the run starts, and a migrated
+//! subtask travels as a `Copy` ticket in every mode, through a deque or
+//! an inbox queue sized up front: nothing is allocated at hand-off. The
+//! analyzer's purity seeds deny allocation on the orchestration functions
+//! (`process_subframe`, `run_stage`, `fanout`, `try_steal`,
+//! `execute_stolen`; `cargo xtask analyze`), and
+//! `tests/alloc_regression.rs` counts zero allocations on the PHY slab
+//! path they drive.
 //!
 //! ## Memory-safety protocol for the slot arena
 //!
@@ -78,7 +88,6 @@
 //! a slot the owner has returned.
 
 use crate::affinity::pin_current_thread;
-use crate::migrate::{Envelope, ResultFlag};
 use parking_lot::{Condvar, Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -112,7 +121,8 @@ pub enum SchedulerMode {
     Partitioned,
     /// §3.1.2 — one shared FIFO queue of whole subframes.
     Global,
-    /// RT-OPEX over the mutex mailbox (Algorithm 1, sender-initiated).
+    /// RT-OPEX with Algorithm 1 planned at the owner (sender-initiated):
+    /// tickets go to the planned hosts' inboxes.
     RtOpexMutex,
     /// RT-OPEX over the Chase–Lev deque (steal-time admission,
     /// receiver-initiated).
@@ -270,42 +280,64 @@ struct Calib {
 
 /// One delivered subframe. `Copy` so the release queues never allocate.
 #[derive(Clone, Copy, Debug)]
-struct OwnJob {
-    cell: usize,
-    pool_idx: usize,
+pub(crate) struct OwnJob {
+    pub(crate) cell: usize,
+    pub(crate) pool_idx: usize,
     /// Delivery slot of `cell` holding this subframe's samples.
-    slot: usize,
-    deadline: Instant,
+    pub(crate) slot: usize,
+    pub(crate) deadline: Instant,
 }
 
-struct InboxState<'a> {
+/// A subtask Algorithm 1 sent to a mutex-mode host: the owner core whose
+/// arena holds the stage, and the `(epoch, index)` ticket.
+pub(crate) type Migrated = (usize, u64);
+
+pub(crate) struct InboxState {
     own: VecDeque<OwnJob>,
-    migrated: VecDeque<Envelope<'a>>,
-    shutdown: bool,
+    pub(crate) migrated: VecDeque<Migrated>,
+    pub(crate) shutdown: bool,
 }
 
-struct Inbox<'a> {
-    state: Mutex<InboxState<'a>>,
-    cv: Condvar,
+/// A core's queue: releases of its own subframes and, in mutex mode,
+/// tickets other owners sent it. Workers sleep on `cv`.
+pub(crate) struct Inbox {
+    pub(crate) state: Mutex<InboxState>,
+    pub(crate) cv: Condvar,
 }
 
-impl<'a> Inbox<'a> {
-    fn with_capacity(cap: usize) -> Self {
+impl Inbox {
+    /// An inbox whose queues hold `own` releases and `migrated` tickets
+    /// before they grow.
+    pub(crate) fn with_capacity(own: usize, migrated: usize) -> Self {
         Inbox {
             state: Mutex::new(InboxState {
-                own: VecDeque::with_capacity(cap),
-                migrated: VecDeque::new(),
+                own: VecDeque::with_capacity(own),
+                migrated: VecDeque::with_capacity(migrated),
                 shutdown: false,
             }),
             cv: Condvar::new(),
         }
+    }
+
+    /// Queues a ticket of `owner`'s published stage and wakes the host.
+    pub(crate) fn push_migrated(&self, owner: usize, ticket: u64) {
+        let mut st = self.state.lock();
+        st.migrated.push_back((owner, ticket));
+        drop(st);
+        self.cv.notify_one();
+    }
+
+    /// Tells every worker waiting here to exit once its queues are empty.
+    pub(crate) fn shut_down(&self) {
+        self.state.lock().shutdown = true;
+        self.cv.notify_all();
     }
 }
 
 /// The stage a core has published for helpers. The epoch and the ready
 /// flags live in the [`SlotBoard`] (rtopex-core's model-checked
 /// publication protocol); this is just its descriptor payload.
-struct StageDesc {
+pub(crate) struct StageDesc {
     kind: TaskKind,
     /// The subframe being decoded: its pool entry (decoder config), its
     /// deadline, and the delivery slot an FFT thief reads samples from.
@@ -320,7 +352,7 @@ struct StageDesc {
 /// subtask kinds. Replaces the per-subframe `Arc<Vec<Mutex<Option<…>>>>`
 /// churn the node used to pay.
 pub(crate) struct CoreArena {
-    board: SlotBoard<StageDesc>,
+    pub(crate) board: SlotBoard<StageDesc>,
     /// One flattened 14-row buffer per FFT batch (antenna).
     fft_slots: Vec<Mutex<Vec<Cf32>>>,
     /// One block buffer per decode subtask.
@@ -328,7 +360,7 @@ pub(crate) struct CoreArena {
 }
 
 impl CoreArena {
-    fn new(pool: &[Prepared], cfg: &ClusterConfig) -> Self {
+    pub(crate) fn new(pool: &[Prepared], cfg: &ClusterConfig) -> Self {
         let nsc = cfg.bandwidth.num_subcarriers();
         let max_blocks = pool
             .iter()
@@ -376,7 +408,7 @@ impl CoreArena {
 /// Publishes a stage on the arena's board: bumps the epoch (blocking out
 /// stragglers of the previous stage), records the descriptor, resets the
 /// ready flags. Returns the new epoch.
-fn publish_stage(
+pub(crate) fn publish_stage(
     arena: &CoreArena,
     kind: TaskKind,
     job: &OwnJob,
@@ -467,7 +499,7 @@ const FED_SLOTS: usize = 4;
 /// The write guard waits only for thieves that are running an FFT batch,
 /// and they wait for nothing the delivery thread holds, so the swap
 /// cannot deadlock the owner's recovery.
-struct FedCell {
+pub(crate) struct FedCell {
     slots: Vec<RwLock<Vec<Vec<Cf32>>>>,
     free: Mutex<Vec<usize>>,
 }
@@ -476,7 +508,7 @@ impl FedCell {
     /// Swaps `samples` into a free slot (the caller's buffer gets the
     /// slot's old allocation back) and returns the slot, or `None` when
     /// every slot is in use.
-    fn land(&self, samples: &mut [Vec<Cf32>]) -> Option<usize> {
+    pub(crate) fn land(&self, samples: &mut [Vec<Cf32>]) -> Option<usize> {
         let slot = self.free.lock().pop()?;
         let mut dst = self.slots[slot].write();
         for (d, s) in dst.iter_mut().zip(samples.iter_mut()) {
@@ -488,13 +520,13 @@ impl FedCell {
 
 /// The delivery slots of every cell plus the shed counter (subframes
 /// that arrived while every slot of their cell was busy).
-struct FedShared {
-    cells: Vec<FedCell>,
+pub(crate) struct FedShared {
+    pub(crate) cells: Vec<FedCell>,
     shed: AtomicU64,
 }
 
 impl FedShared {
-    fn new(cfg: &ClusterConfig, samples_per_subframe: usize) -> Self {
+    pub(crate) fn new(cfg: &ClusterConfig, samples_per_subframe: usize) -> Self {
         let cells = (0..cfg.num_cells)
             .map(|_| FedCell {
                 slots: (0..FED_SLOTS)
@@ -550,8 +582,8 @@ struct Shared<'a> {
     cfg: &'a ClusterConfig,
     arenas: &'a [CoreArena],
     fed: &'a FedShared,
-    inboxes: Vec<Inbox<'a>>,
-    global: Inbox<'a>,
+    inboxes: Vec<Inbox>,
+    global: Inbox,
     stealers: Vec<steal::Stealer>,
     idle: Vec<AtomicBool>,
     totals: Mutex<WorkerTotals>,
@@ -711,15 +743,6 @@ impl<'a> Shared<'a> {
         }
     }
 
-    /// Whether any other core is currently idle (cheap lazy-publish
-    /// check: no helper → no point copying LLRs or bumping epochs).
-    fn any_idle_helper(&self, me: usize) -> bool {
-        self.idle
-            .iter()
-            .enumerate()
-            .any(|(c, f)| c != me && f.load(Ordering::Acquire))
-    }
-
     /// Owner-side benefit gate for steal-mode publication: some idle
     /// core must pass the δ guard for one subtask — the same question its
     /// thief will ask at steal time, asked early. Without this, a
@@ -738,15 +761,8 @@ impl<'a> Shared<'a> {
 
     /// Every inbox a worker may be parked on: the per-core ones and the
     /// Global-mode FIFO.
-    fn all_inboxes(&self) -> impl Iterator<Item = &Inbox<'a>> {
+    fn all_inboxes(&self) -> impl Iterator<Item = &Inbox> {
         self.inboxes.iter().chain([&self.global])
-    }
-
-    fn push_migrated(&self, host: usize, env: Envelope<'a>) {
-        let mut st = self.inboxes[host].state.lock();
-        st.migrated.push_back(env);
-        drop(st);
-        self.inboxes[host].cv.notify_one();
     }
 }
 
@@ -1042,14 +1058,17 @@ impl CranCluster {
             (0..cores).map(|_| steal::steal_pair(64)).unzip();
         // A cell never has more than `FED_SLOTS` jobs queued; the
         // subframe count is the peer's claim and must not size anything.
+        // A mutex-mode host holds at most one stage's tickets from each
+        // owner at a time, stale ones aside.
+        let tickets = cores * arenas[0].board.slot_count();
         let shared = Shared {
             cfg,
             arenas: &arenas,
             fed: &fed,
             inboxes: (0..cores)
-                .map(|_| Inbox::with_capacity(FED_SLOTS))
+                .map(|_| Inbox::with_capacity(FED_SLOTS, tickets))
                 .collect(),
-            global: Inbox::with_capacity(cfg.num_cells * FED_SLOTS),
+            global: Inbox::with_capacity(cfg.num_cells * FED_SLOTS, 0),
             stealers,
             idle: (0..cores).map(|_| AtomicBool::new(false)).collect(),
             totals: Mutex::new(WorkerTotals::new(cfg.num_cells)),
@@ -1080,14 +1099,13 @@ impl CranCluster {
             barrier.wait(); // all workers warm
             ready();
             deliver_fed(shared, &mut *rx);
-            // A worker past shutdown helps no peer (a mailbox envelope
-            // pushed to it would only time out), so the inboxes shut down
-            // once the last staged subframe has its verdict.
+            // A worker past shutdown helps no peer (a ticket sent to it
+            // would only be recovered by its owner), so the inboxes shut
+            // down once the last staged subframe has its verdict.
             shared.wait_drained(|| handles.iter().any(|h| h.is_finished()));
             let last_verdict = Instant::now();
             for inbox in shared.all_inboxes() {
-                inbox.state.lock().shutdown = true;
-                inbox.cv.notify_all();
+                inbox.shut_down();
             }
             last_verdict
         });
@@ -1297,28 +1315,20 @@ enum StageOp {
     Absorb(usize),
 }
 
-/// Runs subtasks `0..count` on the owner — a whole stage when nothing was
-/// published, or what Algorithm 1 kept local.
-fn run_local(count: usize, exec: &mut dyn FnMut(StageOp)) {
-    for i in 0..count {
-        exec(StageOp::RunLocal(i));
-    }
-}
-
 /// A worker's own mutable state between subframes: scratch preallocated
 /// before the start barrier, its deque end, and its [`WorkerTotals`].
 struct WorkerState {
     deque: steal::Worker,
     idle_scratch: Vec<(usize, Nanos)>,
+    /// Algorithm 1's `(host, count)` batches for the stage in flight.
     plan_scratch: Vec<(usize, usize)>,
-    flag_scratch: Vec<(usize, ResultFlag)>,
     totals: WorkerTotals,
 }
 
-fn worker_loop<'a>(
+fn worker_loop(
     me: usize,
-    shared: &Shared<'a>,
-    pool: &'a [Prepared],
+    shared: &Shared<'_>,
+    pool: &[Prepared],
     deque: steal::Worker,
     barrier: &Barrier,
 ) {
@@ -1335,7 +1345,6 @@ fn worker_loop<'a>(
         deque,
         idle_scratch: Vec::with_capacity(shared.inboxes.len()),
         plan_scratch: Vec::with_capacity(shared.inboxes.len()),
-        flag_scratch: Vec::with_capacity(64),
         totals: WorkerTotals::new(shared.cfg.num_cells),
     };
     for p in pool {
@@ -1358,9 +1367,9 @@ fn worker_loop<'a>(
         &shared.inboxes[me]
     };
 
-    enum Got<'e> {
+    enum Got {
         Own(OwnJob),
-        Migrated(Envelope<'e>),
+        Migrated(Migrated),
         Shutdown,
     }
 
@@ -1375,8 +1384,8 @@ fn worker_loop<'a>(
             if let Some(j) = st.own.pop_front() {
                 break 'acquire Got::Own(j);
             }
-            if let Some(e) = st.migrated.pop_front() {
-                break 'acquire Got::Migrated(e);
+            if let Some(m) = st.migrated.pop_front() {
+                break 'acquire Got::Migrated(m);
             }
             if st.shutdown {
                 break 'acquire Got::Shutdown;
@@ -1401,8 +1410,9 @@ fn worker_loop<'a>(
                 process_subframe(me, shared, pool, job, &mut slab, &mut w);
                 shared.subframe_done();
             }
-            // analyze: allow(call:run): dispatches the migrated Envelope only — name-based resolution would pull every engine run loop into the worker
-            Got::Migrated(env) => env.run(),
+            Got::Migrated(m) => {
+                run_migrated(shared.arenas, shared.fed, pool, m);
+            }
             Got::Shutdown => break,
         }
     }
@@ -1462,7 +1472,7 @@ fn steal_from(
 
 /// What became of one published subtask in a helper's hands.
 #[derive(Debug, PartialEq, Eq)]
-enum Theft {
+pub(crate) enum Theft {
     /// The stage was republished since; nothing was written.
     Stale,
     /// The admission check refused it; the owner recovers it locally.
@@ -1471,8 +1481,8 @@ enum Theft {
     Executed,
 }
 
-/// The helper side of every migrated subtask — a stolen ticket or a
-/// mailbox envelope: enter `arena`'s board at the publication `epoch`,
+/// The helper side of every migrated subtask, a stolen ticket or one
+/// Algorithm 1 sent: enter `arena`'s board at the publication `epoch`,
 /// ask `admit`, execute subtask `idx` into its result slot, mark it ready.
 ///
 /// `enter` validates the epoch and holds the board's read guard for the
@@ -1480,7 +1490,7 @@ enum Theft {
 /// start until we are done, so a straggler of a recovered stage can never
 /// write into a newer stage's slots. An FFT batch reads the job's samples
 /// from its delivery slot in `fed` (see [`FedCell`]).
-fn execute_stolen(
+pub(crate) fn execute_stolen(
     arena: &CoreArena,
     fed: &FedShared,
     pool: &[Prepared],
@@ -1521,40 +1531,73 @@ fn execute_stolen(
     Theft::Executed
 }
 
-/// Steal-mode fan-out of the stage published at `epoch`: push tickets,
-/// drain own deque LIFO, absorb or recover what thieves took.
+/// A mutex-mode host runs a ticket `owner` sent it. Algorithm 1 admitted
+/// the subtask at plan time, so only the epoch fence applies: a ticket
+/// its owner has already recovered and republished over is `Stale`.
+pub(crate) fn run_migrated(
+    arenas: &[CoreArena],
+    fed: &FedShared,
+    pool: &[Prepared],
+    (owner, ticket): Migrated,
+) -> Theft {
+    let (epoch, idx) = decode_ticket(ticket);
+    execute_stolen(&arenas[owner], fed, pool, epoch, idx, |_| true)
+}
+
+/// Hands out the stage published at `epoch` and collects it. Steal mode
+/// pushes every ticket to the owner's deque and drains it LIFO; what a
+/// full deque refused runs here first. Mutex mode sends Algorithm 1's
+/// batches (`w.plan_scratch`) to their hosts and runs the first `local`
+/// subtasks here. Then one loop takes every subtask the owner did not
+/// run: absorb it once its ready flag reads `Done`, or recover it locally
+/// (Fig. 12 state 6) when a thief declined it or it missed its wait.
 #[allow(clippy::too_many_arguments)]
-fn fanout_steal(
+fn fanout(
     me: usize,
     shared: &Shared<'_>,
-    worker: &mut steal::Worker,
     kind: TaskKind,
     count: usize,
+    local: usize,
     epoch: u64,
     deadline: Instant,
     exec: &mut dyn FnMut(StageOp),
-    wm: &mut WorkerTotals,
+    w: &mut WorkerState,
 ) {
-    let arena = &shared.arenas[me];
     let mut local_mask: u64 = 0;
-    for i in 0..count {
-        if worker.push(encode_ticket(epoch, i)).is_err() {
-            local_mask |= 1 << i; // deque full: keep it local
+    if shared.cfg.mode == SchedulerMode::RtOpexSteal {
+        for i in 0..count {
+            if w.deque.push(encode_ticket(epoch, i)).is_err() {
+                local_mask |= 1 << i; // deque full: keep it local
+            }
         }
-    }
-    for i in 0..count {
-        if local_mask & (1 << i) != 0 {
+        for i in 0..count {
+            if local_mask & (1 << i) != 0 {
+                exec(StageOp::RunLocal(i));
+            }
+        }
+        // Drain own work LIFO, running each ticket the moment it is
+        // popped; anything not popped here was stolen.
+        while let Some(t) = w.deque.pop() {
+            let (e, i) = decode_ticket(t);
+            debug_assert_eq!(e, epoch, "own deque holds a stale ticket");
+            local_mask |= 1 << i;
+            exec(StageOp::RunLocal(i));
+        }
+    } else {
+        let mut next = local;
+        for &(host, n) in &w.plan_scratch {
+            for _ in 0..n {
+                shared.inboxes[host].push_migrated(me, encode_ticket(epoch, next));
+                next += 1;
+            }
+        }
+        debug_assert_eq!(next, count);
+        for i in 0..local {
+            local_mask |= 1 << i;
             exec(StageOp::RunLocal(i));
         }
     }
-    // Drain own work LIFO, running each ticket the moment it is popped;
-    // anything not popped here was stolen.
-    while let Some(t) = worker.pop() {
-        let (e, i) = decode_ticket(t);
-        debug_assert_eq!(e, epoch, "own deque holds a stale ticket");
-        local_mask |= 1 << i;
-        exec(StageOp::RunLocal(i));
-    }
+    let arena = &shared.arenas[me];
     let mut migrated = 0usize;
     let mut recoveries = 0usize;
     for i in 0..count {
@@ -1567,100 +1610,28 @@ fn fanout_steal(
                 migrated += 1;
             }
             _ => {
-                // Declined by the guard, or a straggler: recover locally
-                // (Fig. 12 state 6).
                 exec(StageOp::RunLocal(i));
                 recoveries += 1;
             }
         }
     }
-    wm.migration.record_stage(kind, count, migrated);
+    w.totals.migration.record_stage(kind, count, migrated);
     if recoveries > 0 {
-        wm.migration.record_recovery(recoveries);
-    }
-}
-
-/// Mutex-mode fan-out of the stage published at `epoch`: Algorithm 1 at
-/// the owner, boxed envelopes through the inboxes, flag waits, local
-/// recovery — the PR-2 baseline, now writing into the preallocated arena
-/// instead of per-subframe slots.
-#[allow(clippy::too_many_arguments)]
-fn fanout_mutex<'a>(
-    me: usize,
-    shared: &Shared<'a>,
-    pool: &'a [Prepared],
-    kind: TaskKind,
-    count: usize,
-    tp_us: f64,
-    epoch: u64,
-    deadline: Instant,
-    exec: &mut dyn FnMut(StageOp),
-    idle_scratch: &mut Vec<(usize, Nanos)>,
-    plan_scratch: &mut Vec<(usize, usize)>,
-    flag_scratch: &mut Vec<(usize, ResultFlag)>,
-    wm: &mut WorkerTotals,
-) {
-    survey_idle_windows(me, shared.idle_windows(Instant::now()), idle_scratch);
-    let plan = plan_migration_into(
-        count,
-        Nanos::from_us_f64(tp_us),
-        shared.guard().delta,
-        idle_scratch,
-        plan_scratch,
-    );
-    if plan.local == count {
-        run_local(count, exec);
-        wm.migration.record_stage(kind, count, 0);
-        return;
-    }
-    // Re-borrow through the `'a` slice so envelope closures may hold the
-    // arena reference for the scope's lifetime.
-    let arenas: &'a [CoreArena] = shared.arenas;
-    let arena = &arenas[me];
-    let fed: &'a FedShared = shared.fed;
-    let mut next = plan.local;
-    flag_scratch.clear();
-    for &(host, n) in plan_scratch.iter() {
-        for _ in 0..n {
-            let idx = next;
-            // Algorithm 1 admitted the subtask at plan time, so the helper
-            // only has to fence out a straggler of a recovered stage.
-            let (env, flag) = Envelope::new(move || {
-                execute_stolen(arena, fed, pool, epoch, idx, |_| true);
-            });
-            shared.push_migrated(host, env);
-            flag_scratch.push((idx, flag));
-            next += 1;
-        }
-    }
-    debug_assert_eq!(next, count);
-    run_local(plan.local, exec);
-    let mut recoveries = 0usize;
-    let migrated = flag_scratch.len();
-    for (i, flag) in flag_scratch.drain(..) {
-        let budget = deadline.saturating_duration_since(Instant::now());
-        if flag.wait(budget.min(Duration::from_millis(50))) {
-            exec(StageOp::Absorb(i));
-        } else {
-            exec(StageOp::RunLocal(i));
-            recoveries += 1;
-        }
-    }
-    wm.migration.record_stage(kind, count, migrated);
-    if recoveries > 0 {
-        wm.migration.record_recovery(recoveries);
+        w.totals.migration.record_recovery(recoveries);
     }
 }
 
 /// One migratable stage of the subframe `phy` is decoding: FFT (subtask =
 /// one antenna's 14-symbol batch) or decode (subtask = one code block).
 /// The stage kind fixes the subtask geometry and the kernel; the
-/// scheduler mode fixes the publication gate and the fan-out.
-fn run_stage<'a>(
+/// scheduler mode fixes how many subtasks the owner keeps. The stage is
+/// published only when some may leave: in steal mode when an idle core
+/// passes the δ guard, in mutex mode when Algorithm 1's plan migrates
+/// something.
+fn run_stage(
     kind: TaskKind,
     me: usize,
-    shared: &Shared<'a>,
-    pool: &'a [Prepared],
+    shared: &Shared<'_>,
     job: &OwnJob,
     phy: &mut SlabJob<'_>,
     w: &mut WorkerState,
@@ -1676,23 +1647,27 @@ fn run_stage<'a>(
     };
     // analyze: allow(panic): the owner mask is a u64 bitset; a config with more than 64 subtasks cannot be represented and must be rejected at fan-out
     assert!(count <= 64, "subtask count exceeds owner mask");
-    let publish = count > 1
-        && match cfg.mode {
-            SchedulerMode::RtOpexSteal => shared.worth_publishing(me, tp_us, job.deadline),
-            SchedulerMode::RtOpexMutex => shared.any_idle_helper(me),
-            SchedulerMode::Partitioned | SchedulerMode::Global => false,
-        };
-    let published = publish.then(|| {
+    // Subtasks the owner runs whatever its helpers do.
+    let local = match cfg.mode {
+        _ if count < 2 => count,
+        SchedulerMode::RtOpexSteal if shared.worth_publishing(me, tp_us, job.deadline) => 0,
+        SchedulerMode::RtOpexMutex => {
+            survey_idle_windows(me, shared.idle_windows(Instant::now()), &mut w.idle_scratch);
+            plan_migration_into(
+                count,
+                Nanos::from_us_f64(tp_us),
+                shared.guard().delta,
+                &w.idle_scratch,
+                &mut w.plan_scratch,
+            )
+            .local
+        }
+        _ => count,
+    };
+    let published = (local < count).then(|| {
         let llrs = (kind == TaskKind::Decode).then(|| phy.coded_llrs());
         publish_stage(arena, kind, job, count, tp_us, llrs)
     });
-    let WorkerState {
-        deque,
-        idle_scratch,
-        plan_scratch,
-        flag_scratch,
-        totals,
-    } = w;
     let mut exec = |op: StageOp| match kind {
         TaskKind::Fft => match op {
             StageOp::RunLocal(b) => phy.run_fft_batch_local(b),
@@ -1713,41 +1688,25 @@ fn run_stage<'a>(
         // Nothing published — always in the serial modes, and in the
         // RT-OPEX ones whenever no helper could take a subtask: the whole
         // stage runs here.
-        run_local(count, &mut exec);
+        for i in 0..count {
+            exec(StageOp::RunLocal(i));
+        }
         if cfg.mode.migrates() {
-            totals.migration.record_stage(kind, count, 0);
+            w.totals.migration.record_stage(kind, count, 0);
         }
         return;
     };
-    match cfg.mode {
-        SchedulerMode::RtOpexSteal => fanout_steal(
-            me,
-            shared,
-            deque,
-            kind,
-            count,
-            epoch,
-            job.deadline,
-            &mut exec,
-            totals,
-        ),
-        // The serial modes never publish, so this is the mailbox mode.
-        _ => fanout_mutex(
-            me,
-            shared,
-            pool,
-            kind,
-            count,
-            tp_us,
-            epoch,
-            job.deadline,
-            &mut exec,
-            idle_scratch,
-            plan_scratch,
-            flag_scratch,
-            totals,
-        ),
-    }
+    fanout(
+        me,
+        shared,
+        kind,
+        count,
+        local,
+        epoch,
+        job.deadline,
+        &mut exec,
+        w,
+    );
 }
 
 /// The slack check before a stage: whether a stage estimated at `est`
@@ -1761,10 +1720,10 @@ fn has_slack(job: &OwnJob, est: Duration, totals: &mut WorkerTotals) -> bool {
     false
 }
 
-fn process_subframe<'a>(
+fn process_subframe(
     me: usize,
-    shared: &Shared<'a>,
-    pool: &'a [Prepared],
+    shared: &Shared<'_>,
+    pool: &[Prepared],
     job: OwnJob,
     slab: &mut JobSlab,
     w: &mut WorkerState,
@@ -1797,8 +1756,7 @@ fn process_subframe<'a>(
         // analyze: allow(panic): pool entries come from prepare_pool with the same config; a shape mismatch means the pool was corrupted and the slot must die loudly
         .expect("prepared samples are consistent");
 
-    // analyze: allow(lock-order): the slots -> slots edge is fanout_mutex's envelope, which calls execute_stolen on the host core, never on this thread under this guard; two readers of one slot only share it, and the one writer waits for both (FedCell)
-    run_stage(TaskKind::Fft, me, shared, pool, &job, &mut phy, w);
+    run_stage(TaskKind::Fft, me, shared, &job, &mut phy, w);
     phy.finish_fft();
 
     // --- Demod task: serial on the owner. ---
@@ -1821,8 +1779,7 @@ fn process_subframe<'a>(
     if !has_slack(&job, est_effective, &mut w.totals) {
         return;
     }
-    // analyze: allow(lock-order): as for the FFT stage: the envelope's execute_stolen runs on its host, never under this guard
-    run_stage(TaskKind::Decode, me, shared, pool, &job, &mut phy, w);
+    run_stage(TaskKind::Decode, me, shared, &job, &mut phy, w);
 
     // analyze: allow(panic): the recovery loop above re-runs every unconfirmed subtask before finish(); an unabsorbed subtask here is a scheduler bug, not a runtime condition
     let verdict = phy.finish().expect("all subtasks absorbed");
@@ -1976,6 +1933,54 @@ mod tests {
         assert!(serial.crc_ok);
         assert_eq!(verdict.crc_ok, serial.crc_ok);
         assert_eq!(slab.payload(), &serial.payload[..]);
+    }
+
+    #[test]
+    fn a_sent_ticket_nobody_serves_is_recovered_then_refused_as_stale() {
+        let cfg = ClusterConfig {
+            num_cells: 1,
+            mcs_pool: vec![5],
+            mode: SchedulerMode::RtOpexMutex,
+            ..ClusterConfig::demo()
+        };
+        let pool = CranCluster::prepare_pool(&cfg);
+        let p = &pool[0];
+        let fed = FedShared::new(&cfg, cfg.bandwidth.samples_per_subframe());
+        let slot = fed.cells[0].land(&mut p.samples.clone()).unwrap();
+        let arenas = [CoreArena::new(&pool, &cfg)];
+        let arena = &arenas[0];
+        let own = OwnJob {
+            cell: 0,
+            pool_idx: 0,
+            slot,
+            deadline: Instant::now() + Duration::from_millis(5),
+        };
+        let sentinel = vec![Cf32::new(7.0, -7.0); 3];
+        *arena.fft_slots[1].lock() = sentinel.clone();
+
+        // Owner core 0 keeps batch 0 and sends batch 1 to a host whose
+        // inbox nobody serves.
+        let batches = cfg.num_antennas;
+        let epoch = publish_stage(arena, TaskKind::Fft, &own, batches, 10.0, None);
+        let host = Inbox::with_capacity(0, 4);
+        host.push_migrated(0, encode_ticket(epoch, 1));
+        let mut slab = JobSlab::new();
+        let mut job = p.rx.start_job_in(&p.samples, &mut slab).unwrap();
+        job.run_fft_batch_local(0);
+        // The wait ends at its bound and the owner recovers the batch.
+        assert_eq!(arena.board.wait(1, own.deadline), SlotState::Pending);
+        job.run_fft_batch_local(1);
+        job.finish_fft();
+
+        // The next publication fences the sent ticket out: the host runs
+        // it late, writes nothing, and leaves the new stage's flag alone.
+        let next = publish_stage(arena, TaskKind::Fft, &own, batches, 10.0, None);
+        assert!(next > epoch);
+        let sent = host.state.lock().migrated.pop_front().unwrap();
+        assert_eq!(sent, (0, encode_ticket(epoch, 1)));
+        assert_eq!(run_migrated(&arenas, &fed, &pool, sent), Theft::Stale);
+        assert_eq!(*arena.fft_slots[1].lock(), sentinel);
+        assert_eq!(arena.board.poll(1), SlotState::Pending);
     }
 
     #[test]

@@ -13,11 +13,12 @@
 //!   inboxes and never waits for a worker;
 //! * **real subtask migration**: a parallelizable stage (FFT, turbo
 //!   decode) of the actual uplink job (`rtopex_phy::uplink::SlabJob`) is
-//!   published into the owner's preallocated slot arena and fanned out
-//!   one of two ways — as tickets in a lock-free deque that idle cores
-//!   steal from, admitted by Algorithm 1's δ check at steal time, or as
-//!   Algorithm 1's plan shipped in boxed closures through mutex mailboxes
-//!   ([`migrate`]). Either way completion is signalled with per-subtask
+//!   published into the owner's preallocated slot arena and handed out
+//!   as `(epoch, index)` tickets one of two ways — pushed to a lock-free
+//!   deque that idle cores steal from, admitted by Algorithm 1's δ check
+//!   at steal time, or sent to the hosts Algorithm 1 planned at the
+//!   owner, through their inboxes. Either way the helper runs the same
+//!   executor, completion is signalled with the arena's per-subtask
 //!   *result-ready* flags, and stragglers are recomputed locally (the
 //!   Fig. 12 recovery path);
 //! * a shared CPU-state table (per-core idle flags) the workers update
@@ -34,7 +35,8 @@
 //!
 //! [`measure`] provides the micro-measurement harnesses behind Fig. 4
 //! (task times on 1 vs 2 cores) and Fig. 18 (local vs migrated execution,
-//! i.e. the real migration overhead δ on this machine).
+//! i.e. the real migration overhead δ on this machine); they time the
+//! cluster's own publication, ticket hand-off and executor.
 
 #![warn(missing_docs)]
 // Every unsafe operation (the libc affinity calls) must sit in an explicit
@@ -45,7 +47,6 @@
 pub mod affinity;
 pub mod cluster;
 pub mod measure;
-pub mod migrate;
 
 pub use cluster::{
     send_paced, ClusterConfig, ClusterReport, CranCluster, Eq3Check, FedReport, SchedulerMode,

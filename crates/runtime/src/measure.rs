@@ -1,24 +1,26 @@
 //! Micro-measurement harnesses behind Fig. 4 and Fig. 18.
 //!
-//! These run the staged decode the runtime ships, on **real** pinned
-//! threads, timed with the monotonic clock. The owner side runs
-//! [`SlabJob`]'s local subtasks straight into its slab; the migrated side
-//! runs what the cluster's `execute_stolen` runs for a stolen ticket or a
-//! mailbox envelope — [`UplinkRx::run_fft_batch_into`] or
-//! [`UplinkRx::run_decode_subtask_into`], against a copy of the coded
-//! LLRs, into result slots allocated before timing starts:
+//! These time the staged decode the runtime ships, on **real** pinned
+//! threads, with the monotonic clock. The owner side runs [`SlabJob`]'s
+//! local subtasks straight into its slab. The migrated side is the
+//! cluster's own hand-off, on a cluster subframe (`prepare_pool`, 30 dB)
+//! landed in a delivery slot: the owner publishes the stage on a
+//! `CoreArena`'s board (epoch bump, plus the LLR snapshot for decode), a
+//! helper takes an `(epoch, index)` ticket and runs the cluster's
+//! `execute_stolen` into the arena's result slot (an FFT batch reads the
+//! delivery slot), and the owner waits on the slot's ready flag with
+//! `SlotBoard::wait`. Every migrated time therefore includes the
+//! publication and board entry the node pays:
 //!
 //! * [`measure_stage_parallelism`] — a task's serial time vs. its time
-//!   when its subtasks are split across two cores (Fig. 4);
+//!   when half its subtasks are sent to a host on another core (Fig. 4);
 //! * [`measure_migration_overhead`] — per-subtask execution time locally
-//!   vs. end-to-end through a migration mailbox on another core, whose
-//!   difference is the machine's real migration cost δ (Fig. 18 reports
-//!   ≈ 18–20 µs on the paper's Xeon);
-//! * [`measure_steal_overhead`] — the same comparison through the
-//!   lock-free work-stealing path, where the handoff is a ticket in a
-//!   bounded Chase–Lev deque instead of a boxed closure in a channel.
-//!   The gap between the two deltas is what the cluster's steal mode
-//!   saves per migration.
+//!   vs. end-to-end through a host parked on its inbox, as an idle
+//!   mutex-mode core is; the difference is the machine's real migration
+//!   cost δ (Fig. 18 reports ≈ 18–20 µs on the paper's Xeon);
+//! * [`measure_steal_overhead`] — the same comparison with the ticket
+//!   stolen from a bounded Chase–Lev deque by a spinning thief, as in
+//!   steal mode. The two deltas differ only in the hand-off.
 //!
 //! The subtasks are the runtime's migration units: an FFT subtask is one
 //! antenna's 14-symbol batch (the unit `DeltaGuard` admits), a decode
@@ -31,18 +33,17 @@
 //! threads inherit the affinity of the thread that creates them.
 
 use crate::affinity::pin_current_thread;
-use crate::migrate::{host_loop, mailbox, Envelope};
-use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::cluster::{
+    execute_stolen, publish_stage, run_migrated, ClusterConfig, CoreArena, CranCluster, FedShared,
+    Inbox, OwnJob, Prepared,
+};
+use rtopex_core::slots::SlotState;
 use rtopex_core::steal::{self, Steal};
 use rtopex_model::stats::Samples;
-use rtopex_phy::channel::{AwgnChannel, ChannelModel};
-use rtopex_phy::params::{Bandwidth, SYMBOLS_PER_SUBFRAME};
+use rtopex_phy::params::Bandwidth;
 use rtopex_phy::tasks::TaskKind;
-use rtopex_phy::uplink::{BlockBuf, JobSlab, SlabJob, UplinkConfig, UplinkRx, UplinkTx};
-use rtopex_phy::Cf32;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use rtopex_phy::uplink::{JobSlab, SlabJob};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// Serial vs. two-core timings of one task (µs).
@@ -69,44 +70,25 @@ pub struct MigrationMeasurement {
     pub delta_us: f64,
 }
 
-/// A migratable stage: the probes measure nothing else.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Stage {
-    Fft,
-    Decode,
-}
-
-impl Stage {
-    /// # Panics
-    /// Panics on [`TaskKind::Demod`], which the runtime never migrates.
-    fn of(task: TaskKind) -> Self {
-        match task {
-            TaskKind::Fft => Stage::Fft,
-            TaskKind::Decode => Stage::Decode,
-            // analyze: allow(panic): caller contract, checked before any thread starts — demod runs owner-local in the runtime, so it has no migrated path to time; every caller passes Fft or Decode
-            TaskKind::Demod => panic!("demod is not a migratable stage; probe Fft or Decode"),
-        }
-    }
-
-    /// Runs subtask `i` of this stage on the owning thread, in `job`.
-    fn run_local(self, job: &mut SlabJob<'_>, i: usize) {
-        match self {
-            Stage::Fft => job.run_fft_batch_local(i),
-            Stage::Decode => job.run_decode_subtask_local(i),
-        }
+/// Runs subtask `i` of the migratable stage `kind` on the owning thread,
+/// in `job`.
+fn run_local(kind: TaskKind, job: &mut SlabJob<'_>, i: usize) {
+    match kind {
+        TaskKind::Fft => job.run_fft_batch_local(i),
+        _ => job.run_decode_subtask_local(i),
     }
 }
 
-/// A ready-to-decode subframe: receiver, received samples, the owner's
-/// slab, and the coded LLRs and result slots of the migrated side.
+/// One cluster subframe and the cluster state a migrated subtask of it
+/// crosses: the pool entry it was encoded from, the owner's slab, core
+/// 0's arena, and the delivery slot it landed in.
 struct Workbench {
-    stage: Stage,
-    rx: UplinkRx,
-    samples: Vec<Vec<Cf32>>,
+    kind: TaskKind,
+    pool: Vec<Prepared>,
     slab: JobSlab,
-    llrs: Vec<f32>,
-    fft_slots: Vec<Mutex<Vec<Cf32>>>,
-    dec_slots: Vec<Mutex<BlockBuf>>,
+    arenas: [CoreArena; 1],
+    fed: FedShared,
+    own: OwnJob,
 }
 
 impl Workbench {
@@ -114,86 +96,80 @@ impl Workbench {
     /// Panics if `task` is [`TaskKind::Demod`] or the configuration is
     /// invalid.
     fn new(bw: Bandwidth, antennas: usize, mcs: u8, task: TaskKind, seed: u64) -> Self {
-        let stage = Stage::of(task);
-        let cfg = UplinkConfig::new(bw, antennas, mcs).expect("valid config");
-        let tx = UplinkTx::new(cfg.clone());
-        let mut rng = StdRng::seed_from_u64(seed);
-        let payload: Vec<u8> = (0..cfg.transport_block_bytes())
-            .map(|_| rng.gen())
-            .collect();
-        let sf = tx.encode_subframe(&payload).expect("encode");
-        let mut chan = AwgnChannel::new(30.0);
-        let samples = chan.apply(&sf.samples, antennas, &mut rng);
+        // analyze: allow(panic): caller contract, checked before any thread starts — demod runs owner-local in the runtime, so it has no migrated path to time; every caller passes Fft or Decode
+        assert!(
+            task != TaskKind::Demod,
+            "demod is not a migratable stage; probe Fft or Decode"
+        );
+        let cfg = ClusterConfig {
+            bandwidth: bw,
+            num_antennas: antennas,
+            num_cells: 1,
+            snr_db: 30.0,
+            mcs_pool: vec![mcs],
+            seed,
+            ..ClusterConfig::demo()
+        };
+        let pool = CranCluster::prepare_pool(&cfg);
         let mut slab = JobSlab::new();
-        slab.warm(&cfg);
-        let batch_len = SYMBOLS_PER_SUBFRAME * cfg.bandwidth.num_subcarriers();
-        let fft_slots = (0..antennas)
-            .map(|_| Mutex::new(Vec::with_capacity(batch_len)))
-            .collect();
-        let dec_slots = (0..cfg.segmentation().num_blocks)
-            .map(|_| {
-                let mut buf = BlockBuf::new();
-                buf.warm(&cfg);
-                Mutex::new(buf)
-            })
-            .collect();
+        slab.warm(pool[0].rx.config());
+        let fed = FedShared::new(&cfg, bw.samples_per_subframe());
+        let slot = fed.cells[0]
+            .land(&mut pool[0].samples.clone())
+            .expect("an empty cell has a free slot");
         Workbench {
-            stage,
-            rx: UplinkRx::new(cfg),
-            samples,
+            kind: task,
+            arenas: [CoreArena::new(&pool, &cfg)],
+            pool,
             slab,
-            llrs: Vec::new(),
-            fft_slots,
-            dec_slots,
+            fed,
+            own: OwnJob {
+                cell: 0,
+                pool_idx: 0,
+                slot,
+                deadline: Instant::now() + Duration::from_secs(3600),
+            },
         }
     }
 
-    /// Splits the bench into the owner's side and the helper's view; for
-    /// the decode stage, the helper's coded LLRs come from one owner job.
-    fn split(&mut self) -> (Owner<'_>, Helper<'_>) {
+    /// Splits the bench into the owner's side and the board both threads
+    /// share.
+    fn split(&mut self) -> (Owner<'_>, Board<'_>) {
         let Workbench {
-            stage,
-            rx,
-            samples,
+            kind,
+            pool,
             slab,
-            llrs,
-            fft_slots,
-            dec_slots,
+            arenas,
+            fed,
+            own,
         } = self;
+        let (prepared, pool) = (&pool[0], &pool[..]);
         let mut owner = Owner {
-            stage: *stage,
-            rx,
-            samples,
+            kind: *kind,
+            prepared,
             slab,
         };
-        let count = match stage {
-            Stage::Fft => samples.len(),
-            Stage::Decode => {
-                let job = owner.job();
-                llrs.clear();
-                llrs.extend_from_slice(job.coded_llrs());
-                job.decode_subtask_count()
-            }
+        let count = match kind {
+            TaskKind::Fft => prepared.samples.len(),
+            _ => owner.job().decode_subtask_count(),
         };
-        let helper = Helper {
-            stage: *stage,
+        let board = Board {
+            kind: *kind,
             count,
-            rx,
-            samples,
-            llrs,
-            fft_slots,
-            dec_slots,
+            own: *own,
+            arenas,
+            fed,
+            pool,
         };
-        (owner, helper)
+        (owner, board)
     }
 }
 
 /// The owner side: subtasks of the probed stage on the owning thread,
 /// straight into the slab.
 struct Owner<'a> {
-    stage: Stage,
-    rx: &'a UplinkRx,
-    samples: &'a [Vec<Cf32>],
+    kind: TaskKind,
+    prepared: &'a Prepared,
     slab: &'a mut JobSlab,
 }
 
@@ -202,13 +178,15 @@ impl Owner<'_> {
     /// runs each subtask once, as one subframe does in the runtime, so
     /// the probes start one per pass, untimed (nothing is allocated).
     fn job(&mut self) -> SlabJob<'_> {
+        let samples = &self.prepared.samples;
         let mut job = self
+            .prepared
             .rx
-            .start_job_in(self.samples, self.slab)
+            .start_job_in(samples, self.slab)
             // analyze: allow(panic): bench setup of the job under test; the prepared subframe cannot fail to start once the config was validated
             .expect("job");
-        if self.stage == Stage::Decode {
-            for a in 0..self.samples.len() {
+        if self.kind == TaskKind::Decode {
+            for a in 0..samples.len() {
                 job.run_fft_batch_local(a);
             }
             job.finish_fft();
@@ -220,36 +198,81 @@ impl Owner<'_> {
     }
 }
 
-/// The migrated side: what `execute_stolen` runs — the `_into` kernel
-/// into the subtask's result slot, under the slot's lock.
+/// The hand-off both threads share: publication and ready flags on the
+/// owner's (core 0's) arena, and what a helper needs to execute a ticket.
 #[derive(Clone, Copy)]
-struct Helper<'a> {
-    stage: Stage,
+struct Board<'a> {
+    kind: TaskKind,
     /// Subtasks in the probed stage: antennas or code blocks.
     count: usize,
-    rx: &'a UplinkRx,
-    samples: &'a [Vec<Cf32>],
-    llrs: &'a [f32],
-    fft_slots: &'a [Mutex<Vec<Cf32>>],
-    dec_slots: &'a [Mutex<BlockBuf>],
+    own: OwnJob,
+    arenas: &'a [CoreArena],
+    fed: &'a FedShared,
+    pool: &'a [Prepared],
 }
 
-impl Helper<'_> {
-    fn migrated_subtask(&self, i: usize) {
-        match self.stage {
-            Stage::Fft => {
-                let mut slot = self.fft_slots[i].lock();
-                self.rx.run_fft_batch_into(self.samples, i, &mut slot);
-            }
-            Stage::Decode => {
-                let mut slot = self.dec_slots[i].lock();
-                let (iterations, crc_ok) =
-                    self.rx
-                        .run_decode_subtask_into(self.llrs, i, &mut slot.bits);
-                slot.iterations = iterations;
-                slot.crc_ok = crc_ok;
+impl Board<'_> {
+    /// Publishes `job`'s probed stage as `run_stage` does and returns the
+    /// epoch its tickets carry.
+    fn publish(&self, job: &SlabJob<'_>) -> u64 {
+        let llrs = (self.kind == TaskKind::Decode).then(|| job.coded_llrs());
+        publish_stage(&self.arenas[0], self.kind, &self.own, self.count, 0.0, llrs)
+    }
+
+    /// Waits for subtask `i`'s result on the board, as the owner's
+    /// fan-out does; a helper that has not delivered in 30 s is hung.
+    fn wait(&self, i: usize) {
+        let hung = Instant::now() + Duration::from_secs(30);
+        loop {
+            match self.arenas[0].board.wait(i, self.own.deadline) {
+                SlotState::Done => return,
+                SlotState::Pending if Instant::now() < hung => {}
+                // analyze: allow(panic): a wedged or dead helper invalidates the measurement; abort loudly rather than record garbage
+                state => panic!("helper hung on subtask {i}: {state:?}"),
             }
         }
+    }
+
+    /// A host parked on `inbox`, as an idle mutex-mode core is: runs each
+    /// ticket sent to it until the inbox shuts down.
+    fn serve(&self, inbox: &Inbox) {
+        loop {
+            let mut st = inbox.state.lock();
+            while st.migrated.is_empty() && !st.shutdown {
+                inbox.cv.wait(&mut st);
+            }
+            let Some(ticket) = st.migrated.pop_front() else {
+                return;
+            };
+            drop(st);
+            run_migrated(self.arenas, self.fed, self.pool, ticket);
+        }
+    }
+
+    /// Runs `owner` on core 0 beside a host on core 1 that [`Self::serve`]s
+    /// the inbox `owner` sends tickets to; the host exits once `owner`
+    /// returns or panics.
+    fn beside_host(&self, owner: impl FnOnce(&Inbox) + Send) {
+        /// Shuts the host's inbox down when the owner thread ends.
+        struct Release<'i>(&'i Inbox);
+        impl Drop for Release<'_> {
+            fn drop(&mut self) {
+                self.0.shut_down();
+            }
+        }
+        let inbox = Inbox::with_capacity(0, self.count);
+        std::thread::scope(|s| {
+            let inbox = &inbox;
+            s.spawn(move || {
+                pin_current_thread(1);
+                self.serve(inbox);
+            });
+            s.spawn(move || {
+                pin_current_thread(0);
+                let _release = Release(inbox);
+                owner(inbox);
+            });
+        });
     }
 }
 
@@ -259,8 +282,10 @@ fn as_us(d: Duration) -> f64 {
 
 /// Measures one task's serial vs. two-core execution time (Fig. 4).
 ///
-/// The two-core run splits the subtask indices in half; the second half
-/// executes on a helper thread pinned to another core.
+/// The two-core run publishes the stage and sends the second half of its
+/// subtasks to a host pinned to another core, as mutex mode sends
+/// Algorithm 1's batches; the owner runs the first half, then waits for
+/// each sent subtask's ready flag.
 ///
 /// # Panics
 /// Panics if `task` is [`TaskKind::Demod`].
@@ -272,46 +297,36 @@ pub fn measure_stage_parallelism(
     trials: usize,
 ) -> StageMeasurement {
     let mut bench = Workbench::new(bw, antennas, mcs, task, 0x0F16_4000);
-    let (mut owner, helper) = bench.split();
-    let (stage, n, split) = (owner.stage, helper.count, helper.count / 2);
+    let (mut owner, board) = bench.split();
+    let (kind, n, split) = (owner.kind, board.count, board.count / 2);
     let mut serial_us = Samples::new();
     let mut two_core_us = Samples::new();
 
-    std::thread::scope(|s| {
-        let (tx, rx) = mailbox();
-        s.spawn(move || {
-            pin_current_thread(1);
-            host_loop(rx);
-        });
-        let (serial_us, two_core_us) = (&mut serial_us, &mut two_core_us);
-        s.spawn(move || {
-            pin_current_thread(0);
-            for _ in 0..trials {
-                let mut job = owner.job();
-                let t0 = Instant::now();
-                for i in 0..n {
-                    stage.run_local(&mut job, i);
-                }
-                serial_us.push(as_us(t0.elapsed()));
+    let (serial, two_core) = (&mut serial_us, &mut two_core_us);
+    board.beside_host(move |inbox| {
+        for _ in 0..trials {
+            let mut job = owner.job();
+            let t0 = Instant::now();
+            for i in 0..n {
+                run_local(kind, &mut job, i);
             }
-            // Two-core timings: the helper runs the second half.
-            for _ in 0..trials {
-                let mut job = owner.job();
-                let t0 = Instant::now();
-                let (env, flag) = Envelope::new(move || {
-                    for i in split..n {
-                        helper.migrated_subtask(i);
-                    }
-                });
-                tx.send(env).expect("host alive");
-                for i in 0..split {
-                    stage.run_local(&mut job, i);
-                }
-                assert!(flag.wait(Duration::from_secs(30)), "helper hung");
-                two_core_us.push(as_us(t0.elapsed()));
+            serial.push(as_us(t0.elapsed()));
+        }
+        for _ in 0..trials {
+            let mut job = owner.job();
+            let t0 = Instant::now();
+            let epoch = board.publish(&job);
+            for i in split..n {
+                inbox.push_migrated(0, steal::encode_ticket(epoch, i));
             }
-            // Dropping `tx` here ends the host loop.
-        });
+            for i in 0..split {
+                run_local(kind, &mut job, i);
+            }
+            for i in split..n {
+                board.wait(i);
+            }
+            two_core.push(as_us(t0.elapsed()));
+        }
     });
 
     StageMeasurement {
@@ -321,7 +336,9 @@ pub fn measure_stage_parallelism(
     }
 }
 
-/// Measures a subtask locally vs. migrated to a second core (Fig. 18).
+/// Measures a subtask locally vs. migrated to a second core (Fig. 18):
+/// the migrated time runs from publication to the owner seeing the
+/// subtask's ready flag, through a host parked on its inbox.
 ///
 /// # Panics
 /// Panics if `task` is [`TaskKind::Demod`].
@@ -334,55 +351,41 @@ pub fn measure_migration_overhead(
 ) -> MigrationMeasurement {
     // analyze: allow(call:new): one-time bench construction before the timed loops; failing fast on a bad config is intended
     let mut bench = Workbench::new(bw, antennas, mcs, task, 0x0F18_0000);
-    let (mut owner, helper) = bench.split();
-    let (stage, count) = (owner.stage, helper.count);
+    let (mut owner, board) = bench.split();
+    let (kind, count) = (owner.kind, board.count);
     let mut local_us = Samples::new();
     let mut migrated_us = Samples::new();
 
-    std::thread::scope(|s| {
-        let (tx, rx) = mailbox();
-        s.spawn(move || {
-            pin_current_thread(1);
-            host_loop(rx);
-        });
-        let (local_us, migrated_us) = (&mut local_us, &mut migrated_us);
-        s.spawn(move || {
-            pin_current_thread(0);
-            // Ships subtask `i` to the host and waits for it.
-            let migrate = |i: usize| {
-                let (env, flag) = Envelope::new(move || helper.migrated_subtask(i));
-                // analyze: allow(panic): a wedged or dead host invalidates the measurement; abort loudly rather than record garbage
-                tx.send(env).expect("host alive");
-                // analyze: allow(panic): a wedged or dead host invalidates the measurement; abort loudly rather than record garbage
-                assert!(flag.wait(Duration::from_secs(30)), "host hung");
-            };
-            // Warm both paths before timing: the channel/thread wake-up
-            // machinery, plus each thread's workspace and caches (one
-            // untimed pass over every subtask locally and on the host).
-            let (warm, wflag) = Envelope::new(|| {});
-            // analyze: allow(panic): the host thread holds rx open for the scope's lifetime; a dead host must abort the probe loudly
-            tx.send(warm).unwrap();
-            wflag.wait(Duration::from_secs(5));
+    let (local, migrated) = (&mut local_us, &mut migrated_us);
+    board.beside_host(move |inbox| {
+        // Publishes `job`'s stage, sends subtask `i` to the host and waits
+        // for it.
+        let migrate = |job: &SlabJob<'_>, i: usize| {
+            let epoch = board.publish(job);
+            inbox.push_migrated(0, steal::encode_ticket(epoch, i));
+            board.wait(i);
+        };
+        // Warm both paths before timing: the host's wake-up, plus each
+        // thread's workspace and caches (one untimed pass over every
+        // subtask locally and on the host).
+        let mut job = owner.job();
+        for i in 0..count {
+            run_local(kind, &mut job, i);
+            migrate(&job, i);
+        }
+        // Interleave local and migrated trials so ambient load (other
+        // tests, frequency scaling) perturbs both series equally.
+        for t in 0..trials {
+            let i = t % count;
             let mut job = owner.job();
-            for i in 0..count {
-                stage.run_local(&mut job, i);
-                migrate(i);
-            }
-            // Interleave local and migrated trials so ambient load (other
-            // tests, frequency scaling) perturbs both series equally.
-            for t in 0..trials {
-                let i = t % count;
-                let mut job = owner.job();
-                let t0 = Instant::now();
-                stage.run_local(&mut job, i);
-                local_us.push(as_us(t0.elapsed()));
+            let t0 = Instant::now();
+            run_local(kind, &mut job, i);
+            local.push(as_us(t0.elapsed()));
 
-                let t1 = Instant::now();
-                migrate(i);
-                migrated_us.push(as_us(t1.elapsed()));
-            }
-            // Dropping `tx` here ends the host loop.
-        });
+            let t1 = Instant::now();
+            migrate(&job, i);
+            migrated.push(as_us(t1.elapsed()));
+        }
     });
 
     let delta_us = {
@@ -406,32 +409,19 @@ pub struct StealMeasurement {
     pub task: TaskKind,
     /// Per-subtask time when executed by the owning thread.
     pub local_us: Samples,
-    /// Per-subtask time when stolen by another core (push → steal →
-    /// execute → ready-flag round trip).
+    /// Per-subtask time when stolen by another core (publish → push →
+    /// steal → execute → ready-flag round trip).
     pub stolen_us: Samples,
     /// Median overhead `stolen − local` (the steal-path δ), µs.
     pub delta_us: f64,
 }
 
-/// Spin-then-yield until `done` reads `epoch` (pure spinning would starve
-/// the thief on machines with few CPUs).
-fn wait_done(done: &AtomicU64, epoch: u64) {
-    let mut spins = 0u32;
-    while done.load(Ordering::Acquire) != epoch {
-        if spins < 128 {
-            spins += 1;
-            std::hint::spin_loop();
-        } else {
-            std::thread::yield_now();
-        }
-    }
-}
-
 /// Measures a subtask locally vs. stolen by a second core through the
 /// Chase–Lev deque — the steal-path analogue of
-/// [`measure_migration_overhead`]. No allocation happens at handoff: the
-/// owner pushes a `(epoch, index)` ticket, the thief steals it, runs the
-/// subtask, and publishes completion through an atomic.
+/// [`measure_migration_overhead`]: the owner publishes the stage and
+/// pushes an `(epoch, index)` ticket, a spinning thief steals it and runs
+/// `execute_stolen`, and the owner waits on the ready flag. Nothing is
+/// allocated at hand-off.
 ///
 /// # Panics
 /// Panics if `task` is [`TaskKind::Demod`].
@@ -444,24 +434,22 @@ pub fn measure_steal_overhead(
 ) -> StealMeasurement {
     // analyze: allow(call:new): one-time bench construction before the timed loops; failing fast on a bad config is intended
     let mut bench = Workbench::new(bw, antennas, mcs, task, 0x057E_A100);
-    let (mut owner, helper) = bench.split();
-    let (stage, count) = (owner.stage, helper.count);
+    let (mut owner, board) = bench.split();
+    let (kind, count) = (owner.kind, board.count);
     let mut local_us = Samples::new();
     let mut stolen_us = Samples::new();
     let (mut w, s) = steal::steal_pair(64);
-    let done = AtomicU64::new(0);
     let stop = AtomicBool::new(false);
 
     std::thread::scope(|sc| {
-        let (done, stop) = (&done, &stop);
+        let stop = &stop;
         sc.spawn(move || {
             pin_current_thread(1);
             loop {
                 match s.steal() {
                     Steal::Taken(t) => {
                         let (epoch, i) = steal::decode_ticket(t);
-                        helper.migrated_subtask(i);
-                        done.store(epoch, Ordering::Release);
+                        execute_stolen(&board.arenas[0], board.fed, board.pool, epoch, i, |_| true);
                     }
                     Steal::Retry => std::hint::spin_loop(),
                     Steal::Empty => {
@@ -476,19 +464,19 @@ pub fn measure_steal_overhead(
         let (local_us, stolen_us) = (&mut local_us, &mut stolen_us);
         sc.spawn(move || {
             pin_current_thread(0);
-            // Publishes subtask `i` and waits until the thief ran it.
-            let mut epoch = 0u64;
-            let mut steal_round_trip = |i: usize| {
-                epoch += 1;
+            // Publishes `job`'s stage, pushes subtask `i` and waits until
+            // the thief ran it.
+            let mut steal_round_trip = |job: &SlabJob<'_>, i: usize| {
+                let epoch = board.publish(job);
                 // analyze: allow(panic): capacity proof — at most one outstanding ticket in a 64-slot deque
                 w.push(steal::encode_ticket(epoch, i)).expect("deque room");
-                wait_done(done, epoch);
+                board.wait(i);
             };
             // Warm both paths untimed: caches and workspaces on each thread.
             let mut job = owner.job();
             for i in 0..count {
-                stage.run_local(&mut job, i);
-                steal_round_trip(i);
+                run_local(kind, &mut job, i);
+                steal_round_trip(&job, i);
             }
             // Interleave local and stolen trials so ambient load perturbs
             // both series equally.
@@ -496,11 +484,11 @@ pub fn measure_steal_overhead(
                 let i = t % count;
                 let mut job = owner.job();
                 let t0 = Instant::now();
-                stage.run_local(&mut job, i);
+                run_local(kind, &mut job, i);
                 local_us.push(as_us(t0.elapsed()));
 
                 let t1 = Instant::now();
-                steal_round_trip(i);
+                steal_round_trip(&job, i);
                 stolen_us.push(as_us(t1.elapsed()));
             }
             stop.store(true, Ordering::Release);
@@ -527,8 +515,9 @@ mod tests {
     // Structural checks only: the probes complete, return one sample per
     // trial, and every median is a finite positive time. Which side is
     // faster is a property of a pinned, otherwise idle host, not of a test
-    // binary whose neighbours are the cluster tests' yield-spinning
-    // workers; the ordering is reported from validated runs by
+    // binary whose neighbours are the cluster tests' worker threads
+    // (steal-mode thieves spin while a subframe is live); the ordering is
+    // reported from validated runs by
     // `benchmark/` (`runtime.steal.fft_delta_us`,
     // `runtime.steal.decode_delta_us`, `runtime.mailbox.decode_delta_us`).
     fn assert_sane(name: &str, samples: &Samples, trials: usize) {

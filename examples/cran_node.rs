@@ -1,8 +1,8 @@
 //! A live multi-cell C-RAN node on real threads: one [`CranCluster`]
 //! takes N cells' subframes over an in-process fronthaul paced at the
 //! transport cadence, runs pinned per-cell workers, and migrates real
-//! PHY subtasks — through the lock-free steal path or the mutex mailbox
-//! path, side by side.
+//! PHY subtasks — stolen through the lock-free deque path or sent to
+//! Algorithm 1's planned hosts in mutex mode, side by side.
 //!
 //! Unlike the capacity sweep in `rtopex-experiments` (which dilates the
 //! subframe period to stress 5 MHz cells), this demo runs narrowband
