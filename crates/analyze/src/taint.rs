@@ -195,6 +195,12 @@ pub const SOURCES: &[Source] = &[
     },
     Source {
         type_qual: None,
+        name: "dispatch_train",
+        deny: FRAME,
+        why: "walks one GRO-coalesced UDP receive datagram by datagram into ingest_frame",
+    },
+    Source {
+        type_qual: None,
         name: "negotiate",
         deny: SERVICE,
         why: "TCP hello/ack exchange; retries until stop, so the loop is a service loop",

@@ -6,7 +6,8 @@
 //!
 //! * [`udp`] — one wire frame per datagram, tolerant of loss and
 //!   reordering (per-cell sequence tracking with wraparound-safe gap
-//!   detection).
+//!   detection); each antenna's datagrams leave in one segmentation-
+//!   offload send and arrive in GRO-coalesced receives.
 //! * [`tcp`] — length-framed stream with coalesced writes (one syscall
 //!   per cell-batch) and sender reconnect with bounded resync.
 //!
@@ -27,7 +28,10 @@
 //! the invariant.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+// Unsafe is denied everywhere except `udp::sys`, which declares the two
+// socket calls (`setsockopt`, `recvmsg`) std has no API for; every
+// block there carries a `// SAFETY:` comment (`cargo xtask lint`).
+#![deny(unsafe_code)]
 
 pub mod framing;
 pub mod ring;

@@ -3,8 +3,8 @@
 //! Frames are `[len: u32 BE][frame]` on a nodelay stream. The sender
 //! appends frames to one write buffer and pushes a whole cell-batch
 //! with a single `write_all` syscall on [`FronthaulTx::flush`] — the
-//! "batched socket I/O" arm of the transport (UDP cannot coalesce
-//! without `sendmmsg`, which the vendored libc shim does not carry).
+//! "batched socket I/O" arm of the transport (UDP batches per antenna
+//! instead, as segmentation-offload trains; see [`crate::udp`]).
 //!
 //! The receiver's I/O thread keeps the listener after the first
 //! session: when a sender dies mid-stream it re-accepts, validates the

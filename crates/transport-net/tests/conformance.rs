@@ -5,8 +5,9 @@
 //! **byte-identical** (f32 bit equality) to the sent subframe after the
 //! wire's i16 quantization — under plain delivery, for the quantizer's
 //! edge values at every SIMD tier, under fragment reordering (UDP), and
-//! across a sender reconnect (TCP). A subframe of the wrong geometry is
-//! refused whole by every transport.
+//! across a sender reconnect (TCP). UDP's segmentation-offload trains
+//! reach a plain socket as one wire frame per datagram, byte for byte.
+//! A subframe of the wrong geometry is refused whole by every transport.
 
 use std::sync::mpsc;
 use std::thread;
@@ -346,6 +347,82 @@ fn udp_reordered_fragments_delivered_byte_identical() {
     assert_eq!(st.delivered, sched.len() as u64);
     assert_eq!(st.gaps, 0);
     assert_eq!(st.stale, sched.len() as u64, "one duplicate per subframe");
+}
+
+/// UDP on the wire: the sender's segmentation-offload trains reach a
+/// plain socket without GRO as the datagrams one `send` per frame would
+/// make — `antennas × fragments_for(samples)` per subframe, in order,
+/// each byte-identical to `write_iq_frame`'s frame — at 1.4, 5 and
+/// 20 MHz. At 20 MHz an antenna's 86 fragments leave as two trains,
+/// 45 + 41; that case runs one antenna, because a plain socket's default
+/// 208 KiB receive buffer holds ≈ 140 datagrams of one burst and std
+/// cannot raise it.
+#[test]
+fn udp_trains_arrive_as_one_datagram_per_frame() {
+    for (samples, antennas) in [(1_920u32, 2u8), (7_680, 2), (30_720, 1)] {
+        let p = StreamParams {
+            samples_per_subframe: samples,
+            antennas,
+            subframes: 3,
+            ..params()
+        };
+        let per_sf = p.antennas as usize * wire::fragments_for(samples as usize);
+        let sched = full_schedule(&p);
+
+        let sock = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+        sock.set_read_timeout(Some(RECV_TIMEOUT)).unwrap();
+        let addr = sock.local_addr().unwrap();
+        let (dtx, drx) = mpsc::channel::<Vec<Vec<u8>>>();
+        let subframes = sched.len();
+        let reader = thread::spawn(move || {
+            let mut buf = vec![0u8; 64 * 1024];
+            let (n, src) = sock.recv_from(&mut buf).unwrap();
+            wire::decode_hello(&buf[..n]).unwrap();
+            let mut ack = Vec::new();
+            wire::encode_hello_ack(&mut ack, rtopex_transport::PROTOCOL_VERSION);
+            sock.send_to(&ack, src).unwrap();
+            sock.connect(src).unwrap();
+            for _ in 0..subframes {
+                let mut got = Vec::with_capacity(per_sf);
+                while got.len() < per_sf {
+                    let n = sock.recv(&mut buf).unwrap_or_else(|e| {
+                        panic!("{} of {per_sf} datagrams, then {e}", got.len())
+                    });
+                    if buf[0] != wire::FT_HELLO {
+                        got.push(buf[..n].to_vec());
+                    }
+                }
+                dtx.send(got).unwrap();
+            }
+        });
+
+        let mut tx = UdpFronthaulTx::connect(addr, p.clone()).unwrap();
+        let total = wire::fragments_for(samples as usize) as u16;
+        for &(cell, seq) in &sched {
+            let s = subframe(&p, cell, seq);
+            tx.send(cell, seq, 27, &s).unwrap();
+            let got = drx.recv().unwrap();
+            let mut want = Vec::new();
+            for (ant, a) in s.iter().enumerate() {
+                for (frag, chunk) in a.chunks(wire::SAMPLES_PER_FRAG).enumerate() {
+                    let mut f = vec![0u8; wire::MAX_IQ_FRAME];
+                    let len = wire::write_iq_frame(
+                        &mut f, 27, cell, ant as u8, frag as u8, total, seq, chunk,
+                    );
+                    f.truncate(len);
+                    want.push(f);
+                }
+            }
+            assert_eq!(got.len(), want.len(), "{samples} samples: datagram count");
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert!(
+                    g == w,
+                    "{samples} samples, cell {cell} seq {seq}: datagram {i} differs"
+                );
+            }
+        }
+        reader.join().unwrap();
+    }
 }
 
 /// TCP across a sender reconnect: the first sender dies mid-stream, a
