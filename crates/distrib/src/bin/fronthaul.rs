@@ -16,11 +16,11 @@
 //! in-process fronthaul with ([`send_paced`]), so the multi-host
 //! timeline is the single-host one. With `--spawn`, worker
 //! reports are collected and aggregated, and the process exits non-zero
-//! if any worker misses the 0.5 % deadline bar.
+//! if a worker fails, a sent subframe reaches no worker (`"lost"`) or the
+//! workers miss the 0.5 % deadline bar.
 
 use rtopex_distrib::{
-    json_num, parse_bandwidth, parse_mode, parse_transport, partition_cells, Args, Geometry,
-    MISS_OK,
+    parse_bandwidth, parse_mode, parse_transport, partition_cells, spawn_verdict, Args, Geometry,
 };
 use rtopex_runtime::cluster::{send_paced, SendPlan};
 use rtopex_transport::FronthaulTx;
@@ -227,29 +227,11 @@ fn main() {
         }
         reports.push(rest);
     }
-    let agg = |key: &str| -> f64 { reports.iter().filter_map(|r| json_num(r, key)).sum() };
-    let (delivered, missed, gaps, shed, crc) = (
-        agg("delivered"),
-        agg("missed"),
-        agg("gaps"),
-        agg("shed"),
-        agg("crc_failures"),
-    );
-    let accounted = reports
-        .iter()
-        .filter_map(|r| json_num(r, "delivered"))
-        .count();
-    let miss_rate = if delivered > 0.0 {
-        missed / delivered
-    } else {
-        0.0
-    };
-    let ok = if accounted > 0 {
-        workers_ok && sent == expected && miss_rate <= MISS_OK && crc == 0.0
-    } else {
-        // Remote-hosts mode: only the send side is visible here.
-        sent == expected
-    };
+    // Remote-hosts mode collects no reports: only the send side is
+    // visible here.
+    let verdict =
+        (!reports.is_empty()).then(|| spawn_verdict(sent, expected, &reports, workers_ok));
+    let ok = verdict.map_or(sent == expected, |v| v.ok);
 
     let cpw: Vec<String> = partitions.iter().map(|p| p.len().to_string()).collect();
     println!("{{");
@@ -264,13 +246,14 @@ fn main() {
     println!("  \"budget_us\": {},", geo.budget().as_micros());
     println!("  \"sent\": {sent},");
     println!("  \"expected\": {expected},");
-    if accounted > 0 {
-        println!("  \"delivered\": {},", delivered as u64);
-        println!("  \"missed\": {},", missed as u64);
-        println!("  \"miss_rate\": {miss_rate:.6},");
-        println!("  \"gaps\": {},", gaps as u64);
-        println!("  \"shed\": {},", shed as u64);
-        println!("  \"crc_failures\": {},", crc as u64);
+    if let Some(v) = verdict {
+        println!("  \"delivered\": {},", v.delivered);
+        println!("  \"lost\": {},", v.lost);
+        println!("  \"missed\": {},", v.missed);
+        println!("  \"miss_rate\": {:.6},", v.miss_rate);
+        println!("  \"gaps\": {},", v.gaps);
+        println!("  \"shed\": {},", v.shed);
+        println!("  \"crc_failures\": {},", v.crc_failures);
     }
     println!("  \"ok\": {ok}");
     println!("}}");

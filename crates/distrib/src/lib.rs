@@ -163,9 +163,10 @@ pub struct Geometry {
 
 impl Geometry {
     /// The dilated 5 MHz demo geometry: 6 ms period, 7 ms one-way
-    /// latency, so the Eq. 3 budget is `2·6000 − 7000 = 5000 µs` — the
-    /// same dilation trick the node benchmark uses to keep real-machine
-    /// scheduling representative without 10 MHz-class silicon.
+    /// latency, so the Eq. 3 budget is `2·6000 − 7000 = 5000 µs`. The
+    /// stretched period keeps the queueing structure of the 1 ms system
+    /// while leaving 5 MHz cells room to ride out single-millisecond host
+    /// stalls.
     pub fn demo(subframes: usize) -> Self {
         Geometry {
             bandwidth: Bandwidth::Mhz5,
@@ -196,7 +197,7 @@ impl Geometry {
     }
 
     /// A cluster config for `num_cells` of this geometry, with
-    /// [`ClusterConfig::demo`]'s SNR, δ and seed.
+    /// [`ClusterConfig::demo`]'s SNR and seed.
     pub fn cluster_config(&self, num_cells: usize, mode: SchedulerMode) -> ClusterConfig {
         ClusterConfig {
             bandwidth: self.bandwidth,
@@ -306,6 +307,63 @@ pub fn node_report_json(
     )
 }
 
+/// What `rtopex-fronthaul --spawn` reads from its workers' reports.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct SpawnVerdict {
+    /// Subframes the workers' transports delivered, summed.
+    pub delivered: u64,
+    /// Subframes sent that no worker reports delivered.
+    pub lost: u64,
+    /// Deadline misses, summed.
+    pub missed: u64,
+    /// `missed / delivered` (0 when nothing was delivered).
+    pub miss_rate: f64,
+    /// Sequence gaps, summed.
+    pub gaps: u64,
+    /// Subframes shed on arrival, summed.
+    pub shed: u64,
+    /// CRC failures, summed.
+    pub crc_failures: u64,
+    /// The run passes: every worker exited cleanly, every expected
+    /// subframe was sent and delivered, misses stay within [`MISS_OK`]
+    /// and no CRC failed.
+    pub ok: bool,
+}
+
+/// Judges a spawned run from what was `sent` of the `expected`
+/// subframes, each worker's [`node_report_json`] (an empty string for a
+/// worker that printed none) and whether every worker exited cleanly.
+pub fn spawn_verdict(
+    sent: u64,
+    expected: u64,
+    reports: &[String],
+    workers_ok: bool,
+) -> SpawnVerdict {
+    let sum =
+        |key: &str| -> u64 { reports.iter().filter_map(|r| json_num(r, key)).sum::<f64>() as u64 };
+    let (delivered, missed) = (sum("delivered"), sum("missed"));
+    let miss_rate = if delivered > 0 {
+        missed as f64 / delivered as f64
+    } else {
+        0.0
+    };
+    let crc_failures = sum("crc_failures");
+    SpawnVerdict {
+        delivered,
+        lost: sent.saturating_sub(delivered),
+        missed,
+        miss_rate,
+        gaps: sum("gaps"),
+        shed: sum("shed"),
+        crc_failures,
+        ok: workers_ok
+            && sent == expected
+            && delivered == sent
+            && miss_rate <= MISS_OK
+            && crc_failures == 0,
+    }
+}
+
 /// Splits `cells` wire ids into `hosts` contiguous chunks (first chunks
 /// take the remainder), returning each host's cell-id list.
 pub fn partition_cells(cells: usize, hosts: usize) -> Vec<Vec<u16>> {
@@ -376,6 +434,37 @@ mod tests {
         assert_eq!(json_num(text, "gaps"), Some(3.0));
         assert_eq!(json_num(text, "neg"), Some(-150.0));
         assert_eq!(json_num(text, "absent"), None);
+    }
+
+    fn worker_report(delivered: u64) -> String {
+        format!(
+            "{{ \"delivered\": {delivered}, \"missed\": 0, \"gaps\": 0, \"shed\": 0, \"crc_failures\": 0 }}"
+        )
+    }
+
+    #[test]
+    fn spawn_verdict_fails_a_run_that_lost_subframes() {
+        let reports = [worker_report(240), worker_report(238)];
+        let v = spawn_verdict(480, 480, &reports, true);
+        // No miss and no CRC failure among what arrived…
+        assert_eq!((v.missed, v.crc_failures), (0, 0));
+        assert!(v.miss_rate <= MISS_OK);
+        // …but two subframes never reached a node.
+        assert_eq!((v.delivered, v.lost), (478, 2));
+        assert!(!v.ok);
+    }
+
+    #[test]
+    fn spawn_verdict_passes_a_clean_run() {
+        let reports = [worker_report(240), worker_report(240)];
+        let v = spawn_verdict(480, 480, &reports, true);
+        assert_eq!((v.delivered, v.lost), (480, 0));
+        assert!(v.ok);
+        assert!(
+            !spawn_verdict(480, 480, &reports, false).ok,
+            "a worker failed"
+        );
+        assert!(!spawn_verdict(480, 500, &reports, true).ok, "short send");
     }
 
     #[test]

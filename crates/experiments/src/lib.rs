@@ -19,7 +19,6 @@
 #![forbid(unsafe_code)]
 
 pub mod ablations;
-pub mod cluster_scale;
 pub mod common;
 pub mod discussion;
 pub mod fig01;
@@ -33,7 +32,6 @@ pub mod fig16;
 pub mod fig17;
 pub mod fig18;
 pub mod fig19;
-pub mod pooling;
 pub mod table1;
 pub mod table2;
 

@@ -7,93 +7,93 @@
 
 use rtopex_experiments::*;
 
-const USAGE: &str = "\
+/// An experiment's entry point.
+type Run = fn(&Opts);
+
+/// Every experiment, in `all`'s order: name, description, entry point.
+/// The usage text, the dispatch and `all` read this table.
+#[rustfmt::skip]
+const EXPERIMENTS: &[(&str, &str, Run)] = &[
+    ("fig1",       "load-trace variations                 (Fig. 1)", fig01::run),
+    ("table1",     "processing-time model fit             (Table 1)", table1::run),
+    ("fig3",       "processing-time variations, 4 panels  (Fig. 3a-d)", fig03::run),
+    ("fig4",       "task times on 1 vs 2 cores, real PHY  (Fig. 4)", fig04::run),
+    ("fig6",       "cloud network delay distribution      (Fig. 6)", fig06::run),
+    ("fig7",       "transport latency vs antennas         (Fig. 7)", fig07::run),
+    ("fig14",      "basestation load CDFs                 (Fig. 14)", fig14::run),
+    ("fig15",      "deadline-miss vs RTT/2  [HEADLINE]    (Fig. 15)", fig15::run),
+    ("fig16",      "schedule gaps and migrations          (Fig. 16)", fig16::run),
+    ("fig17",      "deadline-miss vs offered load         (Fig. 17)", fig17::run),
+    ("fig18",      "local vs migrated subtask times       (Fig. 18)", fig18::run),
+    ("fig19",      "global scheduler vs core count        (Fig. 19)", fig19::run),
+    ("table2",     "qualitative comparison matrix         (Table 2)", table2::run),
+    ("discussion", "§5 claims: spare cores, core failure, load surges", discussion::run),
+    ("ablations",  "delta / policy / recovery / cache ablations", ablations::run),
+];
+
+/// One panel of an experiment above, runnable on its own; `all` runs
+/// each through its experiment.
+const PANELS: &[(&str, Run)] = &[
+    ("fig3a", fig03::run_a),
+    ("fig3b", fig03::run_b),
+    ("fig3c", fig03::run_c),
+    ("fig3d", fig03::run_d),
+    ("ablate-delta", ablations::run_delta),
+    ("ablate-policy", ablations::run_policy),
+    ("ablate-recovery", ablations::run_recovery),
+    ("ablate-cache", ablations::run_cache),
+    ("ablate-prb", ablations::run_prb),
+    ("ablate-granularity", ablations::run_granularity),
+];
+
+const USAGE_HEAD: &str = "\
 rtopex-experiments — regenerate RT-OPEX (CoNEXT'16) tables and figures
 
 USAGE: rtopex-experiments <experiment> [--quick] [--seed N]
 
 EXPERIMENTS:
-  fig1      load-trace variations                 (Fig. 1)
-  table1    processing-time model fit             (Table 1)
-  fig3      processing-time variations, 4 panels  (Fig. 3a-d)
-  fig4      task times on 1 vs 2 cores, real PHY  (Fig. 4)
-  fig6      cloud network delay distribution      (Fig. 6)
-  fig7      transport latency vs antennas         (Fig. 7)
-  fig14     basestation load CDFs                 (Fig. 14)
-  fig15     deadline-miss vs RTT/2  [HEADLINE]    (Fig. 15)
-  fig16     schedule gaps and migrations          (Fig. 16)
-  fig17     deadline-miss vs offered load         (Fig. 17)
-  fig18     local vs migrated subtask times       (Fig. 18)
-  fig19     global scheduler vs core count        (Fig. 19)
-  cluster   cells sustained per host, real threads (Figs. 17/18 consolidation)
-  pooling   cells/core vs fleet size, 1-64 hosts   (§1/§6 consolidation)
-  table2    qualitative comparison matrix         (Table 2)
-  discussion §5 claims: spare cores, core failure, load surges
-  ablations delta / policy / recovery / cache ablations
-  all       everything above, in order
+";
+
+const USAGE_TAIL: &str = "  all       everything above, in order
+  (fig3a-fig3d and ablate-{delta,policy,recovery,cache,prb,granularity}
+   run one panel of fig3 or ablations)
 
 OPTIONS:
   --quick   smaller runs (CI-scale)
   --seed N  RNG seed (default 0xC0DE)
 ";
 
+fn usage() -> String {
+    let rows: String = EXPERIMENTS
+        .iter()
+        .map(|(name, about, _)| format!("  {name:<9} {about}\n"))
+        .collect();
+    format!("{USAGE_HEAD}{rows}{USAGE_TAIL}")
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(which) = args.first() else {
-        eprint!("{USAGE}");
+        eprint!("{}", usage());
         std::process::exit(2);
     };
     let opts = Opts::parse(&args[1..]);
-    match which.as_str() {
-        "fig1" => fig01::run(&opts),
-        "table1" => table1::run(&opts),
-        "fig3" => fig03::run(&opts),
-        "fig3a" => fig03::run_a(&opts),
-        "fig3b" => fig03::run_b(&opts),
-        "fig3c" => fig03::run_c(&opts),
-        "fig3d" => fig03::run_d(&opts),
-        "fig4" => fig04::run(&opts),
-        "fig6" => fig06::run(&opts),
-        "fig7" => fig07::run(&opts),
-        "fig14" => fig14::run(&opts),
-        "fig15" => fig15::run(&opts),
-        "fig16" => fig16::run(&opts),
-        "fig17" => fig17::run(&opts),
-        "fig18" => fig18::run(&opts),
-        "fig19" => fig19::run(&opts),
-        "cluster" => cluster_scale::run(&opts),
-        "pooling" => pooling::run(&opts),
-        "table2" => table2::run(&opts),
-        "discussion" => discussion::run(&opts),
-        "ablations" => ablations::run(&opts),
-        "ablate-delta" => ablations::run_delta(&opts),
-        "ablate-policy" => ablations::run_policy(&opts),
-        "ablate-recovery" => ablations::run_recovery(&opts),
-        "ablate-cache" => ablations::run_cache(&opts),
-        "ablate-prb" => ablations::run_prb(&opts),
-        "ablate-granularity" => ablations::run_granularity(&opts),
-        "all" => {
-            fig01::run(&opts);
-            table1::run(&opts);
-            fig03::run(&opts);
-            fig04::run(&opts);
-            fig06::run(&opts);
-            fig07::run(&opts);
-            fig14::run(&opts);
-            fig15::run(&opts);
-            fig16::run(&opts);
-            fig17::run(&opts);
-            fig18::run(&opts);
-            fig19::run(&opts);
-            cluster_scale::run(&opts);
-            pooling::run(&opts);
-            table2::run(&opts);
-            discussion::run(&opts);
-            ablations::run(&opts);
+    if which == "all" {
+        for (_, _, run) in EXPERIMENTS {
+            run(&opts);
         }
-        other => {
-            eprintln!("unknown experiment: {other}\n");
-            eprint!("{USAGE}");
+        return;
+    }
+    let entry = EXPERIMENTS
+        .iter()
+        .map(|&(name, _, run)| (name, run))
+        .chain(PANELS.iter().copied())
+        .find(|&(name, _)| name == which);
+    match entry {
+        Some((_, run)) => run(&opts),
+        None => {
+            eprintln!("unknown experiment: {which}\n");
+            eprint!("{}", usage());
             std::process::exit(2);
         }
     }

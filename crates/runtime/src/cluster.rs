@@ -104,8 +104,8 @@ use rtopex_phy::tasks::TaskKind;
 use rtopex_phy::uplink::{BlockBuf, JobSlab, SlabJob, UplinkConfig, UplinkRx, UplinkTx};
 use rtopex_phy::Cf32;
 use rtopex_transport::{
-    inproc_pair, FronthaulRx, FronthaulTx, MulticellIngest, Recv, RxStats, StreamParams,
-    SubframeBuf, TestbedLink, TransportError,
+    inproc_pair, FronthaulRx, FronthaulTx, Recv, RxStats, StreamParams, SubframeBuf, TestbedLink,
+    TransportError,
 };
 use rtopex_workload::{load_to_mcs, LoadTrace, TraceParams};
 use std::collections::VecDeque;
@@ -157,6 +157,10 @@ impl SchedulerMode {
     }
 }
 
+/// Per-subtask migration cost estimate δ, µs: the δ guard's threshold
+/// and the decode slack check's migration overhead.
+const DELTA_US: f64 = 60.0;
+
 /// Configuration of a cluster run.
 #[derive(Clone, Debug)]
 pub struct ClusterConfig {
@@ -182,8 +186,6 @@ pub struct ClusterConfig {
     pub snr_db: f64,
     /// Distinct MCS values to pre-encode; trace loads snap to the nearest.
     pub mcs_pool: Vec<u8>,
-    /// Per-subtask migration cost estimate δ, µs.
-    pub delta_us: f64,
     /// RNG seed (traces, payloads, channel noise).
     pub seed: u64,
 }
@@ -202,7 +204,6 @@ impl ClusterConfig {
             mode: SchedulerMode::RtOpexSteal,
             snr_db: 30.0,
             mcs_pool: vec![5, 10, 16, 22, 27],
-            delta_us: 60.0,
             seed: 0xC0DE,
         }
     }
@@ -736,10 +737,10 @@ impl<'a> Shared<'a> {
             .map(move |c| (c, self.idle_window(c, now)))
     }
 
-    /// The δ guard (R1) at the configured migration cost.
+    /// The δ guard (R1) at the migration cost [`DELTA_US`].
     fn guard(&self) -> DeltaGuard {
         DeltaGuard {
-            delta: Nanos::from_us_f64(self.cfg.delta_us),
+            delta: Nanos::from_us_f64(DELTA_US),
         }
     }
 
@@ -1144,18 +1145,16 @@ fn nearest_pool_idx(pool_mcs: &[u8], mcs: u8) -> Option<usize> {
 
 /// Per-cell ingest stagger within a period: how long after cell 0's
 /// subframe each cell's reaches the node when every cell shares the
-/// paper testbed's 10 GbE port ([`MulticellIngest`]).
+/// paper testbed's 10 GbE port. The radio links serialize in parallel
+/// and the shared port carries the cells back to back, so cell `c`
+/// lands as if its antennas were the last of `(c + 1)·antennas`.
 fn ingest_stagger(cfg: &ClusterConfig) -> Vec<Duration> {
-    let ingest = MulticellIngest::homogeneous(
-        TestbedLink::paper_testbed(),
-        cfg.num_cells,
-        cfg.bandwidth,
-        cfg.num_antennas,
-    );
-    let d0 = ingest.deterministic_delivery_us(0).unwrap_or(0.0);
+    let link = TestbedLink::paper_testbed();
+    let arrival = |antennas| link.one_way_deterministic_us(cfg.bandwidth, antennas);
+    let d0 = arrival(cfg.num_antennas);
     (0..cfg.num_cells)
         .map(|c| {
-            let d = ingest.deterministic_delivery_us(c).unwrap_or(d0);
+            let d = arrival((c + 1) * cfg.num_antennas);
             Duration::from_secs_f64(((d - d0).max(0.0)) / 1e6)
         })
         .collect()
@@ -1772,7 +1771,7 @@ fn process_subframe(
     // Migration roughly halves the decode critical path; the slack check
     // is plan-aware like the simulator's.
     let est_effective = if cfg.mode.migrates() && phy.decode_subtask_count() > 1 {
-        est_dec / 2 + Duration::from_secs_f64(cfg.delta_us / 1e6)
+        est_dec / 2 + Duration::from_secs_f64(DELTA_US / 1e6)
     } else {
         est_dec
     };
@@ -2055,6 +2054,31 @@ mod tests {
         assert_eq!(cfg.total_cores(), 6);
         assert!(SchedulerMode::RtOpexSteal.migrates());
         assert!(!SchedulerMode::Global.migrates());
+    }
+
+    #[test]
+    fn deliveries_are_staggered_and_monotone() {
+        let cfg = ClusterConfig {
+            bandwidth: Bandwidth::Mhz5,
+            num_cells: 4,
+            ..ClusterConfig::demo()
+        };
+        let stagger = ingest_stagger(&cfg);
+        assert_eq!(stagger.len(), 4);
+        assert_eq!(stagger[0], Duration::ZERO, "cell 0 is the reference");
+        // Each step is one cell's serialization on the shared port.
+        let link = TestbedLink::paper_testbed();
+        let bits = (TestbedLink::subframe_bytes(cfg.bandwidth) * 8 * cfg.num_antennas) as f64;
+        let per_cell_us = bits / link.aggregate_bps * 1e6;
+        for w in stagger.windows(2) {
+            assert!(w[1] > w[0], "later cells deliver strictly later");
+            let step_us = (w[1] - w[0]).as_secs_f64() * 1e6;
+            // Each offset is rounded to a whole nanosecond.
+            assert!(
+                (step_us - per_cell_us).abs() < 2e-3,
+                "{step_us} vs {per_cell_us}"
+            );
+        }
     }
 
     #[test]

@@ -139,15 +139,13 @@ pub struct SimConfig {
     /// workload would give RT-OPEX.
     pub prb_util_range: Option<(f64, f64)>,
     /// Override the partitioned schedule's cores-per-basestation
-    /// allocation (`None` = the Eq. 3 `⌈T_max⌉` default). The pooling
-    /// experiment uses this to hold a host's core budget fixed while the
-    /// aggregated cell count grows.
+    /// allocation (`None` = the Eq. 3 `⌈T_max⌉` default), holding a
+    /// host's core budget fixed whatever its cells' `T_max`.
     pub cores_per_bs: Option<usize>,
     /// Record per-sample data (gap durations, per-subframe processing
     /// times in `proc_times_us`). The paper figures need the raw
-    /// samples; fleet-scale pooling sweeps turn this off so a run's
-    /// memory stays constant — counters and the processing-time
-    /// histogram are always kept.
+    /// samples; a long run turns this off so its memory stays constant
+    /// — counters and the processing-time histogram are always kept.
     pub record_samples: bool,
     /// RNG seed.
     pub seed: u64,

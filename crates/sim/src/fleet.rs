@@ -1,13 +1,16 @@
 //! Shard-parallel fleet simulation: many simulated hosts, one merged
 //! report.
 //!
-//! A C-RAN deployment pools cells onto a fleet of compute hosts
-//! (§1, §6); the pooling experiment asks how many cells a fixed core
-//! budget sustains as the fleet grows. Hosts are *independent* — each
-//! runs its own engine, event wheel, RNG streams, and metrics — so the
-//! fleet is embarrassingly parallel. This module shards the host list
-//! across worker threads and merges the per-host [`SimReport`]s into one
-//! fleet report.
+//! Outside tests, the fleet's one caller is the repo benchmark
+//! (`benchmark/src/sim.rs`), which reports `sim.fleet_t2_sf_per_s` and
+//! checks that a 4-host fleet merges identically on 1 and on 2 threads.
+//! No paper figure needs more than one host, so this module goes with
+//! that metric when the benchmark next changes.
+//!
+//! Hosts are *independent* — each runs its own engine, event wheel, RNG
+//! streams, and metrics — so the fleet is embarrassingly parallel. This
+//! module shards the host list across worker threads and merges the
+//! per-host [`SimReport`]s into one fleet report.
 //!
 //! **Determinism.** The merged report is bit-identical for *any*
 //! shard/thread count because
@@ -57,17 +60,10 @@ pub struct FleetReport {
     pub hosts: usize,
 }
 
-impl FleetReport {
-    /// Convenience: the fleet-wide deadline-miss rate.
-    pub fn miss_rate(&self) -> f64 {
-        self.merged.miss_rate()
-    }
-}
-
 /// The configuration host `i` runs: the base config with a split seed
 /// and the trace list rotated by `i`, so a heterogeneous cell mix lands
 /// differently on every host (no fleet-wide phase alignment).
-pub fn host_config(base: &SimConfig, host: usize) -> SimConfig {
+fn host_config(base: &SimConfig, host: usize) -> SimConfig {
     let mut cfg = base.clone();
     cfg.seed = base.seed ^ (host as u64).wrapping_mul(HOST_SEED_MIX);
     if host > 0 && base.traces.len() > 1 {

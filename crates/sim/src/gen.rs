@@ -10,8 +10,9 @@
 //! parameters from `(cell, j, seed)` on demand, holding only two RNG
 //! states, the load-trace state, and a 29-entry code-block table. A
 //! 10⁷-subframe run therefore needs constant memory — materializing the
-//! entire `Vec<Vec<SubframeTask>>` up front is gigabytes at fleet scale
-//! (64 hosts × dozens of cells × 10⁵ subframes).
+//! entire `Vec<Vec<SubframeTask>>` up front would grow linearly with the
+//! run, and resolving Fig. 15/17's 10⁻⁴ miss rates takes millions of
+//! subframes.
 
 use crate::config::SimConfig;
 use rand::rngs::StdRng;
@@ -49,8 +50,7 @@ fn blocks_for(mcs: Mcs, nprb: usize) -> usize {
 /// produced in ascending `j` — exactly the order the engines consume
 /// releases in. The RNG streams are per-cell (`trace` and `outcome`
 /// streams seeded independently), so cells are statistically independent
-/// and a fleet shard can run any subset of hosts without perturbing the
-/// others' draws.
+/// and one cell's draws never depend on another's.
 #[derive(Debug)]
 pub struct TaskStream<'a> {
     cfg: &'a SimConfig,

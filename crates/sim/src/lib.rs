@@ -36,7 +36,7 @@ pub mod report;
 pub mod wheel;
 
 pub use config::{CacheModel, SchedulerKind, SimConfig};
-pub use fleet::{host_config, run_fleet, FleetConfig, FleetReport};
+pub use fleet::{run_fleet, FleetConfig, FleetReport};
 pub use report::SimReport;
 
 /// Runs one simulation to completion.

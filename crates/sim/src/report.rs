@@ -27,7 +27,7 @@ pub struct SimReport {
     pub proc_times_us: Samples,
     /// Fixed-memory processing-time histogram (µs), recorded for every
     /// completed subframe regardless of `record_samples` — the
-    /// fleet-scale latency distribution with O(1) memory per run, and
+    /// latency distribution with O(1) memory per run, and
     /// the payload the determinism test compares bin for bin.
     pub proc_hist: Histogram,
     /// Subframes dropped by the slack check / queue (subset of misses).

@@ -1,10 +1,10 @@
 //! A hierarchical timing wheel tuned to the 1 ms subframe cadence.
 //!
 //! A `BinaryHeap` of every pending event pays `O(log n)` per operation
-//! with a comparison-heavy inner loop; at fleet scale (64 hosts × dozens
-//! of cells) the queue holds thousands of events and the heap becomes the
-//! simulator's bottleneck. Nearly all events, however, land within a few
-//! milliseconds of *now* — releases repeat every 1 ms and stage
+//! with a comparison-heavy inner loop, and a run that resolves Fig.
+//! 15/17's 10⁻⁴ miss rates pushes and pops millions of events, so the
+//! queue is the simulator's hot path. Nearly all events, however, land
+//! within a few milliseconds of *now* — releases repeat every 1 ms and stage
 //! boundaries sit a few hundred µs out — so a classic
 //! hashed-hierarchical timing wheel (Varghese & Lauck) gives amortized
 //! `O(1)` push/pop:

@@ -20,10 +20,6 @@
 //! * [`packet`] — an IQ packetizer (16-bit I/Q over MTU-sized frames, with
 //!   sequence/identity headers), standing in for the CWARP transport
 //!   library the testbed used.
-//! * [`ingest`] — batched multi-cell ingest: N consolidated cells sharing
-//!   one aggregation port and one delivery thread, with deterministic
-//!   per-cell delivery stagger (the transport side of Fig. 17/18's
-//!   consolidation story).
 //! * [`iface`] — the pluggable transport trait pair
 //!   ([`FronthaulTx`]/[`FronthaulRx`]): the contract the in-process
 //!   emulation and the real byte transports (`rtopex-transport-net`)
@@ -40,7 +36,6 @@
 pub mod cloud;
 pub mod fronthaul;
 pub mod iface;
-pub mod ingest;
 pub mod inproc;
 pub mod link;
 pub mod packet;
@@ -52,7 +47,6 @@ pub use iface::{
     FronthaulRx, FronthaulTx, Recv, RxStats, StreamParams, SubframeBuf, TransportError,
     PROTOCOL_VERSION,
 };
-pub use ingest::{CellFeed, MulticellIngest};
 pub use inproc::{inproc_pair, InProcRx, InProcTx};
 pub use link::TestbedLink;
 pub use packet::{IqPacketizer, PacketHeader, SeqEvent, SeqTracker};

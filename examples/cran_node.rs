@@ -4,15 +4,12 @@
 //! PHY subtasks — stolen through the lock-free deque path or sent to
 //! Algorithm 1's planned hosts in mutex mode, side by side.
 //!
-//! Unlike the capacity sweep in `rtopex-experiments` (which dilates the
-//! subframe period to stress 5 MHz cells), this demo runs narrowband
-//! 1.4 MHz cells at LTE's *true 1 ms* cadence: a vectorized subframe
-//! decode takes ~0.3 ms here, so the real-time deadline is genuinely
-//! attainable on commodity hardware, exactly the regime the paper's
-//! testbed operates in. Expect a few misses on a busy or virtualized
-//! host — the hypervisor can stall a core for longer than the whole
-//! budget — and see `rtopex-experiments cluster` for the methodology
-//! that measures around that noise.
+//! The demo runs narrowband 1.4 MHz cells at LTE's *true 1 ms* cadence:
+//! a vectorized subframe decode takes ~0.3 ms here, so the real-time
+//! deadline is genuinely attainable on commodity hardware, exactly the
+//! regime the paper's testbed operates in. Expect a few misses on a busy
+//! or virtualized host — the hypervisor can stall a core for longer than
+//! the whole budget — so compare modes over several runs, never one.
 //!
 //! Run with: `cargo run --release --example cran_node`
 
@@ -50,7 +47,6 @@ fn main() {
             mode,
             snr_db: 30.0,
             mcs_pool: vec![10, 16, 27],
-            delta_us: 60.0,
             seed: 0xC0DE,
         };
         println!(
