@@ -218,23 +218,16 @@ pub const SOURCES: &[Source] = &[
         why: "TCP session acceptor; blocks for a valid hello then starts the io thread",
     },
     Source {
-        type_qual: Some("TcpFronthaulRx"),
-        name: "start",
+        type_qual: None,
+        name: "tcp_io_loop",
         deny: SERVICE,
         why: "TCP io thread: read_frame/ingest/reconnect loop",
     },
     Source {
-        type_qual: Some("UdpFronthaulRx"),
-        name: "start",
+        type_qual: None,
+        name: "udp_io_loop",
         deny: SERVICE,
         why: "UDP io thread: recv/dispatch loop",
-    },
-    // — legacy in-process reassembly, still a byte-level parser. —
-    Source {
-        type_qual: Some("IqPacketizer"),
-        name: "reassemble",
-        deny: SETUP,
-        why: "in-process packet reassembly; returns an owned sample vec (the one legal allocation)",
     },
 ];
 

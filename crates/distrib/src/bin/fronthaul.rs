@@ -16,8 +16,9 @@
 //! in-process fronthaul with ([`send_paced`]), so the multi-host
 //! timeline is the single-host one. With `--spawn`, worker
 //! reports are collected and aggregated, and the process exits non-zero
-//! if a worker fails, a sent subframe reaches no worker (`"lost"`) or the
-//! workers miss the 0.5 % deadline bar.
+//! if a worker fails, a sent subframe reaches no worker's scheduler
+//! (`"lost"`: never delivered, or dropped unread in a node's receive
+//! ring) or the workers miss the 0.5 % deadline bar.
 
 use rtopex_distrib::{
     parse_bandwidth, parse_mode, parse_transport, partition_cells, spawn_verdict, Args, Geometry,
@@ -248,6 +249,7 @@ fn main() {
     println!("  \"expected\": {expected},");
     if let Some(v) = verdict {
         println!("  \"delivered\": {},", v.delivered);
+        println!("  \"rx_overruns\": {},", v.rx_overruns);
         println!("  \"lost\": {},", v.lost);
         println!("  \"missed\": {},", v.missed);
         println!("  \"miss_rate\": {:.6},", v.miss_rate);

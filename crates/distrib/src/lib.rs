@@ -310,13 +310,19 @@ pub fn node_report_json(
 /// What `rtopex-fronthaul --spawn` reads from its workers' reports.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SpawnVerdict {
-    /// Subframes the workers' transports delivered, summed.
+    /// Subframes the workers' receive rings published, summed
+    /// (`"delivered"`).
     pub delivered: u64,
-    /// Subframes sent that no worker reports delivered.
+    /// Of those, subframes the rings recycled unread because a node fell
+    /// behind (`"rx_overruns"`): they never reached a scheduler.
+    pub rx_overruns: u64,
+    /// Subframes sent that reached no worker's scheduler:
+    /// `sent − (delivered − rx_overruns)`.
     pub lost: u64,
     /// Deadline misses, summed.
     pub missed: u64,
-    /// `missed / delivered` (0 when nothing was delivered).
+    /// `missed` over the subframes that reached a scheduler (0 when none
+    /// did).
     pub miss_rate: f64,
     /// Sequence gaps, summed.
     pub gaps: u64,
@@ -325,8 +331,8 @@ pub struct SpawnVerdict {
     /// CRC failures, summed.
     pub crc_failures: u64,
     /// The run passes: every worker exited cleanly, every expected
-    /// subframe was sent and delivered, misses stay within [`MISS_OK`]
-    /// and no CRC failed.
+    /// subframe was sent and reached a scheduler, misses stay within
+    /// [`MISS_OK`] and no CRC failed.
     pub ok: bool,
 }
 
@@ -341,16 +347,19 @@ pub fn spawn_verdict(
 ) -> SpawnVerdict {
     let sum =
         |key: &str| -> u64 { reports.iter().filter_map(|r| json_num(r, key)).sum::<f64>() as u64 };
-    let (delivered, missed) = (sum("delivered"), sum("missed"));
-    let miss_rate = if delivered > 0 {
-        missed as f64 / delivered as f64
+    let (delivered, rx_overruns, missed) = (sum("delivered"), sum("rx_overruns"), sum("missed"));
+    let received = delivered.saturating_sub(rx_overruns);
+    let miss_rate = if received > 0 {
+        missed as f64 / received as f64
     } else {
         0.0
     };
     let crc_failures = sum("crc_failures");
+    let lost = sent.saturating_sub(received);
     SpawnVerdict {
         delivered,
-        lost: sent.saturating_sub(delivered),
+        rx_overruns,
+        lost,
         missed,
         miss_rate,
         gaps: sum("gaps"),
@@ -358,7 +367,7 @@ pub fn spawn_verdict(
         crc_failures,
         ok: workers_ok
             && sent == expected
-            && delivered == sent
+            && received == sent
             && miss_rate <= MISS_OK
             && crc_failures == 0,
     }
@@ -451,6 +460,20 @@ mod tests {
         assert!(v.miss_rate <= MISS_OK);
         // …but two subframes never reached a node.
         assert_eq!((v.delivered, v.lost), (478, 2));
+        assert!(!v.ok);
+    }
+
+    #[test]
+    fn spawn_verdict_fails_a_run_whose_ring_overran() {
+        // Every subframe reached a node's ring, but two were recycled
+        // unread there: no scheduler saw them, so they are not misses.
+        let report = "{ \"delivered\": 480, \"rx_overruns\": 2, \"missed\": 0, \
+                      \"gaps\": 0, \"shed\": 0, \"crc_failures\": 0 }";
+        let v = spawn_verdict(480, 480, &[report.to_string()], true);
+        assert_eq!(
+            (v.delivered, v.rx_overruns, v.lost, v.missed),
+            (480, 2, 2, 0)
+        );
         assert!(!v.ok);
     }
 

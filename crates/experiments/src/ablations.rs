@@ -11,7 +11,7 @@
 //! * `ablate-cache` — the global scheduler with cache penalties removed:
 //!   quantifies how much of global's deficit is cache thrashing;
 //! * `ablate-granularity` — semi-partitioned (whole-task migration, the
-//!   paper's [14]) vs. RT-OPEX (subtask migration): Table 2's granularity
+//!   paper's \[14\]) vs. RT-OPEX (subtask migration): Table 2's granularity
 //!   column, quantified. Task-level moves barely help because the misses
 //!   come from subframes whose *serial* time exceeds the budget — only
 //!   splitting the task parallelizes past that wall.

@@ -60,7 +60,7 @@
 //! ## Allocation discipline
 //!
 //! Every per-subframe buffer lives in a per-worker [`JobSlab`] or a
-//! per-core [`CoreArena`] warmed before the run starts, and a migrated
+//! per-core `CoreArena` warmed before the run starts, and a migrated
 //! subtask travels as a `Copy` ticket in every mode, through a deque or
 //! an inbox queue sized up front: nothing is allocated at hand-off. The
 //! analyzer's purity seeds deny allocation on the orchestration functions
@@ -82,7 +82,7 @@
 //! absorbed.
 //!
 //! An FFT thief reads its antenna batch straight from the job's delivery
-//! slot under that slot's read guard (see [`FedCell`] for why this is
+//! slot under that slot's read guard (see `FedCell` for why this is
 //! sound): the owner holds a read guard on it for the whole job, and the
 //! delivery thread takes the write guard only to land a new subframe in
 //! a slot the owner has returned.
@@ -1003,11 +1003,11 @@ impl CranCluster {
     ///   per-MCS decoder configs — received samples are what gets decoded.
     /// * Both parallel stages migrate. An FFT thief reads its antenna
     ///   batch from the job's delivery slot under the slot's read guard
-    ///   (see [`FedCell`]); a decode thief reads the published LLR
+    ///   (see `FedCell`); a decode thief reads the published LLR
     ///   snapshot.
     /// * A subframe whose MCS is not in `ClusterConfig::mcs_pool` has no
     ///   decoder config; it is recorded as a miss + drop, never decoded.
-    /// * A subframe arriving while all [`FED_SLOTS`] slots of its cell
+    /// * A subframe arriving while all `FED_SLOTS` slots of its cell
     ///   are busy is shed at delivery and recorded as a miss + drop, the
     ///   overload behaviour Eq. 3 prescribes.
     /// * The stream is open-ended: `ClusterConfig::subframes` (which a

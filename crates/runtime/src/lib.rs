@@ -54,5 +54,5 @@ pub use cluster::{
 };
 pub use measure::{
     measure_migration_overhead, measure_stage_parallelism, measure_steal_overhead,
-    StageMeasurement, StealMeasurement,
+    MigrationMeasurement, StageMeasurement,
 };

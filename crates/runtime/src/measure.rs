@@ -336,6 +336,51 @@ pub fn measure_stage_parallelism(
     }
 }
 
+/// Fills `m` with Fig. 18's comparison: subtask `i % count` of the
+/// owner's stage run locally, then through `hand_off`, which publishes
+/// the job's stage, hands subtask `i` to the helper and waits until it
+/// ran. One untimed pass over every subtask warms both paths first.
+fn time_hand_off(
+    m: &mut MigrationMeasurement,
+    owner: &mut Owner<'_>,
+    count: usize,
+    trials: usize,
+    mut hand_off: impl FnMut(&SlabJob<'_>, usize),
+) {
+    let kind = owner.kind;
+    // Warm both paths before timing: the helper's wake-up, plus each
+    // thread's workspace and caches.
+    let mut job = owner.job();
+    for i in 0..count {
+        run_local(kind, &mut job, i);
+        hand_off(&job, i);
+    }
+    // Interleave local and handed-off trials so ambient load (other
+    // tests, frequency scaling) perturbs both series equally.
+    for t in 0..trials {
+        let i = t % count;
+        let mut job = owner.job();
+        let t0 = Instant::now();
+        run_local(kind, &mut job, i);
+        m.local_us.push(as_us(t0.elapsed()));
+
+        let t1 = Instant::now();
+        hand_off(&job, i);
+        m.migrated_us.push(as_us(t1.elapsed()));
+    }
+    m.delta_us = m.migrated_us.clone().median() - m.local_us.clone().median();
+}
+
+/// An empty measurement of `task`, for [`time_hand_off`] to fill.
+fn unmeasured(task: TaskKind) -> MigrationMeasurement {
+    MigrationMeasurement {
+        task,
+        local_us: Samples::new(),
+        migrated_us: Samples::new(),
+        delta_us: 0.0,
+    }
+}
+
 /// Measures a subtask locally vs. migrated to a second core (Fig. 18):
 /// the migrated time runs from publication to the owner seeing the
 /// subtask's ready flag, through a host parked on its inbox.
@@ -352,68 +397,16 @@ pub fn measure_migration_overhead(
     // analyze: allow(call:new): one-time bench construction before the timed loops; failing fast on a bad config is intended
     let mut bench = Workbench::new(bw, antennas, mcs, task, 0x0F18_0000);
     let (mut owner, board) = bench.split();
-    let (kind, count) = (owner.kind, board.count);
-    let mut local_us = Samples::new();
-    let mut migrated_us = Samples::new();
-
-    let (local, migrated) = (&mut local_us, &mut migrated_us);
+    let mut m = unmeasured(task);
+    let out = &mut m;
     board.beside_host(move |inbox| {
-        // Publishes `job`'s stage, sends subtask `i` to the host and waits
-        // for it.
-        let migrate = |job: &SlabJob<'_>, i: usize| {
+        time_hand_off(out, &mut owner, board.count, trials, |job, i| {
             let epoch = board.publish(job);
             inbox.push_migrated(0, steal::encode_ticket(epoch, i));
             board.wait(i);
-        };
-        // Warm both paths before timing: the host's wake-up, plus each
-        // thread's workspace and caches (one untimed pass over every
-        // subtask locally and on the host).
-        let mut job = owner.job();
-        for i in 0..count {
-            run_local(kind, &mut job, i);
-            migrate(&job, i);
-        }
-        // Interleave local and migrated trials so ambient load (other
-        // tests, frequency scaling) perturbs both series equally.
-        for t in 0..trials {
-            let i = t % count;
-            let mut job = owner.job();
-            let t0 = Instant::now();
-            run_local(kind, &mut job, i);
-            local.push(as_us(t0.elapsed()));
-
-            let t1 = Instant::now();
-            migrate(&job, i);
-            migrated.push(as_us(t1.elapsed()));
-        }
+        });
     });
-
-    let delta_us = {
-        let mut l = local_us.clone();
-        let mut m = migrated_us.clone();
-        m.median() - l.median()
-    };
-    MigrationMeasurement {
-        task,
-        local_us,
-        migrated_us,
-        delta_us,
-    }
-}
-
-/// Local vs. stolen per-subtask timings (µs): the lock-free counterpart
-/// of [`MigrationMeasurement`].
-#[derive(Clone, Debug)]
-pub struct StealMeasurement {
-    /// The task whose subtasks were measured.
-    pub task: TaskKind,
-    /// Per-subtask time when executed by the owning thread.
-    pub local_us: Samples,
-    /// Per-subtask time when stolen by another core (publish → push →
-    /// steal → execute → ready-flag round trip).
-    pub stolen_us: Samples,
-    /// Median overhead `stolen − local` (the steal-path δ), µs.
-    pub delta_us: f64,
+    m
 }
 
 /// Measures a subtask locally vs. stolen by a second core through the
@@ -421,7 +414,8 @@ pub struct StealMeasurement {
 /// [`measure_migration_overhead`]: the owner publishes the stage and
 /// pushes an `(epoch, index)` ticket, a spinning thief steals it and runs
 /// `execute_stolen`, and the owner waits on the ready flag. Nothing is
-/// allocated at hand-off.
+/// allocated at hand-off. The result's `migrated_us` are the stolen
+/// round trips (publish → push → steal → execute → ready flag).
 ///
 /// # Panics
 /// Panics if `task` is [`TaskKind::Demod`].
@@ -431,13 +425,11 @@ pub fn measure_steal_overhead(
     mcs: u8,
     task: TaskKind,
     trials: usize,
-) -> StealMeasurement {
+) -> MigrationMeasurement {
     // analyze: allow(call:new): one-time bench construction before the timed loops; failing fast on a bad config is intended
     let mut bench = Workbench::new(bw, antennas, mcs, task, 0x057E_A100);
     let (mut owner, board) = bench.split();
-    let (kind, count) = (owner.kind, board.count);
-    let mut local_us = Samples::new();
-    let mut stolen_us = Samples::new();
+    let mut m = unmeasured(task);
     let (mut w, s) = steal::steal_pair(64);
     let stop = AtomicBool::new(false);
 
@@ -461,51 +453,19 @@ pub fn measure_steal_overhead(
                 }
             }
         });
-        let (local_us, stolen_us) = (&mut local_us, &mut stolen_us);
+        let out = &mut m;
         sc.spawn(move || {
             pin_current_thread(0);
-            // Publishes `job`'s stage, pushes subtask `i` and waits until
-            // the thief ran it.
-            let mut steal_round_trip = |job: &SlabJob<'_>, i: usize| {
+            time_hand_off(out, &mut owner, board.count, trials, |job, i| {
                 let epoch = board.publish(job);
                 // analyze: allow(panic): capacity proof — at most one outstanding ticket in a 64-slot deque
                 w.push(steal::encode_ticket(epoch, i)).expect("deque room");
                 board.wait(i);
-            };
-            // Warm both paths untimed: caches and workspaces on each thread.
-            let mut job = owner.job();
-            for i in 0..count {
-                run_local(kind, &mut job, i);
-                steal_round_trip(&job, i);
-            }
-            // Interleave local and stolen trials so ambient load perturbs
-            // both series equally.
-            for t in 0..trials {
-                let i = t % count;
-                let mut job = owner.job();
-                let t0 = Instant::now();
-                run_local(kind, &mut job, i);
-                local_us.push(as_us(t0.elapsed()));
-
-                let t1 = Instant::now();
-                steal_round_trip(&job, i);
-                stolen_us.push(as_us(t1.elapsed()));
-            }
+            });
             stop.store(true, Ordering::Release);
         });
     });
-
-    let delta_us = {
-        let mut l = local_us.clone();
-        let mut m = stolen_us.clone();
-        m.median() - l.median()
-    };
-    StealMeasurement {
-        task,
-        local_us,
-        stolen_us,
-        delta_us,
-    }
+    m
 }
 
 #[cfg(test)]
@@ -549,7 +509,7 @@ mod tests {
     fn steal_overhead_measurement_is_sane() {
         let m = measure_steal_overhead(Bandwidth::Mhz5, 1, 16, TaskKind::Fft, 12);
         assert_sane("local", &m.local_us, 12);
-        assert_sane("stolen", &m.stolen_us, 12);
+        assert_sane("stolen", &m.migrated_us, 12);
     }
 
     #[test]

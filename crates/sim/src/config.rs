@@ -25,7 +25,7 @@ pub enum SchedulerKind {
         /// Per-subtask migration cost δ in µs (paper measures ≈ 20).
         delta_us: u64,
     },
-    /// Semi-partitioned baseline (the paper's [14]): the partitioned
+    /// Semi-partitioned baseline (the paper's \[14\]): the partitioned
     /// mapping, but a subframe that finds its core busy may move — as a
     /// *whole task* — to another core's idle window. Task granularity,
     /// contrasted with RT-OPEX's subtask granularity (Table 2).

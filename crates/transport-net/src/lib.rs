@@ -12,8 +12,10 @@
 //!   per cell-batch) and sender reconnect with bounded resync.
 //!
 //! Both share [`wire`] (frame encoding over the `packet.rs` IQ format),
-//! [`session`] (the allocation-free rx reassembly hot path) and
-//! [`ring`] (preallocated swap-queue ring feeding the cluster's slot
+//! [`session`] (the allocation-free rx reassembly hot path, and the one
+//! receiver type, [`NetFronthaulRx`], whose io loop is per transport)
+//! and [`ring`] (`rtopex-transport`'s preallocated swap-queue ring, the
+//! one under the in-process transport too, feeding the cluster's slot
 //! arenas with drop-oldest overrun backpressure).
 //!
 //! **Std-only by design.** This environment cannot reach crates.io, so
@@ -34,13 +36,14 @@
 #![deny(unsafe_code)]
 
 pub mod framing;
-pub mod ring;
 pub mod session;
 pub mod tcp;
 pub mod udp;
 pub mod wire;
 
 pub use ring::SwapQueue;
-pub use session::RxSession;
-pub use tcp::{TcpFronthaulRx, TcpFronthaulTx, TcpRxPending};
-pub use udp::{UdpFronthaulRx, UdpFronthaulTx, UdpRxPending};
+/// The receive ring, shared with the in-process transport.
+pub use rtopex_transport::ring;
+pub use session::{NetFronthaulRx, RxSession};
+pub use tcp::{TcpFronthaulTx, TcpRxPending};
+pub use udp::{UdpFronthaulTx, UdpRxPending};

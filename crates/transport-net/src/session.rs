@@ -1,4 +1,5 @@
-//! Receive-side reassembly session — the rx hot path.
+//! Receive-side reassembly session — the rx hot path — and the one
+//! socket receiver type built around it.
 //!
 //! One session per stream, driven by the transport's I/O thread: every
 //! IQ frame lands in [`RxSession::ingest_frame`], which validates it,
@@ -7,6 +8,8 @@
 //! to the [`SwapQueue`] ring. After construction the path performs no
 //! allocation — `tests/alloc_regression.rs` proves it with a counting
 //! allocator and the workspace analyzer carries a purity seed for it.
+//! [`NetFronthaulRx`] owns the ring, the session and the io thread for
+//! both socket transports; only the io loop differs between UDP and TCP.
 //!
 //! Loss, reordering and duplication are absorbed per cell: a
 //! wraparound-safe [`SeqTracker`] rejects stale stragglers and counts
@@ -15,9 +18,15 @@
 //! *oldest* assembly is abandoned in place (its loss surfaces as a gap)
 //! — bounded state, never unbounded queueing.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Duration;
 
-use rtopex_transport::iface::{RxStats, StreamParams, SubframeBuf};
+use parking_lot::Mutex;
+use rtopex_transport::iface::{
+    FronthaulRx, Recv, RxStats, StreamParams, SubframeBuf, TransportError,
+};
 use rtopex_transport::packet::{seq_delta, SeqTracker};
 use rtopex_transport::probe;
 
@@ -47,7 +56,6 @@ pub struct RxSession {
     trackers: Vec<SeqTracker>,
     samples_per_frag: usize,
     frags_per_antenna: u16,
-    delivered: u64,
     stale: u64,
     bad_frames: u64,
     resyncs: u64,
@@ -84,7 +92,6 @@ impl RxSession {
             trackers,
             params,
             queue,
-            delivered: 0,
             stale: 0,
             bad_frames: 0,
             resyncs: 0,
@@ -251,7 +258,6 @@ impl RxSession {
                     t.observe(h.subframe);
                 }
                 self.queue.publish(done);
-                self.delivered += 1;
             }
         }
     }
@@ -276,7 +282,8 @@ impl RxSession {
         self.queue.close();
     }
 
-    /// Session counters, aggregated across cells.
+    /// Session counters, aggregated across cells, over the ring's
+    /// `delivered` and `drops`.
     pub fn stats(&self) -> RxStats {
         let mut gaps = 0;
         let mut stale = self.stale;
@@ -285,12 +292,86 @@ impl RxSession {
             stale += t.stale;
         }
         RxStats {
-            delivered: self.delivered,
             gaps,
             stale,
-            drops: self.queue.drops(),
             bad_frames: self.bad_frames,
             resyncs: self.resyncs,
+            ..self.queue.stats()
+        }
+    }
+}
+
+/// Worker side of a negotiated UDP or TCP fronthaul stream: the receive
+/// ring, the session that feeds it and the io thread that drives the
+/// session. `UdpRxPending::accept` and `TcpRxPending::accept` build it.
+pub struct NetFronthaulRx {
+    params: StreamParams,
+    queue: Arc<SwapQueue>,
+    session: Arc<Mutex<RxSession>>,
+    stop: Arc<AtomicBool>,
+    io: Option<JoinHandle<()>>,
+}
+
+impl NetFronthaulRx {
+    /// Sizes the ring for `queue_depth` ready subframes plus every
+    /// assembly slot and the consumer's swap buffer, then runs `io_loop`
+    /// on a thread of its own; the ring closes when the loop returns.
+    /// The loop should return soon after its stop flag is set.
+    pub(crate) fn spawn<F>(params: StreamParams, queue_depth: usize, io_loop: F) -> Self
+    where
+        F: FnOnce(&Mutex<RxSession>, &AtomicBool) + Send + 'static,
+    {
+        // analyze: allow(taint-arith): cells.len() ≤ 64 after
+        // validate_geometry and queue_depth is a local config value
+        let pool = queue_depth + params.cells.len() * ASM_SLOTS + 1;
+        let queue = Arc::new(SwapQueue::new(&params, pool, queue_depth));
+        let session = Arc::new(Mutex::new(RxSession::new(
+            params.clone(),
+            Arc::clone(&queue),
+        )));
+        let stop = Arc::new(AtomicBool::new(false));
+        let io = {
+            let session = Arc::clone(&session);
+            let queue = Arc::clone(&queue);
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                io_loop(&session, &stop);
+                queue.close();
+            })
+        };
+        NetFronthaulRx {
+            params,
+            queue,
+            session,
+            stop,
+            io: Some(io),
+        }
+    }
+}
+
+impl FronthaulRx for NetFronthaulRx {
+    fn params(&self) -> &StreamParams {
+        &self.params
+    }
+
+    fn recv_into(
+        &mut self,
+        buf: &mut SubframeBuf,
+        timeout: Duration,
+    ) -> Result<Recv, TransportError> {
+        Ok(self.queue.pop_swap(buf, timeout).into())
+    }
+
+    fn stats(&self) -> RxStats {
+        self.session.lock().stats()
+    }
+}
+
+impl Drop for NetFronthaulRx {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::Relaxed);
+        if let Some(h) = self.io.take() {
+            let _ = h.join();
         }
     }
 }

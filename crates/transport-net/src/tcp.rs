@@ -15,20 +15,14 @@
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use rtopex_phy::Cf32;
-use rtopex_transport::iface::{
-    FronthaulRx, FronthaulTx, Recv, RxStats, StreamParams, SubframeBuf, TransportError,
-    PROTOCOL_VERSION,
-};
+use rtopex_transport::iface::{FronthaulTx, StreamParams, TransportError, PROTOCOL_VERSION};
 
 use crate::framing::{io_err, is_timeout, read_frame, write_framed, ReadEnd};
-use crate::ring::{Pop, SwapQueue};
-use crate::session::{RxSession, ASM_SLOTS};
+use crate::session::{NetFronthaulRx, RxSession};
 use crate::wire;
 
 /// Auto-flush watermark for the sender's coalescing buffer.
@@ -170,7 +164,7 @@ impl TcpRxPending {
         self,
         timeout: Duration,
         queue_depth: usize,
-    ) -> Result<TcpFronthaulRx, TransportError> {
+    ) -> Result<NetFronthaulRx, TransportError> {
         let deadline = Instant::now() + timeout;
         let never = AtomicBool::new(false);
         loop {
@@ -187,12 +181,13 @@ impl TcpRxPending {
             };
             match negotiate(&mut stream, None, &never) {
                 Ok(params) => {
-                    return Ok(TcpFronthaulRx::start(
-                        self.listener,
-                        stream,
+                    let listener = self.listener;
+                    let expect = params.clone();
+                    return Ok(NetFronthaulRx::spawn(
                         params,
                         queue_depth,
-                    ))
+                        move |session, stop| tcp_io_loop(listener, stream, &expect, session, stop),
+                    ));
                 }
                 Err(_) => continue, // refused or malformed; keep listening
             }
@@ -234,109 +229,44 @@ fn negotiate(
     Ok(params)
 }
 
-/// Worker side of a TCP fronthaul stream (negotiated).
-pub struct TcpFronthaulRx {
-    params: StreamParams,
-    queue: Arc<SwapQueue>,
-    session: Arc<Mutex<RxSession>>,
-    stop: Arc<AtomicBool>,
-    io: Option<JoinHandle<()>>,
-}
-
-impl TcpFronthaulRx {
-    fn start(
-        listener: TcpListener,
-        first: TcpStream,
-        params: StreamParams,
-        queue_depth: usize,
-    ) -> Self {
-        // analyze: allow(taint-arith): cells.len() ≤ 64 after
-        // validate_geometry and queue_depth is a local config value
-        let pool = queue_depth + params.cells.len() * ASM_SLOTS + 1;
-        let queue = Arc::new(SwapQueue::new(&params, pool, queue_depth));
-        let session = Arc::new(Mutex::new(RxSession::new(
-            params.clone(),
-            Arc::clone(&queue),
-        )));
-        let stop = Arc::new(AtomicBool::new(false));
-        let io = {
-            let session = Arc::clone(&session);
-            let queue = Arc::clone(&queue);
-            let stop = Arc::clone(&stop);
-            let params = params.clone();
-            std::thread::spawn(move || {
-                let mut scratch = vec![0u8; wire::MAX_FRAME];
-                let mut conn = Some(first);
-                'io: while !stop.load(Ordering::Relaxed) {
-                    let Some(stream) = conn.as_mut() else {
-                        // Sender gone: wait for a reconnect and resync.
-                        match listener.accept() {
-                            Ok((mut s, _)) => {
-                                if negotiate(&mut s, Some(&params), &stop).is_ok() {
-                                    session.lock().on_resync();
-                                    conn = Some(s);
-                                }
-                            }
-                            Err(e) if is_timeout(&e) => {
-                                std::thread::sleep(Duration::from_millis(2));
-                            }
-                            Err(_) => break 'io,
-                        }
-                        continue;
-                    };
-                    match read_frame(stream, &mut scratch, &stop) {
-                        Ok(n) => match scratch.first() {
-                            Some(&wire::FT_BYE) => {
-                                queue.close();
-                                break 'io;
-                            }
-                            // read_frame guarantees n ≤ scratch.len().
-                            _ => session.lock().ingest_frame(scratch.get(..n).unwrap_or(&[])),
-                        },
-                        Err(ReadEnd::Stopped) => break 'io,
-                        Err(_) => conn = None, // EOF or framing violation
+/// The TCP receiver's io loop: reads length-framed frames from `first`
+/// into the session; when the sender goes away, re-accepts on
+/// `listener`, checks the replayed hello against `params` and resyncs
+/// the session. Runs until a bye or `stop`.
+fn tcp_io_loop(
+    listener: TcpListener,
+    first: TcpStream,
+    params: &StreamParams,
+    session: &Mutex<RxSession>,
+    stop: &AtomicBool,
+) {
+    let mut scratch = vec![0u8; wire::MAX_FRAME];
+    let mut conn = Some(first);
+    while !stop.load(Ordering::Relaxed) {
+        let Some(stream) = conn.as_mut() else {
+            // Sender gone: wait for a reconnect and resync.
+            match listener.accept() {
+                Ok((mut s, _)) => {
+                    if negotiate(&mut s, Some(params), stop).is_ok() {
+                        session.lock().on_resync();
+                        conn = Some(s);
                     }
                 }
-                queue.close();
-            })
+                Err(e) if is_timeout(&e) => {
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                Err(_) => return,
+            }
+            continue;
         };
-        TcpFronthaulRx {
-            params,
-            queue,
-            session,
-            stop,
-            io: Some(io),
-        }
-    }
-}
-
-impl FronthaulRx for TcpFronthaulRx {
-    fn params(&self) -> &StreamParams {
-        &self.params
-    }
-
-    fn recv_into(
-        &mut self,
-        buf: &mut SubframeBuf,
-        timeout: Duration,
-    ) -> Result<Recv, TransportError> {
-        Ok(match self.queue.pop_swap(buf, timeout) {
-            Pop::Got => Recv::Subframe,
-            Pop::TimedOut => Recv::TimedOut,
-            Pop::Closed => Recv::Closed,
-        })
-    }
-
-    fn stats(&self) -> RxStats {
-        self.session.lock().stats()
-    }
-}
-
-impl Drop for TcpFronthaulRx {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.io.take() {
-            let _ = h.join();
+        match read_frame(stream, &mut scratch, stop) {
+            Ok(n) => match scratch.first() {
+                Some(&wire::FT_BYE) => return,
+                // read_frame guarantees n ≤ scratch.len().
+                _ => session.lock().ingest_frame(scratch.get(..n).unwrap_or(&[])),
+            },
+            Err(ReadEnd::Stopped) => return,
+            Err(_) => conn = None, // EOF or framing violation
         }
     }
 }

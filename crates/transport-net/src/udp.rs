@@ -25,20 +25,14 @@
 
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use rtopex_phy::Cf32;
-use rtopex_transport::iface::{
-    FronthaulRx, FronthaulTx, Recv, RxStats, StreamParams, SubframeBuf, TransportError,
-    PROTOCOL_VERSION,
-};
+use rtopex_transport::iface::{FronthaulTx, StreamParams, TransportError, PROTOCOL_VERSION};
 
 use crate::framing::{io_err, is_timeout};
-use crate::ring::{Pop, SwapQueue};
-use crate::session::{RxSession, ASM_SLOTS};
+use crate::session::{NetFronthaulRx, RxSession};
 use crate::wire;
 
 /// Largest UDP payload over IPv4 (65535 − 20 − 8).
@@ -239,7 +233,7 @@ impl UdpRxPending {
         self,
         timeout: Duration,
         queue_depth: usize,
-    ) -> Result<UdpFronthaulRx, TransportError> {
+    ) -> Result<NetFronthaulRx, TransportError> {
         let deadline = Instant::now() + timeout;
         let mut buf = vec![0u8; wire::MAX_FRAME];
         let mut ack = Vec::new();
@@ -267,7 +261,12 @@ impl UdpRxPending {
                 continue; // refused; keep listening for a compatible peer
             }
             self.sock.connect(src).map_err(io_err)?;
-            return Ok(UdpFronthaulRx::start(self.sock, params, queue_depth));
+            let sock = self.sock;
+            return Ok(NetFronthaulRx::spawn(
+                params,
+                queue_depth,
+                |session, stop| udp_io_loop(sock, session, stop),
+            ));
         }
     }
 }
@@ -328,107 +327,41 @@ fn dispatch_train(
     Flow::Go
 }
 
-/// Worker side of a UDP fronthaul stream (negotiated).
-pub struct UdpFronthaulRx {
-    params: StreamParams,
-    queue: Arc<SwapQueue>,
-    session: Arc<Mutex<RxSession>>,
-    stop: Arc<AtomicBool>,
-    io: Option<JoinHandle<()>>,
-}
-
-impl UdpFronthaulRx {
-    fn start(sock: UdpSocket, params: StreamParams, queue_depth: usize) -> Self {
-        // analyze: allow(taint-arith): cells.len() ≤ 64 after
-        // validate_geometry and queue_depth is a local config value
-        let pool = queue_depth + params.cells.len() * ASM_SLOTS + 1;
-        let queue = Arc::new(SwapQueue::new(&params, pool, queue_depth));
-        let session = Arc::new(Mutex::new(RxSession::new(
-            params.clone(),
-            Arc::clone(&queue),
-        )));
-        let stop = Arc::new(AtomicBool::new(false));
-        let io = {
-            let session = Arc::clone(&session);
-            let queue = Arc::clone(&queue);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                // Without GRO every receive is one datagram, which the
-                // walker takes as a one-segment train.
-                let _ = sys::set_gro(&sock);
-                let mut buf = vec![0u8; RX_TRAIN_BYTES];
-                let mut control = sys::Control::default();
-                let mut ack = Vec::new();
-                wire::encode_hello_ack(&mut ack, PROTOCOL_VERSION);
-                let mut saw_iq_since_hello = false;
-                loop {
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let (n, seg) = match sys::recv_train(&sock, &mut buf, &mut control) {
-                        Ok(x) => x,
-                        Err(e) if is_timeout(&e) => continue,
-                        Err(_) => {
-                            // Transient (e.g. ECONNREFUSED bounce from a
-                            // departed peer); back off and keep serving.
-                            std::thread::sleep(Duration::from_millis(5));
-                            continue;
-                        }
-                    };
-                    // recv_train guarantees n ≤ buf.len().
-                    let train = buf.get(..n).unwrap_or(&[]);
-                    let flow = dispatch_train(
-                        train,
-                        seg,
-                        &mut session.lock(),
-                        &sock,
-                        &ack,
-                        &mut saw_iq_since_hello,
-                    );
-                    if flow == Flow::Stop {
-                        break;
-                    }
-                }
-                queue.close();
-            })
+/// The UDP receiver's io loop: receives datagrams and GRO-coalesced
+/// trains on `sock` and walks each through [`dispatch_train`] into the
+/// session, until a bye or `stop`.
+fn udp_io_loop(sock: UdpSocket, session: &Mutex<RxSession>, stop: &AtomicBool) {
+    // Without GRO every receive is one datagram, which the walker takes
+    // as a one-segment train.
+    let _ = sys::set_gro(&sock);
+    let mut buf = vec![0u8; RX_TRAIN_BYTES];
+    let mut control = sys::Control::default();
+    let mut ack = Vec::new();
+    wire::encode_hello_ack(&mut ack, PROTOCOL_VERSION);
+    let mut saw_iq_since_hello = false;
+    while !stop.load(Ordering::Relaxed) {
+        let (n, seg) = match sys::recv_train(&sock, &mut buf, &mut control) {
+            Ok(x) => x,
+            Err(e) if is_timeout(&e) => continue,
+            Err(_) => {
+                // Transient (e.g. ECONNREFUSED bounce from a departed
+                // peer); back off and keep serving.
+                std::thread::sleep(Duration::from_millis(5));
+                continue;
+            }
         };
-        UdpFronthaulRx {
-            params,
-            queue,
-            session,
-            stop,
-            io: Some(io),
-        }
-    }
-}
-
-impl FronthaulRx for UdpFronthaulRx {
-    fn params(&self) -> &StreamParams {
-        &self.params
-    }
-
-    fn recv_into(
-        &mut self,
-        buf: &mut SubframeBuf,
-        timeout: Duration,
-    ) -> Result<Recv, TransportError> {
-        Ok(match self.queue.pop_swap(buf, timeout) {
-            Pop::Got => Recv::Subframe,
-            Pop::TimedOut => Recv::TimedOut,
-            Pop::Closed => Recv::Closed,
-        })
-    }
-
-    fn stats(&self) -> RxStats {
-        self.session.lock().stats()
-    }
-}
-
-impl Drop for UdpFronthaulRx {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.io.take() {
-            let _ = h.join();
+        // recv_train guarantees n ≤ buf.len().
+        let train = buf.get(..n).unwrap_or(&[]);
+        let flow = dispatch_train(
+            train,
+            seg,
+            &mut session.lock(),
+            &sock,
+            &ack,
+            &mut saw_iq_since_hello,
+        );
+        if flow == Flow::Stop {
+            break;
         }
     }
 }
@@ -571,7 +504,10 @@ mod sys {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ring::SwapQueue;
+    use rtopex_transport::iface::{FronthaulRx, Recv, SubframeBuf};
     use rtopex_transport::packet::{dequantize, quantize};
+    use std::sync::Arc;
 
     /// One cell, one antenna, four full fragments per subframe.
     fn params() -> StreamParams {

@@ -1,9 +1,9 @@
 //! Wire framing shared by the UDP and TCP transports.
 //!
-//! Every frame starts with a one-byte type tag. IQ frames reuse the
+//! Every frame starts with a one-byte type tag. IQ frames carry the
 //! 12-byte [`PacketHeader`] fragment format from `rtopex-transport`'s
-//! packetizer (bs_id / antenna / fragment / subframe sequence), prefixed
-//! with the MCS the subframe was encoded at:
+//! `packet` module (bs_id / antenna / fragment / subframe sequence),
+//! prefixed with the MCS the subframe was encoded at:
 //!
 //! ```text
 //! [FT_IQ][mcs:u8][PacketHeader:12][payload: payload_len bytes of BE i16 I/Q]

@@ -2,8 +2,9 @@
 //! global allocator. Rx: after session setup and warm-up, ingesting IQ
 //! frames and swapping completed subframes to the consumer performs
 //! **zero** heap allocation — the dynamic twin of the analyzer's
-//! `ingest_frame` purity seed. Tx: after warm-up, `send` (and TCP's
-//! `flush`) performs zero on every transport.
+//! `ingest_frame` purity seed; the in-process receiver's `recv_into`
+//! swaps out of the same ring with zero too. Tx: after warm-up, `send`
+//! (and TCP's `flush`) performs zero on every transport.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -12,7 +13,7 @@ use std::thread;
 use std::time::Duration;
 
 use rtopex_phy::Cf32;
-use rtopex_transport::iface::{FronthaulRx, FronthaulTx, StreamParams, SubframeBuf};
+use rtopex_transport::iface::{FronthaulRx, FronthaulTx, Recv, StreamParams, SubframeBuf};
 use rtopex_transport::inproc::inproc_pair;
 use rtopex_transport_net::ring::{Pop, SwapQueue};
 use rtopex_transport_net::session::ASM_SLOTS;
@@ -215,4 +216,31 @@ fn tx_send_makes_zero_allocations_after_warmup() {
         0,
         "TcpFronthaulTx::send + flush"
     );
+}
+
+#[test]
+fn inproc_recv_makes_zero_allocations_after_warmup() {
+    let p = params();
+    let (mut tx, mut rx) = inproc_pair(p.clone(), 4);
+    let n = p.samples_per_subframe as usize;
+    let samples: Vec<Vec<Cf32>> = (0..p.antennas)
+        .map(|a| {
+            (0..n)
+                .map(|i| Cf32::new((i as f32).cos() * 0.3, a as f32 / 9.0))
+                .collect()
+        })
+        .collect();
+    let mut buf = SubframeBuf::for_stream(&p);
+    let mut allocs = 0;
+    for seq in 0..40u32 {
+        tx.send(1, seq, 27, &samples).unwrap();
+        // Count the swap out of the ring only, after 20 warm-up ones.
+        let (got, n) = count_allocs(|| rx.recv_into(&mut buf, Duration::from_millis(100)));
+        assert_eq!(got, Ok(Recv::Subframe));
+        assert_eq!(buf.seq, seq);
+        if seq >= 20 {
+            allocs += n;
+        }
+    }
+    assert_eq!(allocs, 0, "InProcRx::recv_into");
 }

@@ -16,9 +16,10 @@
 //! ([`crate::inproc`]), and the UDP / length-framed TCP transports in
 //! `rtopex-transport-net` (a separate crate so the core runtime keeps
 //! zero network-transport dependencies, mirroring the exemplar's
-//! transport-layer decoupling). All transports carry the same payload
-//! encoding — 16-bit I/Q via [`crate::packet`] — so a delivered subframe
-//! is byte-identical across transports for the same input.
+//! transport-layer decoupling). All three hand subframes over through
+//! the same receive ring ([`crate::ring::SwapQueue`]) and carry the same
+//! payload encoding — 16-bit I/Q via [`crate::packet`] — so a delivered
+//! subframe is byte-identical across transports for the same input.
 
 use std::fmt;
 use std::time::Duration;
@@ -164,18 +165,23 @@ impl fmt::Display for TransportError {
 
 impl std::error::Error for TransportError {}
 
-/// Receive-side session counters, exposed for reports and gating.
+/// Receive-side counters, exposed for reports and gating: the same
+/// books on every transport. The receive ring ([`crate::ring`]) keeps
+/// `delivered` and `drops`; the producer that feeds it (a socket
+/// receiver's session, or the in-process sender) keeps the rest where
+/// subframes enter the ring. The consumer received `delivered − drops`
+/// subframes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RxStats {
-    /// Subframes handed to the consumer.
+    /// Subframes published into the receive ring.
     pub delivered: u64,
-    /// Sum of sequence-gap lengths (subframes the wire lost).
+    /// Sum of sequence-gap lengths (subframes lost before the ring).
     pub gaps: u64,
     /// Frames that arrived behind the per-cell sequence cursor
     /// (late duplicates / reordered stragglers).
     pub stale: u64,
-    /// Subframes dropped oldest-first because the consumer fell behind
-    /// (rx overrun backpressure).
+    /// Published subframes recycled unread, oldest first, because the
+    /// consumer fell behind (rx overrun backpressure).
     pub drops: u64,
     /// Frames rejected as unparsable or geometry-violating.
     pub bad_frames: u64,

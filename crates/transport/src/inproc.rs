@@ -1,66 +1,47 @@
 //! In-process fronthaul transport behind the [`crate::iface`] trait
 //! pair: what `CranCluster::run` feeds its own delivery loop through.
 //!
-//! Tx and Rx share a bounded ready queue plus a freelist of recycled
-//! [`SubframeBuf`]s, so the steady state moves subframes by pointer swap
-//! with zero allocation — the same discipline the byte transports use
-//! with their rx rings. Payloads pass through the wire's i16
-//! quantization ([`SubframeBuf::fill_quantized`]), so a subframe
-//! delivered in-process is bit-identical to one delivered over UDP or
-//! TCP. Overrun policy matches the network side too: when the consumer
-//! falls behind a full queue, the *oldest* queued subframe is dropped —
-//! a slow host degrades instead of queueing without bound.
+//! Tx and Rx share one [`SwapQueue`], the ring under the UDP and TCP
+//! receivers too, so the steady state moves subframes by pointer swap
+//! with zero allocation, the consumer falls behind a full queue by
+//! losing the *oldest* queued subframe, and the ring keeps the same
+//! `delivered`/`drops` books on every transport. Payloads pass through
+//! the wire's i16 quantization ([`SubframeBuf::fill_quantized`]), so a
+//! subframe delivered in-process is bit-identical to one delivered
+//! over UDP or TCP. The sender is the producer: it runs the per-cell
+//! [`SeqTracker`]s where subframes enter the ring, as a socket
+//! receiver's session does.
 
-use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::time::Duration;
 
 use rtopex_phy::Cf32;
 
 use crate::iface::{
     FronthaulRx, FronthaulTx, Recv, RxStats, StreamParams, SubframeBuf, TransportError,
 };
-use crate::packet::{SeqEvent, SeqTracker};
+use crate::packet::SeqTracker;
+use crate::ring::SwapQueue;
 
-struct ChanState {
-    ready: VecDeque<SubframeBuf>,
-    free: Vec<SubframeBuf>,
-    closed: bool,
-    drops: u64,
-}
-
-struct Chan {
-    state: Mutex<ChanState>,
-    cv: Condvar,
-}
+/// The producer's books: one sequence tracker per stream cell.
+type Trackers = Arc<Mutex<Vec<SeqTracker>>>;
 
 /// Builds a connected in-process transport pair with a ready queue of
 /// `depth` subframes (the rx overrun horizon).
 pub fn inproc_pair(params: StreamParams, depth: usize) -> (InProcTx, InProcRx) {
-    assert!(depth >= 1, "queue depth must be at least 1");
-    let free = (0..depth)
-        .map(|_| SubframeBuf::for_stream(&params))
-        .collect();
-    let chan = Arc::new(Chan {
-        state: Mutex::new(ChanState {
-            ready: VecDeque::with_capacity(depth),
-            free,
-            closed: false,
-            drops: 0,
-        }),
-        cv: Condvar::new(),
-    });
-    let trackers = vec![SeqTracker::new(); params.cells.len()];
+    let queue = Arc::new(SwapQueue::new(&params, depth, depth));
+    let trackers = Arc::new(Mutex::new(vec![SeqTracker::new(); params.cells.len()]));
     (
         InProcTx {
             params: params.clone(),
-            chan: Arc::clone(&chan),
+            queue: Arc::clone(&queue),
+            trackers: Arc::clone(&trackers),
+            finished: false,
         },
         InProcRx {
             params,
-            chan,
+            queue,
             trackers,
-            stats: RxStats::default(),
         },
     )
 }
@@ -68,7 +49,9 @@ pub fn inproc_pair(params: StreamParams, depth: usize) -> (InProcTx, InProcRx) {
 /// Aggregator half of [`inproc_pair`].
 pub struct InProcTx {
     params: StreamParams,
-    chan: Arc<Chan>,
+    queue: Arc<SwapQueue>,
+    trackers: Trackers,
+    finished: bool,
 }
 
 impl FronthaulTx for InProcTx {
@@ -84,27 +67,24 @@ impl FronthaulTx for InProcTx {
         samples: &[Vec<Cf32>],
     ) -> Result<(), TransportError> {
         self.params.check_subframe(samples)?;
-        // analyze: allow(panic): std mutex poisoning only follows another
-        // holder's panic; propagating it is the correct response
-        let mut st = self.chan.state.lock().unwrap();
-        if st.closed {
+        if self.finished {
             return Err(TransportError::Closed);
         }
-        let mut buf = match st.free.pop() {
-            Some(b) => b,
-            // Freelist dry with a full queue: recycle the oldest queued
-            // subframe (drop-oldest backpressure).
-            None => {
-                st.drops += 1;
-                st.ready
-                    .pop_front()
-                    .ok_or_else(|| TransportError::Protocol("buffer pool exhausted".into()))?
-            }
-        };
+        let local = self
+            .params
+            .local_cell(cell)
+            .ok_or_else(|| TransportError::Protocol("cell not in stream".into()))?;
+        let mut buf = self
+            .queue
+            .acquire()
+            .ok_or_else(|| TransportError::Protocol("buffer pool exhausted".into()))?;
         buf.fill_quantized(cell, seq, mcs, samples);
-        st.ready.push_back(buf);
-        drop(st);
-        self.chan.cv.notify_one();
+        let mut trackers = self.trackers.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(t) = trackers.get_mut(local) {
+            t.observe(seq);
+        }
+        drop(trackers);
+        self.queue.publish(buf);
         Ok(())
     }
 
@@ -113,12 +93,8 @@ impl FronthaulTx for InProcTx {
     }
 
     fn finish(&mut self) -> Result<(), TransportError> {
-        // analyze: allow(panic): std mutex poisoning only follows another
-        // holder's panic; propagating it is the correct response
-        let mut st = self.chan.state.lock().unwrap();
-        st.closed = true;
-        drop(st);
-        self.chan.cv.notify_all();
+        self.finished = true;
+        self.queue.close();
         Ok(())
     }
 }
@@ -132,9 +108,8 @@ impl Drop for InProcTx {
 /// Worker half of [`inproc_pair`].
 pub struct InProcRx {
     params: StreamParams,
-    chan: Arc<Chan>,
-    trackers: Vec<SeqTracker>,
-    stats: RxStats,
+    queue: Arc<SwapQueue>,
+    trackers: Trackers,
 }
 
 impl FronthaulRx for InProcRx {
@@ -147,45 +122,17 @@ impl FronthaulRx for InProcRx {
         buf: &mut SubframeBuf,
         timeout: Duration,
     ) -> Result<Recv, TransportError> {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.chan.state.lock().unwrap();
-        loop {
-            if let Some(mut next) = st.ready.pop_front() {
-                std::mem::swap(buf, &mut next);
-                st.free.push(next);
-                self.stats.drops = st.drops;
-                drop(st);
-                self.stats.delivered += 1;
-                match self.params.local_cell(buf.cell) {
-                    Some(i) => match self.trackers[i].observe(buf.seq) {
-                        SeqEvent::Gap(n) => self.stats.gaps += n as u64,
-                        SeqEvent::Stale(_) => self.stats.stale += 1,
-                        SeqEvent::First | SeqEvent::InOrder => {}
-                    },
-                    None => self.stats.bad_frames += 1,
-                }
-                return Ok(Recv::Subframe);
-            }
-            if st.closed {
-                self.stats.drops = st.drops;
-                return Ok(Recv::Closed);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                self.stats.drops = st.drops;
-                return Ok(Recv::TimedOut);
-            }
-            let (guard, _) = self
-                .chan
-                .cv
-                .wait_timeout(st, deadline - now)
-                .map_err(|_| TransportError::Io("poisoned channel lock".into()))?;
-            st = guard;
-        }
+        Ok(self.queue.pop_swap(buf, timeout).into())
     }
 
     fn stats(&self) -> RxStats {
-        self.stats
+        let ring = self.queue.stats();
+        let trackers = self.trackers.lock().unwrap_or_else(PoisonError::into_inner);
+        RxStats {
+            gaps: trackers.iter().map(|t| t.gaps).sum(),
+            stale: trackers.iter().map(|t| t.stale).sum(),
+            ..ring
+        }
     }
 }
 
@@ -244,7 +191,8 @@ mod tests {
         rx.recv_into(&mut buf, Duration::from_millis(100)).unwrap();
         assert_eq!(buf.seq, 5);
         assert_eq!(rx.stats().drops, 3);
-        assert_eq!(rx.stats().gaps, 3, "dropped subframes surface as gaps");
+        assert_eq!(rx.stats().gaps, 0, "ring drops are not sequence gaps");
+        assert_eq!(rx.stats().delivered, 6, "delivered counts publishes");
     }
 
     #[test]

@@ -17,15 +17,20 @@
 //!   1 GbE links aggregated through a switch into the GPP's 10 GbE port,
 //!   reproducing "620 µs at 5 MHz, above 1 ms at 10 MHz" and the resulting
 //!   8-antenna limit.
-//! * [`packet`] — an IQ packetizer (16-bit I/Q over MTU-sized frames, with
-//!   sequence/identity headers), standing in for the CWARP transport
-//!   library the testbed used.
+//! * [`packet`] — the IQ wire format's pieces, standing in for the CWARP
+//!   transport library the testbed used: the 16-bit I/Q sample format,
+//!   the 12-byte fragment header ([`PacketHeader`], read and written by
+//!   `rtopex-transport-net`'s wire codec) and the wraparound-safe
+//!   per-cell sequence tracker.
 //! * [`iface`] — the pluggable transport trait pair
 //!   ([`FronthaulTx`]/[`FronthaulRx`]): the contract the in-process
 //!   emulation and the real byte transports (`rtopex-transport-net`)
 //!   both implement, so the cluster runtime is transport-agnostic.
-//! * [`inproc`] — the in-process implementation of that trait: bounded
-//!   swap queue, freelist recycling, drop-oldest overrun policy.
+//! * [`ring`] — the receive ring under every transport
+//!   ([`SwapQueue`]): preallocated buffers, freelist recycling,
+//!   drop-oldest overrun policy, and the `delivered`/`drops` counts.
+//! * [`inproc`] — the in-process implementation of that trait, a
+//!   sender publishing straight into the ring.
 //! * [`probe`] — hand-placed branch-edge coverage probes that
 //!   `rtopex-fuzz` arms around each input (disarmed and near-free in
 //!   production).
@@ -40,6 +45,7 @@ pub mod inproc;
 pub mod link;
 pub mod packet;
 pub mod probe;
+pub mod ring;
 
 pub use cloud::CloudLatency;
 pub use fronthaul::Fronthaul;
@@ -49,4 +55,5 @@ pub use iface::{
 };
 pub use inproc::{inproc_pair, InProcRx, InProcTx};
 pub use link::TestbedLink;
-pub use packet::{IqPacketizer, PacketHeader, SeqEvent, SeqTracker};
+pub use packet::{PacketHeader, SeqEvent, SeqTracker};
+pub use ring::SwapQueue;

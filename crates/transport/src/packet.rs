@@ -1,14 +1,14 @@
-//! IQ sample packetization — the reproduction's stand-in for the CWARP
-//! transport library used by the paper's testbed.
+//! The IQ wire format's pieces — the reproduction's stand-in for the
+//! CWARP transport library used by the paper's testbed.
 //!
-//! A subframe of complex baseband samples is quantized to 16-bit I/Q,
-//! split into MTU-sized frames, and prefixed with a small header carrying
-//! the basestation id, antenna, subframe counter and fragment sequence so
-//! the receive side can reassemble and detect loss. Uses the `bytes` crate
-//! for zero-copy-friendly buffer handling.
-
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use rtopex_phy::Cf32;
+//! A subframe of complex baseband samples is quantized to 16-bit I/Q
+//! ([`quantize`]), split into MTU-sized fragments of at most
+//! [`MAX_PAYLOAD`] bytes, and each fragment is prefixed with a
+//! [`PacketHeader`] carrying the basestation id, antenna, fragment index
+//! and subframe counter, so the receive side can reassemble and detect
+//! loss. `rtopex-transport-net`'s wire codec writes and parses these
+//! frames; [`SeqTracker`] is the per-cell loss/reorder detector its
+//! receive session (and the in-process sender) runs.
 
 /// The wire's sample format, defined beside its SIMD kernels in
 /// `rtopex_phy::iq`.
@@ -38,35 +38,8 @@ pub struct PacketHeader {
 pub const HEADER_LEN: usize = 12;
 
 impl PacketHeader {
-    /// Writes the header into `buf`.
-    pub fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u16(self.bs_id);
-        buf.put_u8(self.antenna);
-        buf.put_u8(self.fragment);
-        buf.put_u16(self.total_fragments);
-        buf.put_u32(self.subframe);
-        buf.put_u16(self.payload_len);
-    }
-
-    /// Parses a header from the front of `buf`; returns `None` if `buf` is
+    /// Writes the header into the front of `buf`. Panics if `buf` is
     /// shorter than [`HEADER_LEN`].
-    pub fn decode(buf: &mut Bytes) -> Option<Self> {
-        if buf.len() < HEADER_LEN {
-            return None;
-        }
-        Some(PacketHeader {
-            bs_id: buf.get_u16(),
-            antenna: buf.get_u8(),
-            fragment: buf.get_u8(),
-            total_fragments: buf.get_u16(),
-            subframe: buf.get_u32(),
-            payload_len: buf.get_u16(),
-        })
-    }
-
-    /// Writes the header into the front of a plain byte slice (the
-    /// allocation-free path the network transports use). Panics if `buf`
-    /// is shorter than [`HEADER_LEN`].
     pub fn write_to(&self, buf: &mut [u8]) {
         buf[0..2].copy_from_slice(&self.bs_id.to_be_bytes());
         buf[2] = self.antenna;
@@ -76,8 +49,8 @@ impl PacketHeader {
         buf[10..12].copy_from_slice(&self.payload_len.to_be_bytes());
     }
 
-    /// Parses a header from the front of a plain byte slice; `None` if
-    /// `buf` is shorter than [`HEADER_LEN`].
+    /// Parses a header from the front of `buf`; `None` if `buf` is
+    /// shorter than [`HEADER_LEN`].
     pub fn read_from(buf: &[u8]) -> Option<Self> {
         let &[b0, b1, antenna, fragment, t0, t1, s0, s1, s2, s3, p0, p1] = buf.get(..HEADER_LEN)?
         else {
@@ -190,236 +163,9 @@ impl SeqTracker {
     }
 }
 
-/// Packetizes/reassembles IQ subframes.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct IqPacketizer;
-
-impl IqPacketizer {
-    /// Splits one antenna's subframe samples into wire packets. No send
-    /// path calls it, so it keeps the scalar [`quantize`] reference.
-    pub fn packetize(
-        &self,
-        bs_id: u16,
-        antenna: u8,
-        subframe: u32,
-        samples: &[Cf32],
-    ) -> Vec<Bytes> {
-        let total_bytes = samples.len() * 4;
-        let samples_per_pkt = MAX_PAYLOAD / 4;
-        let total_fragments = total_bytes.div_ceil(samples_per_pkt * 4).max(1) as u16;
-        samples
-            .chunks(samples_per_pkt)
-            .enumerate()
-            .map(|(i, chunk)| {
-                let mut buf = BytesMut::with_capacity(HEADER_LEN + chunk.len() * 4);
-                PacketHeader {
-                    bs_id,
-                    antenna,
-                    fragment: i as u8,
-                    total_fragments,
-                    subframe,
-                    payload_len: (chunk.len() * 4) as u16,
-                }
-                .encode(&mut buf);
-                for s in chunk {
-                    buf.put_i16(quantize(s.re));
-                    buf.put_i16(quantize(s.im));
-                }
-                buf.freeze()
-            })
-            .collect()
-    }
-
-    /// Reassembles packets (any order) into the subframe's samples.
-    ///
-    /// Returns `None` on a missing/duplicate fragment, truncated packet, or
-    /// inconsistent metadata — the caller drops the subframe, as the
-    /// testbed transport does.
-    pub fn reassemble(&self, packets: &[Bytes]) -> Option<Vec<Cf32>> {
-        if packets.is_empty() {
-            return None;
-        }
-        let mut parsed: Vec<(PacketHeader, Bytes)> = Vec::with_capacity(packets.len());
-        for p in packets {
-            let mut b = p.clone();
-            let h = PacketHeader::decode(&mut b)?;
-            if b.len() != h.payload_len as usize || h.payload_len % 4 != 0 {
-                return None;
-            }
-            parsed.push((h, b));
-        }
-        let first = parsed.first()?.0;
-        if parsed.len() != first.total_fragments as usize {
-            return None;
-        }
-        let mut seen = vec![false; parsed.len()];
-        for (h, _) in &parsed {
-            if h.bs_id != first.bs_id
-                || h.antenna != first.antenna
-                || h.subframe != first.subframe
-                || h.total_fragments != first.total_fragments
-            {
-                return None;
-            }
-            let slot = seen.get_mut(h.fragment as usize)?;
-            if *slot {
-                return None;
-            }
-            *slot = true;
-        }
-        parsed.sort_by_key(|(h, _)| h.fragment);
-        let mut out = Vec::new();
-        for (_, mut b) in parsed {
-            // analyze: allow(taint-loop): consumes 4 payload bytes per
-            // iteration, bounded by the packet's own length
-            while b.remaining() >= 4 {
-                let re = b.get_i16();
-                let im = b.get_i16();
-                out.push(Cf32::new(dequantize(re), dequantize(im)));
-            }
-        }
-        Some(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-
-    fn samples(n: usize) -> Vec<Cf32> {
-        (0..n)
-            .map(|i| {
-                Cf32::new(
-                    ((i % 101) as f32 - 50.0) / 60.0,
-                    ((i % 37) as f32 - 18.0) / 25.0,
-                )
-            })
-            .collect()
-    }
-
-    #[test]
-    fn roundtrip_full_subframe() {
-        let pk = IqPacketizer;
-        let s = samples(15_360); // one 10 MHz subframe
-        let pkts = pk.packetize(3, 1, 42, &s);
-        assert_eq!(pkts.len(), 15_360usize.div_ceil(MAX_PAYLOAD / 4));
-        let back = pk.reassemble(&pkts).unwrap();
-        assert_eq!(back.len(), s.len());
-        for (a, b) in s.iter().zip(&back) {
-            assert!((a.re - b.re).abs() < 1.0 / IQ_SCALE);
-            assert!((a.im - b.im).abs() < 1.0 / IQ_SCALE);
-        }
-    }
-
-    #[test]
-    fn out_of_order_reassembly() {
-        let pk = IqPacketizer;
-        let s = samples(2000);
-        let mut pkts = pk.packetize(1, 0, 7, &s);
-        pkts.reverse();
-        let back = pk.reassemble(&pkts).unwrap();
-        assert_eq!(back.len(), s.len());
-    }
-
-    #[test]
-    fn missing_fragment_detected() {
-        let pk = IqPacketizer;
-        let s = samples(2000);
-        let mut pkts = pk.packetize(1, 0, 7, &s);
-        pkts.remove(1);
-        assert!(pk.reassemble(&pkts).is_none());
-    }
-
-    #[test]
-    fn duplicate_fragment_detected() {
-        let pk = IqPacketizer;
-        let s = samples(1000);
-        let mut pkts = pk.packetize(1, 0, 7, &s);
-        let dup = pkts[0].clone();
-        pkts[1] = dup;
-        assert!(pk.reassemble(&pkts).is_none());
-    }
-
-    #[test]
-    fn mixed_subframes_rejected() {
-        let pk = IqPacketizer;
-        let a = pk.packetize(1, 0, 7, &samples(720));
-        let b = pk.packetize(1, 0, 8, &samples(720));
-        let mixed = vec![a[0].clone(), b[1].clone()];
-        assert!(pk.reassemble(&mixed).is_none());
-    }
-
-    #[test]
-    fn truncated_packet_rejected() {
-        let pk = IqPacketizer;
-        let pkts = pk.packetize(1, 0, 7, &samples(720));
-        let cut = pkts[0].slice(0..pkts[0].len() - 2);
-        assert!(pk.reassemble(&[cut]).is_none());
-    }
-
-    #[test]
-    fn header_roundtrip() {
-        let h = PacketHeader {
-            bs_id: 0xBEEF,
-            antenna: 3,
-            fragment: 9,
-            total_fragments: 43,
-            subframe: 0xDEADBEEF,
-            payload_len: 1440,
-        };
-        let mut buf = BytesMut::new();
-        h.encode(&mut buf);
-        assert_eq!(buf.len(), HEADER_LEN);
-        let mut b = buf.freeze();
-        assert_eq!(PacketHeader::decode(&mut b), Some(h));
-    }
-
-    #[test]
-    fn clipping_is_bounded() {
-        let pk = IqPacketizer;
-        let hot = vec![Cf32::new(100.0, -100.0); 10]; // way out of range
-        let pkts = pk.packetize(0, 0, 0, &hot);
-        let back = pk.reassemble(&pkts).unwrap();
-        for s in back {
-            assert!(s.re.abs() <= (i16::MAX as f32) / IQ_SCALE + 1e-3);
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-        #[test]
-        fn prop_roundtrip(n in 1usize..4000, bs in 0u16..100, ant in 0u8..8) {
-            let pk = IqPacketizer;
-            let s = samples(n);
-            let pkts = pk.packetize(bs, ant, 5, &s);
-            let back = pk.reassemble(&pkts).unwrap();
-            prop_assert_eq!(back.len(), n);
-        }
-    }
-
-    #[test]
-    fn slice_header_roundtrip_matches_bytes_codec() {
-        let h = PacketHeader {
-            bs_id: 0xBEEF,
-            antenna: 3,
-            fragment: 9,
-            total_fragments: 43,
-            subframe: 0xDEADBEEF,
-            payload_len: 1440,
-        };
-        let mut slice = [0u8; HEADER_LEN];
-        h.write_to(&mut slice);
-        let mut bytes_buf = BytesMut::new();
-        h.encode(&mut bytes_buf);
-        assert_eq!(
-            &slice[..],
-            bytes_buf.freeze().as_slice(),
-            "two codecs, one wire format"
-        );
-        assert_eq!(PacketHeader::read_from(&slice), Some(h));
-        assert_eq!(PacketHeader::read_from(&slice[..HEADER_LEN - 1]), None);
-    }
 
     #[test]
     fn seq_tracker_in_order_stream() {

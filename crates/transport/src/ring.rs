@@ -1,24 +1,28 @@
-//! Preallocated subframe ring between the rx I/O thread and the
-//! consumer.
+//! Preallocated subframe ring between a fronthaul's producer and its
+//! consumer: the one receive ring under every transport, and the one
+//! place a fronthaul counts what it delivered and what it dropped.
 //!
 //! All [`SubframeBuf`]s are allocated up front; afterwards they cycle
-//! `free → assembly slot → ready → consumer swap → free` with no
-//! allocation. When the consumer falls behind, the **oldest** ready
-//! subframe is recycled (drop-oldest backpressure) so a slow worker
-//! degrades by shedding stale subframes instead of queueing without
-//! bound — exactly the failure mode a deadline scheduler wants, since
-//! a subframe past its Eq. 3 budget is worthless anyway.
+//! `free → producer → ready → consumer swap → free` with no allocation.
+//! The producer is the UDP/TCP receive session's io thread or, in
+//! process, the sender ([`crate::inproc::InProcTx`]). When the consumer
+//! falls behind, the **oldest** ready subframe is recycled (drop-oldest
+//! backpressure) so a slow worker degrades by shedding stale subframes
+//! instead of queueing without bound — exactly the failure mode a
+//! deadline scheduler wants, since a subframe past its Eq. 3 budget is
+//! worthless anyway.
 
 use std::collections::VecDeque;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
-use rtopex_transport::iface::{StreamParams, SubframeBuf};
+use crate::iface::{Recv, RxStats, StreamParams, SubframeBuf};
 
 struct QState {
     ready: VecDeque<SubframeBuf>,
     free: Vec<SubframeBuf>,
     closed: bool,
+    published: u64,
     drops: u64,
 }
 
@@ -31,6 +35,16 @@ pub enum Pop {
     TimedOut,
     /// Queue closed and drained.
     Closed,
+}
+
+impl From<Pop> for Recv {
+    fn from(p: Pop) -> Recv {
+        match p {
+            Pop::Got => Recv::Subframe,
+            Pop::TimedOut => Recv::TimedOut,
+            Pop::Closed => Recv::Closed,
+        }
+    }
 }
 
 /// Bounded swap-queue ring of preallocated subframe buffers.
@@ -55,6 +69,7 @@ impl SwapQueue {
                 ready: VecDeque::with_capacity(pool),
                 free: (0..pool).map(|_| SubframeBuf::for_stream(params)).collect(),
                 closed: false,
+                published: 0,
                 drops: 0,
             }),
             cv: Condvar::new(),
@@ -62,12 +77,18 @@ impl SwapQueue {
         }
     }
 
+    /// The state lock. A holder cannot leave the ring half-updated, so
+    /// a poisoned lock is taken as it stands.
+    fn state(&self) -> MutexGuard<'_, QState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Takes a buffer for assembly: from the freelist, else by
     /// recycling the oldest ready subframe (counted as a drop). `None`
     /// only when every buffer is held by assembly slots or the
     /// consumer — a sizing bug, not a runtime condition.
     pub fn acquire(&self) -> Option<SubframeBuf> {
-        let mut st = self.state.lock();
+        let mut st = self.state();
         if let Some(b) = st.free.pop() {
             return Some(b);
         }
@@ -81,7 +102,7 @@ impl SwapQueue {
     /// Publishes a completed subframe, recycling the oldest ready one
     /// first if the queue is at depth.
     pub fn publish(&self, buf: SubframeBuf) {
-        let mut st = self.state.lock();
+        let mut st = self.state();
         if st.ready.len() >= self.depth {
             if let Some(old) = st.ready.pop_front() {
                 st.free.push(old);
@@ -89,13 +110,14 @@ impl SwapQueue {
             }
         }
         st.ready.push_back(buf);
+        st.published += 1;
         drop(st);
         self.cv.notify_one();
     }
 
     /// Returns an assembly buffer unused (abandoned reassembly).
     pub fn recycle(&self, buf: SubframeBuf) {
-        self.state.lock().free.push(buf);
+        self.state().free.push(buf);
     }
 
     /// Swaps the next ready subframe into `buf`, waiting up to
@@ -103,7 +125,7 @@ impl SwapQueue {
     /// freelist.
     pub fn pop_swap(&self, buf: &mut SubframeBuf, timeout: Duration) -> Pop {
         let deadline = Instant::now() + timeout;
-        let mut st = self.state.lock();
+        let mut st = self.state();
         loop {
             if let Some(mut next) = st.ready.pop_front() {
                 std::mem::swap(buf, &mut next);
@@ -114,8 +136,15 @@ impl SwapQueue {
                 return Pop::Closed;
             }
             let now = Instant::now();
-            if (now >= deadline || self.cv.wait_for(&mut st, deadline - now)) && st.ready.is_empty()
-            {
+            let timed_out = now >= deadline || {
+                let (guard, wait) = self
+                    .cv
+                    .wait_timeout(st, deadline - now)
+                    .unwrap_or_else(PoisonError::into_inner);
+                st = guard;
+                wait.timed_out()
+            };
+            if timed_out && st.ready.is_empty() {
                 return if st.closed {
                     Pop::Closed
                 } else {
@@ -127,13 +156,25 @@ impl SwapQueue {
 
     /// Marks end-of-stream; queued subframes remain poppable.
     pub fn close(&self) {
-        self.state.lock().closed = true;
+        self.state().closed = true;
         self.cv.notify_all();
     }
 
     /// Subframes recycled unread because the consumer fell behind.
     pub fn drops(&self) -> u64 {
-        self.state.lock().drops
+        self.state().drops
+    }
+
+    /// The ring's half of a receiver's books: `delivered` (subframes
+    /// published) and `drops` (published subframes recycled unread).
+    /// The producer fills in the rest where subframes enter the ring.
+    pub fn stats(&self) -> RxStats {
+        let st = self.state();
+        RxStats {
+            delivered: st.published,
+            drops: st.drops,
+            ..RxStats::default()
+        }
     }
 }
 

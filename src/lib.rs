@@ -7,7 +7,8 @@
 //! * [`phy`] — a real LTE-style uplink PHY (turbo codec, FFT, equalizer…);
 //! * [`model`] — the Eq. (1) processing-time model, platform jitter,
 //!   iteration statistics, OLS fitting;
-//! * [`transport`] — fronthaul/cloud latency models and IQ packetization;
+//! * [`transport`] — fronthaul/cloud latency models, the IQ wire format,
+//!   the fronthaul trait pair and its receive ring;
 //! * [`workload`] — synthetic tower load traces and scenario presets;
 //! * [`core`] — the contribution: deadline budgets, partitioned/global
 //!   schedulers, and RT-OPEX's migration Algorithm 1;

@@ -107,6 +107,7 @@ fn feed(mode: SchedulerMode, claimed: u32) -> FedReport {
 fn assert_all_accounted(fed: &FedReport, what: &str) {
     let total = (2 * SENT) as u64;
     assert_eq!(fed.rx.delivered, total, "{what}: transport lost subframes");
+    assert_eq!(fed.rx.drops, 0, "{what}: transport lost subframes");
     assert_eq!(fed.rx.gaps, 0, "{what}");
     assert_eq!(
         fed.cluster.deadline.total_subframes(),

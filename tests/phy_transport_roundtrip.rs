@@ -1,16 +1,20 @@
 //! Integration: the full receive path the paper's Fig. 2 draws —
-//! TX waveform → IQ packetization over the emulated fronthaul →
-//! reassembly at the compute node → PHY decode.
+//! TX waveform → 16-bit IQ over the in-process fronthaul → the compute
+//! node's receive ring → PHY decode.
+
+use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtopex::phy::channel::{AwgnChannel, ChannelModel};
 use rtopex::phy::params::Bandwidth;
 use rtopex::phy::uplink::{UplinkConfig, UplinkRx, UplinkTx};
-use rtopex::transport::{Fronthaul, IqPacketizer, TestbedLink};
+use rtopex::transport::{
+    inproc_pair, Fronthaul, FronthaulRx, FronthaulTx, Recv, StreamParams, SubframeBuf, TestbedLink,
+};
 
 #[test]
-fn subframe_survives_packetized_transport() {
+fn subframe_survives_inproc_transport() {
     let cfg = UplinkConfig::new(Bandwidth::Mhz1_4, 2, 12).expect("config");
     let tx = UplinkTx::new(cfg.clone());
     let mut rng = StdRng::seed_from_u64(11);
@@ -19,36 +23,31 @@ fn subframe_survives_packetized_transport() {
         .collect();
     let sf = tx.encode_subframe(&payload).expect("encode");
 
-    // Over the air, then over the wire: each antenna's stream is
-    // quantized to 16-bit IQ, packetized, and reassembled.
+    // Over the air, then over the fronthaul: each antenna's stream is
+    // quantized to the wire's 16-bit IQ, which the in-process transport
+    // carries byte-identical to UDP and TCP.
     let mut chan = AwgnChannel::new(25.0);
     let rx_air = chan.apply(&sf.samples, cfg.num_antennas, &mut rng);
-    let pk = IqPacketizer;
-    let rx_wire: Vec<_> = rx_air
-        .iter()
-        .enumerate()
-        .map(|(ant, stream)| {
-            let pkts = pk.packetize(0, ant as u8, 1, stream);
-            pk.reassemble(&pkts).expect("complete fragment set")
-        })
-        .collect();
+    let params = StreamParams {
+        samples_per_subframe: sf.samples.len() as u32,
+        antennas: cfg.num_antennas as u8,
+        cells: vec![0],
+        period_us: 1000,
+        budget_us: 1000,
+        mcs_pool: vec![12],
+        subframes: 1,
+    };
+    let (mut fh_tx, mut fh_rx) = inproc_pair(params, 1);
+    fh_tx.send(0, 1, 12, &rx_air).expect("send");
+    let mut buf = SubframeBuf::for_stream(fh_rx.params());
+    let got = fh_rx.recv_into(&mut buf, Duration::from_secs(1));
+    assert_eq!(got, Ok(Recv::Subframe));
+    assert_eq!((buf.cell, buf.seq, buf.mcs), (0, 1, 12));
 
     let rx = UplinkRx::new(cfg);
-    let out = rx.decode_subframe(&rx_wire).expect("decode");
+    let out = rx.decode_subframe(&buf.samples).expect("decode");
     assert!(out.crc_ok, "16-bit IQ quantization must not break decoding");
     assert_eq!(out.payload, payload);
-}
-
-#[test]
-fn lost_packet_drops_the_subframe_not_the_process() {
-    let cfg = UplinkConfig::new(Bandwidth::Mhz1_4, 1, 5).expect("config");
-    let tx = UplinkTx::new(cfg.clone());
-    let payload = vec![0x5Au8; cfg.transport_block_bytes()];
-    let sf = tx.encode_subframe(&payload).expect("encode");
-    let pk = IqPacketizer;
-    let mut pkts = pk.packetize(3, 0, 9, &sf.samples);
-    pkts.remove(pkts.len() / 2);
-    assert!(pk.reassemble(&pkts).is_none(), "loss must be detected");
 }
 
 #[test]
