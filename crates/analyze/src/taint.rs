@@ -182,16 +182,22 @@ pub const SOURCES: &[Source] = &[
     },
     // — framing.rs/tcp.rs/udp.rs: the socket-facing recv paths. —
     Source {
-        type_qual: None,
-        name: "read_full",
+        type_qual: Some("FrameReader"),
+        name: "read_more",
         deny: FRAME,
-        why: "fills a fixed buffer from the socket; loop bound is buf.len()",
+        why: "one read into a fixed buffer from the socket; retries only timeouts, under the stop flag",
     },
     Source {
-        type_qual: None,
+        type_qual: Some("FrameReader"),
+        name: "walk",
+        deny: FRAME,
+        why: "walks every length-framed TCP record of the buffered bytes; the length words are attacker bytes",
+    },
+    Source {
+        type_qual: Some("FrameReader"),
         name: "read_frame",
         deny: FRAME,
-        why: "length-framed TCP reassembly from an attacker-paced stream",
+        why: "blocks for one length-framed record (hello, hello ack) from an attacker-paced stream",
     },
     Source {
         type_qual: None,
@@ -221,7 +227,7 @@ pub const SOURCES: &[Source] = &[
         type_qual: None,
         name: "tcp_io_loop",
         deny: SERVICE,
-        why: "TCP io thread: read_frame/ingest/reconnect loop",
+        why: "TCP io thread: walk/ingest/read_more/reconnect loop",
     },
     Source {
         type_qual: None,

@@ -8,14 +8,14 @@
 //! reaches reassembly states that raw byte mutation alone almost never
 //! hits (matching seq numbers across fragments, resync interleavings).
 
-use std::io::Cursor;
+use std::io::Read;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use rtopex_phy::Cf32;
 use rtopex_transport::iface::StreamParams;
 use rtopex_transport::packet::SeqTracker;
-use rtopex_transport_net::framing::{self, ReadEnd};
+use rtopex_transport_net::framing::{self, FrameReader, Walk};
 use rtopex_transport_net::ring::SwapQueue;
 use rtopex_transport_net::session::RxSession;
 use rtopex_transport_net::wire;
@@ -87,30 +87,45 @@ fn iq_target(data: &[u8]) {
     }
 }
 
+/// An in-memory stream whose chunk sizes come from the input: each
+/// `read` returns `1 + b` bytes, where `b` is the first byte it returns.
+/// Zero-padded length words arrive a byte at a time, and an IQ frame's
+/// body straddles reads, so the reader's partial-record compaction runs.
+struct Chunked<'a>(&'a [u8]);
+
+impl Read for Chunked<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let want = self.0.first().map_or(0, |&b| usize::from(b) + 1);
+        let n = want.min(buf.len()).min(self.0.len());
+        let (head, rest) = self.0.split_at(n);
+        buf[..n].copy_from_slice(head);
+        self.0 = rest;
+        Ok(n)
+    }
+}
+
 /// TCP length-framed reassembly over an in-memory stream: the exact
-/// `read_frame` loop the socket thread runs, dispatching each frame to
-/// the matching parser.
+/// walk-then-read loop the socket thread runs on a [`FrameReader`],
+/// dispatching each frame to the matching parser.
 fn tcp_target(data: &[u8]) {
     let stop = AtomicBool::new(false);
-    let mut cur = Cursor::new(data);
-    let mut scratch = vec![0u8; wire::MAX_FRAME];
-    for _ in 0..64 {
-        match framing::read_frame(&mut cur, &mut scratch, &stop) {
-            Ok(n) => {
-                let frame = scratch.get(..n).unwrap_or(&[]);
-                match frame.first() {
-                    Some(&wire::FT_HELLO) => {
-                        let _ = wire::decode_hello(frame);
-                    }
-                    Some(&wire::FT_HELLO_ACK) => {
-                        let _ = wire::decode_hello_ack(frame);
-                    }
-                    _ => {
-                        let _ = wire::parse_iq(frame);
-                    }
-                }
+    let mut src = Chunked(data);
+    let mut reader = FrameReader::new();
+    // Every read takes at least one byte, so this bounds the loop.
+    for _ in 0..=data.len() {
+        let walk = reader.walk(|frame| match frame.first() {
+            Some(&wire::FT_HELLO) => {
+                let _ = wire::decode_hello(frame);
             }
-            Err(ReadEnd::Eof | ReadEnd::Failed | ReadEnd::Stopped) => break,
+            Some(&wire::FT_HELLO_ACK) => {
+                let _ = wire::decode_hello_ack(frame);
+            }
+            _ => {
+                let _ = wire::parse_iq(frame);
+            }
+        });
+        if walk != Walk::Drained || reader.read_more(&mut src, &stop).is_err() {
+            break;
         }
     }
 }
@@ -234,7 +249,12 @@ pub fn seeds(name: &str) -> Vec<Vec<u8>> {
             let len = wire::write_iq_frame(&mut frame, 27, 5, 0, 2, 3, 7, &samples);
             frame.truncate(len);
             let _ = framing::write_framed(&mut stream, &frame);
-            vec![stream, vec![0, 0, 0, 1, wire::FT_BYE]]
+            // Under `Chunked`, the IQ record's length word (336 = 0x150)
+            // asks for an 81-byte read, so its body straddles reads; the
+            // zero length after the BYE must never be read.
+            let mut straddle = stream.clone();
+            straddle.extend_from_slice(&[0, 0, 0, 1, wire::FT_BYE, 0, 0, 0, 0]);
+            vec![stream, vec![0, 0, 0, 1, wire::FT_BYE], straddle]
         }
         "session" => {
             // Two full subframes in order, a resync, then one more.

@@ -9,7 +9,9 @@
 //!   detection); each antenna's datagrams leave in one segmentation-
 //!   offload send and arrive in GRO-coalesced receives.
 //! * [`tcp`] — length-framed stream with coalesced writes (one syscall
-//!   per cell-batch) and sender reconnect with bounded resync.
+//!   per cell-batch), batched reads (every complete frame of a `read`
+//!   ingested under one session lock, through [`framing::FrameReader`])
+//!   and sender reconnect with bounded resync.
 //!
 //! Both share [`wire`] (frame encoding over the `packet.rs` IQ format),
 //! [`session`] (the allocation-free rx reassembly hot path, and the one

@@ -1,10 +1,14 @@
-//! Length-framed TCP fronthaul with coalesced writes and reconnect.
+//! Length-framed TCP fronthaul with coalesced writes, batched reads
+//! and reconnect.
 //!
-//! Frames are `[len: u32 BE][frame]` on a nodelay stream. The sender
-//! appends frames to one write buffer and pushes a whole cell-batch
-//! with a single `write_all` syscall on [`FronthaulTx::flush`] — the
-//! "batched socket I/O" arm of the transport (UDP batches per antenna
-//! instead, as segmentation-offload trains; see [`crate::udp`]).
+//! Frames are `[len: u32 BE][frame]` on a nodelay stream. Socket I/O is
+//! batched both ways. The sender appends frames to one write buffer and
+//! pushes a whole cell-batch with a single `write_all` syscall on
+//! [`FronthaulTx::flush`]. The receiver's io thread reads through one
+//! [`FrameReader`] per connection: each `read` takes whatever the socket
+//! holds, and every complete frame in it is ingested under one session
+//! lock. UDP batches per antenna instead, as segmentation-offload
+//! trains; see [`crate::udp`].
 //!
 //! The receiver's I/O thread keeps the listener after the first
 //! session: when a sender dies mid-stream it re-accepts, validates the
@@ -21,7 +25,7 @@ use parking_lot::Mutex;
 use rtopex_phy::Cf32;
 use rtopex_transport::iface::{FronthaulTx, StreamParams, TransportError, PROTOCOL_VERSION};
 
-use crate::framing::{io_err, is_timeout, read_frame, write_framed, ReadEnd};
+use crate::framing::{io_err, is_timeout, write_framed, FrameReader, ReadEnd, Walk};
 use crate::session::{NetFronthaulRx, RxSession};
 use crate::wire;
 
@@ -59,20 +63,16 @@ impl TcpFronthaulTx {
         let mut hello = Vec::new();
         wire::encode_hello(&mut hello, &params, version);
         write_framed(&mut stream, &hello)?;
-        let mut scratch = vec![0u8; wire::MAX_FRAME];
+        let mut reader = FrameReader::new();
         let never = AtomicBool::new(false);
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let n = loop {
-            match read_frame(&mut stream, &mut scratch, &never) {
-                Ok(n) => break n,
-                Err(ReadEnd::Eof) => {
-                    return Err(TransportError::Io("receiver closed during hello".into()))
-                }
-                Err(_) if Instant::now() < deadline => continue,
-                Err(_) => return Err(TransportError::Io("no hello ack".into())),
+        let ack = match reader.read_frame(&mut stream, &never) {
+            Ok(frame) => wire::decode_hello_ack(frame),
+            Err(ReadEnd::Eof) => {
+                return Err(TransportError::Io("receiver closed during hello".into()))
             }
+            Err(_) => return Err(TransportError::Io("no hello ack".into())),
         };
-        match wire::decode_hello_ack(&scratch[..n]) {
+        match ack {
             Some(v) if v == version => {}
             Some(v) => {
                 return Err(TransportError::Version {
@@ -167,6 +167,7 @@ impl TcpRxPending {
     ) -> Result<NetFronthaulRx, TransportError> {
         let deadline = Instant::now() + timeout;
         let never = AtomicBool::new(false);
+        let mut reader = FrameReader::new();
         loop {
             if Instant::now() >= deadline {
                 return Err(TransportError::Io("no connection within timeout".into()));
@@ -179,14 +180,16 @@ impl TcpRxPending {
                 }
                 Err(e) => return Err(io_err(e)),
             };
-            match negotiate(&mut stream, None, &never) {
+            match negotiate(&mut stream, &mut reader, None, &never) {
                 Ok(params) => {
                     let listener = self.listener;
                     let expect = params.clone();
                     return Ok(NetFronthaulRx::spawn(
                         params,
                         queue_depth,
-                        move |session, stop| tcp_io_loop(listener, stream, &expect, session, stop),
+                        move |session, stop| {
+                            tcp_io_loop(listener, stream, reader, &expect, session, stop)
+                        },
                     ));
                 }
                 Err(_) => continue, // refused or malformed; keep listening
@@ -195,11 +198,14 @@ impl TcpRxPending {
     }
 }
 
-/// Reads and validates a hello on a fresh connection, acks it, and
-/// returns the stream params. When `expect` is set (re-accept after a
-/// sender reconnect), the replayed hello must carry identical params.
+/// Reads and validates a hello on a fresh connection through `reader`
+/// (cleared first), acks it, and returns the stream params. Frames sent
+/// behind the hello stay buffered in `reader` for the io loop. When
+/// `expect` is set (re-accept after a sender reconnect), the replayed
+/// hello must carry identical params.
 fn negotiate(
     stream: &mut TcpStream,
+    reader: &mut FrameReader,
     expect: Option<&StreamParams>,
     stop: &AtomicBool,
 ) -> Result<StreamParams, TransportError> {
@@ -207,14 +213,11 @@ fn negotiate(
     stream
         .set_read_timeout(Some(Duration::from_millis(100)))
         .map_err(io_err)?;
-    let mut scratch = vec![0u8; wire::MAX_FRAME];
-    let n = match read_frame(stream, &mut scratch, stop) {
-        Ok(n) => n,
+    reader.clear();
+    let (version, params) = match reader.read_frame(stream, stop) {
+        Ok(frame) => wire::decode_hello(frame)?,
         Err(_) => return Err(TransportError::Protocol("no hello on connection".into())),
     };
-    // read_frame guarantees n ≤ scratch.len(), so the lookup never fails.
-    let frame = scratch.get(..n).unwrap_or(&[]);
-    let (version, params) = wire::decode_hello(frame)?;
     let mut ack = Vec::new();
     wire::encode_hello_ack(&mut ack, PROTOCOL_VERSION);
     write_framed(stream, &ack)?;
@@ -229,25 +232,26 @@ fn negotiate(
     Ok(params)
 }
 
-/// The TCP receiver's io loop: reads length-framed frames from `first`
-/// into the session; when the sender goes away, re-accepts on
-/// `listener`, checks the replayed hello against `params` and resyncs
-/// the session. Runs until a bye or `stop`.
+/// The TCP receiver's io loop: walks every complete frame `reader`
+/// holds into the session under one lock, then reads once more from
+/// `first`; when the sender goes away, re-accepts on `listener`, checks
+/// the replayed hello against `params` and resyncs the session. Runs
+/// until a bye or `stop`.
 fn tcp_io_loop(
     listener: TcpListener,
     first: TcpStream,
+    mut reader: FrameReader,
     params: &StreamParams,
     session: &Mutex<RxSession>,
     stop: &AtomicBool,
 ) {
-    let mut scratch = vec![0u8; wire::MAX_FRAME];
     let mut conn = Some(first);
     while !stop.load(Ordering::Relaxed) {
         let Some(stream) = conn.as_mut() else {
             // Sender gone: wait for a reconnect and resync.
             match listener.accept() {
                 Ok((mut s, _)) => {
-                    if negotiate(&mut s, Some(params), stop).is_ok() {
+                    if negotiate(&mut s, &mut reader, Some(params), stop).is_ok() {
                         session.lock().on_resync();
                         conn = Some(s);
                     }
@@ -259,14 +263,21 @@ fn tcp_io_loop(
             }
             continue;
         };
-        match read_frame(stream, &mut scratch, stop) {
-            Ok(n) => match scratch.first() {
-                Some(&wire::FT_BYE) => return,
-                // read_frame guarantees n ≤ scratch.len().
-                _ => session.lock().ingest_frame(scratch.get(..n).unwrap_or(&[])),
-            },
+        let mut s = session.lock();
+        let walk = reader.walk(|frame| s.ingest_frame(frame));
+        drop(s);
+        match walk {
+            Walk::Drained => {}
+            Walk::Bye => return,
+            Walk::Violation => {
+                conn = None;
+                continue;
+            }
+        }
+        match reader.read_more(stream, stop) {
+            Ok(_) => {}
             Err(ReadEnd::Stopped) => return,
-            Err(_) => conn = None, // EOF or framing violation
+            Err(_) => conn = None, // EOF or I/O error
         }
     }
 }

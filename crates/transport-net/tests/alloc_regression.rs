@@ -3,11 +3,14 @@
 //! frames and swapping completed subframes to the consumer performs
 //! **zero** heap allocation — the dynamic twin of the analyzer's
 //! `ingest_frame` purity seed; the in-process receiver's `recv_into`
-//! swaps out of the same ring with zero too. Tx: after warm-up, `send`
+//! swaps out of the same ring with zero too, and so does the TCP io
+//! loop's read-and-walk of length-framed frames into the session. Tx: after warm-up, `send`
 //! (and TCP's `flush`) performs zero on every transport.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::io::Read;
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -15,6 +18,7 @@ use std::time::Duration;
 use rtopex_phy::Cf32;
 use rtopex_transport::iface::{FronthaulRx, FronthaulTx, Recv, StreamParams, SubframeBuf};
 use rtopex_transport::inproc::inproc_pair;
+use rtopex_transport_net::framing::{self, FrameReader, Walk};
 use rtopex_transport_net::ring::{Pop, SwapQueue};
 use rtopex_transport_net::session::ASM_SLOTS;
 use rtopex_transport_net::{wire, RxSession};
@@ -161,6 +165,72 @@ fn rx_hot_path_makes_zero_allocations_after_warmup() {
     let st = session.stats();
     assert_eq!(st.gaps, 0);
     assert!(st.stale >= 1);
+}
+
+/// The TCP receive path as its io loop runs it: a `FrameReader` reads
+/// 12 subframes per cell of length-framed stream and walks every frame
+/// into the session, with the ring drained between reads. After the
+/// warm-up this touches the heap zero times.
+#[test]
+fn tcp_frame_walk_makes_zero_allocations_after_warmup() {
+    let p = params();
+    let depth = 8;
+    let queue = Arc::new(SwapQueue::new(
+        &p,
+        depth + p.cells.len() * ASM_SLOTS + 1,
+        depth,
+    ));
+    let mut session = RxSession::new(p.clone(), Arc::clone(&queue));
+    let mut buf = SubframeBuf::for_stream(&p);
+    let stream = |seqs: std::ops::Range<u32>| {
+        let mut s = Vec::new();
+        for seq in seqs {
+            for &cell in &p.cells {
+                for f in frames(&p, cell, seq) {
+                    framing::write_framed(&mut s, &f).unwrap();
+                }
+            }
+        }
+        s
+    };
+    let (warm, steady) = (stream(0..2), stream(2..14));
+    let stop = AtomicBool::new(false);
+    let mut reader = FrameReader::new();
+    let mut run = |bytes: &[u8]| {
+        // Reads of at most 1000 bytes split records across reads, so
+        // the partial-record compaction runs too.
+        let mut src = Chunks(bytes);
+        let mut delivered = 0u64;
+        loop {
+            assert_eq!(reader.walk(|f| session.ingest_frame(f)), Walk::Drained);
+            while queue.pop_swap(&mut buf, Duration::ZERO) == Pop::Got {
+                delivered += 1;
+            }
+            if reader.read_more(&mut src, &stop).is_err() {
+                return delivered;
+            }
+        }
+    };
+    assert_eq!(run(&warm), 4);
+    let (delivered, allocs) = count_allocs(|| run(&steady));
+    assert_eq!(delivered, 24, "12 seqs x 2 cells");
+    assert_eq!(
+        allocs, 0,
+        "TCP rx (read + walk + ingest + ring swap) must not touch the heap after warm-up"
+    );
+}
+
+/// An in-memory stream handing out at most 1000 bytes per read.
+struct Chunks<'a>(&'a [u8]);
+
+impl Read for Chunks<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = buf.len().min(self.0.len()).min(1000);
+        let (head, rest) = self.0.split_at(n);
+        buf[..n].copy_from_slice(head);
+        self.0 = rest;
+        Ok(n)
+    }
 }
 
 /// Sends 20 warm-up subframes, then counts the allocations of 20 more

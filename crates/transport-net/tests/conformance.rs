@@ -4,11 +4,14 @@
 //! The invariant under test: every subframe the receiver delivers is
 //! **byte-identical** (f32 bit equality) to the sent subframe after the
 //! wire's i16 quantization — under plain delivery, for the quantizer's
-//! edge values at every SIMD tier, under fragment reordering (UDP), and
-//! across a sender reconnect (TCP). UDP's segmentation-offload trains
+//! edge values at every SIMD tier, under fragment reordering (UDP),
+//! across a sender reconnect (TCP) and with subframes written in the
+//! same `write` as the hello (TCP). UDP's segmentation-offload trains
 //! reach a plain socket as one wire frame per datagram, byte for byte.
 //! A subframe of the wrong geometry is refused whole by every transport.
 
+use std::io::Write;
+use std::net::TcpStream;
 use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
@@ -19,7 +22,7 @@ use rtopex_transport::iface::{
 };
 use rtopex_transport::inproc::inproc_pair;
 use rtopex_transport::packet::{dequantize, quantize};
-use rtopex_transport_net::wire;
+use rtopex_transport_net::{framing, wire};
 use rtopex_transport_net::{TcpFronthaulTx, TcpRxPending, UdpFronthaulTx, UdpRxPending};
 
 const ACCEPT_TIMEOUT: Duration = Duration::from_secs(5);
@@ -483,6 +486,56 @@ fn tcp_reconnect_resyncs_and_stays_byte_identical() {
     let st = rx.stats();
     assert_eq!(st.resyncs, 1, "{st:?}");
     assert_eq!(st.delivered, got.len() as u64);
+}
+
+/// TCP with nothing between the hello and the data: a peer that writes
+/// its hello, three subframes and a BYE in one `write` before reading
+/// the ack gets all three delivered byte-identical. The receiver's
+/// hello read takes the subframes into its buffer, and the io loop
+/// must ingest them from there.
+#[test]
+fn tcp_hello_and_subframes_in_one_write_all_deliver() {
+    let p = params();
+    let pending = TcpRxPending::bind("127.0.0.1:0").unwrap();
+    let addr = pending.local_addr().unwrap();
+    let h = thread::spawn(move || pending.accept(ACCEPT_TIMEOUT, QUEUE_DEPTH));
+
+    let sched = [(3u16, 0u32), (8, 0), (3, 1)];
+    let mut bytes = Vec::new();
+    let mut hello = Vec::new();
+    wire::encode_hello(&mut hello, &p, rtopex_transport::PROTOCOL_VERSION);
+    framing::write_framed(&mut bytes, &hello).unwrap();
+    let total = wire::fragments_for(p.samples_per_subframe as usize) as u16;
+    for &(cell, seq) in &sched {
+        for (ant, a) in subframe(&p, cell, seq).iter().enumerate() {
+            for (frag, chunk) in a.chunks(wire::SAMPLES_PER_FRAG).enumerate() {
+                let mut f = vec![0u8; wire::MAX_IQ_FRAME];
+                let len = wire::write_iq_frame(
+                    &mut f, 27, cell, ant as u8, frag as u8, total, seq, chunk,
+                );
+                framing::write_framed(&mut bytes, &f[..len]).unwrap();
+            }
+        }
+    }
+    framing::write_framed(&mut bytes, &[wire::FT_BYE]).unwrap();
+    let mut peer = TcpStream::connect(addr).unwrap();
+    peer.write_all(&bytes).unwrap();
+
+    let mut rx = h.join().unwrap().unwrap();
+    let mut buf = SubframeBuf::for_stream(&p);
+    let mut got = Vec::new();
+    loop {
+        match rx.recv_into(&mut buf, RECV_TIMEOUT).unwrap() {
+            Recv::Subframe => {
+                assert_wire_exact(&buf, &p);
+                got.push((buf.cell, buf.seq));
+            }
+            Recv::Closed => break,
+            Recv::TimedOut => panic!("stalled after {} subframes", got.len()),
+        }
+    }
+    assert_eq!(got, sched);
+    drop(peer);
 }
 
 /// Version negotiation: a peer announcing a foreign protocol version is

@@ -11,7 +11,8 @@ use proptest::prelude::*;
 use rtopex_phy::Cf32;
 use rtopex_transport::iface::StreamParams;
 use rtopex_transport::packet::{dequantize, quantize};
-use rtopex_transport_net::{framing, wire};
+use rtopex_transport_net::framing::{FrameReader, Walk};
+use rtopex_transport_net::wire;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -111,14 +112,10 @@ proptest! {
         let mut dst = vec![Cf32::ZERO; bytes.len() / 4];
         let _ = wire::dequantize_payload(&bytes, &mut dst);
         // The TCP reassembly layer gets the same raw bytes as a stream:
-        // walk frames out of it until it runs dry or rejects.
+        // walk frames out of it until it runs dry, rejects or says BYE.
         let stop = AtomicBool::new(false);
         let mut cursor = Cursor::new(bytes);
-        let mut scratch = vec![0u8; wire::MAX_FRAME];
-        for _ in 0..8 {
-            if framing::read_frame(&mut cursor, &mut scratch, &stop).is_err() {
-                break;
-            }
-        }
+        let mut reader = FrameReader::new();
+        while reader.walk(|_| {}) == Walk::Drained && reader.read_more(&mut cursor, &stop).is_ok() {}
     }
 }

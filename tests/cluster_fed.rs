@@ -4,7 +4,7 @@
 //! `send_paced` over the in-process transport (i16-quantized, exactly
 //! what the wire carries).
 
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use rtopex::phy::params::Bandwidth;
@@ -15,6 +15,14 @@ use rtopex::transport::{
 
 /// Subframes per cell the sender really transmits.
 const SENT: usize = 40;
+
+/// One cluster at a time: every run pins its workers to CPUs `0..n`, so
+/// two tests running clusters at once share cores, against the paper's
+/// one processing thread per dedicated core.
+fn one_cluster_at_a_time() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn quick_cfg(mode: SchedulerMode) -> ClusterConfig {
     // 5 MHz with a long period: high-MCS subframes carry several code
@@ -125,6 +133,7 @@ fn assert_all_accounted(fed: &FedReport, what: &str) {
 
 #[test]
 fn fed_run_accounts_for_every_delivered_subframe_in_every_mode() {
+    let _guard = one_cluster_at_a_time();
     for mode in SchedulerMode::ALL {
         let fed = feed(mode, SENT as u32);
         assert_all_accounted(&fed, mode.name());
@@ -138,6 +147,7 @@ fn fed_run_accounts_for_every_delivered_subframe_in_every_mode() {
 
 #[test]
 fn steal_mode_migrates_fft_batches_from_the_delivery_slot() {
+    let _guard = one_cluster_at_a_time();
     let fed = feed(SchedulerMode::RtOpexSteal, SENT as u32);
     assert_all_accounted(&fed, "steal");
     let (r, m) = (&fed.cluster, &fed.cluster.migration);
@@ -154,6 +164,7 @@ fn steal_mode_migrates_fft_batches_from_the_delivery_slot() {
 
 #[test]
 fn fed_run_sizes_nothing_from_the_claimed_subframe_count() {
+    let _guard = one_cluster_at_a_time();
     // The count is the peer's: `rtopex-node` copies it from the hello,
     // where 0 means "open-ended" and nothing caps it. Neither extreme may
     // panic or be used as an allocation size — u32::MAX entries per inbox
@@ -166,6 +177,7 @@ fn fed_run_sizes_nothing_from_the_claimed_subframe_count() {
 
 #[test]
 fn a_subframe_outside_the_mcs_pool_is_dropped_not_decoded() {
+    let _guard = one_cluster_at_a_time();
     // MCS 6 is no entry of the pool {5, 16, 27}. Decoded under the
     // nearest entry's config (MCS 5) it could only NACK; it must be
     // recorded as a miss + drop instead.
