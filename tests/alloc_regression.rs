@@ -1,15 +1,15 @@
-//! Guards the PR's two hot-path guarantees:
+//! Guards the staged decode's two hot-path guarantees:
 //!
-//! 1. **Zero steady-state allocations** — after one warm-up subframe (or an
-//!    explicit [`PhyWorkspace::warm`]), `UplinkRx::decode_subframe_with`
-//!    performs no heap allocation at all, measured by a counting global
-//!    allocator.
-//! 2. **Bit-exactness** — the workspace-reusing serial decode produces
-//!    exactly the same output as the staged slab path the runtime ships
-//!    (`start_job_in`, with one FFT batch and one code block migrated), for
-//!    random MCS / SNR / antenna configurations, including *different*
-//!    consecutive configurations reusing one workspace (stale-buffer
-//!    hazard).
+//! 1. **Zero steady-state allocations** — after one warm-up subframe (or
+//!    an explicit [`JobSlab::warm`] and `PhyWorkspace::warm`), a
+//!    `SlabJob` on a reused slab performs no heap allocation at all,
+//!    whether its subtasks all run locally (`SlabJob::run_local`) or some
+//!    are migrated and absorbed, and also when consecutive subframes use
+//!    different configurations; `UplinkRx::decode_subframe` allocates
+//!    only its owned `RxOutput`. Measured by a counting global allocator.
+//! 2. **No stale state** — one slab reused across random consecutive
+//!    configurations decodes exactly as a fresh slab per subframe does:
+//!    same payload, CRCs and per-block iteration counts.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -17,7 +17,7 @@ use rand::{Rng, SeedableRng};
 use rtopex::phy::channel::{AwgnChannel, ChannelModel};
 use rtopex::phy::params::Bandwidth;
 use rtopex::phy::uplink::{BlockBuf, JobSlab, UplinkConfig, UplinkRx, UplinkTx};
-use rtopex::phy::workspace::PhyWorkspace;
+use rtopex::phy::workspace::with_thread_workspace;
 use rtopex::phy::Cf32;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -86,6 +86,17 @@ fn make_subframe(cfg: &UplinkConfig, snr_db: f64, seed: u64) -> (Vec<u8>, Vec<Ve
     (payload, samples)
 }
 
+/// The owned allocations of one `decode_subframe` call: its `RxOutput`'s
+/// payload, per-block CRCs and per-block iteration counts.
+const RX_OUTPUT_ALLOCS: u64 = 3;
+
+/// One subframe on one thread, every subtask local. Returns the
+/// transport-block CRC verdict.
+fn local_round(rx: &UplinkRx, samples: &[Vec<Cf32>], slab: &mut JobSlab) -> bool {
+    let job = rx.start_job_in(samples, slab).expect("job");
+    job.run_local().expect("decode").crc_ok
+}
+
 #[test]
 fn steady_state_decode_makes_zero_allocations() {
     // Multi-block configuration: 5 MHz, 2 antennas, MCS 20 exercises every
@@ -95,30 +106,37 @@ fn steady_state_decode_makes_zero_allocations() {
     let (_, samples) = make_subframe(&cfg, 28.0, 0xA110C);
 
     let rx = UplinkRx::new(cfg.clone());
-    let mut ws = PhyWorkspace::new();
-    ws.warm(&cfg);
+    with_thread_workspace(|ws| ws.warm(&cfg));
+    let mut slab = JobSlab::new();
+    slab.warm(&cfg);
     // One warm-up decode settles anything `warm` cannot size exactly.
-    let warm = rx.decode_subframe_with(&samples, &mut ws).expect("decode");
-    assert!(warm.crc_ok, "test vector must decode cleanly");
+    assert!(
+        local_round(&rx, &samples, &mut slab),
+        "test vector must decode cleanly"
+    );
+    rx.decode_subframe(&samples).expect("decode");
 
     let (crc_ok, allocs) = count_allocs(|| {
         let mut all_ok = true;
         for _ in 0..5 {
-            let view = rx.decode_subframe_with(&samples, &mut ws).expect("decode");
-            all_ok &= view.crc_ok;
+            all_ok &= local_round(&rx, &samples, &mut slab);
         }
         all_ok
     });
     assert!(crc_ok);
+    assert_eq!(allocs, 0, "steady-state run_local must not touch the heap");
+
+    let (out, allocs) = count_allocs(|| rx.decode_subframe(&samples).expect("decode"));
+    assert!(out.crc_ok);
     assert_eq!(
-        allocs, 0,
-        "steady-state decode_subframe_with must not touch the heap"
+        allocs, RX_OUTPUT_ALLOCS,
+        "steady-state decode_subframe may allocate only its RxOutput"
     );
 }
 
 #[test]
 fn warm_start_decode_makes_zero_allocations_across_configs() {
-    // A workspace warmed for the largest configuration must stay
+    // A slab warmed for the largest configuration must stay
     // allocation-free when subframes alternate between configurations.
     let big = UplinkConfig::new(Bandwidth::Mhz5, 2, 24).unwrap();
     let small = UplinkConfig::new(Bandwidth::Mhz5, 2, 7).unwrap();
@@ -127,24 +145,37 @@ fn warm_start_decode_makes_zero_allocations_across_configs() {
     let big_rx = UplinkRx::new(big.clone());
     let small_rx = UplinkRx::new(small.clone());
 
-    let mut ws = PhyWorkspace::new();
-    ws.warm(&big);
-    ws.warm(&small);
-    // Warm-up pass per configuration.
-    big_rx.decode_subframe_with(&big_samples, &mut ws).unwrap();
-    small_rx
-        .decode_subframe_with(&small_samples, &mut ws)
-        .unwrap();
+    let mut slab = JobSlab::new();
+    for cfg in [&big, &small] {
+        with_thread_workspace(|ws| ws.warm(cfg));
+        slab.warm(cfg);
+    }
+    // Warm-up pass per configuration, for the caller's slab and for the
+    // thread's own one behind `decode_subframe`.
+    for (rx, samples) in [(&big_rx, &big_samples), (&small_rx, &small_samples)] {
+        local_round(rx, samples, &mut slab);
+        rx.decode_subframe(samples).unwrap();
+    }
 
     let (_, allocs) = count_allocs(|| {
         for _ in 0..3 {
-            big_rx.decode_subframe_with(&big_samples, &mut ws).unwrap();
-            small_rx
-                .decode_subframe_with(&small_samples, &mut ws)
-                .unwrap();
+            local_round(&big_rx, &big_samples, &mut slab);
+            local_round(&small_rx, &small_samples, &mut slab);
         }
     });
     assert_eq!(allocs, 0, "alternating configs must reuse warmed buffers");
+
+    let (_, allocs) = count_allocs(|| {
+        for _ in 0..3 {
+            big_rx.decode_subframe(&big_samples).unwrap();
+            small_rx.decode_subframe(&small_samples).unwrap();
+        }
+    });
+    assert_eq!(
+        allocs,
+        6 * RX_OUTPUT_ALLOCS,
+        "alternating configs must reuse the thread's slab"
+    );
 }
 
 /// One subframe through the cluster's staged slab path, with antenna 0
@@ -190,7 +221,7 @@ fn staged_slab_path_makes_zero_allocations() {
     let (_, samples) = make_subframe(&cfg, 28.0, 0x51AB);
     let rx = UplinkRx::new(cfg.clone());
 
-    rtopex::phy::workspace::with_thread_workspace(|ws| ws.warm(&cfg));
+    with_thread_workspace(|ws| ws.warm(&cfg));
     let mut slab = JobSlab::new();
     slab.warm(&cfg);
     let mut fft_slot: Vec<Cf32> = Vec::with_capacity(14 * cfg.bandwidth.num_subcarriers());
@@ -216,32 +247,37 @@ fn staged_slab_path_makes_zero_allocations() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The workspace decode equals the staged slab decode bit for bit —
-    /// same payload, CRCs, and per-block iteration counts — even when one
-    /// workspace (and one slab) is reused across two different
-    /// configurations in a row.
+    /// One slab reused across three random consecutive configurations
+    /// (bandwidth, antennas, MCS), with antenna 0 and code block 0
+    /// migrated and absorbed, decodes every subframe exactly as a fresh
+    /// slab running the whole job locally does: same payload, CRCs and
+    /// per-block iteration counts. A buffer that kept a previous
+    /// configuration's contents would show here.
     #[test]
-    fn workspace_decode_is_bit_exact(
-        mcs_a in 0u8..29,
-        mcs_b in 0u8..29,
-        ants in 1usize..3,
+    fn reused_slab_equals_a_fresh_slab(
+        bws in prop::collection::vec(
+            prop::sample::select(vec![Bandwidth::Mhz1_4, Bandwidth::Mhz3]),
+            3,
+        ),
+        ants in prop::collection::vec(1usize..3, 3),
+        mcss in prop::collection::vec(0u8..29, 3),
         snr_tenths in 120i64..300,
         seed in 0u64..1_000,
     ) {
         let snr_db = snr_tenths as f64 / 10.0;
-        let mut ws = PhyWorkspace::new();
         let mut slab = JobSlab::new();
         let (mut fft_slot, mut dec_slot) = (Vec::new(), BlockBuf::new());
-        for (round, mcs) in [mcs_a, mcs_b].into_iter().enumerate() {
-            let cfg = UplinkConfig::new(Bandwidth::Mhz1_4, ants, mcs).unwrap();
+        for round in 0..3 {
+            let cfg = UplinkConfig::new(bws[round], ants[round], mcss[round]).unwrap();
             let (_, samples) = make_subframe(&cfg, snr_db, seed ^ round as u64);
             let rx = UplinkRx::new(cfg);
             let crc_ok = slab_round(&rx, &samples, &mut slab, &mut fft_slot, &mut dec_slot);
-            let view = rx.decode_subframe_with(&samples, &mut ws).expect("decode");
-            prop_assert_eq!(view.payload, slab.payload());
-            prop_assert_eq!(view.crc_ok, crc_ok);
-            prop_assert_eq!(view.block_crc_ok, slab.block_crc_ok());
-            prop_assert_eq!(view.block_iterations, slab.block_iterations());
+            let mut fresh = JobSlab::new();
+            let verdict = rx.start_job_in(&samples, &mut fresh).unwrap().run_local().unwrap();
+            prop_assert_eq!(fresh.payload(), slab.payload());
+            prop_assert_eq!(verdict.crc_ok, crc_ok);
+            prop_assert_eq!(fresh.block_crc_ok(), slab.block_crc_ok());
+            prop_assert_eq!(fresh.block_iterations(), slab.block_iterations());
         }
     }
 }
