@@ -32,6 +32,15 @@ use crate::wire;
 /// Auto-flush watermark for the sender's coalescing buffer.
 const FLUSH_WATERMARK: usize = 512 * 1024;
 
+/// How long the receiver waits for a new connection's hello. A sender
+/// writes it right after connecting, so a peer silent this long is
+/// dropped, and the next connection in the backlog gets its turn.
+const HELLO_WAIT: Duration = Duration::from_secs(1);
+
+/// How long a sender waits for the receiver's hello ack. The receiver
+/// may first spend [`HELLO_WAIT`] on a silent peer queued ahead.
+const ACK_WAIT: Duration = Duration::from_secs(5);
+
 /// Aggregator side of a TCP fronthaul stream.
 pub struct TcpFronthaulTx {
     params: StreamParams,
@@ -65,10 +74,13 @@ impl TcpFronthaulTx {
         write_framed(&mut stream, &hello)?;
         let mut reader = FrameReader::new();
         let never = AtomicBool::new(false);
-        let ack = match reader.read_frame(&mut stream, &never) {
+        let ack = match reader.read_frame(&mut stream, &never, Instant::now() + ACK_WAIT) {
             Ok(frame) => wire::decode_hello_ack(frame),
             Err(ReadEnd::Eof) => {
                 return Err(TransportError::Io("receiver closed during hello".into()))
+            }
+            Err(ReadEnd::TimedOut) => {
+                return Err(TransportError::Io("no hello ack within 5 s".into()))
             }
             Err(_) => return Err(TransportError::Io("no hello ack".into())),
         };
@@ -159,7 +171,8 @@ impl TcpRxPending {
 
     /// Waits up to `timeout` for a connection with a valid hello, acks
     /// it, and returns the negotiated receiver. Version-mismatched
-    /// peers are acked with our version and dropped.
+    /// peers are acked with our version and dropped, and so is a peer
+    /// that sends no hello within a second or by the deadline.
     pub fn accept(
         self,
         timeout: Duration,
@@ -180,7 +193,8 @@ impl TcpRxPending {
                 }
                 Err(e) => return Err(io_err(e)),
             };
-            match negotiate(&mut stream, &mut reader, None, &never) {
+            let hello_by = deadline.min(Instant::now() + HELLO_WAIT);
+            match negotiate(&mut stream, &mut reader, None, &never, hello_by) {
                 Ok(params) => {
                     let listener = self.listener;
                     let expect = params.clone();
@@ -202,19 +216,21 @@ impl TcpRxPending {
 /// (cleared first), acks it, and returns the stream params. Frames sent
 /// behind the hello stay buffered in `reader` for the io loop. When
 /// `expect` is set (re-accept after a sender reconnect), the replayed
-/// hello must carry identical params.
+/// hello must carry identical params. A hello not read by `hello_by`
+/// (give or take one 100 ms read timeout) refuses the connection.
 fn negotiate(
     stream: &mut TcpStream,
     reader: &mut FrameReader,
     expect: Option<&StreamParams>,
     stop: &AtomicBool,
+    hello_by: Instant,
 ) -> Result<StreamParams, TransportError> {
     stream.set_nodelay(true).map_err(io_err)?;
     stream
         .set_read_timeout(Some(Duration::from_millis(100)))
         .map_err(io_err)?;
     reader.clear();
-    let (version, params) = match reader.read_frame(stream, stop) {
+    let (version, params) = match reader.read_frame(stream, stop, hello_by) {
         Ok(frame) => wire::decode_hello(frame)?,
         Err(_) => return Err(TransportError::Protocol("no hello on connection".into())),
     };
@@ -251,7 +267,8 @@ fn tcp_io_loop(
             // Sender gone: wait for a reconnect and resync.
             match listener.accept() {
                 Ok((mut s, _)) => {
-                    if negotiate(&mut s, &mut reader, Some(params), stop).is_ok() {
+                    let hello_by = Instant::now() + HELLO_WAIT;
+                    if negotiate(&mut s, &mut reader, Some(params), stop, hello_by).is_ok() {
                         session.lock().on_resync();
                         conn = Some(s);
                     }

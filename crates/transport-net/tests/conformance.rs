@@ -6,7 +6,8 @@
 //! wire's i16 quantization — under plain delivery, for the quantizer's
 //! edge values at every SIMD tier, under fragment reordering (UDP),
 //! across a sender reconnect (TCP) and with subframes written in the
-//! same `write` as the hello (TCP). UDP's segmentation-offload trains
+//! same `write` as the hello (TCP). A TCP peer that connects and stays
+//! silent holds neither `accept` nor a sender's reconnect. UDP's segmentation-offload trains
 //! reach a plain socket as one wire frame per datagram, byte for byte.
 //! A subframe of the wrong geometry is refused whole by every transport.
 
@@ -14,7 +15,7 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::sync::mpsc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rtopex_phy::Cf32;
 use rtopex_transport::iface::{
@@ -536,6 +537,54 @@ fn tcp_hello_and_subframes_in_one_write_all_deliver() {
     }
     assert_eq!(got, sched);
     drop(peer);
+}
+
+/// A TCP peer that connects and never writes: `accept` still returns
+/// at its deadline, a sender that connects behind the silent peer is
+/// accepted and streams, and after a sender dies a silent peer does not
+/// keep the next sender from reconnecting.
+#[test]
+fn tcp_silent_peer_holds_neither_accept_nor_reconnect() {
+    let p = params();
+
+    let pending = TcpRxPending::bind("127.0.0.1:0").unwrap();
+    let silent = TcpStream::connect(pending.local_addr().unwrap()).unwrap();
+    let t0 = Instant::now();
+    assert!(pending
+        .accept(Duration::from_millis(300), QUEUE_DEPTH)
+        .is_err());
+    assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
+    drop(silent);
+
+    let pending = TcpRxPending::bind("127.0.0.1:0").unwrap();
+    let addr = pending.local_addr().unwrap();
+    let silent = TcpStream::connect(addr).unwrap();
+    let h = thread::spawn(move || pending.accept(ACCEPT_TIMEOUT, QUEUE_DEPTH));
+    let tx = TcpFronthaulTx::connect(addr, p.clone()).unwrap();
+    let mut rx = h.join().unwrap().unwrap();
+    let first: Vec<(u16, u32)> = full_schedule(&p).into_iter().take(6).collect();
+    let mut tx: Box<dyn FronthaulTx> = Box::new(tx);
+    for &(cell, seq) in &first {
+        tx.send(cell, seq, 27, &subframe(&p, cell, seq)).unwrap();
+    }
+    tx.flush().unwrap();
+    drop(tx); // sender dies without a bye
+    let mut buf = SubframeBuf::for_stream(&p);
+    for _ in &first {
+        assert_eq!(
+            rx.recv_into(&mut buf, RECV_TIMEOUT).unwrap(),
+            Recv::Subframe
+        );
+    }
+    drop(silent);
+
+    // A silent peer reaches the listener before the reconnecting sender.
+    let silent = TcpStream::connect(addr).unwrap();
+    thread::sleep(Duration::from_millis(50));
+    let tx2 = TcpFronthaulTx::connect(addr, p.clone()).unwrap();
+    let second: Vec<(u16, u32)> = full_schedule(&p).into_iter().skip(6).collect();
+    assert_eq!(stream_and_verify(Box::new(tx2), &mut rx, &second), second);
+    drop(silent);
 }
 
 /// Version negotiation: a peer announcing a foreign protocol version is
