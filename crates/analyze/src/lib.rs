@@ -6,7 +6,7 @@
 //! soundness caveats):
 //!
 //! 1. **Transitive hot-path purity** ([`purity`]) — from the declared
-//!    hot entry points (`decode_subframe_with`, the deque operations,
+//!    hot entry points (the `SlabJob` decode's, the deque operations,
 //!    the `SlotBoard` stage transitions, the cluster loops), every
 //!    reachable allocation, lock, panic source, blocking syscall, or
 //!    clock read is flagged against the seed's per-class deny mask.
