@@ -255,6 +255,8 @@ fn main() {
         println!("  \"miss_rate\": {:.6},", v.miss_rate);
         println!("  \"gaps\": {},", v.gaps);
         println!("  \"shed\": {},", v.shed);
+        println!("  \"dropped_mcs\": {},", v.dropped_mcs);
+        println!("  \"dropped_no_slack\": {},", v.dropped_no_slack);
         println!("  \"crc_failures\": {},", v.crc_failures);
     }
     println!("  \"ok\": {ok}");

@@ -278,7 +278,8 @@ pub fn node_report_json(
         "{{\n  \"role\": \"node\",\n  \"transport\": \"{}\",\n  \"mode\": \"{}\",\n  \
          \"cells\": {},\n  \"subframes_per_cell\": {},\n  \"period_us\": {},\n  \
          \"budget_us\": {},\n  \"delivered\": {},\n  \"processed\": {},\n  \
-         \"dropped\": {},\n  \"shed\": {},\n  \"missed\": {},\n  \"miss_rate\": {:.6},\n  \
+         \"dropped\": {},\n  \"shed\": {},\n  \"dropped_mcs\": {},\n  \
+         \"dropped_no_slack\": {},\n  \"missed\": {},\n  \"miss_rate\": {:.6},\n  \
          \"gaps\": {},\n  \"stale\": {},\n  \"rx_overruns\": {},\n  \"resyncs\": {},\n  \
          \"bad_frames\": {},\n  \"crc_failures\": {},\n  \"steals\": {},\n  \
          \"pinned\": {},\n  \"elapsed_ms\": {},\n  \"ok\": {}\n}}",
@@ -291,7 +292,9 @@ pub fn node_report_json(
         fed.rx.delivered,
         fed.cluster.proc_us.len(),
         fed.cluster.dropped,
-        fed.shed,
+        fed.cluster.drops.shed,
+        fed.cluster.drops.mcs_outside_pool,
+        fed.cluster.drops.no_slack,
         overall.missed,
         overall.missed as f64 / total as f64,
         fed.rx.gaps,
@@ -328,6 +331,10 @@ pub struct SpawnVerdict {
     pub gaps: u64,
     /// Subframes shed on arrival, summed.
     pub shed: u64,
+    /// Subframes dropped because their MCS is outside the pool, summed.
+    pub dropped_mcs: u64,
+    /// Subframes dropped by a slack check, summed.
+    pub dropped_no_slack: u64,
     /// CRC failures, summed.
     pub crc_failures: u64,
     /// The run passes: every worker exited cleanly, every expected
@@ -364,6 +371,8 @@ pub fn spawn_verdict(
         miss_rate,
         gaps: sum("gaps"),
         shed: sum("shed"),
+        dropped_mcs: sum("dropped_mcs"),
+        dropped_no_slack: sum("dropped_no_slack"),
         crc_failures,
         ok: workers_ok
             && sent == expected

@@ -26,10 +26,10 @@
 //! and no FMA, so the tiers are bit-exact with each other.
 
 use crate::complex::Cf32;
+use crate::registry::Registry;
 use crate::simd::{self, SimdTier};
-use std::collections::HashMap;
 use std::ops::{Add, Mul, Sub};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 /// A precomputed transform plan for a fixed size `n`.
 #[derive(Clone, Debug)]
@@ -75,22 +75,19 @@ fn radices(mut n: usize) -> Vec<usize> {
     f
 }
 
-/// Process-wide plan cache, one shared immutable plan per size.
-static PLAN_CACHE: OnceLock<Mutex<HashMap<usize, Arc<FftPlan>>>> = OnceLock::new();
+/// Process-wide plan registry, one shared immutable plan per size.
+static PLANS: Registry<usize, FftPlan> = Registry::new();
 
 /// Returns the shared plan for size `n`, building it on first use.
 ///
 /// Every component that transforms a given size (OFDM processors, DFT
-/// precoders, tests) resolves through this cache, so twiddle tables are
+/// precoders, tests) resolves through the registry, so twiddle tables are
 /// computed once per process rather than once per constructor call.
 ///
 /// # Panics
 /// Panics if `n == 0`.
 pub fn plan(n: usize) -> Arc<FftPlan> {
-    let cache = PLAN_CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    // analyze: allow(panic): poison implies a prior panic already failed the run
-    let mut map = cache.lock().expect("plan cache poisoned");
-    Arc::clone(map.entry(n).or_insert_with(|| Arc::new(FftPlan::new(n))))
+    PLANS.get_or_build(n, || FftPlan::new(n))
 }
 
 impl FftPlan {

@@ -76,6 +76,7 @@ pub mod mcs;
 pub mod modulation;
 pub mod params;
 pub mod ratematch;
+mod registry;
 pub mod resource_grid;
 pub mod scramble;
 pub mod segmentation;

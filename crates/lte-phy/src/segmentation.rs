@@ -176,17 +176,12 @@ impl Segmentation {
         Ok(blocks)
     }
 
-    /// Reassembles decoded code blocks into caller-owned vectors (cleared
-    /// and refilled; no allocation once they have capacity): `tb` gets the
-    /// transport block bits (still including the transport-block CRC24A),
-    /// `oks` a per-block CRC24B pass/fail vector (all `true` when `C == 1`,
-    /// where no per-block CRC exists).
-    pub fn desegment_into(
-        &self,
-        blocks: &[Vec<u8>],
-        tb: &mut Vec<u8>,
-        oks: &mut Vec<bool>,
-    ) -> Result<(), PhyError> {
+    /// Reassembles decoded code blocks into the caller-owned `tb` (cleared
+    /// and refilled; no allocation once it has capacity): the transport
+    /// block bits, still including the transport-block CRC24A. Per-block
+    /// CRC24B outcomes are the decoder's, which checks them as it
+    /// terminates.
+    pub fn desegment_into(&self, blocks: &[Vec<u8>], tb: &mut Vec<u8>) -> Result<(), PhyError> {
         if blocks.len() != self.num_blocks {
             return Err(PhyError::LengthMismatch {
                 what: "code blocks",
@@ -197,8 +192,6 @@ impl Segmentation {
         let crc = self.num_blocks > 1;
         tb.clear();
         tb.reserve(self.input_bits);
-        oks.clear();
-        oks.reserve(self.num_blocks);
         for (r, blk) in blocks.iter().enumerate() {
             let k = self.block_size(r);
             if blk.len() != k {
@@ -210,7 +203,6 @@ impl Segmentation {
             }
             let payload_end = if crc { k - BLOCK_CRC_LEN } else { k };
             let start = if r == 0 { self.filler } else { 0 };
-            oks.push(if crc { CRC24B.check(blk) } else { true });
             tb.extend_from_slice(&blk[start..payload_end]);
         }
         debug_assert_eq!(tb.len(), self.input_bits);
@@ -223,9 +215,13 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The transport block and each block's CRC24B outcome (all `true`
+    /// when `C == 1`, where no per-block CRC exists).
     fn desegment(seg: &Segmentation, blocks: &[Vec<u8>]) -> (Vec<u8>, Vec<bool>) {
-        let (mut tb, mut oks) = (Vec::new(), Vec::new());
-        seg.desegment_into(blocks, &mut tb, &mut oks).unwrap();
+        let mut tb = Vec::new();
+        seg.desegment_into(blocks, &mut tb).unwrap();
+        let crc = seg.num_blocks > 1;
+        let oks = blocks.iter().map(|b| !crc || CRC24B.check(b)).collect();
         (tb, oks)
     }
 

@@ -21,6 +21,7 @@ use crate::mcs::Mcs;
 use crate::modulation::Modulation;
 use crate::params::{is_dmrs_symbol, Bandwidth, SYMBOLS_PER_SUBFRAME};
 use crate::ratematch::RateMatcher;
+use crate::registry::Registry;
 use crate::resource_grid::{Grid, OfdmProcessor};
 use crate::scramble::{pusch_c_init, Scrambler};
 use crate::segmentation::Segmentation;
@@ -264,35 +265,63 @@ impl UplinkConfig {
     }
 }
 
-/// Per-code-block codec state (shared between identical block sizes).
+/// The codec tables of one turbo block size `K`.
 #[derive(Clone, Debug)]
 struct BlockCodec {
-    k: usize,
     matcher: RateMatcher,
     decoder: TurboDecoder,
     encoder: TurboEncoder,
 }
 
-fn build_codecs(seg: &Segmentation) -> (Vec<BlockCodec>, Vec<usize>) {
-    let sizes = seg.block_sizes();
-    let mut codecs: Vec<BlockCodec> = Vec::new();
-    let mut index = Vec::with_capacity(sizes.len());
-    for k in sizes {
-        if let Some(pos) = codecs.iter().position(|c| c.k == k) {
-            index.push(pos);
-        } else {
-            let encoder = TurboEncoder::new(k);
-            let decoder = TurboDecoder::with_qpp(encoder.qpp().clone());
-            codecs.push(BlockCodec {
-                k,
-                matcher: RateMatcher::new(k),
-                decoder,
-                encoder,
-            });
-            index.push(codecs.len() - 1);
+impl BlockCodec {
+    fn new(k: usize) -> Self {
+        let encoder = TurboEncoder::new(k);
+        BlockCodec {
+            matcher: RateMatcher::new(k),
+            decoder: TurboDecoder::with_qpp(encoder.qpp().clone()),
+            encoder,
         }
     }
-    (codecs, index)
+}
+
+/// The codec tables of every block size in use, keyed by `K`.
+static CODECS: Registry<usize, BlockCodec> = Registry::new();
+/// Scrambling masks, keyed by `(c_init, length)`.
+static SCRAMBLERS: Registry<(u32, usize), Scrambler> = Registry::new();
+/// DMRS sequences, keyed by `(root, length)`.
+static DMRS: Registry<(usize, usize), Vec<Cf32>> = Registry::new();
+
+/// The read-only tables of one configuration. Each comes from a
+/// process-wide registry, so every transmitter and receiver of the
+/// configuration shares one copy.
+#[derive(Clone, Debug)]
+struct Tables {
+    ofdm: OfdmProcessor,
+    dft: Arc<FftPlan>,
+    scrambler: Arc<Scrambler>,
+    dmrs: Arc<Vec<Cf32>>,
+    /// One entry per code block `r`; blocks of one size share a codec.
+    codecs: Vec<Arc<BlockCodec>>,
+}
+
+impl Tables {
+    fn new(cfg: &UplinkConfig) -> Self {
+        let m = cfg.alloc_subcarriers();
+        let c_init = pusch_c_init(cfg.n_rnti, 0, cfg.cell_id);
+        let (root, coded) = (cfg.cell_id as usize, cfg.coded_bits());
+        Tables {
+            ofdm: OfdmProcessor::new(cfg.bandwidth),
+            dft: fft::plan(m),
+            scrambler: SCRAMBLERS.get_or_build((c_init, coded), || Scrambler::new(c_init, coded)),
+            dmrs: DMRS.get_or_build((root, m), || dmrs_sequence(root, m)),
+            codecs: cfg
+                .seg
+                .block_sizes()
+                .into_iter()
+                .map(|k| CODECS.get_or_build(k, || BlockCodec::new(k)))
+                .collect(),
+        }
+    }
 }
 
 /// A transmitted subframe: the time-domain IQ samples (single Tx antenna).
@@ -306,26 +335,14 @@ pub struct TxSubframe {
 #[derive(Clone, Debug)]
 pub struct UplinkTx {
     cfg: UplinkConfig,
-    ofdm: OfdmProcessor,
-    dft: Arc<FftPlan>,
-    scrambler: Scrambler,
-    dmrs: Vec<Cf32>,
-    codecs: Vec<BlockCodec>,
-    codec_index: Vec<usize>,
+    t: Tables,
 }
 
 impl UplinkTx {
     /// Creates a transmitter for the configuration.
     pub fn new(cfg: UplinkConfig) -> Self {
-        let m = cfg.alloc_subcarriers();
-        let (codecs, codec_index) = build_codecs(&cfg.seg);
         UplinkTx {
-            ofdm: OfdmProcessor::new(cfg.bandwidth),
-            dft: fft::plan(m),
-            scrambler: Scrambler::new(pusch_c_init(cfg.n_rnti, 0, cfg.cell_id), cfg.coded_bits()),
-            dmrs: dmrs_sequence(cfg.cell_id as usize, m),
-            codecs,
-            codec_index,
+            t: Tables::new(&cfg),
             cfg,
         }
     }
@@ -356,14 +373,14 @@ impl UplinkTx {
         // Per block: turbo encode + rate match, then concatenate.
         let mut coded = Vec::with_capacity(cfg.coded_bits());
         for (r, (block, &e)) in blocks.iter().zip(cfg.e_splits()).enumerate() {
-            let codec = &self.codecs[self.codec_index[r]];
+            let codec = &self.t.codecs[r];
             let cw = codec.encoder.encode(block);
             coded.extend(codec.matcher.rate_match(&cw, e));
         }
         debug_assert_eq!(coded.len(), cfg.coded_bits());
 
         // Scramble and map to constellation symbols.
-        self.scrambler.scramble_bits(&mut coded);
+        self.t.scrambler.scramble_bits(&mut coded);
         let symbols = cfg.modulation().map(&coded);
 
         // DFT-precode each data symbol and place on the grid's allocated
@@ -372,17 +389,17 @@ impl UplinkTx {
         let mut grid = Grid::new(cfg.bandwidth);
         for (si, &l) in cfg.data_symbols().iter().enumerate() {
             let mut chunk: Vec<Cf32> = symbols[si * m..(si + 1) * m].to_vec();
-            self.dft.forward(&mut chunk);
+            self.t.dft.forward(&mut chunk);
             let scale = 1.0 / (m as f32).sqrt(); // unitary DFT precoding
             for (dst, src) in grid.symbol_mut(l)[..m].iter_mut().zip(&chunk) {
                 *dst = src.scale(scale);
             }
         }
         for l in crate::params::dmrs_symbols() {
-            grid.symbol_mut(l)[..m].copy_from_slice(&self.dmrs);
+            grid.symbol_mut(l)[..m].copy_from_slice(&self.t.dmrs);
         }
         Ok(TxSubframe {
-            samples: self.ofdm.modulate(&grid),
+            samples: self.t.ofdm.modulate(&grid),
         })
     }
 }
@@ -411,26 +428,14 @@ impl RxOutput {
 #[derive(Clone, Debug)]
 pub struct UplinkRx {
     cfg: UplinkConfig,
-    ofdm: OfdmProcessor,
-    dft: Arc<FftPlan>,
-    scrambler: Scrambler,
-    dmrs: Vec<Cf32>,
-    codecs: Vec<BlockCodec>,
-    codec_index: Vec<usize>,
+    t: Tables,
 }
 
 impl UplinkRx {
     /// Creates a receiver for the configuration.
     pub fn new(cfg: UplinkConfig) -> Self {
-        let m = cfg.alloc_subcarriers();
-        let (codecs, codec_index) = build_codecs(&cfg.seg);
         UplinkRx {
-            ofdm: OfdmProcessor::new(cfg.bandwidth),
-            dft: fft::plan(m),
-            scrambler: Scrambler::new(pusch_c_init(cfg.n_rnti, 0, cfg.cell_id), cfg.coded_bits()),
-            dmrs: dmrs_sequence(cfg.cell_id as usize, m),
-            codecs,
-            codec_index,
+            t: Tables::new(&cfg),
             cfg,
         }
     }
@@ -486,7 +491,7 @@ impl UplinkRx {
         // analyze: allow(panic): buffer-shape contract; a mismatch means the job was built against a different config — decode garbage or fail loudly, and loud wins
         assert_eq!(llrs.len(), cfg.coded_bits(), "coded LLR stream length");
         let multi = cfg.seg.num_blocks > 1;
-        let codec = &self.codecs[self.codec_index[r]];
+        let codec = &self.t.codecs[r];
 
         workspace::with_thread_workspace(|ws| {
             let filler = self.prep_block(llrs, r, &mut ws.streams);
@@ -553,7 +558,8 @@ impl UplinkRx {
         );
         let nsc = self.cfg.bandwidth.num_subcarriers();
         for (l, row) in out.chunks_exact_mut(nsc).enumerate() {
-            self.ofdm
+            self.t
+                .ofdm
                 .demod_symbol_into(&rx_samples[antenna], l, row, &mut s.time, &mut s.fft);
         }
     }
@@ -578,7 +584,7 @@ impl UplinkRx {
         s.combined.resize(m, Cf32::ZERO);
         s.post_var.resize(m, 0.0);
         let var_sum = mrc_combine_into(&rows[..grids.len()], est, &mut s.combined, &mut s.post_var);
-        self.dft.inverse_with(&mut s.combined, &mut s.fft);
+        self.t.dft.inverse_with(&mut s.combined, &mut s.fft);
         let scale = (m as f32).sqrt();
         for v in s.combined.iter_mut() {
             *v = v.scale(scale);
@@ -598,9 +604,9 @@ impl UplinkRx {
     fn prep_block(&self, llrs: &[f32], r: usize, streams: &mut Vec<f32>) -> usize {
         let cfg = &self.cfg;
         let (off, e) = (cfg.e_offsets[r], cfg.e_splits[r]);
-        self.codecs[self.codec_index[r]].matcher.de_rate_match_into(
+        self.t.codecs[r].matcher.de_rate_match_into(
             &llrs[off..off + e],
-            &self.scrambler.masks()[off..off + e],
+            &self.t.scrambler.masks()[off..off + e],
             streams,
         );
         let filler = if r == 0 { cfg.seg.filler } else { 0 };
@@ -690,7 +696,6 @@ pub struct JobSlab {
     block_iters: Vec<usize>,
     block_crc: Vec<bool>,
     tb: Vec<u8>,
-    tb_oks: Vec<bool>,
     payload: Vec<u8>,
 }
 
@@ -717,7 +722,8 @@ impl JobSlab {
             // analyze: allow(alloc): slab construction; runs once per config change and tests/alloc_regression.rs proves the steady state is alloc-free
             self.block_bits.push(Vec::new());
         }
-        self.llrs.clear();
+        // Demod writes every entry before anything reads it, so only a
+        // first use, or a larger configuration, pays the fill.
         self.llrs.resize(cfg.coded_bits(), 0.0);
         self.block_iters.clear();
         self.block_iters.resize(c, 0);
@@ -740,7 +746,6 @@ impl JobSlab {
         let grow = |v: &mut Vec<u8>, n: usize| v.reserve(n.saturating_sub(v.len()));
         grow(&mut self.tb, seg.input_bits);
         grow(&mut self.payload, cfg.transport_block_bytes());
-        self.tb_oks.reserve(c.saturating_sub(self.tb_oks.len()));
         while self.est.h.len() < cfg.num_antennas {
             self.est.h.push(Vec::new());
         }
@@ -886,7 +891,7 @@ impl SlabJob<'_> {
             "FFT task incomplete"
         );
         let band = 0..self.rx.cfg.alloc_subcarriers();
-        estimate_channel_band_into(&self.slab.grids, &self.rx.dmrs, band, &mut self.slab.est);
+        estimate_channel_band_into(&self.slab.grids, &self.rx.t.dmrs, band, &mut self.slab.est);
     }
 
     /// Number of demod subtasks (12 data symbols).
@@ -1044,11 +1049,8 @@ impl SlabJob<'_> {
             "decode subtask {} missing",
             missing.trailing_zeros()
         );
-        cfg.seg.desegment_into(
-            &self.slab.block_bits[..c],
-            &mut self.slab.tb,
-            &mut self.slab.tb_oks,
-        )?;
+        cfg.seg
+            .desegment_into(&self.slab.block_bits[..c], &mut self.slab.tb)?;
         let crc_ok = CRC24A.check(&self.slab.tb) && self.slab.block_crc[..c].iter().all(|&b| b);
         bits_to_bytes_into(&self.slab.tb[..cfg.tbs_bits()], &mut self.slab.payload);
         Ok(SlabVerdict {
@@ -1091,6 +1093,27 @@ mod tests {
         bits_to_bytes_into(&bytes_to_bits(&bytes), &mut back);
         assert_eq!(back, bytes);
         assert_eq!(bytes_to_bits(&[0x80])[0], 1);
+    }
+
+    #[test]
+    fn a_transmitter_and_receiver_of_one_config_share_their_tables() {
+        // 5 MHz MCS 27: several code blocks, of two sizes.
+        let cfg = UplinkConfig::new(Bandwidth::Mhz5, 2, 27).unwrap();
+        let (tx, rx) = (UplinkTx::new(cfg.clone()), UplinkRx::new(cfg.clone()));
+        let (a, b) = (&tx.t, &rx.t);
+        assert!(Arc::ptr_eq(&a.scrambler, &b.scrambler));
+        assert!(Arc::ptr_eq(&a.dmrs, &b.dmrs));
+        assert!(Arc::ptr_eq(&a.dft, &b.dft));
+        assert_eq!(a.codecs.len(), cfg.seg.num_blocks);
+        for (r, (x, y)) in a.codecs.iter().zip(&b.codecs).enumerate() {
+            assert!(Arc::ptr_eq(x, y), "block {r}");
+            // Blocks of one size share one codec.
+            let k = cfg.seg.block_size(r);
+            let first = (0..cfg.seg.num_blocks)
+                .find(|&q| cfg.seg.block_size(q) == k)
+                .unwrap();
+            assert!(Arc::ptr_eq(x, &a.codecs[first]), "block {r}");
+        }
     }
 
     #[test]

@@ -232,8 +232,11 @@ pub struct ClusterReport {
     pub migration: MigrationStats,
     /// Wall-clock processing times of completed subframes, µs.
     pub proc_us: Samples,
-    /// Subframes dropped by the slack check.
+    /// Subframes given up without a verdict, each also a miss:
+    /// `drops.total()`.
     pub dropped: u64,
+    /// The same subframes, by cause.
+    pub drops: Drops,
     /// Completed subframes whose transport-block CRC failed (NACKs).
     pub crc_failures: u64,
     /// Whether CPU pinning succeeded on this machine.
@@ -244,6 +247,52 @@ pub struct ClusterReport {
     pub declined_steals: u64,
     /// Wall clock from the first arrival to the last verdict.
     pub elapsed: Duration,
+}
+
+/// Subframes a run gave up without a verdict, by cause.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Drops {
+    /// Their MCS is no entry of the pool, so no decoder config fits.
+    pub mcs_outside_pool: u64,
+    /// Shed at delivery: every delivery slot of their cell was busy.
+    pub shed: u64,
+    /// Refused by a stage's slack check: the stage would have ended
+    /// after the deadline.
+    pub no_slack: u64,
+}
+
+impl Drops {
+    /// Drops of every cause.
+    pub fn total(&self) -> u64 {
+        self.mcs_outside_pool + self.shed + self.no_slack
+    }
+
+    fn merge(&mut self, other: &Drops) {
+        self.mcs_outside_pool += other.mcs_outside_pool;
+        self.shed += other.shed;
+        self.no_slack += other.no_slack;
+    }
+}
+
+impl fmt::Display for Drops {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} (MCS outside pool {}, shed {}, no slack {})",
+            self.total(),
+            self.mcs_outside_pool,
+            self.shed,
+            self.no_slack
+        )
+    }
+}
+
+/// Why a subframe was given up without a verdict.
+#[derive(Clone, Copy, Debug)]
+enum DropCause {
+    McsOutsidePool,
+    Shed,
+    NoSlack,
 }
 
 impl ClusterReport {
@@ -434,7 +483,7 @@ struct WorkerTotals {
     deadline: DeadlineMetrics,
     migration: MigrationStats,
     proc_us: Samples,
-    dropped: u64,
+    drops: Drops,
     crc_failures: u64,
     steals: u64,
     declined: u64,
@@ -446,24 +495,30 @@ impl WorkerTotals {
             deadline: DeadlineMetrics::new(cells),
             migration: MigrationStats::default(),
             proc_us: Samples::new(),
-            dropped: 0,
+            drops: Drops::default(),
             crc_failures: 0,
             steals: 0,
             declined: 0,
         }
     }
 
-    /// A subframe of `cell` given up without a verdict: a miss + drop.
-    fn record_drop(&mut self, cell: usize) {
+    /// A subframe of `cell` given up without a verdict: a miss + drop,
+    /// counted under its cause.
+    fn record_drop(&mut self, cell: usize, cause: DropCause) {
         self.deadline.record(cell, true);
-        self.dropped += 1;
+        let count = match cause {
+            DropCause::McsOutsidePool => &mut self.drops.mcs_outside_pool,
+            DropCause::Shed => &mut self.drops.shed,
+            DropCause::NoSlack => &mut self.drops.no_slack,
+        };
+        *count += 1;
     }
 
     fn merge(&mut self, other: &WorkerTotals) {
         self.deadline.merge(&other.deadline);
         self.migration.merge(&other.migration);
         self.proc_us.merge(&other.proc_us);
-        self.dropped += other.dropped;
+        self.drops.merge(&other.drops);
         self.crc_failures += other.crc_failures;
         self.steals += other.steals;
         self.declined += other.declined;
@@ -519,11 +574,9 @@ impl FedCell {
     }
 }
 
-/// The delivery slots of every cell plus the shed counter (subframes
-/// that arrived while every slot of their cell was busy).
+/// The delivery slots of every cell.
 pub(crate) struct FedShared {
     pub(crate) cells: Vec<FedCell>,
-    shed: AtomicU64,
 }
 
 impl FedShared {
@@ -541,10 +594,7 @@ impl FedShared {
                 free: Mutex::new((0..FED_SLOTS).rev().collect()),
             })
             .collect();
-        FedShared {
-            cells,
-            shed: AtomicU64::new(0),
-        }
+        FedShared { cells }
     }
 }
 
@@ -667,6 +717,41 @@ impl Cadence {
 }
 
 impl<'a> Shared<'a> {
+    fn new(
+        cfg: &'a ClusterConfig,
+        arenas: &'a [CoreArena],
+        fed: &'a FedShared,
+        calib: &'a Calib,
+        stealers: Vec<steal::Stealer>,
+    ) -> Self {
+        let cores = cfg.total_cores();
+        // A cell never has more than `FED_SLOTS` jobs queued; the
+        // subframe count is the peer's claim and must not size anything.
+        // A mutex-mode host holds at most one stage's tickets from each
+        // owner at a time, stale ones aside.
+        let tickets = cores * arenas.first().map_or(0, |a| a.board.slot_count());
+        Shared {
+            cfg,
+            arenas,
+            fed,
+            inboxes: (0..cores)
+                .map(|_| Inbox::with_capacity(FED_SLOTS, tickets))
+                .collect(),
+            global: Inbox::with_capacity(cfg.num_cells * FED_SLOTS, 0),
+            stealers,
+            idle: (0..cores).map(|_| AtomicBool::new(false)).collect(),
+            totals: Mutex::new(WorkerTotals::new(cfg.num_cells)),
+            calib,
+            schedule: PartitionedSchedule::with_cores_per_bs(cfg.num_cells, 2),
+            cadence: Cadence::new(cfg),
+            pinned: AtomicBool::new(false),
+            live: AtomicUsize::new(0),
+            last_arrival_ns: AtomicU64::new(0),
+            drained: Condvar::new(),
+            drain: Mutex::new(()),
+        }
+    }
+
     /// Queues a release on the shared FIFO (Global) or on the core the
     /// partitioned schedule gives `job.cell`'s subframe `seq`, and wakes
     /// one worker parked on that inbox. In steal mode it wakes every
@@ -1094,31 +1179,7 @@ impl CranCluster {
         let arenas: Vec<CoreArena> = (0..cores).map(|_| CoreArena::new(pool, cfg)).collect();
         let (mut workers, stealers): (Vec<steal::Worker>, Vec<steal::Stealer>) =
             (0..cores).map(|_| steal::steal_pair(64)).unzip();
-        // A cell never has more than `FED_SLOTS` jobs queued; the
-        // subframe count is the peer's claim and must not size anything.
-        // A mutex-mode host holds at most one stage's tickets from each
-        // owner at a time, stale ones aside.
-        let tickets = cores * arenas[0].board.slot_count();
-        let shared = Shared {
-            cfg,
-            arenas: &arenas,
-            fed: &fed,
-            inboxes: (0..cores)
-                .map(|_| Inbox::with_capacity(FED_SLOTS, tickets))
-                .collect(),
-            global: Inbox::with_capacity(cfg.num_cells * FED_SLOTS, 0),
-            stealers,
-            idle: (0..cores).map(|_| AtomicBool::new(false)).collect(),
-            totals: Mutex::new(WorkerTotals::new(cfg.num_cells)),
-            calib,
-            schedule: PartitionedSchedule::with_cores_per_bs(cfg.num_cells, 2),
-            cadence: Cadence::new(cfg),
-            pinned: AtomicBool::new(false),
-            live: AtomicUsize::new(0),
-            last_arrival_ns: AtomicU64::new(0),
-            drained: Condvar::new(),
-            drain: Mutex::new(()),
-        };
+        let shared = Shared::new(cfg, &arenas, &fed, calib, stealers);
         // Start barrier: workers warm caches (a full decode of every pool
         // entry) before the first subframe is received, so subframe 0
         // never pays the cold-start penalty.
@@ -1156,7 +1217,8 @@ impl CranCluster {
                 deadline: m.deadline,
                 migration: m.migration,
                 proc_us: m.proc_us,
-                dropped: m.dropped,
+                dropped: m.drops.total(),
+                drops: m.drops,
                 crc_failures: m.crc_failures,
                 pinned: shared.pinned.load(Ordering::Relaxed),
                 steals: m.steals,
@@ -1164,7 +1226,7 @@ impl CranCluster {
                 elapsed,
             },
             rx: rx.stats(),
-            shed: fed.shed.load(Ordering::Relaxed),
+            shed: m.drops.shed,
         }
     }
 }
@@ -1294,14 +1356,16 @@ fn deliver_fed(shared: &Shared<'_>, rx: &mut dyn FronthaulRx) -> Option<Instant>
                 // Only the config the subframe was encoded with decodes
                 // it; a neighbouring pool entry's would only NACK.
                 let Some(pool_idx) = cfg.mcs_pool.iter().position(|&m| m == buf.mcs) else {
-                    shared.totals.lock().record_drop(cell);
+                    shared
+                        .totals
+                        .lock()
+                        .record_drop(cell, DropCause::McsOutsidePool);
                     continue;
                 };
                 let Some(slot) = shared.fed.cells[cell].land(&mut buf.samples) else {
                     // Every slot busy: the cell is overloaded; shed now
                     // rather than queue a subframe that would miss anyway.
-                    shared.fed.shed.fetch_add(1, Ordering::Relaxed);
-                    shared.totals.lock().record_drop(cell);
+                    shared.totals.lock().record_drop(cell, DropCause::Shed);
                     continue;
                 };
                 let job = OwnJob {
@@ -1332,7 +1396,7 @@ pub struct FedReport {
     /// Transport receive stats (delivered/gaps/stale/drops) at run end.
     pub rx: RxStats,
     /// Subframes shed at delivery because their cell's slots were all
-    /// busy (each is also recorded as a miss + drop in `cluster`).
+    /// busy: `cluster.drops.shed`.
     pub shed: u64,
 }
 
@@ -1741,7 +1805,7 @@ fn has_slack(job: &OwnJob, est: Duration, totals: &mut WorkerTotals) -> bool {
     if Instant::now() + est <= job.deadline {
         return true;
     }
-    totals.record_drop(job.cell);
+    totals.record_drop(job.cell, DropCause::NoSlack);
     false
 }
 
@@ -1929,6 +1993,89 @@ mod tests {
                 j + 1
             );
         }
+    }
+
+    /// Runs the delivery loop alone, with no worker to free a slot, over
+    /// one cell's subframes of MCS `mcs` sent back to back, and returns
+    /// what it dropped.
+    fn deliver_without_workers(mcs: &[u8]) -> Drops {
+        let cfg = ClusterConfig {
+            num_cells: 1,
+            mcs_pool: vec![5],
+            ..ClusterConfig::demo()
+        };
+        let samples = cfg.bandwidth.samples_per_subframe();
+        let params = StreamParams {
+            samples_per_subframe: samples as u32,
+            antennas: cfg.num_antennas as u8,
+            cells: vec![0],
+            period_us: cfg.period.as_micros() as u32,
+            budget_us: cfg.budget().as_micros() as u32,
+            mcs_pool: cfg.mcs_pool.clone(),
+            subframes: mcs.len() as u32,
+        };
+        let (mut tx, mut rx) = inproc_pair(params, 16);
+        let zeros = vec![vec![Cf32::new(0.0, 0.0); samples]; cfg.num_antennas];
+        for (seq, &m) in mcs.iter().enumerate() {
+            tx.send(0, seq as u32, m, &zeros).unwrap();
+        }
+        tx.finish().unwrap();
+        let fed = FedShared::new(&cfg, samples);
+        let calib = Calib::default();
+        let shared = Shared::new(&cfg, &[], &fed, &calib, Vec::new());
+        deliver_fed(&shared, &mut rx);
+        let totals = shared.totals.into_inner();
+        assert_eq!(
+            totals.deadline.overall().missed,
+            totals.drops.total(),
+            "every drop is a miss"
+        );
+        totals.drops
+    }
+
+    #[test]
+    fn a_subframe_outside_the_mcs_pool_counts_as_such() {
+        let drops = deliver_without_workers(&[5, 6, 5, 6]);
+        assert_eq!(
+            drops,
+            Drops {
+                mcs_outside_pool: 2,
+                ..Drops::default()
+            }
+        );
+    }
+
+    #[test]
+    fn a_subframe_finding_every_slot_busy_is_shed() {
+        let drops = deliver_without_workers(&[5; FED_SLOTS + 3]);
+        assert_eq!(
+            drops,
+            Drops {
+                shed: 3,
+                ..Drops::default()
+            }
+        );
+    }
+
+    #[test]
+    fn a_stage_that_would_end_past_the_deadline_is_dropped_for_slack() {
+        let job = OwnJob {
+            cell: 1,
+            pool_idx: 0,
+            slot: 0,
+            deadline: Instant::now() + Duration::from_secs(60),
+        };
+        let mut totals = WorkerTotals::new(2);
+        assert!(has_slack(&job, Duration::from_millis(1), &mut totals));
+        assert!(!has_slack(&job, Duration::from_secs(120), &mut totals));
+        assert_eq!(
+            totals.drops,
+            Drops {
+                no_slack: 1,
+                ..Drops::default()
+            }
+        );
+        assert_eq!(totals.deadline.overall().missed, 1);
     }
 
     #[test]

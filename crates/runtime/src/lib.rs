@@ -49,8 +49,8 @@ pub mod cluster;
 pub mod measure;
 
 pub use cluster::{
-    send_paced, ClusterConfig, ClusterReport, CranCluster, Eq3Check, FedReport, SchedulerMode,
-    SendPlan,
+    send_paced, ClusterConfig, ClusterReport, CranCluster, Drops, Eq3Check, FedReport,
+    SchedulerMode, SendPlan,
 };
 pub use measure::{
     measure_migration_overhead, measure_stage_parallelism, measure_steal_overhead,

@@ -34,10 +34,14 @@
 //!
 //! All steady-state operations are allocation-free: slot vectors, the
 //! active heap, and the cascade scratch buffer are reused; `mem::swap`
-//! (never `mem::take` on the buckets) preserves their capacity.
+//! (never `mem::take` on the buckets) preserves their capacity. A
+//! dropped wheel leaves that storage, emptied, to the next wheel built on
+//! its thread, so a thread that runs many short simulations allocates
+//! the 1,024 slot vectors once.
 
 use crate::event::{Entry, EventKind};
 use rtopex_core::time::Nanos;
+use std::cell::Cell;
 use std::collections::BinaryHeap;
 
 /// log₂ of the slot width in ns (2¹² ns ≈ 4.1 µs).
@@ -114,22 +118,48 @@ impl Default for TimingWheel {
     }
 }
 
+/// A wheel's buffers, empty, between a dropped wheel and the next one.
+struct Storage {
+    cur: BinaryHeap<Entry>,
+    l0: Vec<Vec<Entry>>,
+    l1: Vec<Vec<Entry>>,
+    overflow: Vec<Entry>,
+    scratch: Vec<Entry>,
+}
+
+thread_local! {
+    /// The storage of the last wheel dropped on this thread.
+    static SPARE: Cell<Option<Storage>> = const { Cell::new(None) };
+}
+
 impl TimingWheel {
     /// Creates an empty wheel positioned at time zero, with slot and
     /// cascade buffers prewarmed so the steady-state loop never
-    /// allocates.
+    /// allocates. The buffers are those of the last wheel dropped on
+    /// this thread, if any.
     pub fn new() -> Self {
+        let st = SPARE
+            .try_with(Cell::take)
+            .ok()
+            .flatten()
+            .unwrap_or_else(|| Storage {
+                cur: BinaryHeap::with_capacity(256),
+                l0: (0..SLOTS).map(|_| Vec::with_capacity(16)).collect(),
+                l1: (0..SLOTS).map(|_| Vec::with_capacity(8)).collect(),
+                overflow: Vec::new(),
+                scratch: Vec::with_capacity(64),
+            });
         TimingWheel {
             cur_slot: 0,
             seq: 0,
             count: 0,
-            cur: BinaryHeap::with_capacity(256),
-            l0: (0..SLOTS).map(|_| Vec::with_capacity(16)).collect(),
+            cur: st.cur,
+            l0: st.l0,
             l0_occ: [0; SLOTS / 64],
-            l1: (0..SLOTS).map(|_| Vec::with_capacity(8)).collect(),
+            l1: st.l1,
             l1_occ: [0; SLOTS / 64],
-            overflow: Vec::new(),
-            scratch: Vec::with_capacity(64),
+            overflow: st.overflow,
+            scratch: st.scratch,
         }
     }
 
@@ -280,6 +310,27 @@ impl TimingWheel {
     }
 }
 
+impl Drop for TimingWheel {
+    /// Empties the buffers, capacity kept, and leaves them to the next
+    /// wheel on this thread.
+    fn drop(&mut self) {
+        let mut st = Storage {
+            cur: std::mem::take(&mut self.cur),
+            l0: std::mem::take(&mut self.l0),
+            l1: std::mem::take(&mut self.l1),
+            overflow: std::mem::take(&mut self.overflow),
+            scratch: std::mem::take(&mut self.scratch),
+        };
+        st.cur.clear();
+        st.l0.iter_mut().chain(&mut st.l1).for_each(Vec::clear);
+        st.overflow.clear();
+        st.scratch.clear();
+        // During thread teardown the spare may be gone already; the
+        // storage is then freed here.
+        let _ = SPARE.try_with(|spare| spare.set(Some(st)));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,6 +363,30 @@ mod tests {
 
     fn granule_time(g: u64, extra_ns: u64) -> Nanos {
         Nanos((g << (SLOT_SHIFT + GRANULE_SHIFT)) + extra_ns)
+    }
+
+    #[test]
+    fn a_new_wheel_takes_a_dropped_ones_storage_empty() {
+        let mut w = TimingWheel::new();
+        // Left pending on every level: active heap, level 0, level 1
+        // and the overflow.
+        w.push(Nanos(0), EventKind::TaskDone { core: 0 });
+        w.push(Nanos::from_us(100), EventKind::TaskDone { core: 1 });
+        w.push(Nanos::from_ms(50), EventKind::TaskDone { core: 2 });
+        w.push(Nanos::from_ms(5_000), EventKind::TaskDone { core: 3 });
+        let slots = w.l0.as_ptr();
+        drop(w);
+        let mut w = TimingWheel::new();
+        assert_eq!(w.l0.as_ptr(), slots, "storage reused");
+        assert!(w.is_empty());
+        assert_eq!(w.pop(), None);
+        // Same-time events still pop in push order from sequence 0.
+        let t = Nanos::from_us(7);
+        w.push(t, EventKind::TaskDone { core: 5 });
+        w.push(t, EventKind::TaskDone { core: 6 });
+        assert_eq!(w.pop(), Some((t, EventKind::TaskDone { core: 5 })));
+        assert_eq!(w.pop(), Some((t, EventKind::TaskDone { core: 6 })));
+        assert_eq!(w.pop(), None);
     }
 
     #[test]

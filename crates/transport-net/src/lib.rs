@@ -16,7 +16,7 @@
 //! Both share [`wire`] (frame encoding over the `packet.rs` IQ format),
 //! [`session`] (the allocation-free rx reassembly hot path, and the one
 //! receiver type, [`NetFronthaulRx`], whose io loop is per transport)
-//! and [`ring`] (`rtopex-transport`'s preallocated swap-queue ring, the
+//! and [`ring`] (`rtopex-transport`'s swap-queue ring, the
 //! one under the in-process transport too, feeding the cluster's slot
 //! arenas with drop-oldest overrun backpressure).
 //!

@@ -3,11 +3,12 @@
 //!
 //! One session per stream, driven by the transport's I/O thread: every
 //! IQ frame lands in [`RxSession::ingest_frame`], which validates it,
-//! dequantizes the payload **directly into a preallocated subframe
-//! buffer** (no intermediate copy), and publishes completed subframes
-//! to the [`SwapQueue`] ring. After construction the path performs no
-//! allocation — `tests/alloc_regression.rs` proves it with a counting
-//! allocator and the workspace analyzer carries a purity seed for it.
+//! dequantizes the payload **directly into a ring's subframe buffer**
+//! (no intermediate copy), and publishes completed subframes to the
+//! [`SwapQueue`] ring. Once the ring holds its working set the path
+//! performs no allocation — `tests/alloc_regression.rs` proves it with a
+//! counting allocator and the workspace analyzer carries a purity seed
+//! for it.
 //! [`NetFronthaulRx`] owns the ring, the session and the io thread for
 //! both socket transports; only the io loop differs between UDP and TCP.
 //!

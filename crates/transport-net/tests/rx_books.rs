@@ -52,22 +52,27 @@ fn overrun_inproc(p: &StreamParams) -> (RxStats, Vec<u32>) {
     (rx.stats(), got)
 }
 
+/// Ingests subframe `seq` of cell 5 as wire frames.
+fn ingest(session: &mut RxSession, p: &StreamParams, seq: u32) {
+    let total = wire::fragments_for(p.samples_per_subframe as usize) as u16;
+    for (frag, chunk) in subframe(p, seq)[0]
+        .chunks(wire::SAMPLES_PER_FRAG)
+        .enumerate()
+    {
+        let mut f = vec![0u8; wire::MAX_IQ_FRAME];
+        let len = wire::write_iq_frame(&mut f, 27, 5, 0, frag as u8, total, seq, chunk);
+        session.ingest_frame(&f[..len]);
+    }
+}
+
 /// The same stream as wire frames through a socket receiver's session
 /// and a ring of the same depth.
 fn overrun_session(p: &StreamParams) -> (RxStats, Vec<u32>) {
     let pool = DEPTH + p.cells.len() * ASM_SLOTS + 1;
     let queue = Arc::new(SwapQueue::new(p, pool, DEPTH));
     let mut session = RxSession::new(p.clone(), Arc::clone(&queue));
-    let total = wire::fragments_for(p.samples_per_subframe as usize) as u16;
     for seq in 0..SENT {
-        for (frag, chunk) in subframe(p, seq)[0]
-            .chunks(wire::SAMPLES_PER_FRAG)
-            .enumerate()
-        {
-            let mut f = vec![0u8; wire::MAX_IQ_FRAME];
-            let len = wire::write_iq_frame(&mut f, 27, 5, 0, frag as u8, total, seq, chunk);
-            session.ingest_frame(&f[..len]);
-        }
+        ingest(&mut session, p, seq);
     }
     session.close();
     let mut buf = SubframeBuf::for_stream(p);
@@ -92,4 +97,46 @@ fn an_overrun_is_a_drop_not_a_gap_on_every_transport() {
     // The consumer received delivered − drops: the two newest.
     assert_eq!(inproc_got, [3, 4]);
     assert_eq!(session_got, [3, 4]);
+}
+
+/// A socket receiver's ring at a node's depth allocates its working set
+/// while the consumer keeps pace, grows only under a backlog, and keeps
+/// the books a ring allocated up front would have kept.
+#[test]
+fn a_session_ring_grows_only_under_a_backlog() {
+    let p = params();
+    let depth = 128;
+    let pool = depth + p.cells.len() * ASM_SLOTS + 1;
+    let queue = Arc::new(SwapQueue::new(&p, pool, depth));
+    let working_set = queue.allocated();
+    assert_eq!(
+        working_set,
+        pool - depth + rtopex_transport_net::ring::MARGIN
+    );
+    let mut session = RxSession::new(p.clone(), Arc::clone(&queue));
+    let mut buf = SubframeBuf::for_stream(&p);
+    for seq in 0..200 {
+        ingest(&mut session, &p, seq);
+        assert_eq!(queue.pop_swap(&mut buf, Duration::ZERO), Pop::Got);
+    }
+    assert_eq!(queue.allocated(), working_set, "kept pace");
+    // 300 more that nobody drains until the end.
+    for seq in 200..500 {
+        ingest(&mut session, &p, seq);
+        assert!(queue.allocated() <= pool);
+    }
+    // A full ready queue plus the one buffer that cycles through
+    // assembly: the ring grew by what the backlog held, not to `pool`.
+    assert_eq!(queue.allocated(), depth + 1);
+    session.close();
+    let mut got = Vec::new();
+    while queue.pop_swap(&mut buf, Duration::ZERO) == Pop::Got {
+        got.push(buf.seq);
+    }
+    let st = session.stats();
+    assert_eq!(
+        (st.delivered, st.drops, st.gaps),
+        (500, 300 - depth as u64, 0)
+    );
+    assert_eq!(got, (500 - depth as u32..500).collect::<Vec<_>>());
 }

@@ -27,7 +27,8 @@
 //!   emulation and the real byte transports (`rtopex-transport-net`)
 //!   both implement, so the cluster runtime is transport-agnostic.
 //! * [`ring`] — the receive ring under every transport
-//!   ([`SwapQueue`]): preallocated buffers, freelist recycling,
+//!   ([`SwapQueue`]): buffers allocated as the traffic needs them,
+//!   freelist recycling,
 //!   drop-oldest overrun policy, and the `delivered`/`drops` counts.
 //! * [`inproc`] — the in-process implementation of that trait, a
 //!   sender publishing straight into the ring.

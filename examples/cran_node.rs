@@ -71,7 +71,7 @@ fn main() {
             proc.quantile(0.5),
             proc.quantile(0.95),
             report.subframes_per_sec(),
-            report.dropped,
+            report.drops,
             report.crc_failures
         );
         if mode.migrates() {

@@ -201,6 +201,11 @@ fn a_subframe_outside_the_mcs_pool_is_dropped_not_decoded() {
     let r = CranCluster::new(cfg).run_fed(&mut rx).cluster;
     assert_eq!(r.deadline.total_subframes(), 4);
     assert_eq!(r.crc_failures, 0, "MCS 6 decoded under another config");
-    assert_eq!(r.dropped, 2);
-    assert_eq!(r.proc_us.len(), 2);
+    assert_eq!(r.drops.mcs_outside_pool, 2);
+    assert_eq!(r.dropped, r.drops.total());
+    // The two MCS 5 subframes land in two of the cell's four slots, so
+    // none is shed. Sent unpaced onto one core, each is decoded or, when
+    // a host stall eats its slack, dropped for that.
+    assert_eq!(r.drops.shed, 0);
+    assert_eq!(r.proc_us.len() as u64 + r.drops.no_slack, 2);
 }
